@@ -43,7 +43,8 @@ def main() -> int:
     print(f"{args.test}: {dist.statistics.size} replicates, statistic "
           f"mean {dist.statistics.mean():.4f}, sd {dist.statistics.std(ddof=1):.4f}")
     print(f"KS uniformity of p-values: D={ks.statistic:.4f}, p={ks.pvalue:.4f}")
-    write_qq_csv(dist, args.out)
+    with open(args.out, "w", newline="") as fh:
+        write_qq_csv(dist, fh)
     print(f"wrote {args.out}")
     return 0
 

@@ -46,7 +46,8 @@ def main() -> int:
         print(f"null {row.null_family.value:9s} {row.test:6s} "
               f"rejection {row.rejection_rate:.3f} "
               f"selection {row.selection_rate:.3f}")
-    write_rejection_csv(rows, args.out)
+    with open(args.out, "w", newline="") as fh:
+        write_rejection_csv(rows, fh)
     print(f"wrote {args.out} ({time.time() - t0:.0f}s)")
     return 0
 

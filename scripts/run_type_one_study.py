@@ -51,7 +51,8 @@ def main() -> int:
                 print(f"{fam.value:9s} {level:5s} {row.test:6s} "
                       f"rejection {row.rejection_rate:.3f} "
                       f"({row.replications} reps, {time.time() - t0:.0f}s)")
-    write_rejection_csv(all_rows, args.out)
+    with open(args.out, "w", newline="") as fh:
+        write_rejection_csv(all_rows, fh)
     print(f"wrote {args.out} ({','.join(REJECTION_CSV_HEADER)})")
     return 0
 

@@ -10,17 +10,18 @@ from .bootstrap import (BootstrapConfig, BootstrapError, GofReport,
                         SelectionResult, bootstrap_pvalue, bootstrap_reports,
                         select_copula)
 from .copulas import (CopulaModel, CopulaError, Family, LikelihoodError,
-                      PseudoObservation, cdf, density, partial_u1, partial_u2,
-                      sample_pairs, tau_to_theta, theta_to_tau)
+                      cdf, density, partial_u1, partial_u2, sample_pairs,
+                      tau_to_theta, theta_to_tau)
 from .inference import (FitResult, InferenceError, StatisticValue,
                         compute_statistic, fit_pmle, ir_statistic,
                         logim_statistic, pios_statistic, pseudo_loglik,
                         white_statistic)
 from .simulation import (Scenario, StudyConfig, generate_scenario_dataset,
                          run_null_distribution, run_rejection_study)
-from .survival import (CensoredPair, StepSurvival, SurvivalError,
-                       censoring_survival, empirical_kendall_tau,
-                       kaplan_meier, km_inverse, pseudo_observations)
+from .survival import (CensoredPair, CensoredSample, StepSurvival,
+                       SurvivalError, as_sample, censoring_survival,
+                       empirical_kendall_tau, kaplan_meier,
+                       pseudo_observations)
 
 __version__ = "0.1.0"
 
@@ -28,14 +29,14 @@ __all__ = [
     "BootstrapConfig", "BootstrapError", "GofReport", "SelectionResult",
     "bootstrap_pvalue", "bootstrap_reports", "select_copula",
     "CopulaModel", "CopulaError", "Family", "LikelihoodError",
-    "PseudoObservation", "cdf", "density", "partial_u1", "partial_u2",
+    "cdf", "density", "partial_u1", "partial_u2",
     "sample_pairs", "tau_to_theta", "theta_to_tau",
     "FitResult", "InferenceError", "StatisticValue", "compute_statistic",
     "fit_pmle", "ir_statistic", "logim_statistic", "pios_statistic",
     "pseudo_loglik", "white_statistic",
     "Scenario", "StudyConfig", "generate_scenario_dataset",
     "run_null_distribution", "run_rejection_study",
-    "CensoredPair", "StepSurvival", "SurvivalError", "censoring_survival",
-    "empirical_kendall_tau", "kaplan_meier", "km_inverse",
-    "pseudo_observations",
+    "CensoredPair", "CensoredSample", "StepSurvival", "SurvivalError",
+    "as_sample", "censoring_survival", "empirical_kendall_tau",
+    "kaplan_meier", "pseudo_observations",
 ]

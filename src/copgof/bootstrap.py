@@ -1,13 +1,16 @@
 """Parametric bootstrap calibration of the goodness-of-fit statistics.
 
-Each replicate regenerates a censored sample from the fitted copula:
-dependent uniforms come from the fitted model, event times from the
-inverse marginal Kaplan-Meier curves, and censoring times from the
-inverse censoring Kaplan-Meier (one shared censoring variable by
-default). The null copula is refit on every replicate and the statistic
-recomputed, giving a bootstrap standard deviation. The reported p-value
-is the two-sided normal tail of the observed statistic standardized by
-that deviation around its null value.
+The input is converted once to a :class:`~copgof.survival.CensoredSample`.
+Its marginal and censoring Kaplan-Meier curves and the fitted model go
+into one picklable frame. Each replicate regenerates a censored sample
+from that frame as arrays: dependent uniforms come from the fitted
+model, event times from the inverse marginal Kaplan-Meier curves, and
+censoring times from the inverse censoring Kaplan-Meier (one shared
+censoring variable by default). The null copula is refit on every
+replicate and every requested statistic is recomputed from one (S, V)
+pass, giving a bootstrap standard deviation per statistic. The reported
+p-value is the two-sided normal tail of the observed statistic
+standardized by that deviation around its null value.
 
 Replicate b of family f draws from stream index f * 2^20 + b of the
 master seed, so results are independent of worker count and of which
@@ -26,7 +29,7 @@ from ._parallel import ordered_map
 from .copulas import CopulaModel, Family, FAMILY_ORDER, LikelihoodError
 from .inference import FitResult, InferenceError, StatisticValue
 from .numerics import RngStream
-from .survival import CensoredPair, StepSurvival
+from .survival import CensoredSample, StepSurvival
 
 B_CAP = 1 << 20
 _RETRY_OFFSET = B_CAP >> 1
@@ -46,6 +49,8 @@ class BootstrapConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.b < 2:
             raise ValueError(f"need at least 2 bootstrap replicates, got {self.b}")
         if self.b > B_CAP:
@@ -89,49 +94,30 @@ class _Frame:
     family_index: int
 
 
-def _inverse_many(curve: StepSurvival, u: np.ndarray) -> np.ndarray:
-    """Vectorized km_inverse over an array of levels."""
-    u = np.asarray(u, dtype=float)
-    jt, vals = curve.jump_times, curve.values
-    if jt.size == 0:
-        return np.full(u.shape, np.inf)
-    idx = np.searchsorted(-vals, -u, side="left")
-    out = jt[np.minimum(idx, jt.size - 1)]  # below the final plateau: last jump
-    return np.where(u >= 1.0, 0.0, out)
-
-
-def generate_bootstrap_dataset(frame: _Frame, stream_index: int) -> list[CensoredPair]:
+def generate_bootstrap_dataset(frame: _Frame, stream_index: int) -> CensoredSample:
     """One parametric bootstrap sample from the fitted model."""
     gen = RngStream(frame.master_seed, stream_index).generator()
     n = frame.n
     u1, u2 = copulas.sample_pairs(frame.model, gen, n)
-    t1 = _inverse_many(frame.event1, u1)
-    t2 = _inverse_many(frame.event2, u2)
+    t1 = frame.event1.inverse(u1)
+    t2 = frame.event2.inverse(u2)
     if frame.common_censoring:
-        v = gen.random(n)
-        c1 = c2 = _inverse_many(frame.cens1, v)
+        c1 = c2 = frame.cens1.inverse(gen.random(n))
     else:
         v1 = gen.random(n)
         v2 = gen.random(n)
-        c1 = _inverse_many(frame.cens1, v1)
-        c2 = _inverse_many(frame.cens2, v2)
-    x1 = np.minimum(t1, c1)
-    x2 = np.minimum(t2, c2)
-    d1 = (t1 <= c1).astype(int)
-    d2 = (t2 <= c2).astype(int)
-    return [CensoredPair(float(a), float(b), int(e), int(f))
-            for a, b, e, f in zip(x1, x2, d1, d2)]
+        c1 = frame.cens1.inverse(v1)
+        c2 = frame.cens2.inverse(v2)
+    return CensoredSample(np.minimum(t1, c1), np.minimum(t2, c2), t1 <= c1, t2 <= c2)
 
 
 def _replicate_stats(frame: _Frame, stream_index: int) -> dict[str, float]:
-    pairs = generate_bootstrap_dataset(frame, stream_index)
-    u1, u2, d1, d2 = survival.pseudo_observations(pairs)
+    sample = generate_bootstrap_dataset(frame, stream_index)
+    u1, u2, d1, d2 = survival.pseudo_observations(sample)
     fit = inference.fit_pmle(frame.model.family, u1, u2, d1, d2,
                              initial_theta=frame.model.theta)
-    out = {}
-    for kind in frame.kinds:
-        out[kind] = inference.compute_statistic(kind, fit, u1, u2, d1, d2).value
-    return out
+    stats = inference.compute_statistics(frame.kinds, fit, u1, u2, d1, d2)
+    return {k: v.value for k, v in stats.items()}
 
 
 def _run_replicate(args) -> tuple[int, dict[str, float] | None]:
@@ -143,7 +129,7 @@ def _run_replicate(args) -> tuple[int, dict[str, float] | None]:
         try:
             return b, _replicate_stats(frame, stream)
         except (InferenceError, LikelihoodError, numerics.NumericsError,
-                survival.SurvivalError, ValueError):
+                survival.SurvivalError):
             continue
     return b, None
 
@@ -160,22 +146,19 @@ def _pvalue(observed: float, null_value: float, sigma_b: float) -> tuple[float, 
     return float(2.0 * (1.0 - numerics.norm_cdf(z))), False
 
 
-def _build_frame(pairs, fit: FitResult, kinds, config: BootstrapConfig) -> _Frame:
-    x1 = [p.x1 for p in pairs]
-    x2 = [p.x2 for p in pairs]
-    d1 = [p.d1 for p in pairs]
-    d2 = [p.d2 for p in pairs]
-    event1 = survival.kaplan_meier(x1, d1)
-    event2 = survival.kaplan_meier(x2, d2)
+def _build_frame(sample: CensoredSample, fit: FitResult, kinds,
+                 config: BootstrapConfig) -> _Frame:
+    event1 = survival.kaplan_meier(sample.x1, sample.d1)
+    event2 = survival.kaplan_meier(sample.x2, sample.d2)
     if config.common_censoring:
-        cens1 = cens2 = survival.censoring_survival(pairs, margin=1, common=True)
+        cens1 = cens2 = survival.censoring_survival(sample, margin=1, common=True)
     else:
-        cens1 = survival.censoring_survival(pairs, margin=1)
-        cens2 = survival.censoring_survival(pairs, margin=2)
+        cens1 = survival.censoring_survival(sample, margin=1)
+        cens2 = survival.censoring_survival(sample, margin=2)
     return _Frame(model=fit.model, event1=event1, event2=event2,
                   cens1=cens1, cens2=cens2,
                   common_censoring=config.common_censoring,
-                  n=len(pairs), kinds=tuple(kinds),
+                  n=len(sample), kinds=tuple(kinds),
                   master_seed=config.seed,
                   family_index=FAMILY_ORDER.index(fit.family))
 
@@ -184,21 +167,23 @@ def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
                       kinds=None, fit: FitResult | None = None) -> dict[str, GofReport]:
     """Full test for one null family, one report per statistic kind.
 
-    Replicate fits are shared across kinds, so asking for ir, white and
-    logim together costs the same as any one of them.
+    ``pairs`` is a CensoredSample or a sequence of CensoredPair rows.
+    Replicate fits and the (S, V) pass of each fit are shared across
+    kinds, so asking for ir, white and logim together costs the same as
+    any one of them.
     """
-    pairs = list(pairs)
+    sample = survival.as_sample(pairs)
     kinds = tuple(k.lower() for k in (kinds or (config.statistic,)))
     for k in kinds:
         if k not in inference.STATISTIC_KINDS:
             valid = "|".join(inference.STATISTIC_KINDS)
             raise ValueError(f"unknown statistic {k!r}; expected one of {valid}")
-    u1, u2, d1, d2 = survival.pseudo_observations(pairs)
+    u1, u2, d1, d2 = survival.pseudo_observations(sample)
     if fit is None:
         fit = inference.fit_pmle(family, u1, u2, d1, d2)
-    observed = {k: inference.compute_statistic(k, fit, u1, u2, d1, d2) for k in kinds}
+    observed = inference.compute_statistics(kinds, fit, u1, u2, d1, d2)
 
-    frame = _build_frame(pairs, fit, kinds, config)
+    frame = _build_frame(sample, fit, kinds, config)
     results = ordered_map(_run_replicate, [(frame, b) for b in range(config.b)])
     kept = [stats for _, stats in results if stats is not None]
     floor = math.ceil(MIN_REPLICATE_FRACTION * config.b)
@@ -216,7 +201,7 @@ def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
         reports[k] = GofReport(
             family=family, theta_hat=fit.theta_hat, statistic=observed[k],
             sigma_b=sigma_b, p_value=p, b_requested=config.b, b_used=len(kept),
-            seed=config.seed, n=len(pairs), censoring_rates=rates,
+            seed=config.seed, n=len(sample), censoring_rates=rates,
             degenerate=degenerate, loglik=fit.loglik, converged=fit.converged)
     return reports
 
@@ -248,6 +233,7 @@ def select_copula(pairs, families, config: BootstrapConfig) -> SelectionResult:
     whose fit or bootstrap fails are ranked last and carry the error
     message instead of a report. Duplicate candidates are collapsed.
     """
+    sample = survival.as_sample(pairs)
     seen = []
     for f in families:
         if f not in seen:
@@ -257,7 +243,7 @@ def select_copula(pairs, families, config: BootstrapConfig) -> SelectionResult:
     entries = []
     for fam in seen:
         try:
-            rep = bootstrap_pvalue(pairs, fam, config)
+            rep = bootstrap_pvalue(sample, fam, config)
             entries.append(SelectionEntry(family=fam, report=rep))
         except (InferenceError, LikelihoodError, BootstrapError,
                 numerics.NumericsError, survival.SurvivalError) as exc:
@@ -271,9 +257,3 @@ def select_copula(pairs, families, config: BootstrapConfig) -> SelectionResult:
     entries.sort(key=sort_key)
     return SelectionResult(entries=tuple(entries))
 
-
-def critical_value_decision(report: GofReport, alpha: float) -> bool:
-    """True when the null family is rejected at level alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return bool(report.p_value < alpha)

@@ -12,17 +12,16 @@ Exit codes: 0 success, 1 input or parse failure, 2 statistical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
-
-import numpy as np
 
 from . import bootstrap, copulas, inference, numerics, simulation, survival
 from .bootstrap import BootstrapConfig, BootstrapError
 from .copulas import Family, LikelihoodError
 from .inference import InferenceError
-from .survival import CensoredPair, SurvivalError
+from .survival import CensoredPair, CensoredSample, SurvivalError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -54,7 +53,7 @@ def _fmt(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def read_data_csv(path) -> list[CensoredPair]:
+def read_data_csv(path) -> CensoredSample:
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -83,7 +82,7 @@ def read_data_csv(path) -> list[CensoredPair]:
                 raise InputError(f"{path}: line {lineno}: {exc}") from None
     if not pairs:
         raise InputError(f"{path}: no data rows")
-    return pairs
+    return survival.as_sample(pairs)
 
 
 def _parse_family(name: str) -> Family:
@@ -136,12 +135,13 @@ def _parse_config(items) -> dict:
 
 
 def _bootstrap_config(args, cfgmap) -> BootstrapConfig:
-    if args.b < 2:
-        raise UsageError(f"--b must be at least 2, got {args.b}")
-    return BootstrapConfig(
-        b=args.b, seed=args.seed, statistic=args.statistic,
-        common_censoring=cfgmap.get("censoring_model", "common") == "common",
-        alpha=args.alpha)
+    try:
+        return BootstrapConfig(
+            b=args.b, seed=args.seed, statistic=args.statistic,
+            common_censoring=cfgmap.get("censoring_model", "common") == "common",
+            alpha=args.alpha)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _report_json(report: bootstrap.GofReport, alpha: float) -> dict:
@@ -160,36 +160,41 @@ def _report_json(report: bootstrap.GofReport, alpha: float) -> dict:
         "n": report.n,
         "censoring_rates": [_fmt(r) for r in report.censoring_rates],
         "degenerate": report.degenerate,
-        "decision_at": {"alpha": _fmt(alpha),
-                        "reject": bool(report.p_value < alpha)},
+        "decision_at": {"alpha": _fmt(alpha), "reject": report.reject(alpha)},
     }
 
 
+@contextlib.contextmanager
+def _output(path):
+    """A text stream on ``path``, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
+
+
 def _emit_json(obj, path=None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(path) as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def cmd_test(args) -> int:
-    pairs = read_data_csv(args.input)
+    sample = read_data_csv(args.input)
     family = _parse_family(args.family)
     cfgmap = _parse_config(args.config)
     config = _bootstrap_config(args, cfgmap)
-    report = bootstrap.bootstrap_pvalue(pairs, family, config)
+    report = bootstrap.bootstrap_pvalue(sample, family, config)
     _emit_json(_report_json(report, args.alpha), args.output)
     return EXIT_OK
 
 
 def cmd_select(args) -> int:
-    pairs = read_data_csv(args.input)
+    sample = read_data_csv(args.input)
     families = _parse_families(args.families)
     cfgmap = _parse_config(args.config)
     config = _bootstrap_config(args, cfgmap)
-    result = bootstrap.select_copula(pairs, families, config)
+    result = bootstrap.select_copula(sample, families, config)
     ranking = []
     for entry in result.entries:
         if entry.report is not None:
@@ -210,12 +215,17 @@ def cmd_select(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    pairs = read_data_csv(args.input)
+    sample = read_data_csv(args.input)
     family = _parse_family(args.family)
     cfgmap = _parse_config(args.config)
-    u1, u2, d1, d2 = survival.pseudo_observations(pairs)
-    fit = inference.fit_pmle(family, u1, u2, d1, d2,
-                             initial_theta=cfgmap.get("initial_theta"))
+    initial_theta = cfgmap.get("initial_theta")
+    if initial_theta is not None:
+        try:
+            copulas.CopulaModel(family, initial_theta)
+        except ValueError as exc:
+            raise UsageError(f"initial_theta: {exc}") from None
+    u1, u2, d1, d2 = survival.pseudo_observations(sample)
+    fit = inference.fit_pmle(family, u1, u2, d1, d2, initial_theta=initial_theta)
     _emit_json({
         "family": family.value,
         "theta_hat": _fmt(fit.theta_hat),
@@ -228,23 +238,16 @@ def cmd_fit(args) -> int:
 
 
 def cmd_km(args) -> int:
-    pairs = read_data_csv(args.input)
+    sample = read_data_csv(args.input)
     if args.margin == 1:
-        times = [p.x1 for p in pairs]
-        events = [p.d1 for p in pairs]
+        curve = survival.kaplan_meier(sample.x1, sample.d1)
     else:
-        times = [p.x2 for p in pairs]
-        events = [p.d2 for p in pairs]
-    curve = survival.kaplan_meier(times, events)
+        curve = survival.kaplan_meier(sample.x2, sample.d2)
     rows = [KM_CSV_HEADER]
     for t, s, r in zip(curve.jump_times, curve.values, curve.n_at_risk):
         rows.append([f"{t:.12g}", f"{s:.12g}", str(int(r))])
-    text = "\n".join(",".join(map(str, row)) for row in rows) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.output) as fh:
+        fh.write("\n".join(",".join(row) for row in rows) + "\n")
     return EXIT_OK
 
 
@@ -263,27 +266,13 @@ def cmd_simulate(args) -> int:
     if args.mode == "rejection":
         null_families = (_parse_families(args.null_families)
                          if args.null_families else [true_family])
-        rows = run = simulation.run_rejection_study(scenario, null_families, cfg)
-        if args.output:
-            simulation.write_rejection_csv(rows, args.output)
-        else:
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(simulation.REJECTION_CSV_HEADER)
-            for row in rows:
-                writer.writerow([row.true_family.value, row.null_family.value,
-                                 row.test, f"{row.tau:.12g}", row.n, row.censoring,
-                                 f"{row.rejection_rate:.12g}",
-                                 f"{row.selection_rate:.12g}", row.replications])
+        rows = simulation.run_rejection_study(scenario, null_families, cfg)
+        with _output(args.output) as fh:
+            simulation.write_rejection_csv(rows, fh)
     else:
-        dists = simulation.run_null_distribution(scenario, cfg)
-        dist = dists[kinds[0]]
-        if args.output:
-            simulation.write_qq_csv(dist, args.output)
-        else:
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(simulation.QQ_CSV_HEADER)
-            for s, q in zip(dist.statistics, dist.normal_quantiles):
-                writer.writerow([f"{s:.12g}", f"{q:.12g}"])
+        dist = simulation.run_null_distribution(scenario, cfg)[kinds[0]]
+        with _output(args.output) as fh:
+            simulation.write_qq_csv(dist, fh)
     return EXIT_OK
 
 
@@ -352,8 +341,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "b", None) is not None and args.b < 2:
-            raise UsageError(f"--b must be at least 2, got {args.b}")
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -70,28 +70,6 @@ class CopulaModel:
                 f"theta={self.theta} outside open domain ({lo}, {hi}) of {self.family.value}")
 
 
-@dataclass(frozen=True)
-class PseudoObservation:
-    u1: float
-    u2: float
-    d1: int
-    d2: int
-
-    def __post_init__(self):
-        if not (0.0 < self.u1 < 1.0 and 0.0 < self.u2 < 1.0):
-            raise ValueError(f"pseudo-observations must lie strictly in (0,1): {self}")
-        if self.d1 not in (0, 1) or self.d2 not in (0, 1):
-            raise ValueError(f"censoring indicators must be 0 or 1: {self}")
-
-
-def obs_arrays(obs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    u1 = np.array([o.u1 for o in obs], dtype=float)
-    u2 = np.array([o.u2 for o in obs], dtype=float)
-    d1 = np.array([o.d1 for o in obs], dtype=np.int8)
-    d2 = np.array([o.d2 for o in obs], dtype=np.int8)
-    return u1, u2, d1, d2
-
-
 # ---------------------------------------------------------------------------
 # family implementations (vectorized over u1, u2; theta scalar)
 # ---------------------------------------------------------------------------
@@ -281,6 +259,11 @@ class _Frank:
         return -np.log1p(-g2) / theta
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# the 16-node Gauss-Legendre rule mapped to [0, 1]: its weights sum to one
+_UNIT_NODES, _UNIT_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+
+
 class _Joe:
     domain = (1.0, math.inf)
     analytic = True
@@ -375,15 +358,12 @@ class _Joe:
 
     @staticmethod
     def theta_to_tau(theta):
-        # series form of the tau integral; terms decay like 1/(theta^2 k^3)
-        total = 0.0
-        k = np.arange(1.0, 1e5 + 1.0)
-        terms = 1.0 / (k * (theta * k + 2.0) * (theta * (k - 1.0) + 2.0))
-        total = float(terms.sum())
-        # tail estimate from the 1/(theta^2 k^3) asymptote
-        kmax = k[-1]
-        total += 1.0 / (2.0 * theta ** 2 * kmax ** 2)
-        return 1.0 - 4.0 * total
+        # tau = 1 + 2/(2 - theta) (digamma(2) - digamma(2/theta + 1)) is 0/0
+        # at theta = 2; writing the digamma difference as the integral of
+        # trigamma over [2, 2/theta + 1] gives 1 - (2/theta) * (its mean
+        # there), which is finite everywhere
+        x = 2.0 + _UNIT_NODES * (2.0 / theta - 1.0)
+        return 1.0 - 2.0 / theta * float(_UNIT_WEIGHTS @ _special.polygamma(1, x))
 
     @classmethod
     def tau_to_theta(cls, tau):
@@ -650,21 +630,28 @@ def _fd_steps(theta: float, order: int) -> float:
     return (eps ** (1.0 / 3.0) if order == 1 else eps ** 0.25) * scale
 
 
-def score_vec(family: Family, theta: float, u1, u2, d1, d2):
+def _dlog_vec(family: Family, theta: float, u1, u2, d1, d2, order: int):
+    """Analytic theta-derivative of the given order (1 or 2) of the
+    per-observation log-likelihood."""
     ops = _OPS[family]
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
-    if ops.analytic:
-        out = np.empty(u1.shape, dtype=float)
-        with np.errstate(all="ignore"):
-            for mask, dpiece in zip(_case_masks(d1, d2), _DPIECES):
-                if mask.any():
-                    out[mask] = getattr(ops, dpiece)(theta, u1[mask], u2[mask])[0]
-        if not np.isfinite(out).all():
-            idx = int(np.argmax(~np.isfinite(out)))
-            raise LikelihoodError(
-                f"non-finite score for {family.value} at theta={theta}", index=idx)
-        return out
+    out = np.empty(u1.shape, dtype=float)
+    with np.errstate(all="ignore"):
+        for mask, dpiece in zip(_case_masks(d1, d2), _DPIECES):
+            if mask.any():
+                out[mask] = getattr(ops, dpiece)(theta, u1[mask], u2[mask])[order - 1]
+    if not np.isfinite(out).all():
+        idx = int(np.argmax(~np.isfinite(out)))
+        what = "score" if order == 1 else "hessian"
+        raise LikelihoodError(
+            f"non-finite {what} for {family.value} at theta={theta}", index=idx)
+    return out
+
+
+def score_vec(family: Family, theta: float, u1, u2, d1, d2):
+    if _OPS[family].analytic:
+        return _dlog_vec(family, theta, u1, u2, d1, d2, 1)
     h = _fd_steps(theta, 1)
     hi = loglik_vec(family, theta + h, u1, u2, d1, d2)
     lo = loglik_vec(family, theta - h, u1, u2, d1, d2)
@@ -672,43 +659,13 @@ def score_vec(family: Family, theta: float, u1, u2, d1, d2):
 
 
 def hessian_vec(family: Family, theta: float, u1, u2, d1, d2):
-    ops = _OPS[family]
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    if ops.analytic:
-        out = np.empty(u1.shape, dtype=float)
-        with np.errstate(all="ignore"):
-            for mask, dpiece in zip(_case_masks(d1, d2), _DPIECES):
-                if mask.any():
-                    out[mask] = getattr(ops, dpiece)(theta, u1[mask], u2[mask])[1]
-        if not np.isfinite(out).all():
-            idx = int(np.argmax(~np.isfinite(out)))
-            raise LikelihoodError(
-                f"non-finite hessian for {family.value} at theta={theta}", index=idx)
-        return out
+    if _OPS[family].analytic:
+        return _dlog_vec(family, theta, u1, u2, d1, d2, 2)
     h = _fd_steps(theta, 2)
     mid = loglik_vec(family, theta, u1, u2, d1, d2)
     hi = loglik_vec(family, theta + h, u1, u2, d1, d2)
     lo = loglik_vec(family, theta - h, u1, u2, d1, d2)
     return (hi - 2.0 * mid + lo) / (h * h)
-
-
-def loglik(m: CopulaModel, p: PseudoObservation) -> float:
-    return float(loglik_vec(m.family, m.theta,
-                            np.array([p.u1]), np.array([p.u2]),
-                            np.array([p.d1]), np.array([p.d2]))[0])
-
-
-def score(m: CopulaModel, p: PseudoObservation) -> float:
-    return float(score_vec(m.family, m.theta,
-                           np.array([p.u1]), np.array([p.u2]),
-                           np.array([p.d1]), np.array([p.d2]))[0])
-
-
-def hessian(m: CopulaModel, p: PseudoObservation) -> float:
-    return float(hessian_vec(m.family, m.theta,
-                             np.array([p.u1]), np.array([p.u2]),
-                             np.array([p.d1]), np.array([p.d2]))[0])
 
 
 def theta_to_tau(family: Family, theta: float) -> float:
@@ -740,11 +697,6 @@ def sample_pairs(m: CopulaModel, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     w = np.clip(w, 1e-12, 1.0 - 1e-12)
     u2 = _OPS[m.family].inv_conditional(m.theta, u1, w)
     return u1, np.clip(u2, 1e-12, 1.0 - 1e-12)
-
-
-def sample_pair(m: CopulaModel, rng: RngStream) -> tuple[float, float]:
-    u1, u2 = sample_pairs(m, rng, 1)
-    return float(u1[0]), float(u2[0])
 
 
 # parameter transforms used by the fitting routines: each family's open

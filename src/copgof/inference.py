@@ -155,9 +155,13 @@ def estimate_v(family: Family, theta: float, u1, u2, d1, d2) -> float:
     return float(np.square(s).mean())
 
 
-def ir_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
-    s = estimate_s(fit.family, fit.theta_hat, u1, u2, d1, d2)
-    v = estimate_v(fit.family, fit.theta_hat, u1, u2, d1, d2)
+def _information(fit: FitResult, u1, u2, d1, d2) -> tuple[float, float]:
+    """(S, V) at the fitted parameter."""
+    return (estimate_s(fit.family, fit.theta_hat, u1, u2, d1, d2),
+            estimate_v(fit.family, fit.theta_hat, u1, u2, d1, d2))
+
+
+def _ir(s: float, v: float) -> StatisticValue:
     if s <= 0.0:
         raise InferenceError(
             f"hessian estimate is not positive definite (S = {s:.6g}); "
@@ -165,19 +169,27 @@ def ir_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
     return StatisticValue(kind="ir", value=v / s, null_value=1.0)
 
 
-def white_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
-    s = estimate_s(fit.family, fit.theta_hat, u1, u2, d1, d2)
-    v = estimate_v(fit.family, fit.theta_hat, u1, u2, d1, d2)
+def _white(s: float, v: float) -> StatisticValue:
     return StatisticValue(kind="white", value=v - s, null_value=0.0)
 
 
-def logim_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
-    s = estimate_s(fit.family, fit.theta_hat, u1, u2, d1, d2)
-    v = estimate_v(fit.family, fit.theta_hat, u1, u2, d1, d2)
+def _logim(s: float, v: float) -> StatisticValue:
     if s <= 0.0 or v <= 0.0:
         raise InferenceError(
             f"non-positive information estimates (S = {s:.6g}, V = {v:.6g})")
     return StatisticValue(kind="logim", value=math.log(s) - math.log(v), null_value=0.0)
+
+
+def ir_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
+    return _ir(*_information(fit, u1, u2, d1, d2))
+
+
+def white_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
+    return _white(*_information(fit, u1, u2, d1, d2))
+
+
+def logim_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
+    return _logim(*_information(fit, u1, u2, d1, d2))
 
 
 def pios_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
@@ -224,3 +236,14 @@ def compute_statistic(kind: str, fit: FitResult, u1, u2, d1, d2) -> StatisticVal
 
 
 STATISTIC_KINDS = tuple(sorted(_STATISTICS))
+
+# statistics that are functions of (S, V) alone
+_FROM_INFORMATION = {"ir": _ir, "white": _white, "logim": _logim}
+
+
+def compute_statistics(kinds, fit: FitResult, u1, u2, d1, d2) -> dict[str, StatisticValue]:
+    """Every kind in ``kinds`` (lower case) at one fit, keyed by kind.
+    ir, white and logim share one (S, V) pass."""
+    info = _information(fit, u1, u2, d1, d2) if _FROM_INFORMATION.keys() & set(kinds) else None
+    return {k: _FROM_INFORMATION[k](*info) if k in _FROM_INFORMATION
+            else compute_statistic(k, fit, u1, u2, d1, d2) for k in kinds}

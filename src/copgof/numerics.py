@@ -2,8 +2,8 @@
 
 Univariate adaptive quadrature, the Debye-1 integral, standard/bivariate
 normal distribution functions, bracketed root finding, bounded 1-D
-maximization, central finite differences, and splittable deterministic
-RNG streams. Everything here is a pure function of its inputs.
+maximization, and splittable deterministic RNG streams. Everything here
+is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from scipy import integrate as _integrate
 from scipy import optimize as _optimize
 from scipy import special as _special
 
-_EPS = np.finfo(float).eps
 LOG_TINY = math.log(1e-300)
 
 
@@ -176,17 +175,6 @@ def maximize_1d(f, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, floa
     if not np.isfinite(fx):
         raise OptimizationError(f"objective non-finite at reported optimum {x}")
     return x, float(fx)
-
-
-def fd_derivative(f, x: float, order: int) -> float:
-    """Central finite difference of order 1 or 2 at x."""
-    if order == 1:
-        h = _EPS ** (1.0 / 3.0) * max(1.0, abs(x))
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    if order == 2:
-        h = _EPS ** 0.25 * max(1.0, abs(x))
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    raise ValueError(f"order must be 1 or 2, got {order}")
 
 
 @dataclass(frozen=True)

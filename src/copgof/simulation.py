@@ -24,7 +24,7 @@ from .bootstrap import BootstrapConfig, BootstrapError
 from .copulas import CopulaModel, Family, FAMILY_ORDER, LikelihoodError
 from .inference import InferenceError
 from .numerics import RngStream, derive_seed
-from .survival import CensoredPair
+from .survival import CensoredSample
 
 # namespace tags for derived seeds: scenario data vs bootstrap masters
 _DATA_TAG = 0xD474
@@ -69,7 +69,7 @@ class Scenario:
 
 
 def generate_scenario_dataset(scenario: Scenario, seed: int,
-                              replicate: int = 0) -> list[CensoredPair]:
+                              replicate: int = 0) -> CensoredSample:
     """Draw one scenario sample. Replicate r uses stream r of the
     data namespace derived from the master seed."""
     data_seed = derive_seed(seed, _DATA_TAG)
@@ -84,12 +84,7 @@ def generate_scenario_dataset(scenario: Scenario, seed: int,
         c = np.full(scenario.n, np.inf)
     else:
         c = gen.exponential(m, scenario.n)
-    x1 = np.minimum(t1, c)
-    x2 = np.minimum(t2, c)
-    d1 = (t1 <= c).astype(int)
-    d2 = (t2 <= c).astype(int)
-    return [CensoredPair(float(a), float(b), int(e), int(f))
-            for a, b, e, f in zip(x1, x2, d1, d2)]
+    return CensoredSample(np.minimum(t1, c), np.minimum(t2, c), t1 <= c, t2 <= c)
 
 
 @dataclass(frozen=True)
@@ -117,6 +112,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be positive")
+        # b, alpha and seed follow the bootstrap's rules
+        BootstrapConfig(b=self.b, seed=self.seed, alpha=self.alpha)
         for k in self.kinds:
             if k not in inference.STATISTIC_KINDS:
                 valid = "|".join(inference.STATISTIC_KINDS)
@@ -241,24 +238,24 @@ REJECTION_CSV_HEADER = ["true_family", "null_family", "test", "tau", "n",
 QQ_CSV_HEADER = ["statistic", "normal_quantile"]
 
 
-def write_rejection_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REJECTION_CSV_HEADER)
-        for row in rows:
-            writer.writerow([
-                row.true_family.value, row.null_family.value, row.test,
-                _fmt(row.tau), row.n, row.censoring,
-                _fmt(row.rejection_rate), _fmt(row.selection_rate),
-                row.replications])
+def write_rejection_csv(rows, stream) -> None:
+    """Write study rows as CSV to a text stream."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(REJECTION_CSV_HEADER)
+    for row in rows:
+        writer.writerow([
+            row.true_family.value, row.null_family.value, row.test,
+            _fmt(row.tau), row.n, row.censoring,
+            _fmt(row.rejection_rate), _fmt(row.selection_rate),
+            row.replications])
 
 
-def write_qq_csv(dist: NullDistribution, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(QQ_CSV_HEADER)
-        for s, q in zip(dist.statistics, dist.normal_quantiles):
-            writer.writerow([_fmt(s), _fmt(q)])
+def write_qq_csv(dist: NullDistribution, stream) -> None:
+    """Write a null distribution's QQ points as CSV to a text stream."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(QQ_CSV_HEADER)
+    for s, q in zip(dist.statistics, dist.normal_quantiles):
+        writer.writerow([_fmt(s), _fmt(q)])
 
 
 def _fmt(x: float) -> str:

@@ -1,9 +1,17 @@
-"""Kaplan-Meier estimation and pseudo-observation construction.
+"""Censored samples, Kaplan-Meier estimation and pseudo-observations.
 
-Margins of a right-censored bivariate sample are estimated by the
-Kaplan-Meier product-limit estimator. Pseudo-observations feed the
-copula likelihood: each margin is transformed through its own survival
-estimate and clamped into (0, 1) by 1/(2n) at both ends.
+A right-censored bivariate sample is held as one validated
+:class:`CensoredSample` of four arrays (times x1, x2 and event
+indicators d1, d2). Public entry points also accept a sequence of
+:class:`CensoredPair` rows and convert it once with :func:`as_sample`;
+from there every stage, including each bootstrap replicate, works on
+the arrays.
+
+Margins are estimated by the Kaplan-Meier product-limit estimator, and
+its generalized inverse :meth:`StepSurvival.inverse` maps uniform levels
+back to times. Pseudo-observations feed the copula likelihood: each
+margin is transformed through its own survival estimate and clamped into
+(0, 1) by 1/(2n) at both ends.
 """
 
 from __future__ import annotations
@@ -38,6 +46,64 @@ class CensoredPair:
             raise ValueError(f"event indicators must be 0 or 1: {self}")
 
 
+@dataclass(frozen=True, eq=False)
+class CensoredSample:
+    """n bivariate observations as four read-only arrays: float times
+    x1, x2 and int8 event indicators d1, d2 (1 observed, 0 censored).
+
+    Validated once on construction. Its length is n, iterating yields
+    the rows as :class:`CensoredPair`, and two samples are equal when
+    their arrays are.
+    """
+    x1: np.ndarray
+    x2: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+
+    def __post_init__(self):
+        x1, x2 = np.array(self.x1, dtype=float), np.array(self.x2, dtype=float)
+        d1, d2 = np.asarray(self.d1), np.asarray(self.d2)
+        if not (x1.ndim == x2.ndim == d1.ndim == d2.ndim == 1
+                and x1.size == x2.size == d1.size == d2.size > 0):
+            raise ValueError("x1, x2, d1 and d2 must be non-empty 1-D arrays of equal length")
+        ok = (np.isfinite(x1) & np.isfinite(x2) & (x1 >= 0.0) & (x2 >= 0.0)
+              & ((d1 == 0) | (d1 == 1)) & ((d2 == 0) | (d2 == 1)))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(
+                f"row {i} (x1={x1[i]}, x2={x2[i]}, d1={d1[i]}, d2={d2[i]}): times must "
+                f"be finite and non-negative, event indicators 0 or 1")
+        for name, a in (("x1", x1), ("x2", x2),
+                        ("d1", d1.astype(np.int8)), ("d2", d2.astype(np.int8))):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return self.x1.size
+
+    def __iter__(self):
+        for a, b, e, f in zip(self.x1.tolist(), self.x2.tolist(),
+                              self.d1.tolist(), self.d2.tolist()):
+            yield CensoredPair(a, b, e, f)
+
+    def __eq__(self, other):
+        if not isinstance(other, CensoredSample):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k))
+                   for k in ("x1", "x2", "d1", "d2"))
+
+    __hash__ = None
+
+
+def as_sample(data) -> CensoredSample:
+    """``data`` itself if it is a CensoredSample, else a sample built from
+    its rows (CensoredPair or anything with x1, x2, d1, d2)."""
+    if isinstance(data, CensoredSample):
+        return data
+    cols = np.array([(p.x1, p.x2, p.d1, p.d2) for p in data], dtype=float)
+    return CensoredSample(*cols.reshape(-1, 4).T)
+
+
 @dataclass(frozen=True)
 class StepSurvival:
     """Right-continuous step function S(t), S(0-) = 1, with jumps at
@@ -69,6 +135,23 @@ class StepSurvival:
 
     def __call__(self, t):
         return self.evaluate(t)
+
+    def inverse(self, u):
+        """Generalized inverse for scalar or array u: the smallest t with
+        S(t) <= u. u >= 1 maps to 0, levels below the final plateau to the
+        largest jump time, and with no jumps (no observed events) every
+        u < 1 maps to +inf."""
+        u = np.asarray(u, dtype=float)
+        if not np.isfinite(u).all():
+            raise ValueError("inverse levels must be finite")
+        jt = self.jump_times
+        if jt.size == 0:
+            out = np.full(u.shape, np.inf)
+        else:
+            idx = np.searchsorted(-self.values, -u, side="left")
+            out = jt[np.minimum(idx, jt.size - 1)]  # below the final plateau: last jump
+        out = np.where(u >= 1.0, 0.0, out)
+        return float(out) if u.ndim == 0 else out
 
 
 def kaplan_meier(times, events) -> StepSurvival:
@@ -105,28 +188,7 @@ def kaplan_meier(times, events) -> StepSurvival:
     return StepSurvival(jump_times=jt, values=surv, n_at_risk=r)
 
 
-def km_inverse(curve: StepSurvival, u: float) -> float:
-    """Generalized inverse: smallest t with S(t) <= u.
-
-    u >= 1 maps to 0. Values below the final plateau map to the largest
-    jump time. A curve with no jumps (no observed events) returns +inf.
-    """
-    if not np.isfinite(u):
-        raise ValueError(f"u must be finite, got {u}")
-    if u >= 1.0:
-        return 0.0
-    jt = curve.jump_times
-    vals = curve.values
-    if jt.size == 0:
-        return float("inf")
-    if u < vals[-1]:
-        return float(jt[-1])
-    # first index where the curve has dropped to u or below
-    idx = np.searchsorted(-vals, -u, side="left")
-    return float(jt[idx])
-
-
-def censoring_survival(pairs, margin: int, common: bool = False) -> StepSurvival:
+def censoring_survival(data, margin: int, common: bool = False) -> StepSurvival:
     """Kaplan-Meier estimate of the censoring distribution.
 
     With ``common=True`` the two margins are assumed to share one
@@ -137,38 +199,26 @@ def censoring_survival(pairs, margin: int, common: bool = False) -> StepSurvival
     """
     if margin not in (1, 2):
         raise ValueError("margin must be 1 or 2")
+    s = as_sample(data)
     if common:
-        times = np.array([max(p.x1, p.x2) for p in pairs])
-        events = np.array([1 - p.d1 * p.d2 for p in pairs])
-    elif margin == 1:
-        times = np.array([p.x1 for p in pairs])
-        events = np.array([1 - p.d1 for p in pairs])
-    else:
-        times = np.array([p.x2 for p in pairs])
-        events = np.array([1 - p.d2 for p in pairs])
-    return kaplan_meier(times, events)
+        return kaplan_meier(np.maximum(s.x1, s.x2), 1 - s.d1 * s.d2)
+    if margin == 1:
+        return kaplan_meier(s.x1, 1 - s.d1)
+    return kaplan_meier(s.x2, 1 - s.d2)
 
 
-def pseudo_observations(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Transform raw pairs to the copula scale via marginal Kaplan-Meier.
+def pseudo_observations(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Transform a censored sample to the copula scale via marginal
+    Kaplan-Meier.
 
     Returns (u1, u2, d1, d2) with u_r = S_r(x_r) clamped to
     [1/(2n), 1 - 1/(2n)].
     """
-    pairs = list(pairs)
-    n = len(pairs)
-    if n == 0:
-        raise SurvivalError("empty sample")
-    x1 = np.array([p.x1 for p in pairs])
-    x2 = np.array([p.x2 for p in pairs])
-    d1 = np.array([p.d1 for p in pairs], dtype=np.int8)
-    d2 = np.array([p.d2 for p in pairs], dtype=np.int8)
-    s1 = kaplan_meier(x1, d1)
-    s2 = kaplan_meier(x2, d2)
-    eps = 1.0 / (2.0 * n)
-    u1 = np.clip(s1.evaluate(x1), eps, 1.0 - eps)
-    u2 = np.clip(s2.evaluate(x2), eps, 1.0 - eps)
-    return u1, u2, d1, d2
+    s = as_sample(data)
+    eps = 1.0 / (2.0 * len(s))
+    u1 = np.clip(kaplan_meier(s.x1, s.d1).evaluate(s.x1), eps, 1.0 - eps)
+    u2 = np.clip(kaplan_meier(s.x2, s.d2).evaluate(s.x2), eps, 1.0 - eps)
+    return u1, u2, s.d1, s.d2
 
 
 def empirical_kendall_tau(x, y) -> float:

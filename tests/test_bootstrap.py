@@ -5,12 +5,11 @@ import pytest
 
 from copgof import bootstrap, copulas
 from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_pvalue,
-                              bootstrap_reports, critical_value_decision,
-                              generate_bootstrap_dataset, select_copula,
-                              _build_frame)
+                              bootstrap_reports, generate_bootstrap_dataset,
+                              select_copula, _build_frame)
 from copgof.copulas import CopulaModel, Family
 from copgof.inference import fit_pmle
-from copgof.survival import CensoredPair, pseudo_observations
+from copgof.survival import CensoredSample, pseudo_observations
 
 
 def _make_pairs(family, tau, n, seed, censoring_mean=1.5):
@@ -19,9 +18,7 @@ def _make_pairs(family, tau, n, seed, censoring_mean=1.5):
     u1, u2 = copulas.sample_pairs(CopulaModel(family, theta), gen, n)
     t1, t2 = -np.log(u1), -np.log(u2)
     c = gen.exponential(censoring_mean, n) if censoring_mean else np.full(n, np.inf)
-    return [CensoredPair(float(min(a, cc)), float(min(b, cc)),
-                         int(a <= cc), int(b <= cc))
-            for a, b, cc in zip(t1, t2, c)]
+    return CensoredSample(np.minimum(t1, c), np.minimum(t2, c), t1 <= c, t2 <= c)
 
 
 PAIRS = _make_pairs(Family.CLAYTON, 0.5, 150, seed=60)
@@ -34,6 +31,8 @@ def test_config_validation():
         BootstrapConfig(b=50, alpha=0.0)
     with pytest.raises(ValueError):
         BootstrapConfig(b=B_CAP + 1)
+    with pytest.raises(ValueError):
+        BootstrapConfig(b=50, seed=-1)
 
 
 def test_null_family_gets_large_pvalue():
@@ -53,6 +52,26 @@ def test_reports_share_replicates_and_kinds_agree():
     for rep in reps.values():
         assert rep.theta_hat == reps["ir"].theta_hat
         assert rep.b_used == reps["ir"].b_used
+
+
+def test_pair_list_and_sample_give_the_same_reports():
+    cfg = BootstrapConfig(b=20, seed=4)
+    kinds = ("ir", "white", "logim")
+    assert (bootstrap_reports(list(PAIRS), Family.FRANK, cfg, kinds=kinds)
+            == bootstrap_reports(PAIRS, Family.FRANK, cfg, kinds=kinds))
+
+
+def test_replicate_value_error_is_not_a_drop(monkeypatch):
+    # only the typed statistical failures count as dropped replicates;
+    # anything else is a bug and must surface
+    def broken(*args, **kwargs):
+        raise ValueError("bug inside a replicate")
+
+    monkeypatch.setenv("COPULA_GOF_THREADS", "1")
+    fit = fit_pmle(Family.CLAYTON, *pseudo_observations(PAIRS))
+    monkeypatch.setattr(copulas, "sample_pairs", broken)
+    with pytest.raises(ValueError, match="bug inside a replicate"):
+        bootstrap_reports(PAIRS, Family.CLAYTON, BootstrapConfig(b=10, seed=1), fit=fit)
 
 
 def test_bootstrap_deterministic_across_runs():
@@ -128,10 +147,8 @@ def test_select_dedupes_and_validates():
 
 def test_critical_value_decision():
     report = bootstrap_pvalue(PAIRS, Family.CLAYTON, BootstrapConfig(b=30, seed=3))
-    assert critical_value_decision(report, 0.9999) is (report.p_value < 0.9999)
-    assert critical_value_decision(report, 1e-12) is False
-    with pytest.raises(ValueError):
-        critical_value_decision(report, 1.5)
+    assert report.reject(0.9999) is (report.p_value < 0.9999)
+    assert report.reject(1e-12) is False
 
 
 def test_pvalue_degenerate_rule():

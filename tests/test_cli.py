@@ -141,6 +141,19 @@ def test_usage_b_too_small(data_csv, capsys):
     assert rc == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["test", "--input", "DATA", "--family", "clayton", "--b", "10", "--alpha", "1.5"],
+    ["simulate", "--true-family", "clayton", "--n", "20", "--replications", "1",
+     "--b", "10", "--alpha", "0"],
+    ["test", "--input", "DATA", "--family", "clayton", "--b", "10", "--seed", "-1"],
+    ["fit", "--input", "DATA", "--family", "clayton", "--config", "initial_theta=-1"],
+])
+def test_usage_out_of_range_values(argv, data_csv, capsys):
+    rc = main([data_csv if a == "DATA" else a for a in argv])
+    assert rc == 64
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_usage_bad_config_key(data_csv, capsys):
     rc = main(["test", "--input", data_csv, "--family", "clayton",
                "--b", "20", "--config", "shrinkage=3"])

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
-from copgof import copulas
-from copgof.copulas import (CopulaModel, Family, PseudoObservation, cdf,
-                            density, loglik_vec, partial_u1, partial_u2,
-                            sample_pairs, score_vec, hessian_vec,
-                            tau_to_theta, theta_to_tau)
+from copgof import copulas, numerics
+from copgof.copulas import (CopulaModel, Family, cdf, density, loglik_vec,
+                            partial_u1, partial_u2, sample_pairs, score_vec,
+                            hessian_vec, tau_to_theta, theta_to_tau)
 
 THETAS = {
     Family.CLAYTON: 2.0,
@@ -160,6 +160,25 @@ def test_tau_known_parameter_values():
     assert tau_to_theta(Family.JOE, 0.5) == pytest.approx(2.856257, abs=1e-5)
 
 
+def test_joe_tau_finite_across_theta_two():
+    # the digamma closed form is 0/0 at theta = 2; tau there is 2 - pi^2/6
+    # and its slope is trigamma(2)/2 + tetragamma(2)/4
+    slope = special.polygamma(1, 2.0) / 2.0 + special.polygamma(2, 2.0) / 4.0
+    for h in (-1e-9, 0.0, 1e-9):
+        expect = 2.0 - math.pi ** 2 / 6.0 + slope * h
+        assert abs(theta_to_tau(Family.JOE, 2.0 + h) - expect) <= 1e-12
+
+
+def test_joe_tau_matches_integral():
+    # tau = 1 + (4/theta) int_0^1 log(1 - v^theta)(1 - v^theta) / v^(theta-1) dv
+    for theta in (1.05, 1.5, 2.0, 2.857, 5.0, 20.0, 100.0):
+        def f(v):
+            a = v ** theta
+            return math.log1p(-a) * (1.0 - a) / v ** (theta - 1.0) if a < 1.0 else 0.0
+        expect = 1.0 + 4.0 / theta * numerics.integrate(f, 0.0, 1.0)
+        assert theta_to_tau(Family.JOE, theta) == pytest.approx(expect, abs=1e-9)
+
+
 def test_tau_rejects_out_of_range():
     with pytest.raises(ValueError):
         tau_to_theta(Family.CLAYTON, -0.2)
@@ -201,13 +220,6 @@ def test_family_parse():
     assert Family.parse(" Clayton ") is Family.CLAYTON
     with pytest.raises(ValueError):
         Family.parse("vine")
-
-
-def test_pseudo_observation_validation():
-    with pytest.raises(ValueError):
-        PseudoObservation(0.0, 0.5, 1, 1)
-    with pytest.raises(ValueError):
-        PseudoObservation(0.3, 0.5, 2, 1)
 
 
 @settings(max_examples=30, deadline=None)

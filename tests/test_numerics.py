@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from copgof import numerics
 from copgof.numerics import (BracketError, QuadratureSpec, RngStream,
-                             derive_seed, fd_derivative, find_root,
-                             integrate, maximize_1d)
+                             derive_seed, find_root, integrate, maximize_1d)
 
 
 def test_integrate_polynomial():
@@ -94,12 +93,6 @@ def test_maximize_1d_parabola():
     x, fx = maximize_1d(lambda x: -(x - 0.7) ** 2, -5.0, 5.0, tol=1e-10)
     assert x == pytest.approx(0.7, abs=1e-6)
     assert fx == pytest.approx(0.0, abs=1e-10)
-
-
-def test_fd_derivative_orders():
-    f = math.exp
-    assert fd_derivative(f, 1.0, order=1) == pytest.approx(math.e, rel=1e-7)
-    assert fd_derivative(f, 1.0, order=2) == pytest.approx(math.e, rel=1e-5)
 
 
 def test_rng_stream_reproducible():

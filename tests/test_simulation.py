@@ -11,6 +11,12 @@ from copgof.simulation import (CENSORING_LEVELS, Scenario, StudyConfig,
                                write_qq_csv, write_rejection_csv)
 
 
+def test_study_config_validation():
+    for bad in (dict(b=1), dict(alpha=0.0), dict(alpha=1.5), dict(seed=-1)):
+        with pytest.raises(ValueError):
+            StudyConfig(**bad)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(Family.CLAYTON, 0.5, 100, censoring="heavy")
@@ -105,7 +111,8 @@ def test_csv_writers(tmp_path):
     cfg = StudyConfig(replications=3, b=15, seed=3, kinds=("ir",))
     rows = run_rejection_study(sc, [Family.CLAYTON], cfg)
     out = tmp_path / "rej.csv"
-    write_rejection_csv(rows, out)
+    with open(out, "w", newline="") as fh:
+        write_rejection_csv(rows, fh)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == ("true_family,null_family,test,tau,n,censoring,"
                         "rejection_rate,selection_rate,replications")
@@ -113,7 +120,8 @@ def test_csv_writers(tmp_path):
 
     dist = run_null_distribution(sc, cfg)["ir"]
     qq = tmp_path / "qq.csv"
-    write_qq_csv(dist, qq)
+    with open(qq, "w", newline="") as fh:
+        write_qq_csv(dist, fh)
     qlines = qq.read_text().strip().splitlines()
     assert qlines[0] == "statistic,normal_quantile"
     assert len(qlines) == 4

@@ -1,13 +1,15 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copgof.survival import (CensoredPair, StepSurvival, SurvivalError,
-                             censoring_survival, empirical_kendall_tau,
-                             kaplan_meier, km_inverse, pseudo_observations)
+from copgof.survival import (CensoredPair, CensoredSample, StepSurvival,
+                             SurvivalError, as_sample, censoring_survival,
+                             empirical_kendall_tau, kaplan_meier,
+                             pseudo_observations)
 
 
 def test_km_no_censoring():
@@ -51,24 +53,29 @@ def test_km_empty_and_mismatched():
 
 def test_km_inverse_basic():
     km = kaplan_meier([1, 2, 3, 4], [1, 1, 1, 1])
-    assert km_inverse(km, 1.0) == 0.0
-    assert km_inverse(km, 1.5) == 0.0
-    assert km_inverse(km, 0.75) == 1.0
-    assert km_inverse(km, 0.6) == 2.0
-    assert km_inverse(km, 0.0) == 4.0
+    assert km.inverse(1.0) == 0.0
+    assert km.inverse(1.5) == 0.0
+    assert km.inverse(0.75) == 1.0
+    assert km.inverse(0.6) == 2.0
+    assert km.inverse(0.0) == 4.0
+    # the array form agrees level by level
+    np.testing.assert_array_equal(km.inverse(np.array([1.0, 1.5, 0.75, 0.6, 0.0])),
+                                  [0.0, 0.0, 1.0, 2.0, 4.0])
+    with pytest.raises(ValueError):
+        km.inverse(np.array([0.5, math.nan]))
 
 
 def test_km_inverse_plateau():
     # curve never reaches 0.2: inverse maps to the largest jump time
     km = kaplan_meier([1, 2, 3], [1, 1, 0])
     assert km.values[-1] > 0.2
-    assert km_inverse(km, 0.1) == 2.0
+    assert km.inverse(0.1) == 2.0
 
 
 def test_km_inverse_no_events():
     km = kaplan_meier([1, 2], [0, 0])
-    assert math.isinf(km_inverse(km, 0.5))
-    assert km_inverse(km, 1.0) == 0.0
+    assert math.isinf(km.inverse(0.5))
+    assert km.inverse(1.0) == 0.0
 
 
 def test_step_survival_validation():
@@ -85,6 +92,31 @@ def test_censored_pair_validation():
         CensoredPair(1.0, 2.0, 1, 3)
     with pytest.raises(ValueError):
         CensoredPair(math.inf, 2.0, 1, 1)
+
+
+def test_censored_sample_validation():
+    ok = dict(x1=[1.0, 2.0], x2=[2.0, 3.0], d1=[1, 0], d2=[1, 1])
+    for key, bad, row in (("x1", [1.0, -1.0], 1), ("d2", [1, 3], 1),
+                          ("x2", [math.inf, 2.0], 0), ("d1", [0.5, 1], 0)):
+        with pytest.raises(ValueError, match=f"^row {row} "):
+            CensoredSample(**{**ok, key: bad})
+    with pytest.raises(ValueError):
+        CensoredSample([1.0], [1.0, 2.0], [1], [1])
+    with pytest.raises(ValueError):
+        CensoredSample([], [], [], [])
+    with pytest.raises(ValueError):
+        CensoredSample([[1.0]], [[1.0]], [[1]], [[1]])
+
+
+def test_censored_sample_rows_equality_and_pickle():
+    pairs = [CensoredPair(1.0, 5.0, 1, 1), CensoredPair(2.0, 6.0, 0, 1)]
+    sample = as_sample(pairs)
+    assert as_sample(sample) is sample
+    assert len(sample) == 2 and list(sample) == pairs
+    assert sample.d1.dtype == np.int8 and not sample.x1.flags.writeable
+    assert sample == CensoredSample([1.0, 2.0], [5.0, 6.0], [True, False], [1, 1])
+    assert sample != CensoredSample([1.0, 2.0], [5.0, 6.0], [1, 1], [1, 1])
+    assert pickle.loads(pickle.dumps(sample)) == sample
 
 
 def test_censoring_survival_swaps_indicators():
