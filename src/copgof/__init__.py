@@ -19,7 +19,7 @@ from .inference import (FitResult, InferenceError, StatisticValue,
 from .simulation import (Scenario, StudyConfig, generate_scenario_dataset,
                          run_null_distribution, run_rejection_study)
 from .survival import (CensoredPair, CensoredSample, StepSurvival,
-                       SurvivalError, as_sample, censoring_survival,
+                       SurvivalError, censoring_survival,
                        empirical_kendall_tau, kaplan_meier,
                        pseudo_observations)
 
@@ -37,6 +37,6 @@ __all__ = [
     "Scenario", "StudyConfig", "generate_scenario_dataset",
     "run_null_distribution", "run_rejection_study",
     "CensoredPair", "CensoredSample", "StepSurvival", "SurvivalError",
-    "as_sample", "censoring_survival", "empirical_kendall_tau",
+    "censoring_survival", "empirical_kendall_tau",
     "kaplan_meier", "pseudo_observations",
 ]

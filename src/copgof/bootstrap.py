@@ -173,11 +173,7 @@ def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
     any one of them.
     """
     sample = survival.as_sample(pairs)
-    kinds = tuple(k.lower() for k in (kinds or (config.statistic,)))
-    for k in kinds:
-        if k not in inference.STATISTIC_KINDS:
-            valid = "|".join(inference.STATISTIC_KINDS)
-            raise ValueError(f"unknown statistic {k!r}; expected one of {valid}")
+    kinds = inference.statistic_kinds(kinds or (config.statistic,))
     u1, u2, d1, d2 = survival.pseudo_observations(sample)
     if fit is None:
         fit = inference.fit_pmle(family, u1, u2, d1, d2)

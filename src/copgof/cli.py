@@ -180,20 +180,18 @@ def _emit_json(obj, path=None) -> None:
 
 
 def cmd_test(args) -> int:
+    config = _bootstrap_config(args, _parse_config(args.config))
     sample = read_data_csv(args.input)
     family = _parse_family(args.family)
-    cfgmap = _parse_config(args.config)
-    config = _bootstrap_config(args, cfgmap)
     report = bootstrap.bootstrap_pvalue(sample, family, config)
     _emit_json(_report_json(report, args.alpha), args.output)
     return EXIT_OK
 
 
 def cmd_select(args) -> int:
+    config = _bootstrap_config(args, _parse_config(args.config))
     sample = read_data_csv(args.input)
     families = _parse_families(args.families)
-    cfgmap = _parse_config(args.config)
-    config = _bootstrap_config(args, cfgmap)
     result = bootstrap.select_copula(sample, families, config)
     ranking = []
     for entry in result.entries:

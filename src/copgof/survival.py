@@ -136,11 +136,11 @@ class StepSurvival:
     def __call__(self, t):
         return self.evaluate(t)
 
-    def inverse(self, u):
-        """Generalized inverse for scalar or array u: the smallest t with
-        S(t) <= u. u >= 1 maps to 0, levels below the final plateau to the
-        largest jump time, and with no jumps (no observed events) every
-        u < 1 maps to +inf."""
+    def inverse(self, u) -> np.ndarray:
+        """Generalized inverse at each level in the array u: the smallest
+        t with S(t) <= u. u >= 1 maps to 0, levels below the final plateau
+        to the largest jump time, and with no jumps (no observed events)
+        every u < 1 maps to +inf."""
         u = np.asarray(u, dtype=float)
         if not np.isfinite(u).all():
             raise ValueError("inverse levels must be finite")
@@ -150,8 +150,7 @@ class StepSurvival:
         else:
             idx = np.searchsorted(-self.values, -u, side="left")
             out = jt[np.minimum(idx, jt.size - 1)]  # below the final plateau: last jump
-        out = np.where(u >= 1.0, 0.0, out)
-        return float(out) if u.ndim == 0 else out
+        return np.where(u >= 1.0, 0.0, out)
 
 
 def kaplan_meier(times, events) -> StepSurvival:

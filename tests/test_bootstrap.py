@@ -1,9 +1,10 @@
+import functools
 import os
 
 import numpy as np
 import pytest
 
-from copgof import bootstrap, copulas
+from copgof import bootstrap, copulas, inference
 from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_pvalue,
                               bootstrap_reports, generate_bootstrap_dataset,
                               select_copula, _build_frame)
@@ -72,6 +73,26 @@ def test_replicate_value_error_is_not_a_drop(monkeypatch):
     monkeypatch.setattr(copulas, "sample_pairs", broken)
     with pytest.raises(ValueError, match="bug inside a replicate"):
         bootstrap_reports(PAIRS, Family.CLAYTON, BootstrapConfig(b=10, seed=1), fit=fit)
+
+
+def test_replicate_fit_at_domain_edge_is_a_drop(monkeypatch):
+    # comonotone Gaussian replicates whose fits are pushed to rho = 1
+    # fail with a typed error and are dropped, not raised
+    draw = copulas.sample_pairs
+
+    def comonotone(m, gen, n):
+        u, _ = draw(m, gen, n)
+        return u, u.copy()
+
+    monkeypatch.setenv("COPULA_GOF_THREADS", "1")
+    sample = _make_pairs(Family.GAUSSIAN, 0.3, 40, seed=4, censoring_mean=None)
+    fit = fit_pmle(Family.GAUSSIAN, *pseudo_observations(sample))
+    monkeypatch.setattr(copulas, "sample_pairs", comonotone)
+    monkeypatch.setattr(inference, "fit_pmle",
+                        functools.partial(fit_pmle, bracket_halfwidth=15.0))
+    with pytest.raises(bootstrap.BootstrapError, match="only 0 of 4"):
+        bootstrap_reports(sample, Family.GAUSSIAN, BootstrapConfig(b=4, seed=1),
+                          kinds=("white",), fit=fit)
 
 
 def test_bootstrap_deterministic_across_runs():

@@ -147,6 +147,9 @@ def test_usage_b_too_small(data_csv, capsys):
      "--b", "10", "--alpha", "0"],
     ["test", "--input", "DATA", "--family", "clayton", "--b", "10", "--seed", "-1"],
     ["fit", "--input", "DATA", "--family", "clayton", "--config", "initial_theta=-1"],
+    # usage errors come before input errors
+    ["test", "--input", "/nonexistent/x.csv", "--family", "clayton", "--b", "1"],
+    ["select", "--input", "/nonexistent/x.csv", "--families", "clayton,frank", "--b", "1"],
 ])
 def test_usage_out_of_range_values(argv, data_csv, capsys):
     rc = main([data_csv if a == "DATA" else a for a in argv])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from copgof import copulas, inference
+from copgof import copulas, inference, numerics
 from copgof.copulas import CopulaModel, Family
 from copgof.inference import (InferenceError, compute_statistic, estimate_s,
                               estimate_v, fit_pmle, ir_statistic,
@@ -63,6 +63,17 @@ def test_fit_rejects_out_of_range_inputs():
     u2 = np.array([0.5] * 11 + [1.0])
     with pytest.raises(InferenceError):
         fit_pmle(Family.CLAYTON, u1, u2, np.ones(12), np.ones(12))
+
+
+def test_fit_at_domain_edge_is_a_typed_error():
+    # comonotone pseudo-observations: the Gaussian likelihood grows
+    # without bound toward rho = 1, and the wide bracket reaches search
+    # points where tanh(x) rounds to 1.0
+    u = (np.arange(1, 31) - 0.5) / 30
+    d = np.ones(30)
+    with pytest.raises((InferenceError, numerics.NumericsError)):
+        fit_pmle(Family.GAUSSIAN, u, u, d, d, initial_theta=0.9,
+                 bracket_halfwidth=15.0)
 
 
 def test_fit_bracket_expands_beyond_initial():
