@@ -105,21 +105,30 @@ def _parse_families(raw: str) -> list[Family]:
     return deduped
 
 
-_CONFIG_KEYS = {"censoring_model": ("common", "per-margin"),
-                "initial_theta": None}
+# --config keys per subcommand: a tuple of allowed words, or None for a number
+_CENSORING_MODEL = {"censoring_model": ("common", "per-margin")}
+_CONFIG_KEYS = {"test": _CENSORING_MODEL, "select": _CENSORING_MODEL,
+                "fit": {"initial_theta": None}}
 
 
-def _parse_config(items) -> dict:
+def _config_help(command: str) -> str:
+    return ", ".join(f"{key}={'|'.join(allowed) if allowed else 'FLOAT'}"
+                     for key, allowed in _CONFIG_KEYS[command].items())
+
+
+def _parse_config(args) -> dict:
+    keys = _CONFIG_KEYS[args.command]
     out = {}
-    for item in items or []:
+    for item in args.config:
         if "=" not in item:
             raise UsageError(f"config entries take the form key=value, got {item!r}")
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
-            valid = ", ".join(sorted(_CONFIG_KEYS))
-            raise UsageError(f"unknown config key {key!r}; valid keys: {valid}")
-        allowed = _CONFIG_KEYS[key]
+        if key not in keys:
+            valid = ", ".join(sorted(keys))
+            raise UsageError(
+                f"unknown config key {key!r} for {args.command}; valid keys: {valid}")
+        allowed = keys[key]
         value = value.strip()
         if allowed is not None:
             if value not in allowed:
@@ -180,7 +189,7 @@ def _emit_json(obj, path=None) -> None:
 
 
 def cmd_test(args) -> int:
-    config = _bootstrap_config(args, _parse_config(args.config))
+    config = _bootstrap_config(args, _parse_config(args))
     sample = read_data_csv(args.input)
     family = _parse_family(args.family)
     report = bootstrap.bootstrap_pvalue(sample, family, config)
@@ -189,7 +198,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_select(args) -> int:
-    config = _bootstrap_config(args, _parse_config(args.config))
+    config = _bootstrap_config(args, _parse_config(args))
     sample = read_data_csv(args.input)
     families = _parse_families(args.families)
     result = bootstrap.select_copula(sample, families, config)
@@ -213,9 +222,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    cfgmap = _parse_config(args)
     sample = read_data_csv(args.input)
     family = _parse_family(args.family)
-    cfgmap = _parse_config(args.config)
     initial_theta = cfgmap.get("initial_theta")
     if initial_theta is not None:
         try:
@@ -280,12 +289,11 @@ def build_parser() -> _Parser:
                                  "copulas under right censoring.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_stat=True):
+    def add_common(p, command, with_stat=True):
         p.add_argument("--input", required=True, help="CSV with header x1,x2,d1,d2")
         p.add_argument("--output", default=None, help="write result here instead of stdout")
-        p.add_argument("--config", action="append", default=[],
-                       metavar="KEY=VALUE", help="extra options "
-                       "(censoring_model=common|per-margin, initial_theta=FLOAT)")
+        p.add_argument("--config", action="append", default=[], metavar="KEY=VALUE",
+                       help=f"extra options ({_config_help(command)})")
         if with_stat:
             p.add_argument("--statistic", default="ir",
                            choices=inference.STATISTIC_KINDS)
@@ -295,18 +303,18 @@ def build_parser() -> _Parser:
             p.add_argument("--alpha", type=float, default=0.05)
 
     p_test = sub.add_parser("test", help="test one null copula family")
-    add_common(p_test)
+    add_common(p_test, "test")
     p_test.add_argument("--family", required=True)
     p_test.set_defaults(fn=cmd_test)
 
     p_sel = sub.add_parser("select", help="rank candidate families by p-value")
-    add_common(p_sel)
+    add_common(p_sel, "select")
     p_sel.add_argument("--families", required=True,
                        help="comma-separated candidate families")
     p_sel.set_defaults(fn=cmd_select)
 
     p_fit = sub.add_parser("fit", help="pseudo-maximum-likelihood estimate only")
-    add_common(p_fit, with_stat=False)
+    add_common(p_fit, "fit", with_stat=False)
     p_fit.add_argument("--family", required=True)
     p_fit.set_defaults(fn=cmd_fit)
 

@@ -10,6 +10,11 @@ The censored log-likelihood of one observation (u1, u2, d1, d2) selects a
 single piece: the copula density for a doubly observed pair, a partial
 derivative when exactly one margin is censored, and the copula function
 itself when both are censored.
+
+The Gaussian copula function is C(u1, u2) = Phi2(Phi^-1(u1), Phi^-1(u2); rho).
+Its log comes from ``numerics.binorm_logcdf`` in one array pass over the
+doubly censored rows: Owen's T identity, with a log-space Gauss-Legendre
+branch in the corners where the identity cancels.
 """
 
 from __future__ import annotations
@@ -390,15 +395,7 @@ class _Gaussian:
 
     @classmethod
     def log_cdf(cls, theta, u1, u2):
-        z1, z2 = cls._z(u1, u2)
-        shape = np.shape(z1)
-        z1f = np.atleast_1d(z1).ravel()
-        z2f = np.atleast_1d(z2).ravel()
-        vals = np.array([numerics.binorm_cdf(float(a), float(b), theta)
-                         for a, b in zip(z1f, z2f)])
-        with np.errstate(divide="ignore"):
-            out = np.log(vals)
-        return out.reshape(shape)
+        return numerics.binorm_logcdf(*cls._z(u1, u2), theta)
 
     @classmethod
     def log_c1(cls, theta, u1, u2):
@@ -432,17 +429,13 @@ class _Gaussian:
     @classmethod
     def dlog_cdf(cls, theta, u1, u2):
         z1, z2 = cls._z(u1, u2)
-        z1a = np.atleast_1d(z1).ravel()
-        z2a = np.atleast_1d(z2).ravel()
-        cvals = np.array([numerics.binorm_cdf(float(a), float(b), theta)
-                          for a, b in zip(z1a, z2a)])
-        pdf2 = numerics.binorm_pdf(z1a, z2a, theta)
-        lt, ltt = cls._phi2_tilde(theta, z1a, z2a)
-        ratio = pdf2 / cvals                      # Plackett: dC/dtheta = phi2
-        d1 = ratio
-        d2 = pdf2 * lt / cvals - ratio ** 2
-        shape = np.shape(z1)
-        return d1.reshape(shape), d2.reshape(shape)
+        s2 = 1.0 - theta * theta
+        log_pdf2 = (-(np.square(z1) + np.square(z2) - 2.0 * theta * z1 * z2) / (2.0 * s2)
+                    - math.log(2.0 * math.pi * math.sqrt(s2)))
+        # Plackett: dC/dtheta = phi2; phi2/Phi2 in log space, where both underflow
+        ratio = np.exp(log_pdf2 - numerics.binorm_logcdf(z1, z2, theta))
+        lt, _ = cls._phi2_tilde(theta, z1, z2)
+        return ratio, ratio * (lt - ratio)
 
     @classmethod
     def dlog_c1(cls, theta, u1, u2):

@@ -1,10 +1,11 @@
 import functools
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from copgof import bootstrap, copulas, inference
+from copgof import bootstrap, copulas, inference, numerics
 from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_pvalue,
                               bootstrap_reports, generate_bootstrap_dataset,
                               select_copula, _build_frame)
@@ -93,6 +94,24 @@ def test_replicate_fit_at_domain_edge_is_a_drop(monkeypatch):
     with pytest.raises(bootstrap.BootstrapError, match="only 0 of 4"):
         bootstrap_reports(sample, Family.GAUSSIAN, BootstrapConfig(b=4, seed=1),
                           kinds=("white",), fit=fit)
+
+
+@pytest.mark.parametrize("tau", [0.5, -0.3])
+def test_gaussian_path_never_calls_the_quadrature_oracle(tau, monkeypatch):
+    # the per-row quad is a test oracle only: a Gaussian test on a 40%
+    # censored sample must run without it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numerics.binorm_cdf called from the library")
+
+    monkeypatch.setenv("COPULA_GOF_THREADS", "1")
+    monkeypatch.setattr(numerics, "binorm_cdf", forbidden)
+    sample = _make_pairs(Family.GAUSSIAN, tau, 60, seed=8)
+    reps = bootstrap_reports(sample, Family.GAUSSIAN, BootstrapConfig(b=2, seed=3))
+    assert reps["ir"].b_used == 2
+    assert not (sample.d1 | sample.d2).all()
+    src = Path(copulas.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if "binorm_cdf" in p.read_text())
+    assert users == ["numerics.py"]
 
 
 def test_bootstrap_deterministic_across_runs():

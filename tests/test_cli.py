@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +163,37 @@ def test_usage_bad_config_key(data_csv, capsys):
                "--b", "20", "--config", "shrinkage=3"])
     assert rc == 64
     assert "valid keys" in capsys.readouterr().err
+
+
+GOLDEN_C20 = str(Path(__file__).parent / "golden" / "clayton_c20.csv")
+
+
+@pytest.mark.parametrize("argv, valid", [
+    (["test", "--input", GOLDEN_C20, "--family", "clayton", "--b", "40", "--seed", "11",
+      "--config", "initial_theta=50"], "censoring_model"),
+    (["fit", "--input", GOLDEN_C20, "--family", "clayton",
+      "--config", "censoring_model=per-margin"], "initial_theta"),
+])
+def test_usage_config_key_of_another_subcommand(argv, valid, capsys):
+    # a key the subcommand would ignore is a usage error, not silently dropped
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert f"for {argv[0]}; valid keys: {valid}" in captured.err
+
+
+@pytest.mark.parametrize("command, own, other", [
+    ("test", "censoring_model", "initial_theta"),
+    ("select", "censoring_model", "initial_theta"),
+    ("fit", "initial_theta", "censoring_model"),
+])
+def test_config_help_lists_only_own_keys(command, own, other, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert own in out
+    assert other not in out
 
 
 def test_usage_missing_subcommand(capsys):

@@ -142,6 +142,37 @@ def test_gaussian_cdf_theta_derivative_is_density():
     assert fd == pytest.approx(pdf2, rel=1e-5)
 
 
+@pytest.mark.parametrize("rho", [-0.9, -0.5, 0.5])
+@pytest.mark.parametrize("u", [(0.003, 0.003), (0.003, 0.6), (0.5, 0.5)])
+def test_gaussian_dlog_cdf_matches_central_differences(rho, u):
+    # the doubly censored piece, including the negative-rho tail rows
+    ops = copulas.family_ops(Family.GAUSSIAN)
+    u1, u2 = np.array([u[0]]), np.array([u[1]])
+    d1, d2 = ops.dlog_cdf(rho, u1, u2)
+
+    def f(r):
+        return ops.log_cdf(r, u1, u2)
+
+    h1, h2 = 1e-6, 1e-4
+    np.testing.assert_allclose(d1, (f(rho + h1) - f(rho - h1)) / (2 * h1), rtol=1e-7)
+    np.testing.assert_allclose(d2, (f(rho + h2) - 2 * f(rho) + f(rho - h2)) / h2 ** 2,
+                               rtol=1e-5)
+
+
+def test_gaussian_censored_corner_score_is_finite():
+    # Phi2 ~ exp(-750) here: it used to underflow to 0 and make the
+    # score and hessian non-finite (LikelihoodError)
+    rho, u, d = -0.99, np.array([0.003]), np.array([0])
+    s = score_vec(Family.GAUSSIAN, rho, u, u, d, d)
+    h = hessian_vec(Family.GAUSSIAN, rho, u, u, d, d)
+    assert np.isfinite(s).all() and np.isfinite(h).all()
+    ops = copulas.family_ops(Family.GAUSSIAN)
+    eps = 1e-6
+    fd1 = (ops.log_cdf(rho + eps, u, u) - ops.log_cdf(rho - eps, u, u)) / (2 * eps)
+    np.testing.assert_allclose(s, fd1, rtol=1e-6)
+    assert h[0] < 0.0
+
+
 # --- tau <-> theta ------------------------------------------------------
 
 @pytest.mark.parametrize("family", list(Family))

@@ -73,6 +73,54 @@ def test_binorm_cdf_symmetric_median():
         assert numerics.binorm_cdf(0.0, 0.0, rho) == pytest.approx(expect, rel=1e-9)
 
 
+_GRID_Z = [z for z in np.round(np.arange(-4.0, 4.0001, 0.2), 10) if z != 0.0]
+_GRID_RHO = [sign * r for r in (0.999, 0.99, 0.95, 0.9, 0.7, 0.5, 0.3, 0.1, 0.01)
+             for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("rho", _GRID_RHO)
+def test_binorm_logcdf_matches_oracle_on_grid(rho):
+    h, k = (a.ravel() for a in np.meshgrid(_GRID_Z, _GRID_Z))
+    oracle = np.array([numerics.binorm_cdf(a, b, rho) for a, b in zip(h, k)])
+    keep = oracle > 1e-300
+    got = numerics.binorm_logcdf(h, k, rho)
+    assert np.max(np.abs(got[keep] - np.log(oracle[keep]))) <= 1e-8
+    # below 1e-300 the oracle's absolute floor takes over; the log stays finite
+    assert np.all(np.isfinite(got)) and np.all(got[~keep] < math.log(1e-290))
+
+
+@pytest.mark.parametrize("h, k, rho", [
+    (0.0, 0.0, -0.6), (0.0, 0.0, 0.4), (0.0, 1.3, -0.7), (0.0, -2.1, 0.5),
+    (-0.8, 0.0, -0.95), (2.2, 0.0, 0.9),
+    (-2.7, -2.7, -0.9),    # deepest n = 300 corner: T identity's relative error 3.6e17
+    (-4.9, 0.1, -0.95),    # mixed quadrant, cancels as well
+    (5e-324, 0.0, 0.9),    # T's argument k/h - rho stays finite next to the axis
+    (-8.0, -8.0, 0.01),    # positive rho cancels too, deeper in the corner
+    (-8.0, 2.0, 0.5),
+    (-6.0, -2.0, 0.999),   # rho near 1 in the tail branch
+])
+def test_binorm_logcdf_explicit_rows(h, k, rho):
+    expect = math.log(numerics.binorm_cdf(h, k, rho))
+    assert numerics.binorm_logcdf(h, k, rho) == pytest.approx(expect, rel=0, abs=1e-10)
+    if h == k == 0.0:
+        assert numerics.binorm_logcdf(h, k, rho) == pytest.approx(
+            math.log(0.25 + math.asin(rho) / (2.0 * math.pi)), rel=0, abs=1e-14)
+
+
+def test_binorm_logcdf_shapes_and_domain():
+    assert np.ndim(numerics.binorm_logcdf(0.3, -0.2, 0.5)) == 0
+    z = np.array([-1.0, 0.0, 2.0])
+    out = numerics.binorm_logcdf(z, z[::-1], -0.5)
+    assert out.shape == (3,)
+    assert out[0] == out[2]
+    with pytest.raises(ValueError):
+        numerics.binorm_logcdf(0.0, 0.0, 1.0)
+    # on the boundary Phi2 is a univariate Phi, or 0
+    edge = numerics.binorm_logcdf([np.inf, 0.3, -np.inf, np.inf],
+                                  [0.3, np.inf, 2.0, np.inf], -0.5)
+    np.testing.assert_array_equal(edge, [numerics.norm_logcdf(0.3)] * 2 + [-np.inf, 0.0])
+
+
 def test_binorm_pdf_peak():
     val = numerics.binorm_pdf(0.0, 0.0, 0.5)
     expect = 1.0 / (2.0 * math.pi * math.sqrt(0.75))
@@ -126,3 +174,17 @@ def test_binorm_cdf_is_probability(rho, z1, z2):
     v = numerics.binorm_cdf(z1, z2, rho)
     assert 0.0 <= v <= 1.0
     assert v <= min(numerics.norm_cdf(z1), numerics.norm_cdf(z2)) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-0.999, max_value=0.999),
+       st.floats(min_value=-10.0, max_value=10.0),
+       st.floats(min_value=-10.0, max_value=10.0))
+def test_binorm_logcdf_within_frechet_bounds(rho, h, k):
+    v = numerics.binorm_logcdf(h, k, rho)
+    assert np.isfinite(v)
+    assert v == numerics.binorm_logcdf(k, h, rho)
+    ph, pk = numerics.norm_cdf(h), numerics.norm_cdf(k)
+    p = math.exp(v)
+    assert p <= min(ph, pk) * (1.0 + 1e-9)
+    assert p >= max(0.0, ph + pk - 1.0) - 1e-15
