@@ -38,7 +38,7 @@ def main() -> int:
                         args.censoring)
     cfg = StudyConfig(replications=args.replications, b=args.b,
                       seed=args.seed, kinds=(args.test,))
-    dist = run_null_distribution(scenario, cfg)[args.test]
+    dist = run_null_distribution(scenario, cfg)[cfg.kinds[0]]
     ks = sstats.kstest(dist.p_values, "uniform")
     print(f"{args.test}: {dist.statistics.size} replicates, statistic "
           f"mean {dist.statistics.mean():.4f}, sd {dist.statistics.std(ddof=1):.4f}")

@@ -3,31 +3,15 @@
 The worker count comes from COPULA_GOF_THREADS (default 1). Results are
 returned in task order regardless of completion order, and every task
 carries its own random stream, so output is identical for any worker
-count.
+count. A map called inside a pool worker (the bootstrap inside a study
+replicate) runs serially there: the outer map already holds the workers.
 """
 
 from __future__ import annotations
 
-import contextlib
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-
-_force_serial = False
-
-
-@contextlib.contextmanager
-def serial_inner():
-    """Run nested ordered_map calls serially inside this block.
-
-    Study drivers parallelize over replicates; the bootstrap inside each
-    replicate must then stay single-process."""
-    global _force_serial
-    prev = _force_serial
-    _force_serial = True
-    try:
-        yield
-    finally:
-        _force_serial = prev
 
 
 def worker_count() -> int:
@@ -45,7 +29,8 @@ def ordered_map(fn, tasks):
     """Apply fn over tasks, preserving task order in the results."""
     tasks = list(tasks)
     n = worker_count()
-    if _force_serial or n == 1 or len(tasks) <= 1:
+    in_worker = multiprocessing.parent_process() is not None
+    if in_worker or n == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     chunk = max(1, len(tasks) // (4 * n))
     with ProcessPoolExecutor(max_workers=n) as pool:

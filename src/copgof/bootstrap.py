@@ -40,6 +40,12 @@ class BootstrapError(Exception):
     pass
 
 
+# the typed failures of a fit, a statistic or its calibration: a test that
+# raises one of these failed on its data and is reported or dropped
+_STAT_ERRORS = (InferenceError, LikelihoodError, BootstrapError,
+                numerics.NumericsError, survival.SurvivalError)
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     b: int = 200
@@ -241,8 +247,7 @@ def select_copula(pairs, families, config: BootstrapConfig) -> SelectionResult:
         try:
             rep = bootstrap_pvalue(sample, fam, config)
             entries.append(SelectionEntry(family=fam, report=rep))
-        except (InferenceError, LikelihoodError, BootstrapError,
-                numerics.NumericsError, survival.SurvivalError) as exc:
+        except _STAT_ERRORS as exc:
             entries.append(SelectionEntry(family=fam, report=None, error=str(exc)))
 
     def sort_key(e: SelectionEntry):

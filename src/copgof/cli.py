@@ -17,11 +17,10 @@ import csv
 import json
 import sys
 
-from . import bootstrap, copulas, inference, numerics, simulation, survival
-from .bootstrap import BootstrapConfig, BootstrapError
-from .copulas import Family, LikelihoodError
-from .inference import InferenceError
-from .survival import CensoredPair, CensoredSample, SurvivalError
+from . import bootstrap, copulas, inference, simulation, survival
+from .bootstrap import BootstrapConfig
+from .copulas import Family
+from .survival import CensoredPair, CensoredSample
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -31,9 +30,7 @@ EXIT_USAGE = 64
 DATA_HEADER = ["x1", "x2", "d1", "d2"]
 KM_CSV_HEADER = ["time", "survival", "n_at_risk"]
 
-_STAT_ERRORS = (InferenceError, LikelihoodError, BootstrapError,
-                numerics.NumericsError, SurvivalError,
-                simulation.SimulationError)
+_STAT_ERRORS = (*bootstrap._STAT_ERRORS, simulation.SimulationError)
 
 
 class UsageError(Exception):
@@ -264,7 +261,7 @@ def cmd_simulate(args) -> int:
         scenario = simulation.Scenario(true_family, args.tau, args.n, args.censoring)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    kinds = tuple(k.strip().lower() for k in args.tests.split(",") if k.strip())
+    kinds = tuple(k.strip() for k in args.tests.split(",") if k.strip())
     try:
         cfg = simulation.StudyConfig(replications=args.replications, b=args.b,
                                      alpha=args.alpha, seed=args.seed, kinds=kinds)
@@ -277,7 +274,7 @@ def cmd_simulate(args) -> int:
         with _output(args.output) as fh:
             simulation.write_rejection_csv(rows, fh)
     else:
-        dist = simulation.run_null_distribution(scenario, cfg)[kinds[0]]
+        dist = simulation.run_null_distribution(scenario, cfg)[cfg.kinds[0]]
         with _output(args.output) as fh:
             simulation.write_qq_csv(dist, fh)
     return EXIT_OK

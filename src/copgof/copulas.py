@@ -1,15 +1,26 @@
 """Five bivariate copula families with censored-likelihood machinery.
 
-Clayton, Frank, Joe, and Gaussian carry analytic first/second derivatives
-of the log-likelihood in the dependence parameter; Gumbel differentiates
-numerically. Each family exposes the copula function, its partial
-derivatives in the arguments, the four censoring-case log pieces, the
-Kendall-tau/parameter bijection, and a conditional-inverse sampler.
-
 The censored log-likelihood of one observation (u1, u2, d1, d2) selects a
 single piece: the copula density for a doubly observed pair, a partial
 derivative when exactly one margin is censored, and the copula function
-itself when both are censored.
+itself when both are censored. Only the formulas differ by family.
+
+A family class declares its math and nothing else:
+
+- ``domain``, the open interval of theta, and ``tau_domain`` where
+  Kendall's tau may be negative (the default is (0, 1));
+- the log pieces ``log_pdf``, ``log_c1`` (the u1-partial) and
+  ``log_cdf``, and their first and second theta-derivatives ``dlog_*``
+  as (d1, d2) pairs; Gumbel sets ``analytic = False`` and is
+  differentiated numerically instead;
+- the tau bijection ``theta_to_tau``/``tau_to_theta``, and a closed-form
+  ``inv_conditional`` sampler where one exists.
+
+The base ``_Family`` derives the rest: ``in_domain`` as lo < theta < hi;
+the u2-partial ``log_c2``/``dlog_c2`` as the u1-partial with (u1, u2)
+swapped, since every family here is exchangeable; and a bisection
+``inv_conditional``. The module functions derive the unconstrained
+search scale of ``fit_pmle`` from ``domain`` alone.
 
 The Gaussian copula function is C(u1, u2) = Phi2(Phi^-1(u1), Phi^-1(u2); rho).
 Its log comes from ``numerics.binorm_logcdf`` in one array pass over the
@@ -80,14 +91,46 @@ class CopulaModel:
 # ---------------------------------------------------------------------------
 
 
-class _Clayton:
-    domain = (0.0, math.inf)
+class _Family:
+    """Derives from a family's declarations what they imply (see the
+    module docstring)."""
+
     analytic = True
     tau_domain = (0.0, 1.0)
 
-    @staticmethod
-    def in_domain(theta):
-        return theta > 0.0
+    @classmethod
+    def in_domain(cls, theta):
+        lo, hi = cls.domain
+        return lo < theta < hi
+
+    # every family is exchangeable, C(u1, u2) = C(u2, u1), so the
+    # u2-partial is the u1-partial with its arguments swapped
+    @classmethod
+    def log_c2(cls, theta, u1, u2):
+        return cls.log_c1(theta, u2, u1)
+
+    @classmethod
+    def dlog_c2(cls, theta, u1, u2):
+        return cls.dlog_c1(theta, u2, u1)
+
+    @classmethod
+    def inv_conditional(cls, theta, u1, w):
+        """Vectorized bisection inverse of u2 -> c1(u1, u2) at level w."""
+        u1 = np.asarray(u1, dtype=float)
+        w = np.asarray(w, dtype=float)
+        lo = np.full_like(w, 1e-12)
+        hi = np.full_like(w, 1.0 - 1e-12)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            f = np.exp(cls.log_c1(theta, u1, mid))
+            above = f >= w
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+        return 0.5 * (lo + hi)
+
+
+class _Clayton(_Family):
+    domain = (0.0, math.inf)
 
     @staticmethod
     def _core(theta, u1, u2):
@@ -105,10 +148,6 @@ class _Clayton:
     def log_c1(cls, theta, u1, u2):
         _, _, _, psi = cls._core(theta, u1, u2)
         return -(1.0 + theta) * np.log(u1) - (1.0 / theta + 1.0) * psi
-
-    @classmethod
-    def log_c2(cls, theta, u1, u2):
-        return cls.log_c1(theta, u2, u1)
 
     @classmethod
     def log_pdf(cls, theta, u1, u2):
@@ -142,10 +181,6 @@ class _Clayton:
         return d1, d2
 
     @classmethod
-    def dlog_c2(cls, theta, u1, u2):
-        return cls.dlog_c1(theta, u2, u1)
-
-    @classmethod
     def dlog_pdf(cls, theta, u1, u2):
         lu1, lu2, psi, psi_t, psi_tt = cls._psi_derivs(theta, u1, u2)
         d1 = (1.0 / (1.0 + theta) - lu1 - lu2 + psi / theta ** 2
@@ -169,15 +204,9 @@ class _Clayton:
         return (1.0 + t1 * (w ** (-theta / (1.0 + theta)) - 1.0)) ** (-1.0 / theta)
 
 
-class _Frank:
+class _Frank(_Family):
     # positive-dependence branch only
     domain = (0.0, math.inf)
-    analytic = True
-    tau_domain = (0.0, 1.0)
-
-    @staticmethod
-    def in_domain(theta):
-        return theta > 0.0
 
     @staticmethod
     def _core(theta, u1, u2):
@@ -196,10 +225,6 @@ class _Frank:
     def log_c1(cls, theta, u1, u2):
         g, _, g2, _, omz = cls._core(theta, u1, u2)
         return -theta * u1 + np.log(g2) - math.log(g) - np.log(omz)
-
-    @classmethod
-    def log_c2(cls, theta, u1, u2):
-        return cls.log_c1(theta, u2, u1)
 
     @classmethod
     def log_pdf(cls, theta, u1, u2):
@@ -237,10 +262,6 @@ class _Frank:
         return d1, d2
 
     @classmethod
-    def dlog_c2(cls, theta, u1, u2):
-        return cls.dlog_c1(theta, u2, u1)
-
-    @classmethod
     def dlog_pdf(cls, theta, u1, u2):
         g, _, _, em, _, omz, z_t, z_tt = cls._zeta_derivs(theta, u1, u2)
         d1 = 2.0 * z_t / omz + 1.0 / theta - u1 - u2 - em / g
@@ -269,14 +290,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _UNIT_NODES, _UNIT_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 
 
-class _Joe:
+class _Joe(_Family):
     domain = (1.0, math.inf)
-    analytic = True
-    tau_domain = (0.0, 1.0)
-
-    @staticmethod
-    def in_domain(theta):
-        return theta > 1.0
 
     @staticmethod
     def _core(theta, u1, u2):
@@ -297,10 +312,6 @@ class _Joe:
         v1, _, _, a2, gamma = cls._core(theta, u1, u2)
         return ((1.0 / theta - 1.0) * np.log(gamma) + np.log1p(-a2)
                 + (theta - 1.0) * np.log(v1))
-
-    @classmethod
-    def log_c2(cls, theta, u1, u2):
-        return cls.log_c1(theta, u2, u1)
 
     @classmethod
     def log_pdf(cls, theta, u1, u2):
@@ -341,10 +352,6 @@ class _Joe:
         return d1, d2
 
     @classmethod
-    def dlog_c2(cls, theta, u1, u2):
-        return cls.dlog_c1(theta, u2, u1)
-
-    @classmethod
     def dlog_pdf(cls, theta, u1, u2):
         _, _, a1, a2, l1, l2, gamma, g_t, g_tt = cls._gamma_derivs(theta, u1, u2)
         lg = np.log(gamma)
@@ -375,19 +382,10 @@ class _Joe:
         return numerics.find_root(lambda t: cls.theta_to_tau(t) - tau,
                                   1.0 + 1e-8, 500.0, tol=1e-12)
 
-    @classmethod
-    def inv_conditional(cls, theta, u1, w):
-        return _bisect_conditional(cls, theta, u1, w)
 
-
-class _Gaussian:
+class _Gaussian(_Family):
     domain = (-1.0, 1.0)
-    analytic = True
     tau_domain = (-1.0, 1.0)
-
-    @staticmethod
-    def in_domain(theta):
-        return -1.0 < theta < 1.0
 
     @staticmethod
     def _z(u1, u2):
@@ -402,10 +400,6 @@ class _Gaussian:
         z1, z2 = cls._z(u1, u2)
         s = math.sqrt(1.0 - theta * theta)
         return _special.log_ndtr((z2 - theta * z1) / s)
-
-    @classmethod
-    def log_c2(cls, theta, u1, u2):
-        return cls.log_c1(theta, u2, u1)
 
     @classmethod
     def log_pdf(cls, theta, u1, u2):
@@ -452,10 +446,6 @@ class _Gaussian:
         return d1, d2
 
     @classmethod
-    def dlog_c2(cls, theta, u1, u2):
-        return cls.dlog_c1(theta, u2, u1)
-
-    @classmethod
     def dlog_pdf(cls, theta, u1, u2):
         z1, z2 = cls._z(u1, u2)
         return cls._phi2_tilde(theta, z1, z2)
@@ -475,14 +465,9 @@ class _Gaussian:
         return _special.ndtr(theta * z1 + s * _special.ndtri(w))
 
 
-class _Gumbel:
+class _Gumbel(_Family):
     domain = (1.0, math.inf)
     analytic = False
-    tau_domain = (0.0, 1.0)
-
-    @staticmethod
-    def in_domain(theta):
-        return theta > 1.0
 
     @staticmethod
     def _core(theta, u1, u2):
@@ -502,10 +487,6 @@ class _Gumbel:
         return -a1 + (1.0 / theta - 1.0) * np.log(a) + (theta - 1.0) * np.log(x1) + x1
 
     @classmethod
-    def log_c2(cls, theta, u1, u2):
-        return cls.log_c1(theta, u2, u1)
-
-    @classmethod
     def log_pdf(cls, theta, u1, u2):
         x1, x2, a, a1 = cls._core(theta, u1, u2)
         return (-a1 + (theta - 1.0) * (np.log(x1) + np.log(x2)) + x1 + x2
@@ -518,25 +499,6 @@ class _Gumbel:
     @staticmethod
     def tau_to_theta(tau):
         return 1.0 / (1.0 - tau)
-
-    @classmethod
-    def inv_conditional(cls, theta, u1, w):
-        return _bisect_conditional(cls, theta, u1, w)
-
-
-def _bisect_conditional(ops, theta, u1, w, iters: int = 60):
-    """Vectorized bisection inverse of u2 -> c1(u1, u2) at level w."""
-    u1 = np.asarray(u1, dtype=float)
-    w = np.asarray(w, dtype=float)
-    lo = np.full_like(w, 1e-12)
-    hi = np.full_like(w, 1.0 - 1e-12)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        f = np.exp(ops.log_c1(theta, u1, mid))
-        above = f >= w
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
 
 
 _OPS = {
@@ -557,34 +519,49 @@ def family_ops(family: Family):
 # ---------------------------------------------------------------------------
 
 
-def cdf(m: CopulaModel, u1, u2):
-    out = np.exp(_OPS[m.family].log_cdf(m.theta, np.asarray(u1, float), np.asarray(u2, float)))
+def _pointwise(piece: str, m: CopulaModel, u1, u2):
+    out = np.exp(getattr(_OPS[m.family], piece)(
+        m.theta, np.asarray(u1, float), np.asarray(u2, float)))
     return float(out) if np.isscalar(u1) else out
+
+
+def cdf(m: CopulaModel, u1, u2):
+    return _pointwise("log_cdf", m, u1, u2)
 
 
 def partial_u1(m: CopulaModel, u1, u2):
-    out = np.exp(_OPS[m.family].log_c1(m.theta, np.asarray(u1, float), np.asarray(u2, float)))
-    return float(out) if np.isscalar(u1) else out
+    return _pointwise("log_c1", m, u1, u2)
 
 
 def partial_u2(m: CopulaModel, u1, u2):
-    out = np.exp(_OPS[m.family].log_c2(m.theta, np.asarray(u1, float), np.asarray(u2, float)))
-    return float(out) if np.isscalar(u1) else out
+    return _pointwise("log_c2", m, u1, u2)
 
 
 def density(m: CopulaModel, u1, u2):
-    out = np.exp(_OPS[m.family].log_pdf(m.theta, np.asarray(u1, float), np.asarray(u2, float)))
-    return float(out) if np.isscalar(u1) else out
+    return _pointwise("log_pdf", m, u1, u2)
 
 
+# the piece of each censoring case, in the order _by_case forms its masks:
+# both margins observed, only the second censored, only the first, both
 _PIECES = ("log_pdf", "log_c1", "log_c2", "log_cdf")
 _DPIECES = ("dlog_pdf", "dlog_c1", "dlog_c2", "dlog_cdf")
 
 
-def _case_masks(d1, d2):
+def _by_case(family: Family, pieces, theta: float, u1, u2, d1, d2, pick=None):
+    """Evaluate each row's censoring-case piece from ``pieces``; ``pick``
+    indexes the (d1, d2) pair a derivative piece returns."""
+    ops = _OPS[family]
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
     d1 = np.asarray(d1).astype(bool)
     d2 = np.asarray(d2).astype(bool)
-    return (d1 & d2, d1 & ~d2, ~d1 & d2, ~d1 & ~d2)
+    out = np.empty(u1.shape, dtype=float)
+    with np.errstate(all="ignore"):
+        for mask, piece in zip((d1 & d2, d1 & ~d2, ~d1 & d2, ~d1 & ~d2), pieces):
+            if mask.any():
+                value = getattr(ops, piece)(theta, u1[mask], u2[mask])
+                out[mask] = value if pick is None else value[pick]
+    return out
 
 
 def loglik_vec(family: Family, theta: float, u1, u2, d1, d2, strict: bool = True):
@@ -594,14 +571,7 @@ def loglik_vec(family: Family, theta: float, u1, u2, d1, d2, strict: bool = True
     parameter boundaries stays finite. NaNs raise LikelihoodError when
     strict, otherwise map to -inf (optimizers treat the point as invalid).
     """
-    ops = _OPS[family]
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    out = np.empty(u1.shape, dtype=float)
-    with np.errstate(all="ignore"):
-        for mask, piece in zip(_case_masks(d1, d2), _PIECES):
-            if mask.any():
-                out[mask] = getattr(ops, piece)(theta, u1[mask], u2[mask])
+    out = _by_case(family, _PIECES, theta, u1, u2, d1, d2)
     bad = ~np.isfinite(out)
     if bad.any():
         neginf = np.isneginf(out)
@@ -626,14 +596,7 @@ def _fd_steps(theta: float, order: int) -> float:
 def _dlog_vec(family: Family, theta: float, u1, u2, d1, d2, order: int):
     """Analytic theta-derivative of the given order (1 or 2) of the
     per-observation log-likelihood."""
-    ops = _OPS[family]
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    out = np.empty(u1.shape, dtype=float)
-    with np.errstate(all="ignore"):
-        for mask, dpiece in zip(_case_masks(d1, d2), _DPIECES):
-            if mask.any():
-                out[mask] = getattr(ops, dpiece)(theta, u1[mask], u2[mask])[order - 1]
+    out = _by_case(family, _DPIECES, theta, u1, u2, d1, d2, pick=order - 1)
     if not np.isfinite(out).all():
         idx = int(np.argmax(~np.isfinite(out)))
         what = "score" if order == 1 else "hessian"
@@ -671,7 +634,9 @@ def theta_to_tau(family: Family, theta: float) -> float:
 def tau_to_theta(family: Family, tau: float) -> float:
     ops = _OPS[family]
     lo, hi = ops.tau_domain
-    if not (lo < tau < hi) or (family is Family.GAUSSIAN and tau == 0.0):
+    # independence, tau = 0, is refused for every family; only a tau range
+    # straddling zero (the Gaussian's) needs the explicit check
+    if not (lo < tau < hi) or tau == 0.0:
         raise ValueError(f"tau={tau} outside the admissible range for {family.value}")
     return float(ops.tau_to_theta(tau))
 
@@ -693,18 +658,14 @@ def sample_pairs(m: CopulaModel, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # parameter transforms used by the fitting routines: each family's open
-# domain maps to the whole real line so 1-D search needs no constraints
+# domain maps to the whole real line so 1-D search needs no constraints.
+# A half-infinite domain (lo, inf) takes log(theta - lo); the one bounded
+# domain, (-1, 1), takes atanh.
 def to_unconstrained(family: Family, theta: float) -> float:
-    if family in (Family.CLAYTON, Family.FRANK):
-        return math.log(theta)
-    if family in (Family.JOE, Family.GUMBEL):
-        return math.log(theta - 1.0)
-    return math.atanh(theta)
+    lo, hi = _OPS[family].domain
+    return math.log(theta - lo) if hi == math.inf else math.atanh(theta)
 
 
 def from_unconstrained(family: Family, x: float) -> float:
-    if family in (Family.CLAYTON, Family.FRANK):
-        return math.exp(x)
-    if family in (Family.JOE, Family.GUMBEL):
-        return 1.0 + math.exp(x)
-    return math.tanh(x)
+    lo, hi = _OPS[family].domain
+    return lo + math.exp(x) if hi == math.inf else math.tanh(x)

@@ -65,12 +65,11 @@ def _tau_start(family: Family, u1, u2) -> float:
     tau = empirical_kendall_tau(u1, u2)
     lo, hi = copulas.family_ops(family).tau_domain
     margin = 0.01
-    if family is Family.GAUSSIAN:
-        tau = min(max(tau, lo + margin), hi - margin)
-        if abs(tau) < 1e-3:
-            tau = 1e-3
-    else:
-        tau = min(max(tau, margin), hi - margin)
+    tau = min(max(tau, lo + margin), hi - margin)
+    # tau_to_theta rejects independence, tau = 0, which only a tau range
+    # straddling zero can reach after the clamp
+    if abs(tau) < 1e-3:
+        tau = 1e-3
     return copulas.tau_to_theta(family, tau)
 
 
@@ -119,7 +118,6 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
 
     half = bracket_halfwidth
     lo, hi = x0 - half, x0 + half
-    best_x = None
     for _ in range(60):
         x_star, f_star = numerics.maximize_1d(objective, lo, hi, tol=xatol)
         # the bounded search can stall a little short of an edge when the
@@ -128,7 +126,6 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
         at_lo = x_star - lo <= margin
         at_hi = hi - x_star <= margin
         if not at_lo and not at_hi:
-            best_x = x_star
             break
         width = hi - lo
         if at_lo:
@@ -140,14 +137,15 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
             f"bracket expansion failed for {family.value}: optimum keeps "
             f"escaping toward the parameter boundary")
 
-    theta_hat = copulas.from_unconstrained(family, best_x)
-    ll_hat = pseudo_loglik(family, theta_hat, u1, u2, d1, d2)
+    theta_hat = copulas.from_unconstrained(family, x_star)
     try:
         total_score = float(copulas.score_vec(family, theta_hat, u1, u2, d1, d2).sum())
         converged = abs(total_score) <= 1e-6 * n
     except LikelihoodError:
         converged = False
-    return FitResult(family=family, theta_hat=theta_hat, loglik=ll_hat,
+    # maximize_1d returns a finite f_star, so every piece at theta_hat was
+    # finite and f_star is the strict pseudo_loglik there
+    return FitResult(family=family, theta_hat=theta_hat, loglik=f_star,
                      n=n, converged=converged, n_evaluations=evaluations[0])
 
 

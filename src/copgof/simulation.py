@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bootstrap, copulas, inference, numerics, survival
-from ._parallel import ordered_map, serial_inner
-from .bootstrap import BootstrapConfig, BootstrapError
-from .copulas import CopulaModel, Family, FAMILY_ORDER, LikelihoodError
-from .inference import InferenceError
+from . import bootstrap, copulas, inference, numerics
+from ._parallel import ordered_map
+from .bootstrap import _STAT_ERRORS, BootstrapConfig
+from .copulas import CopulaModel, Family, FAMILY_ORDER
 from .numerics import RngStream, derive_seed
 from .survival import CensoredSample
 
@@ -114,29 +113,24 @@ class StudyConfig:
             raise ValueError("replications must be positive")
         # b, alpha and seed follow the bootstrap's rules
         BootstrapConfig(b=self.b, seed=self.seed, alpha=self.alpha)
-        for k in self.kinds:
-            if k not in inference.STATISTIC_KINDS:
-                valid = "|".join(inference.STATISTIC_KINDS)
-                raise ValueError(f"unknown statistic {k!r}; expected one of {valid}")
+        object.__setattr__(self, "kinds", inference.statistic_kinds(self.kinds))
+        if not self.kinds:
+            raise ValueError("no statistic kinds given")
 
 
-def _rejection_replicate(args):
+def _study_replicate(args):
+    """Test every null family on replicate r's dataset, giving
+    {family: {kind: (statistic, p-value)}, or None where the test failed}."""
     scenario, null_families, cfg, r = args
-    with serial_inner():
-        return _rejection_replicate_body(scenario, null_families, cfg, r)
-
-
-def _rejection_replicate_body(scenario, null_families, cfg, r):
-    pairs = generate_scenario_dataset(scenario, cfg.seed, replicate=r)
+    sample = generate_scenario_dataset(scenario, cfg.seed, replicate=r)
     out = {}
-    for fi, fam in enumerate(null_families):
+    for fam in null_families:
         boot_seed = derive_seed(cfg.seed, _BOOT_TAG, r, FAMILY_ORDER.index(fam))
         bcfg = BootstrapConfig(b=cfg.b, seed=boot_seed, alpha=cfg.alpha)
         try:
-            reps = bootstrap.bootstrap_reports(pairs, fam, bcfg, kinds=cfg.kinds)
-            out[fam] = {k: reps[k].p_value for k in cfg.kinds}
-        except (InferenceError, LikelihoodError, BootstrapError,
-                numerics.NumericsError, survival.SurvivalError):
+            reps = bootstrap.bootstrap_reports(sample, fam, bcfg, kinds=cfg.kinds)
+            out[fam] = {k: (reps[k].statistic.value, reps[k].p_value) for k in cfg.kinds}
+        except _STAT_ERRORS:
             out[fam] = None
     return out
 
@@ -152,7 +146,7 @@ def run_rejection_study(scenario: Scenario, null_families,
     """
     null_families = list(null_families)
     results = ordered_map(
-        _rejection_replicate,
+        _study_replicate,
         [(scenario, null_families, cfg, r) for r in range(cfg.replications)])
 
     rows = []
@@ -167,12 +161,11 @@ def run_rejection_study(scenario: Scenario, null_families,
                     failures += 1
                     continue
                 used += 1
-                p = res[fam][kind]
-                if p < cfg.alpha:
+                if res[fam][kind][1] < cfg.alpha:
                     rejections += 1
                 winners = [f for f in null_families
                            if res[f] is not None]
-                best = max(winners, key=lambda f: res[f][kind])
+                best = max(winners, key=lambda f: res[f][kind][1])
                 if best is fam:
                     selections += 1
             rows.append(RejectionRow(
@@ -192,33 +185,15 @@ class NullDistribution:
     p_values: np.ndarray
 
 
-def _null_replicate(args):
-    scenario, fam, cfg, r = args
-    with serial_inner():
-        return _null_replicate_body(scenario, fam, cfg, r)
-
-
-def _null_replicate_body(scenario, fam, cfg, r):
-    pairs = generate_scenario_dataset(scenario, cfg.seed, replicate=r)
-    boot_seed = derive_seed(cfg.seed, _BOOT_TAG, r, FAMILY_ORDER.index(fam))
-    bcfg = BootstrapConfig(b=cfg.b, seed=boot_seed, alpha=cfg.alpha)
-    try:
-        reps = bootstrap.bootstrap_reports(pairs, fam, bcfg, kinds=cfg.kinds)
-        return {k: (reps[k].statistic.value, reps[k].p_value) for k in cfg.kinds}
-    except (InferenceError, LikelihoodError, BootstrapError,
-            numerics.NumericsError, survival.SurvivalError):
-        return None
-
-
 def run_null_distribution(scenario: Scenario, cfg: StudyConfig) -> dict[str, NullDistribution]:
     """Sampling distribution of each statistic when the fitted family is
     the true one. Normal quantiles use plotting positions (k - 0.5)/m on
     the sorted statistics."""
     fam = scenario.true_family
     results = ordered_map(
-        _null_replicate,
-        [(scenario, fam, cfg, r) for r in range(cfg.replications)])
-    kept = [r for r in results if r is not None]
+        _study_replicate,
+        [(scenario, [fam], cfg, r) for r in range(cfg.replications)])
+    kept = [res[fam] for res in results if res[fam] is not None]
     if not kept:
         raise SimulationError("every replicate of the null-distribution study failed")
     out = {}

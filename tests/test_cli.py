@@ -151,6 +151,10 @@ def test_usage_b_too_small(data_csv, capsys):
     # usage errors come before input errors
     ["test", "--input", "/nonexistent/x.csv", "--family", "clayton", "--b", "1"],
     ["select", "--input", "/nonexistent/x.csv", "--families", "clayton,frank", "--b", "1"],
+    # these used to end in a traceback
+    ["fit", "--input", "DATA", "--family", "clayton", "--config", "initial_theta=inf"],
+    ["simulate", "--mode", "null", "--true-family", "clayton", "--n", "20",
+     "--replications", "1", "--b", "10", "--tests", ","],
 ])
 def test_usage_out_of_range_values(argv, data_csv, capsys):
     rc = main([data_csv if a == "DATA" else a for a in argv])

@@ -245,6 +245,10 @@ def test_model_domain_validation():
         CopulaModel(Family.GUMBEL, 1.0)
     with pytest.raises(ValueError):
         CopulaModel(Family.GAUSSIAN, 1.0)
+    # the open domains exclude infinity too
+    for family in (Family.CLAYTON, Family.FRANK, Family.JOE, Family.GUMBEL):
+        with pytest.raises(ValueError):
+            CopulaModel(family, math.inf)
 
 
 def test_family_parse():

@@ -12,9 +12,12 @@ from copgof.simulation import (CENSORING_LEVELS, Scenario, StudyConfig,
 
 
 def test_study_config_validation():
-    for bad in (dict(b=1), dict(alpha=0.0), dict(alpha=1.5), dict(seed=-1)):
+    for bad in (dict(b=1), dict(alpha=0.0), dict(alpha=1.5), dict(seed=-1),
+                dict(kinds=("ir", "vine")), dict(kinds=())):
         with pytest.raises(ValueError):
             StudyConfig(**bad)
+    # kinds are case-insensitive, as on the command line
+    assert StudyConfig(kinds=("IR", "White")).kinds == ("ir", "white")
 
 
 def test_scenario_validation():
