@@ -41,6 +41,29 @@ from . import numerics
 from .numerics import LOG_TINY, RngStream
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_ew = numerics.elementwise
+
+
+def _pow(x, p):
+    """x ** p for a theta-only base (see ``numerics.elementwise``)."""
+    return _ew(pow, x, p)
+
+
+def _apow(base, p):
+    """base ** p for an array base and a theta-valued exponent p, a float
+    or a (k, 1) column.
+
+    numpy computes an array to the float power -1, 0.5 or 2 as a
+    reciprocal, square root or square, but a column holding that value
+    only sometimes (it depends on the array sizes); such rows are redone
+    with the float so that each row equals base ** p_j bit for bit.
+    """
+    out = base ** p
+    if isinstance(p, np.ndarray) and p.ndim:
+        flat = p.ravel()
+        for j in np.flatnonzero(np.isin(flat, (-1.0, 0.5, 2.0))):
+            out[j] = (base if base.ndim < 2 else base[j]) ** float(flat[j])
+    return out
 
 
 class CopulaError(Exception):
@@ -87,7 +110,7 @@ class CopulaModel:
 
 
 # ---------------------------------------------------------------------------
-# family implementations (vectorized over u1, u2; theta scalar)
+# family implementations (vectorized over u1, u2; theta a float or a column)
 # ---------------------------------------------------------------------------
 
 
@@ -134,8 +157,8 @@ class _Clayton(_Family):
 
     @staticmethod
     def _core(theta, u1, u2):
-        t1 = u1 ** -theta
-        t2 = u2 ** -theta
+        t1 = _apow(u1, -theta)
+        t2 = _apow(u2, -theta)
         s = t1 + t2 - 1.0
         return t1, t2, s, np.log(s)
 
@@ -152,7 +175,7 @@ class _Clayton(_Family):
     @classmethod
     def log_pdf(cls, theta, u1, u2):
         _, _, _, psi = cls._core(theta, u1, u2)
-        return (math.log1p(theta) - (1.0 + theta) * (np.log(u1) + np.log(u2))
+        return (_ew(math.log1p, theta) - (1.0 + theta) * (np.log(u1) + np.log(u2))
                 - (1.0 / theta + 2.0) * psi)
 
     @classmethod
@@ -168,25 +191,28 @@ class _Clayton(_Family):
     @classmethod
     def dlog_cdf(cls, theta, u1, u2):
         _, _, psi, psi_t, psi_tt = cls._psi_derivs(theta, u1, u2)
-        d1 = -psi_t / theta + psi / theta ** 2
-        d2 = -psi_tt / theta + 2.0 * psi_t / theta ** 2 - 2.0 * psi / theta ** 3
+        t2, t3 = _pow(theta, 2), _pow(theta, 3)
+        d1 = -psi_t / theta + psi / t2
+        d2 = -psi_tt / theta + 2.0 * psi_t / t2 - 2.0 * psi / t3
         return d1, d2
 
     @classmethod
     def dlog_c1(cls, theta, u1, u2):
         lu1, _, psi, psi_t, psi_tt = cls._psi_derivs(theta, u1, u2)
-        d1 = -lu1 + psi / theta ** 2 - (1.0 / theta + 1.0) * psi_t
-        d2 = (-2.0 * psi / theta ** 3 + 2.0 * psi_t / theta ** 2
+        t2, t3 = _pow(theta, 2), _pow(theta, 3)
+        d1 = -lu1 + psi / t2 - (1.0 / theta + 1.0) * psi_t
+        d2 = (-2.0 * psi / t3 + 2.0 * psi_t / t2
               - (1.0 / theta + 1.0) * psi_tt)
         return d1, d2
 
     @classmethod
     def dlog_pdf(cls, theta, u1, u2):
         lu1, lu2, psi, psi_t, psi_tt = cls._psi_derivs(theta, u1, u2)
-        d1 = (1.0 / (1.0 + theta) - lu1 - lu2 + psi / theta ** 2
+        t2, t3 = _pow(theta, 2), _pow(theta, 3)
+        d1 = (1.0 / (1.0 + theta) - lu1 - lu2 + psi / t2
               - (1.0 / theta + 2.0) * psi_t)
-        d2 = (-1.0 / (1.0 + theta) ** 2 + 2.0 * psi_t / theta ** 2
-              - 2.0 * psi / theta ** 3 - (1.0 / theta + 2.0) * psi_tt)
+        d2 = (-1.0 / _pow(1.0 + theta, 2) + 2.0 * psi_t / t2
+              - 2.0 * psi / t3 - (1.0 / theta + 2.0) * psi_tt)
         return d1, d2
 
     @staticmethod
@@ -210,7 +236,7 @@ class _Frank(_Family):
 
     @staticmethod
     def _core(theta, u1, u2):
-        g = -math.expm1(-theta)          # 1 - e^{-theta}
+        g = -_ew(math.expm1, -theta)     # 1 - e^{-theta}
         g1 = -np.expm1(-theta * u1)
         g2 = -np.expm1(-theta * u2)
         zeta = g1 * g2 / g
@@ -224,48 +250,52 @@ class _Frank(_Family):
     @classmethod
     def log_c1(cls, theta, u1, u2):
         g, _, g2, _, omz = cls._core(theta, u1, u2)
-        return -theta * u1 + np.log(g2) - math.log(g) - np.log(omz)
+        return -theta * u1 + np.log(g2) - _ew(math.log, g) - np.log(omz)
 
     @classmethod
     def log_pdf(cls, theta, u1, u2):
         g, _, _, _, omz = cls._core(theta, u1, u2)
-        return math.log(theta) - theta * (u1 + u2) - math.log(g) - 2.0 * np.log(omz)
+        return (_ew(math.log, theta) - theta * (u1 + u2) - _ew(math.log, g)
+                - 2.0 * np.log(omz))
 
     @classmethod
     def _zeta_derivs(cls, theta, u1, u2):
         g, g1, g2, zeta, omz = cls._core(theta, u1, u2)
         e1 = np.exp(-theta * u1)
         e2 = np.exp(-theta * u2)
-        em = math.exp(-theta)
+        em = _ew(math.exp, -theta)
+        em_g2 = em / _pow(g, 2)
         lz_t = u1 * e1 / g1 + u2 * e2 / g2 - em / g
-        lz_tt = -(u1 ** 2) * e1 / g1 ** 2 - (u2 ** 2) * e2 / g2 ** 2 + em / g ** 2
+        lz_tt = -(u1 ** 2) * e1 / g1 ** 2 - (u2 ** 2) * e2 / g2 ** 2 + em_g2
         z_t = zeta * lz_t
         z_tt = zeta * (lz_tt + lz_t ** 2)
-        return g, e1, e2, em, zeta, omz, z_t, z_tt
+        return g, e1, e2, em, em_g2, zeta, omz, z_t, z_tt
 
     @classmethod
     def dlog_cdf(cls, theta, u1, u2):
-        g, _, _, _, zeta, omz, z_t, z_tt = cls._zeta_derivs(theta, u1, u2)
+        _, _, _, _, _, zeta, omz, z_t, z_tt = cls._zeta_derivs(theta, u1, u2)
+        t2 = _pow(theta, 2)
         logomz = np.log(omz)
         c = -logomz / theta
-        c_t = logomz / theta ** 2 + z_t / (theta * omz)
-        c_tt = (-2.0 * logomz / theta ** 3 - 2.0 * z_t / (theta ** 2 * omz)
+        c_t = logomz / t2 + z_t / (theta * omz)
+        c_tt = (-2.0 * logomz / _pow(theta, 3) - 2.0 * z_t / (t2 * omz)
                 + z_tt / (theta * omz) + z_t ** 2 / (theta * omz ** 2))
         return c_t / c, c_tt / c - (c_t / c) ** 2
 
     @classmethod
     def dlog_c1(cls, theta, u1, u2):
-        g, _, e2, em, _, omz, z_t, z_tt = cls._zeta_derivs(theta, u1, u2)
+        g, _, e2, em, em_g2, _, omz, z_t, z_tt = cls._zeta_derivs(theta, u1, u2)
         g2 = -np.expm1(-theta * u2)
         d1 = z_t / omz - u1 + u2 * e2 / g2 - em / g
-        d2 = z_tt / omz + z_t ** 2 / omz ** 2 - (u2 ** 2) * e2 / g2 ** 2 + em / g ** 2
+        d2 = z_tt / omz + z_t ** 2 / omz ** 2 - (u2 ** 2) * e2 / g2 ** 2 + em_g2
         return d1, d2
 
     @classmethod
     def dlog_pdf(cls, theta, u1, u2):
-        g, _, _, em, _, omz, z_t, z_tt = cls._zeta_derivs(theta, u1, u2)
+        g, _, _, em, em_g2, _, omz, z_t, z_tt = cls._zeta_derivs(theta, u1, u2)
         d1 = 2.0 * z_t / omz + 1.0 / theta - u1 - u2 - em / g
-        d2 = 2.0 * z_tt / omz + 2.0 * z_t ** 2 / omz ** 2 - 1.0 / theta ** 2 + em / g ** 2
+        d2 = (2.0 * z_tt / omz + 2.0 * z_t ** 2 / omz ** 2 - 1.0 / _pow(theta, 2)
+              + em_g2)
         return d1, d2
 
     @staticmethod
@@ -297,8 +327,8 @@ class _Joe(_Family):
     def _core(theta, u1, u2):
         v1 = 1.0 - u1
         v2 = 1.0 - u2
-        a1 = v1 ** theta
-        a2 = v2 ** theta
+        a1 = _apow(v1, theta)
+        a2 = _apow(v2, theta)
         gamma = a1 + a2 - a1 * a2
         return v1, v2, a1, a2, gamma
 
@@ -332,10 +362,11 @@ class _Joe(_Family):
     def dlog_cdf(cls, theta, u1, u2):
         _, _, _, _, _, _, gamma, g_t, g_tt = cls._gamma_derivs(theta, u1, u2)
         lg = np.log(gamma)
+        t2 = _pow(theta, 2)
         g1 = np.exp(lg / theta)                       # Gamma^{1/theta}
-        g1_t = g1 * (-lg / theta ** 2 + g_t / (theta * gamma))
-        g1_tt = (2.0 * g1 * lg / theta ** 3
-                 - (g1_t * lg + 2.0 * g1 / gamma * g_t) / theta ** 2
+        g1_t = g1 * (-lg / t2 + g_t / (theta * gamma))
+        g1_tt = (2.0 * g1 * lg / _pow(theta, 3)
+                 - (g1_t * lg + 2.0 * g1 / gamma * g_t) / t2
                  + (g_tt * g1 / gamma + g_t * g1_t / gamma
                     - g_t ** 2 * g1 / gamma ** 2) / theta)
         omg = 1.0 - g1
@@ -345,8 +376,9 @@ class _Joe(_Family):
     def dlog_c1(cls, theta, u1, u2):
         _, _, _, a2, l1, l2, gamma, g_t, g_tt = cls._gamma_derivs(theta, u1, u2)
         lg = np.log(gamma)
-        d1 = -lg / theta ** 2 + (1.0 / theta - 1.0) * g_t / gamma - a2 * l2 / (1.0 - a2) + l1
-        d2 = (2.0 * lg / theta ** 3 - 2.0 * g_t / (gamma * theta ** 2)
+        t2 = _pow(theta, 2)
+        d1 = -lg / t2 + (1.0 / theta - 1.0) * g_t / gamma - a2 * l2 / (1.0 - a2) + l1
+        d2 = (2.0 * lg / _pow(theta, 3) - 2.0 * g_t / (gamma * t2)
               + (1.0 / theta - 1.0) * (g_tt / gamma - (g_t / gamma) ** 2)
               - a2 * l2 ** 2 / (1.0 - a2) ** 2)
         return d1, d2
@@ -362,8 +394,9 @@ class _Joe(_Family):
         k = theta * gamma + (theta - 1.0) * p
         k_t = gamma + theta * g_t + p + (theta - 1.0) * p_t
         k_tt = 2.0 * g_t + theta * g_tt + 2.0 * p_t + (theta - 1.0) * p_tt
-        d1 = -lg / theta ** 2 + (1.0 / theta - 2.0) * g_t / gamma + l1 + l2 + k_t / k
-        d2 = (2.0 * lg / theta ** 3 - 2.0 * g_t / (gamma * theta ** 2)
+        t2 = _pow(theta, 2)
+        d1 = -lg / t2 + (1.0 / theta - 2.0) * g_t / gamma + l1 + l2 + k_t / k
+        d2 = (2.0 * lg / _pow(theta, 3) - 2.0 * g_t / (gamma * t2)
               + (1.0 / theta - 2.0) * (g_tt / gamma - (g_t / gamma) ** 2)
               + k_tt / k - (k_t / k) ** 2)
         return d1, d2
@@ -398,26 +431,27 @@ class _Gaussian(_Family):
     @classmethod
     def log_c1(cls, theta, u1, u2):
         z1, z2 = cls._z(u1, u2)
-        s = math.sqrt(1.0 - theta * theta)
+        s = _ew(math.sqrt, 1.0 - theta * theta)
         return _special.log_ndtr((z2 - theta * z1) / s)
 
     @classmethod
     def log_pdf(cls, theta, u1, u2):
         z1, z2 = cls._z(u1, u2)
         s2 = 1.0 - theta * theta
-        return (-0.5 * math.log(s2)
+        return (-0.5 * _ew(math.log, s2)
                 - (np.square(z1) + np.square(z2) - 2.0 * theta * z1 * z2) / (2.0 * s2)
                 + 0.5 * (np.square(z1) + np.square(z2)))
 
     @classmethod
     def _phi2_tilde(cls, theta, z1, z2):
         s2 = 1.0 - theta * theta
+        t2, s2_2 = _pow(theta, 2), _pow(s2, 2)
         zz = z1 * z2
         zsq = np.square(z1) + np.square(z2)
-        d1 = (theta * s2 - theta * zsq + (1.0 + theta ** 2) * zz) / s2 ** 2
-        d2 = ((1.0 + theta ** 2) / s2 ** 2
-              + ((6.0 * theta + 2.0 * theta ** 3) * zz - (1.0 + 3.0 * theta ** 2) * zsq)
-              / s2 ** 3)
+        d1 = (theta * s2 - theta * zsq + (1.0 + t2) * zz) / s2_2
+        d2 = ((1.0 + t2) / s2_2
+              + ((6.0 * theta + 2.0 * _pow(theta, 3)) * zz - (1.0 + 3.0 * t2) * zsq)
+              / _pow(s2, 3))
         return d1, d2
 
     @classmethod
@@ -425,7 +459,7 @@ class _Gaussian(_Family):
         z1, z2 = cls._z(u1, u2)
         s2 = 1.0 - theta * theta
         log_pdf2 = (-(np.square(z1) + np.square(z2) - 2.0 * theta * z1 * z2) / (2.0 * s2)
-                    - math.log(2.0 * math.pi * math.sqrt(s2)))
+                    - _ew(math.log, 2.0 * math.pi * _ew(math.sqrt, s2)))
         # Plackett: dC/dtheta = phi2; phi2/Phi2 in log space, where both underflow
         ratio = np.exp(log_pdf2 - numerics.binorm_logcdf(z1, z2, theta))
         lt, _ = cls._phi2_tilde(theta, z1, z2)
@@ -435,10 +469,11 @@ class _Gaussian(_Family):
     def dlog_c1(cls, theta, u1, u2):
         z1, z2 = cls._z(u1, u2)
         s2 = 1.0 - theta * theta
-        s = math.sqrt(s2)
+        s = _ew(math.sqrt, s2)
+        s2_15 = _pow(s2, 1.5)
         a = (z2 - theta * z1) / s
-        a_t = (theta * z2 - z1) / s2 ** 1.5
-        a_tt = z2 / s2 ** 1.5 + (theta * z2 - z1) * 3.0 * theta / s2 ** 2.5
+        a_t = (theta * z2 - z1) / s2_15
+        a_tt = z2 / s2_15 + (theta * z2 - z1) * 3.0 * theta / _pow(s2, 2.5)
         # phi(a)/Phi(a), computed in log space for deep-tail stability
         r = np.exp(-0.5 * np.square(a) - math.log(_SQRT2PI) - _special.log_ndtr(a))
         d1 = r * a_t
@@ -473,8 +508,8 @@ class _Gumbel(_Family):
     def _core(theta, u1, u2):
         x1 = -np.log(u1)
         x2 = -np.log(u2)
-        a = x1 ** theta + x2 ** theta
-        a1 = a ** (1.0 / theta)
+        a = _apow(x1, theta) + _apow(x2, theta)
+        a1 = _apow(a, 1.0 / theta)
         return x1, x2, a, a1
 
     @classmethod
@@ -547,29 +582,48 @@ _PIECES = ("log_pdf", "log_c1", "log_c2", "log_cdf")
 _DPIECES = ("dlog_pdf", "dlog_c1", "dlog_c2", "dlog_cdf")
 
 
-def _by_case(family: Family, pieces, theta: float, u1, u2, d1, d2, pick=None):
+def _by_case(family: Family, pieces, theta, u1, u2, d1, d2, pick=None):
     """Evaluate each row's censoring-case piece from ``pieces``; ``pick``
-    indexes the (d1, d2) pair a derivative piece returns."""
+    indexes the (d1, d2) pair a derivative piece returns. A (k, 1) theta
+    column gives a (k, n) result, one row per theta; the censoring masks
+    select along the last axis."""
     ops = _OPS[family]
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     d1 = np.asarray(d1).astype(bool)
     d2 = np.asarray(d2).astype(bool)
-    out = np.empty(u1.shape, dtype=float)
+    column = isinstance(theta, np.ndarray) and theta.ndim > 0
+    out = np.empty((theta.shape[0], u1.size) if column else u1.shape, dtype=float)
+    # a column's rows share the masks, which index the last axis
+    rows = (slice(None),) if column else ()
     with np.errstate(all="ignore"):
         for mask, piece in zip((d1 & d2, d1 & ~d2, ~d1 & d2, ~d1 & ~d2), pieces):
             if mask.any():
                 value = getattr(ops, piece)(theta, u1[mask], u2[mask])
-                out[mask] = value if pick is None else value[pick]
+                out[rows + (mask,)] = value if pick is None else value[pick]
     return out
 
 
-def loglik_vec(family: Family, theta: float, u1, u2, d1, d2, strict: bool = True):
-    """Per-observation censored log-likelihood, vectorized.
+def _nonfinite_error(what: str, family: Family, theta, out) -> LikelihoodError:
+    """The error for the first non-finite entry of ``out``, naming its
+    observation and, for a theta column, its row's theta."""
+    idx = int(np.argmax(~np.isfinite(out)))
+    if out.ndim == 2:
+        row, idx = divmod(idx, out.shape[1])
+        theta = np.ravel(theta)[row]
+    return LikelihoodError(f"non-finite {what} for {family.value} at theta={theta}",
+                           index=idx)
 
-    Log pieces below log(1e-300) are clamped there so optimization near
-    parameter boundaries stays finite. NaNs raise LikelihoodError when
-    strict, otherwise map to -inf (optimizers treat the point as invalid).
+
+def loglik_vec(family: Family, theta, u1, u2, d1, d2, strict: bool = True):
+    """Per-observation censored log-likelihood, vectorized over the rows
+    and, for a (k, 1) theta column, over the k thetas as a (k, n) array.
+
+    A piece that is -inf (its probability underflowed) is raised to
+    log(1e-300) so optimization near parameter boundaries stays finite;
+    finite pieces are kept as they are, so the score and hessian are the
+    derivatives of this function. NaNs raise LikelihoodError when strict,
+    otherwise map to -inf (optimizers treat the point as invalid).
     """
     out = _by_case(family, _PIECES, theta, u1, u2, d1, d2)
     bad = ~np.isfinite(out)
@@ -579,33 +633,27 @@ def loglik_vec(family: Family, theta: float, u1, u2, d1, d2, strict: bool = True
         still_bad = ~np.isfinite(out)
         if still_bad.any():
             if strict:
-                idx = int(np.argmax(still_bad))
-                raise LikelihoodError(
-                    f"non-finite log-likelihood for {family.value} at theta={theta}",
-                    index=idx)
+                raise _nonfinite_error("log-likelihood", family, theta, out)
             out[still_bad] = -np.inf
-    return np.maximum(out, LOG_TINY)
+    return out
 
 
-def _fd_steps(theta: float, order: int) -> float:
+def _fd_steps(theta, order: int):
     eps = np.finfo(float).eps
-    scale = max(1.0, abs(theta))
+    scale = np.maximum(1.0, np.abs(theta))
     return (eps ** (1.0 / 3.0) if order == 1 else eps ** 0.25) * scale
 
 
-def _dlog_vec(family: Family, theta: float, u1, u2, d1, d2, order: int):
+def _dlog_vec(family: Family, theta, u1, u2, d1, d2, order: int):
     """Analytic theta-derivative of the given order (1 or 2) of the
     per-observation log-likelihood."""
     out = _by_case(family, _DPIECES, theta, u1, u2, d1, d2, pick=order - 1)
     if not np.isfinite(out).all():
-        idx = int(np.argmax(~np.isfinite(out)))
-        what = "score" if order == 1 else "hessian"
-        raise LikelihoodError(
-            f"non-finite {what} for {family.value} at theta={theta}", index=idx)
+        raise _nonfinite_error("score" if order == 1 else "hessian", family, theta, out)
     return out
 
 
-def score_vec(family: Family, theta: float, u1, u2, d1, d2):
+def score_vec(family: Family, theta, u1, u2, d1, d2):
     if _OPS[family].analytic:
         return _dlog_vec(family, theta, u1, u2, d1, d2, 1)
     h = _fd_steps(theta, 1)
@@ -614,7 +662,7 @@ def score_vec(family: Family, theta: float, u1, u2, d1, d2):
     return (hi - lo) / (2.0 * h)
 
 
-def hessian_vec(family: Family, theta: float, u1, u2, d1, d2):
+def hessian_vec(family: Family, theta, u1, u2, d1, d2):
     if _OPS[family].analytic:
         return _dlog_vec(family, theta, u1, u2, d1, d2, 2)
     h = _fd_steps(theta, 2)
@@ -660,12 +708,21 @@ def sample_pairs(m: CopulaModel, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
 # parameter transforms used by the fitting routines: each family's open
 # domain maps to the whole real line so 1-D search needs no constraints.
 # A half-infinite domain (lo, inf) takes log(theta - lo); the one bounded
-# domain, (-1, 1), takes atanh.
-def to_unconstrained(family: Family, theta: float) -> float:
+# domain, (-1, 1), takes atanh. Each takes a float or an array.
+def to_unconstrained(family: Family, theta):
     lo, hi = _OPS[family].domain
-    return math.log(theta - lo) if hi == math.inf else math.atanh(theta)
+    return _ew(math.log, theta - lo) if hi == math.inf else _ew(math.atanh, theta)
 
 
-def from_unconstrained(family: Family, x: float) -> float:
+def from_unconstrained(family: Family, x):
     lo, hi = _OPS[family].domain
-    return lo + math.exp(x) if hi == math.inf else math.tanh(x)
+    return lo + _ew(math.exp, x) if hi == math.inf else _ew(math.tanh, x)
+
+
+def unconstrained_derivs(family: Family, theta):
+    """d theta/dx and d^2 theta/dx^2 of ``from_unconstrained`` at theta."""
+    lo, hi = _OPS[family].domain
+    if hi == math.inf:
+        return theta - lo, theta - lo
+    d = 1.0 - theta * theta
+    return d, -2.0 * theta * d

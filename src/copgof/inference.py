@@ -12,8 +12,12 @@ mean squared score V of the pseudo-likelihood estimate the same
 information matrix, so the ratio R = V/S hovers near 1. Three statistics
 quantify the discrepancy: the information ratio R (null value 1), the
 White difference V - S (null value 0), and log S - log V (null value 0).
-A fourth, the cross-validated likelihood contrast T, compares in-sample
-and leave-one-out log-likelihoods.
+A fourth, the cross-validated likelihood contrast T (PIOS), compares
+in-sample and leave-one-out log-likelihoods. Its n delete-one
+re-maximizations are solved together: a safeguarded Newton iteration on
+the unconstrained scale, warm-started at the full-sample estimate, runs
+over blocks of rows with the family kernels evaluated at a column of
+thetas at once.
 """
 
 from __future__ import annotations
@@ -27,6 +31,17 @@ from . import copulas, numerics
 from .copulas import CopulaModel, Family, LikelihoodError
 
 MIN_OBSERVATIONS = 10
+
+# leave-one-out refits run in blocks of about this many log-likelihood
+# entries, (rows in block) x n, so each (k, n) array stays near 1 MB
+_LOO_BLOCK = 2 ** 17
+_LOO_MAX_ITER = 100
+# a row converges when its Newton step |g/h| is at most _LOO_XTOL; from
+# half the iteration cap on, at most _LOO_LATE_XTOL (fit_pmle's default
+# xatol), for rows where the score's own rounding exceeds _LOO_XTOL on
+# the search scale (Frank with theta near 15 and pairs near (1, 1))
+_LOO_XTOL = 1e-10
+_LOO_LATE_XTOL = 1e-8
 
 
 class InferenceError(Exception):
@@ -73,6 +88,20 @@ def _tau_start(family: Family, u1, u2) -> float:
     return copulas.tau_to_theta(family, tau)
 
 
+def _observations(u1, u2, d1, d2, min_n: int = MIN_OBSERVATIONS):
+    """The four arrays of a sample, checked: at least ``min_n`` rows and
+    pseudo-observations strictly inside (0, 1)."""
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    d1 = np.asarray(d1)
+    d2 = np.asarray(d2)
+    if u1.size < min_n:
+        raise InferenceError(f"need at least {min_n} observations, got {u1.size}")
+    if not ((u1 > 0) & (u1 < 1) & (u2 > 0) & (u2 < 1)).all():
+        raise InferenceError("pseudo-observations must lie strictly in (0, 1)")
+    return u1, u2, d1, d2
+
+
 def fit_pmle(family: Family, u1, u2, d1, d2,
              initial_theta: float | None = None,
              xatol: float = 1e-8,
@@ -86,16 +115,8 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
     on the current best edge, until the interior optimum is strict or 60
     expansions have been used.
     """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    d1 = np.asarray(d1)
-    d2 = np.asarray(d2)
+    u1, u2, d1, d2 = _observations(u1, u2, d1, d2)
     n = u1.size
-    if n < MIN_OBSERVATIONS:
-        raise InferenceError(f"need at least {MIN_OBSERVATIONS} observations, got {n}")
-    if not ((u1 > 0) & (u1 < 1) & (u2 > 0) & (u2 < 1)).all():
-        raise InferenceError("pseudo-observations must lie strictly in (0, 1)")
-
     if initial_theta is None:
         initial_theta = _tau_start(family, u1, u2)
     x0 = copulas.to_unconstrained(family, initial_theta)
@@ -199,30 +220,120 @@ def logim_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
     return _logim(*_information(fit, u1, u2, d1, d2))
 
 
-def pios_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
-    """In-sample minus leave-one-out log-likelihood contrast.
+def _drop_own(a, rows):
+    """Row sums of a (k, n) array without entry (j, rows[j]) of each row j,
+    and those entries. Overwrites them in ``a``."""
+    j = np.arange(rows.size)
+    own = a[j, rows]
+    a[j, rows] = 0.0
+    return a.sum(axis=1), own
 
-    Each delete-one fit is an exact re-maximization warm-started at the
-    full-sample estimate with a narrow initial bracket.
+
+def _newton_step(g, h):
+    """Newton's step where the search-scale hessian is negative, else a
+    step of 0.25 uphill; at most 1 either way."""
+    step = 0.25 * np.sign(g)
+    newton = h < 0.0
+    step[newton] = -g[newton] / h[newton]
+    return np.clip(step, -1.0, 1.0)
+
+
+def _search_slopes(family: Family, theta, rows, score, hessian):
+    """Search-scale gradient and hessian of each leave-one-out objective,
+    from the (k, n) per-observation score and hessian at its theta."""
+    g, _ = _drop_own(score, rows)
+    h, _ = _drop_own(hessian, rows)
+    t1, t2 = copulas.unconstrained_derivs(family, theta)
+    return g * t1, h * t1 * t1 + g * t2
+
+
+def _loo_block(fit: FitResult, rows, at_hat, u1, u2, d1, d2):
+    """Leave-one-out maximizers on the search scale for the deleted
+    observations ``rows``, and each one's log-likelihood at its own fit.
+
+    Row j maximizes the log-likelihood summed over every observation but
+    rows[j], from the full-sample estimate, where ``at_hat`` holds the
+    per-observation log-likelihood, score and hessian. Each iteration
+    tries the current step on the rows still active. A trial is accepted
+    when its theta is inside the domain, its objective is finite, and
+    either the objective did not decrease or the gradient, which Newton's
+    method drives to zero, shrank. The gradient test is needed near the
+    optimum: a Newton step s gains |h| s^2 / 2 there, which can be below
+    the rounding of the objective's sum, so the sum alone would reject
+    every halving of it. A rejected step is halved. A row converges when
+    its Newton step is small enough (see _LOO_XTOL).
     """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    d1 = np.asarray(d1)
-    d2 = np.asarray(d2)
+    family = fit.family
+    k = rows.size
+    f, own = _drop_own(np.tile(at_hat[0], (k, 1)), rows)
+    grad, h = _search_slopes(family, fit.theta_hat, rows,
+                             *(np.tile(a, (k, 1)) for a in at_hat[1:]))
+    x = np.full(k, copulas.to_unconstrained(family, fit.theta_hat))
+    step = _newton_step(grad, h)
+    active = ~((h < 0.0) & (np.abs(step) <= _LOO_XTOL))
+    lo, hi = copulas.family_ops(family).domain
+    for it in range(_LOO_MAX_ITER):
+        act = np.flatnonzero(active)
+        if act.size == 0:
+            return x, own
+        trial = x[act] + step[act]
+        theta = copulas.from_unconstrained(family, trial)
+        f_trial = np.full(act.size, -np.inf)
+        own_trial, g, h = np.zeros((3, act.size))
+        ok = (lo < theta) & (theta < hi)
+        ll = copulas.loglik_vec(family, theta[ok][:, None], u1, u2, d1, d2, strict=False)
+        f_trial[ok], own_trial[ok] = _drop_own(ll, rows[act[ok]])
+        ok = np.isfinite(f_trial)
+        col = theta[ok][:, None]
+        g[ok], h[ok] = _search_slopes(family, theta[ok], rows[act[ok]],
+                                      copulas.score_vec(family, col, u1, u2, d1, d2),
+                                      copulas.hessian_vec(family, col, u1, u2, d1, d2))
+        up = ok & ((f_trial >= f[act]) | (np.abs(g) <= np.abs(grad[act])))
+        step[act[~up]] *= 0.5
+        acc = act[up]
+        x[acc], f[acc], own[acc], grad[acc] = trial[up], f_trial[up], own_trial[up], g[up]
+        step[acc] = _newton_step(g[up], h[up])
+        xtol = _LOO_XTOL if it < _LOO_MAX_ITER // 2 else _LOO_LATE_XTOL
+        active[acc[(h[up] < 0.0) & (np.abs(step[acc]) <= xtol)]] = False
+    raise InferenceError(
+        f"leave-one-out refit for {family.value} did not converge in "
+        f"{_LOO_MAX_ITER} iterations for {np.count_nonzero(active)} of {k} rows")
+
+
+def _loo_fits(fit: FitResult, u1, u2, d1, d2):
+    """The leave-one-out maximizers x_i on the search scale, each deleted
+    observation's log-likelihood at its own x_i, and the per-observation
+    log-likelihood at the full-sample estimate."""
+    at_hat = [fn(fit.family, fit.theta_hat, u1, u2, d1, d2)
+              for fn in (copulas.loglik_vec, copulas.score_vec, copulas.hessian_vec)]
     n = u1.size
-    total = 0.0
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        keep[i] = False
-        sub = fit_pmle(fit.family, u1[keep], u2[keep], d1[keep], d2[keep],
-                       initial_theta=fit.theta_hat, bracket_halfwidth=0.25)
-        keep[i] = True
-        li_full = pseudo_loglik(fit.family, fit.theta_hat,
-                                u1[i:i + 1], u2[i:i + 1], d1[i:i + 1], d2[i:i + 1])
-        li_loo = pseudo_loglik(fit.family, sub.theta_hat,
-                               u1[i:i + 1], u2[i:i + 1], d1[i:i + 1], d2[i:i + 1])
-        total += li_full - li_loo
-    return StatisticValue(kind="pios", value=total, null_value=1.0)
+    x = np.empty(n)
+    own = np.empty(n)
+    size = -(-_LOO_BLOCK // n)
+    for start in range(0, n, size):
+        rows = np.arange(start, min(start + size, n))
+        x[rows], own[rows] = _loo_block(fit, rows, at_hat, u1, u2, d1, d2)
+    if not np.isfinite(own).all():
+        idx = int(np.argmax(~np.isfinite(own)))
+        raise LikelihoodError(
+            f"non-finite log-likelihood for {fit.family.value} at its "
+            f"leave-one-out fit", index=idx)
+    return x, own, at_hat[0]
+
+
+def pios_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
+    """In-sample minus leave-one-out log-likelihood contrast,
+    sum_i l_i(theta_hat) - l_i(theta_hat_(-i)).
+
+    Each theta_hat_(-i) is an exact re-maximization without observation
+    i. All n are solved together, in blocks of about _LOO_BLOCK / n rows,
+    by a safeguarded Newton iteration on the unconstrained scale
+    warm-started at theta_hat (see ``_loo_block``). Raises InferenceError
+    if a refit does not converge, as on a theta_hat at the domain edge.
+    """
+    u1, u2, d1, d2 = _observations(u1, u2, d1, d2, MIN_OBSERVATIONS + 1)
+    _, own, at_hat = _loo_fits(fit, u1, u2, d1, d2)
+    return StatisticValue(kind="pios", value=float(np.sum(at_hat - own)), null_value=1.0)
 
 
 # statistics that are functions of (S, V) alone; pios needs its own refits

@@ -151,7 +151,21 @@ _TAIL_DROP = 45.0               # the tail window ends where the integrand is do
 _TAIL_SWITCH = math.log(1e-3)   # Owen value below 1e-3 of its terms: use the tail branch
 
 
-def _owen_share(h, k, rho: float, s: float):
+def elementwise(fn, x, *more):
+    """``fn(x, *more)`` for a scalar x, or at each entry of an array x.
+
+    The likelihood's theta-only terms (log1p(theta), theta ** 2, ...) go
+    through here with a ``math`` function or ``pow``. numpy's own versions
+    differ from the C library's in the last ulp on a few percent of
+    inputs, so evaluating them entry by entry keeps an array theta's
+    results equal, bit for bit, to those of each float theta.
+    """
+    if not isinstance(x, np.ndarray) or x.ndim == 0:
+        return fn(x, *more)
+    return np.frompyfunc(fn, 1 + len(more), 1)(x, *more).astype(float)
+
+
+def _owen_share(h, k, rho, s):
     """h's share 0.5 Phi(h) - T(h, (k/h - rho)/s) of Owen's identity.
 
     At h = 0 the share is 0 (k != 0) or 1/8 + asin(rho)/(4 pi) (k = 0),
@@ -160,11 +174,16 @@ def _owen_share(h, k, rho: float, s: float):
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         share = 0.5 * _special.ndtr(h) - _special.owens_t(h, (k / h - rho) / s)
-    on_axis = np.where(k == 0.0, 0.125 + math.asin(rho) / (4.0 * math.pi), 0.0)
-    return np.where(h == 0.0, on_axis, share)
+    on_axis = h == 0.0
+    share = np.where(on_axis, 0.0, share)
+    origin = on_axis & (k == 0.0)
+    if origin.any():
+        rho_origin = np.broadcast_to(rho, h.shape)[origin]
+        share[origin] = 0.125 + elementwise(math.asin, rho_origin) / (4.0 * math.pi)
+    return share
 
 
-def _binorm_logcdf_tail(lo, hi, rho: float):
+def _binorm_logcdf_tail(lo, hi, rho):
     """log of the integral of phi(t) Phi((hi - rho t)/s) over t < lo, on one
     64-node Gauss-Legendre rule for all rows.
 
@@ -174,29 +193,30 @@ def _binorm_logcdf_tail(lo, hi, rho: float):
     lo. Newton steps on g(lo) - g(lo - L) = 45, convex in L, shrink that
     window from above and keep it valid.
     """
-    s = math.sqrt(1.0 - rho * rho)
+    s = np.sqrt(1.0 - rho * rho)
     b = rho / s
 
-    def g(t, hi):
+    def g(t, hi, rho, s, b):
         """log integrand and its slope at t."""
         x = (hi - rho * t) / s
         log_cdf_x = _special.log_ndtr(x)
         mills = np.exp(-0.5 * x * x - _LOG_SQRT2PI - log_cdf_x)
         return -0.5 * t * t - _LOG_SQRT2PI + log_cdf_x, -t - b * mills
 
-    g_lo, slope = g(lo, hi)
+    g_lo, slope = g(lo, hi, rho, s, b)
     width = np.sqrt(slope * slope + 2.0 * _TAIL_DROP) - slope
     for _ in range(3):
-        g_edge, slope_edge = g(lo - width, hi)
+        g_edge, slope_edge = g(lo - width, hi, rho, s, b)
         width -= (g_lo - g_edge - _TAIL_DROP) / slope_edge
     t = lo[:, None] - 0.5 * width[:, None] * (1.0 + _GL_NODES)
-    rel = np.exp(g(t, hi[:, None])[0] - g_lo[:, None])
+    per_row = (np.reshape(a, (-1, 1)) if np.ndim(a) else a for a in (hi, rho, s, b))
+    rel = np.exp(g(t, *per_row)[0] - g_lo[:, None])
     return g_lo + np.log(0.5 * width * (rel @ _GL_WEIGHTS))
 
 
-def binorm_logcdf(z1, z2, rho: float):
+def binorm_logcdf(z1, z2, rho):
     """log P(Z1 <= z1, Z2 <= z2) for the standard bivariate normal,
-    elementwise over z1, z2 (scalars or arrays, broadcast together).
+    elementwise over z1, z2 and rho (scalars or arrays, broadcast together).
 
     Owen's (1956) T-function identity gives Phi2 in closed form, exactly
     on the axes z = 0. Where min z < 0 and the identity's value is below
@@ -204,25 +224,46 @@ def binorm_logcdf(z1, z2, rho: float):
     the log of the 1-D reduction that ``binorm_cdf`` integrates
     (``_binorm_logcdf_tail``). Against ``binorm_cdf`` on z in [-4, 4]^2 and
     |rho| <= 0.999 the log differs by at most about 3e-11.
+
+    Each row (last axis) of the result for an array rho equals, bit for
+    bit, the call with that row's rho alone.
     """
-    if not abs(rho) < 1:
+    rho = np.asarray(rho, dtype=float)
+    if not (np.abs(rho) < 1).all():
         raise ValueError(f"binorm_logcdf requires |rho| < 1, got {rho}")
-    z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=float), np.asarray(z2, dtype=float))
-    lo = np.minimum(z1, z2).ravel()
-    hi = np.maximum(z1, z2).ravel()
+    z = [np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)]
+    if rho.ndim == 0:
+        z1, z2 = np.broadcast_arrays(*z)
+        rows, rho = (-1,), rho[()]
+    else:
+        # an array rho is evaluated by rows of the result (its last axis)
+        z1, z2, rho = np.broadcast_arrays(*z, rho)
+        rows = (-1, z1.shape[-1])
+        rho = rho.reshape(rows)
+    shape = z1.shape
+    lo = np.minimum(z1, z2).reshape(rows)
+    hi = np.maximum(z1, z2).reshape(rows)
     edge = np.isinf(lo) | np.isinf(hi)      # Phi2 = Phi(lo) there, 0 at lo = -inf
     lo_edge = lo[edge]
     lo, hi = np.where(edge, 0.0, lo), np.where(edge, 0.0, hi)
-    s = math.sqrt(1.0 - rho * rho)
+    s = np.sqrt(1.0 - rho * rho)
     owen = (_owen_share(lo, hi, rho, s) + _owen_share(hi, lo, rho, s)
             - np.where((lo < 0.0) & (hi > 0.0), 0.5, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(owen)
     tail = (lo < 0.0) & ~(out >= _TAIL_SWITCH + _special.log_ndtr(hi))
-    if tail.any():
-        out[tail] = _binorm_logcdf_tail(lo[tail], hi[tail], rho)
+    # the tail rule's node sum is a BLAS product, whose rounding of a row
+    # depends on the other rows in it: a scalar rho takes one product
+    # over all rows, an array rho one per row of the result
+    if rho.ndim == 0:
+        if tail.any():
+            out[tail] = _binorm_logcdf_tail(lo[tail], hi[tail], rho)
+    else:
+        for r in np.flatnonzero(tail.any(axis=1)):
+            t = tail[r]
+            out[r, t] = _binorm_logcdf_tail(lo[r, t], hi[r, t], rho[r, t])
     out[edge] = _special.log_ndtr(lo_edge)
-    return out.reshape(z1.shape)[()]
+    return out.reshape(shape)[()]
 
 
 def find_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:

@@ -137,6 +137,28 @@ def test_bootstrap_deterministic_across_worker_counts():
     assert a == b
 
 
+def test_pios_reports_deterministic_across_worker_counts(monkeypatch):
+    sample = _make_pairs(Family.FRANK, 0.5, 60, seed=61)
+    cfg = BootstrapConfig(b=6, seed=4)
+    monkeypatch.setenv("COPULA_GOF_THREADS", "1")
+    a = bootstrap_reports(sample, Family.FRANK, cfg, kinds=("pios",))
+    monkeypatch.setenv("COPULA_GOF_THREADS", "2")
+    b = bootstrap_reports(sample, Family.FRANK, cfg, kinds=("pios",))
+    assert a == b and a["pios"].b_used == 6
+
+
+def test_pios_at_domain_edge_fails_typed(monkeypatch):
+    # independent margins: the observed Clayton fit sits on the domain
+    # edge, and its leave-one-out refits end in a typed error, not a number
+    monkeypatch.setenv("COPULA_GOF_THREADS", "1")
+    gen = np.random.default_rng(1)
+    t1, t2, c = gen.exponential(1.0, 60), gen.exponential(1.0, 60), gen.exponential(3.0, 60)
+    sample = CensoredSample(np.minimum(t1, c), np.minimum(t2, c), t1 <= c, t2 <= c)
+    with pytest.raises(inference.InferenceError, match="leave-one-out"):
+        bootstrap_reports(sample, Family.CLAYTON, BootstrapConfig(b=4, seed=1),
+                          kinds=("pios",))
+
+
 def test_seed_changes_sigma():
     a = bootstrap_pvalue(PAIRS, Family.CLAYTON, BootstrapConfig(b=40, seed=1))
     b = bootstrap_pvalue(PAIRS, Family.CLAYTON, BootstrapConfig(b=40, seed=2))

@@ -173,6 +173,55 @@ def test_gaussian_censored_corner_score_is_finite():
     assert h[0] < 0.0
 
 
+def test_loglik_follows_its_score_below_log_tiny():
+    # log C is -766 here, below log(1e-300): a finite piece is no longer
+    # floored there, so the log-likelihood has the slope its score reports
+    rho, u, d = -0.99, np.array([0.003]), np.array([0])
+    eps = 1e-6
+    ll = lambda r: loglik_vec(Family.GAUSSIAN, r, u, u, d, d)
+    fd = (ll(rho + eps) - ll(rho - eps)) / (2 * eps)
+    assert ll(rho)[0] < numerics.LOG_TINY
+    np.testing.assert_allclose(fd, score_vec(Family.GAUSSIAN, rho, u, u, d, d), rtol=1e-6)
+
+
+# thetas per family for the column kernels: 1 and 2 are exponents numpy
+# computes by its own shortcuts (u ** -1, v ** 2, a ** 0.5)
+COLUMN_THETAS = {
+    Family.CLAYTON: [0.05, 0.7, 1.0, 2.0, 3.7, 12.0],
+    Family.FRANK: [0.1, 2.0, 5.0, 11.3, 25.0],
+    Family.JOE: [1.01, 1.5, 2.0, 2.5, 7.0],
+    Family.GAUSSIAN: [-0.97, -0.5, 0.0, 0.6, 0.95],
+    Family.GUMBEL: [1.02, 1.5, 2.0, 3.3, 8.0],
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("d1, d2", [(1, 1), (1, 0), (0, 1), (0, 0)])
+def test_theta_column_rows_equal_scalar_calls(family, d1, d2):
+    rng = np.random.default_rng(12)
+    u1 = np.concatenate([rng.uniform(0.001, 0.999, 300), [0.003, 0.5, 0.97, 0.003]])
+    u2 = np.concatenate([rng.uniform(0.001, 0.999, 300), [0.003, 0.5, 0.002, 0.9]])
+    d1 = np.full(u1.size, d1)
+    d2 = np.full(u1.size, d2)
+    thetas = COLUMN_THETAS[family]
+    for fn in (loglik_vec, score_vec, hessian_vec):
+        block = fn(family, np.array(thetas)[:, None], u1, u2, d1, d2)
+        assert block.shape == (len(thetas), u1.size)
+        for row, theta in zip(block, thetas):
+            assert row.tobytes() == fn(family, theta, u1, u2, d1, d2).tobytes(), (fn, theta)
+
+
+def test_unconstrained_transforms_take_arrays():
+    for family in Family:
+        x = np.array([-3.0, -0.4, 0.0, 1.7])
+        theta = copulas.from_unconstrained(family, x)
+        assert theta.tobytes() == np.array(
+            [copulas.from_unconstrained(family, float(v)) for v in x]).tobytes()
+        back = copulas.to_unconstrained(family, theta)
+        assert back.tobytes() == np.array(
+            [copulas.to_unconstrained(family, float(t)) for t in theta]).tobytes()
+
+
 # --- tau <-> theta ------------------------------------------------------
 
 @pytest.mark.parametrize("family", list(Family))

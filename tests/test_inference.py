@@ -7,7 +7,7 @@ from copgof.inference import (InferenceError, compute_statistic, estimate_s,
                               estimate_v, fit_pmle, ir_statistic,
                               logim_statistic, pios_statistic, pseudo_loglik,
                               white_statistic)
-from copgof.survival import CensoredPair, pseudo_observations
+from copgof.survival import CensoredPair, CensoredSample, pseudo_observations
 
 
 def _simulate(family, tau, n, seed, censoring_mean=None):
@@ -130,6 +130,75 @@ def test_pios_near_one_under_null():
     t = pios_statistic(fit, u1, u2, d1, d2)
     assert t.kind == "pios" and t.null_value == 1.0
     assert 0.2 < t.value < 2.5
+
+
+# how close the per-row bracketing fit_pmle gets to each delete-one optimum.
+# Frank's log-likelihood carries rounding noise of about 1e-11 at theta ~ 11
+# (1 - zeta cancels as u1, u2 -> 1), and the bracketing search, which
+# compares objective values, stops up to 8e-7 away; evaluated with 40
+# digits, the Newton maximizers there lie within 3e-13 of the optimum
+LOO_REFERENCE_ABS = {Family.FRANK: 1e-6}
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_loo_refits_are_exact_optima(family):
+    u1, u2, d1, d2 = _simulate(family, 0.5, 40, seed=13, censoring_mean=1.5)
+    fit = fit_pmle(family, u1, u2, d1, d2)
+    x, own, at_hat = inference._loo_fits(fit, u1, u2, d1, d2)
+    assert at_hat.tobytes() == copulas.loglik_vec(family, fit.theta_hat,
+                                                  u1, u2, d1, d2).tobytes()
+    n = u1.size
+    for i in range(n):
+        keep = np.arange(n) != i
+        sub = (u1[keep], u2[keep], d1[keep], d2[keep])
+        theta = copulas.from_unconstrained(family, x[i])
+        # gradient and hessian of the delete-one objective on the search scale
+        s = copulas.score_vec(family, theta, *sub).sum()
+        h = copulas.hessian_vec(family, theta, *sub).sum()
+        t1, t2 = copulas.unconstrained_derivs(family, theta)
+        g, hx = s * t1, h * t1 * t1 + s * t2
+        assert hx < 0.0 and abs(g / hx) <= 1e-10
+        ref = fit_pmle(family, *sub, initial_theta=fit.theta_hat, bracket_halfwidth=0.25)
+        assert x[i] == pytest.approx(copulas.to_unconstrained(family, ref.theta_hat),
+                                     rel=0, abs=LOO_REFERENCE_ABS.get(family, 5e-8))
+        assert own[i] == pytest.approx(
+            pseudo_loglik(family, theta, u1[i:i + 1], u2[i:i + 1], d1[i:i + 1], d2[i:i + 1]),
+            rel=1e-12)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_pios_is_independent_of_the_block_size(family, monkeypatch):
+    u1, u2, d1, d2 = _simulate(family, 0.5, 40, seed=13, censoring_mean=1.5)
+    fit = fit_pmle(family, u1, u2, d1, d2)
+    whole = pios_statistic(fit, u1, u2, d1, d2).value
+    # 7 entries make one-row blocks; 6 * 40 + 1 makes 7-row blocks and a
+    # ragged last one
+    for block in (7, 6 * 40 + 1):
+        monkeypatch.setattr(inference, "_LOO_BLOCK", block)
+        assert pios_statistic(fit, u1, u2, d1, d2).value == whole
+
+
+@pytest.mark.parametrize("family", [Family.CLAYTON, Family.FRANK, Family.JOE, Family.GUMBEL])
+def test_pios_at_domain_edge_is_a_typed_error(family):
+    # independent data: the fit lands on the domain edge (Clayton and
+    # Frank near 0, Joe and Gumbel near 1) and the leave-one-out refits
+    # walk off it instead of converging
+    gen = np.random.default_rng(1)
+    t1, t2 = gen.exponential(1.0, 60), gen.exponential(1.0, 60)
+    c = gen.exponential(3.0, 60)
+    u1, u2, d1, d2 = pseudo_observations(
+        CensoredSample(np.minimum(t1, c), np.minimum(t2, c), t1 <= c, t2 <= c))
+    fit = fit_pmle(family, u1, u2, d1, d2)
+    assert not fit.converged
+    with pytest.raises(InferenceError, match="did not converge"):
+        pios_statistic(fit, u1, u2, d1, d2)
+
+
+def test_pios_needs_enough_rows_to_delete_one():
+    u1, u2, d1, d2 = _simulate(Family.CLAYTON, 0.5, 10, seed=3)
+    fit = fit_pmle(Family.CLAYTON, u1, u2, d1, d2)
+    with pytest.raises(InferenceError, match="at least 11"):
+        pios_statistic(fit, u1, u2, d1, d2)
 
 
 def test_compute_statistic_dispatch():

@@ -121,6 +121,29 @@ def test_binorm_logcdf_shapes_and_domain():
     np.testing.assert_array_equal(edge, [numerics.norm_logcdf(0.3)] * 2 + [-np.inf, 0.0])
 
 
+def test_binorm_logcdf_rho_column_rows_equal_scalar_calls():
+    # the grid reaches the tail branch (negative corners) on every row
+    z = np.array(_GRID_Z + [-6.0, -8.0, 0.0])
+    h, k = (a.ravel() for a in np.meshgrid(z, z))
+    rhos = [-0.999, -0.9, -0.3, 0.0, 0.4, 0.99]
+    block = numerics.binorm_logcdf(h, k, np.array(rhos)[:, None])
+    assert block.shape == (len(rhos), h.size)
+    for row, rho in zip(block, rhos):
+        assert row.tobytes() == numerics.binorm_logcdf(h, k, rho).tobytes(), rho
+    with pytest.raises(ValueError):
+        numerics.binorm_logcdf(h, k, np.array([[0.5], [1.0]]))
+
+
+def test_elementwise_uses_the_scalar_function():
+    x = np.linspace(0.01, 30.0, 1001)
+    for fn, args in ((math.log1p, (x,)), (math.expm1, (-x,)), (pow, (x, 3))):
+        got = numerics.elementwise(fn, *args)
+        assert got.shape == x.shape
+        assert got.tolist() == [fn(*(a[i].item() if np.ndim(a) else a for a in args))
+                                for i in range(x.size)]
+    assert numerics.elementwise(math.log1p, 0.25) == math.log1p(0.25)
+
+
 def test_binorm_pdf_peak():
     val = numerics.binorm_pdf(0.0, 0.0, 0.5)
     expect = 1.0 / (2.0 * math.pi * math.sqrt(0.75))
