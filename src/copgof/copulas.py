@@ -4,15 +4,16 @@ The censored log-likelihood of one observation (u1, u2, d1, d2) selects a
 single piece: the copula density for a doubly observed pair, a partial
 derivative when exactly one margin is censored, and the copula function
 itself when both are censored. Only the formulas differ by family.
+``loglik_vec`` evaluates each case's piece over its rows, and ``dlog_vec``
+each case's derivative piece, once for both the score and the hessian.
 
 A family class declares its math and nothing else:
 
 - ``domain``, the open interval of theta, and ``tau_domain`` where
   Kendall's tau may be negative (the default is (0, 1));
 - the log pieces ``log_pdf``, ``log_c1`` (the u1-partial) and
-  ``log_cdf``, and their first and second theta-derivatives ``dlog_*``
-  as (d1, d2) pairs; Gumbel sets ``analytic = False`` and is
-  differentiated numerically instead;
+  ``log_cdf``, and their analytic first and second theta-derivatives
+  ``dlog_*`` as (d1, d2) pairs;
 - the tau bijection ``theta_to_tau``/``tau_to_theta``, and a closed-form
   ``inv_conditional`` sampler where one exists.
 
@@ -118,7 +119,6 @@ class _Family:
     """Derives from a family's declarations what they imply (see the
     module docstring)."""
 
-    analytic = True
     tau_domain = (0.0, 1.0)
 
     @classmethod
@@ -240,11 +240,17 @@ class _Frank(_Family):
         g1 = -np.expm1(-theta * u1)
         g2 = -np.expm1(-theta * u2)
         zeta = g1 * g2 / g
-        return g, g1, g2, zeta, 1.0 - zeta
+        # 1 - zeta cancels as zeta -> 1 (u1, u2 -> 1 at large theta); there
+        # it is taken from g (1 - zeta) = e2 g1 + e^{-theta} expm1(theta (1 - u1)),
+        # a sum of positive terms
+        omz = np.where(zeta < 0.5, 1.0 - zeta,
+                       (np.exp(-theta * u2) * g1
+                        + _ew(math.exp, -theta) * np.expm1(theta * (1.0 - u1))) / g)
+        return g, g1, g2, zeta, omz
 
     @classmethod
     def log_cdf(cls, theta, u1, u2):
-        _, _, _, zeta, omz = cls._core(theta, u1, u2)
+        omz = cls._core(theta, u1, u2)[4]
         return np.log(-np.log(omz) / theta)
 
     @classmethod
@@ -308,11 +314,13 @@ class _Frank(_Family):
 
     @staticmethod
     def inv_conditional(theta, u1, w):
+        # u2 = -log(1 - g2) / theta with g2 = w g / (e1 + w g1). Since
+        # 1 - g2 = (e1 (1 - w) + w e^{-theta}) / (e1 + w g1), this is
+        # log1p(w g / (e1 (1 - w) + w e^{-theta})) / theta, which neither
+        # rounds g2 near 1 (large theta) to 1 nor loses small u2's digits
         g = -math.expm1(-theta)
-        g1 = -np.expm1(-theta * u1)
         e1 = np.exp(-theta * u1)
-        g2 = w * g / (e1 + w * g1)
-        return -np.log1p(-g2) / theta
+        return np.log1p(w * g / (e1 * (1.0 - w) + w * math.exp(-theta))) / theta
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -502,30 +510,65 @@ class _Gaussian(_Family):
 
 class _Gumbel(_Family):
     domain = (1.0, math.inf)
-    analytic = False
 
     @staticmethod
     def _core(theta, u1, u2):
         x1 = -np.log(u1)
         x2 = -np.log(u2)
-        a = _apow(x1, theta) + _apow(x2, theta)
+        p1 = _apow(x1, theta)
+        p2 = _apow(x2, theta)
+        a = p1 + p2
         a1 = _apow(a, 1.0 / theta)
-        return x1, x2, a, a1
+        return x1, x2, p1, p2, a, a1
 
     @classmethod
     def log_cdf(cls, theta, u1, u2):
-        return -cls._core(theta, u1, u2)[3]
+        return -cls._core(theta, u1, u2)[5]
 
     @classmethod
     def log_c1(cls, theta, u1, u2):
-        x1, _, a, a1 = cls._core(theta, u1, u2)
+        x1, _, _, _, a, a1 = cls._core(theta, u1, u2)
         return -a1 + (1.0 / theta - 1.0) * np.log(a) + (theta - 1.0) * np.log(x1) + x1
 
     @classmethod
     def log_pdf(cls, theta, u1, u2):
-        x1, x2, a, a1 = cls._core(theta, u1, u2)
+        x1, x2, _, _, a, a1 = cls._core(theta, u1, u2)
         return (-a1 + (theta - 1.0) * (np.log(x1) + np.log(x2)) + x1 + x2
                 + (1.0 / theta - 2.0) * np.log(a) + np.log(a1 + theta - 1.0))
+
+    @classmethod
+    def _a_derivs(cls, theta, u1, u2):
+        """A = x1^theta + x2^theta and A1 = A^(1/theta) with theta-derivatives
+        m = (log A)', m_t = m', q = (log A1)' and q_t = q'."""
+        x1, x2, p1, p2, a, a1 = cls._core(theta, u1, u2)
+        l1, l2 = np.log(x1), np.log(x2)
+        w1, w2 = p1 / a, p2 / a
+        m = w1 * l1 + w2 * l2
+        # A''/A - m^2, written without its cancellation
+        m_t = w1 * w2 * (l1 - l2) ** 2
+        q = (m - np.log(a) / theta) / theta
+        q_t = (m_t - 2.0 * q) / theta
+        return l1, l2, a1, m, m_t, q, q_t
+
+    @classmethod
+    def dlog_cdf(cls, theta, u1, u2):
+        _, _, a1, _, _, q, q_t = cls._a_derivs(theta, u1, u2)
+        return -a1 * q, -a1 * (q_t + q ** 2)
+
+    @classmethod
+    def dlog_c1(cls, theta, u1, u2):
+        l1, _, a1, m, m_t, q, q_t = cls._a_derivs(theta, u1, u2)
+        return -a1 * q + q - m + l1, -a1 * (q_t + q ** 2) + q_t - m_t
+
+    @classmethod
+    def dlog_pdf(cls, theta, u1, u2):
+        l1, l2, a1, m, m_t, q, q_t = cls._a_derivs(theta, u1, u2)
+        k = a1 + theta - 1.0
+        k_t = a1 * q + 1.0
+        k_tt = a1 * (q_t + q ** 2)
+        d1 = -a1 * q + l1 + l2 + q - 2.0 * m + k_t / k
+        d2 = -k_tt + q_t - 2.0 * m_t + k_tt / k - (k_t / k) ** 2
+        return d1, d2
 
     @staticmethod
     def theta_to_tau(theta):
@@ -582,25 +625,22 @@ _PIECES = ("log_pdf", "log_c1", "log_c2", "log_cdf")
 _DPIECES = ("dlog_pdf", "dlog_c1", "dlog_c2", "dlog_cdf")
 
 
-def _by_case(family: Family, pieces, theta, u1, u2, d1, d2, pick=None):
-    """Evaluate each row's censoring-case piece from ``pieces``; ``pick``
-    indexes the (d1, d2) pair a derivative piece returns. A (k, 1) theta
-    column gives a (k, n) result, one row per theta; the censoring masks
-    select along the last axis."""
+def _by_case(family: Family, pieces, theta, u1, u2, d1, d2):
+    """Evaluate each row's censoring-case piece from ``pieces``, once per
+    case present. A (k, 1) theta column gives a (k, n) result, one row per
+    theta; the censoring masks select along the last axis. The (d1, d2)
+    pairs of the derivative pieces stack on a leading axis of length 2."""
     ops = _OPS[family]
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     d1 = np.asarray(d1).astype(bool)
     d2 = np.asarray(d2).astype(bool)
-    column = isinstance(theta, np.ndarray) and theta.ndim > 0
-    out = np.empty((theta.shape[0], u1.size) if column else u1.shape, dtype=float)
-    # a column's rows share the masks, which index the last axis
-    rows = (slice(None),) if column else ()
+    lead = (2,) if pieces == _DPIECES else ()
+    out = np.empty(lead + np.shape(theta)[:1] + u1.shape, dtype=float)
     with np.errstate(all="ignore"):
         for mask, piece in zip((d1 & d2, d1 & ~d2, ~d1 & d2, ~d1 & ~d2), pieces):
             if mask.any():
-                value = getattr(ops, piece)(theta, u1[mask], u2[mask])
-                out[rows + (mask,)] = value if pick is None else value[pick]
+                out[..., mask] = getattr(ops, piece)(theta, u1[mask], u2[mask])
     return out
 
 
@@ -638,38 +678,24 @@ def loglik_vec(family: Family, theta, u1, u2, d1, d2, strict: bool = True):
     return out
 
 
-def _fd_steps(theta, order: int):
-    eps = np.finfo(float).eps
-    scale = np.maximum(1.0, np.abs(theta))
-    return (eps ** (1.0 / 3.0) if order == 1 else eps ** 0.25) * scale
-
-
-def _dlog_vec(family: Family, theta, u1, u2, d1, d2, order: int):
-    """Analytic theta-derivative of the given order (1 or 2) of the
-    per-observation log-likelihood."""
-    out = _by_case(family, _DPIECES, theta, u1, u2, d1, d2, pick=order - 1)
-    if not np.isfinite(out).all():
-        raise _nonfinite_error("score" if order == 1 else "hessian", family, theta, out)
-    return out
+def dlog_vec(family: Family, theta, u1, u2, d1, d2):
+    """Per-observation score and hessian, the first and second
+    theta-derivatives of ``loglik_vec``, each shaped as its result. One
+    pass evaluates each censoring case's derivative piece once for both;
+    a non-finite entry in either raises LikelihoodError."""
+    score, hessian = _by_case(family, _DPIECES, theta, u1, u2, d1, d2)
+    for what, out in (("score", score), ("hessian", hessian)):
+        if not np.isfinite(out).all():
+            raise _nonfinite_error(what, family, theta, out)
+    return score, hessian
 
 
 def score_vec(family: Family, theta, u1, u2, d1, d2):
-    if _OPS[family].analytic:
-        return _dlog_vec(family, theta, u1, u2, d1, d2, 1)
-    h = _fd_steps(theta, 1)
-    hi = loglik_vec(family, theta + h, u1, u2, d1, d2)
-    lo = loglik_vec(family, theta - h, u1, u2, d1, d2)
-    return (hi - lo) / (2.0 * h)
+    return dlog_vec(family, theta, u1, u2, d1, d2)[0]
 
 
 def hessian_vec(family: Family, theta, u1, u2, d1, d2):
-    if _OPS[family].analytic:
-        return _dlog_vec(family, theta, u1, u2, d1, d2, 2)
-    h = _fd_steps(theta, 2)
-    mid = loglik_vec(family, theta, u1, u2, d1, d2)
-    hi = loglik_vec(family, theta + h, u1, u2, d1, d2)
-    lo = loglik_vec(family, theta - h, u1, u2, d1, d2)
-    return (hi - 2.0 * mid + lo) / (h * h)
+    return dlog_vec(family, theta, u1, u2, d1, d2)[1]
 
 
 def theta_to_tau(family: Family, theta: float) -> float:

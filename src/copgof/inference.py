@@ -184,9 +184,9 @@ def estimate_v(family: Family, theta: float, u1, u2, d1, d2) -> float:
 
 
 def _information(fit: FitResult, u1, u2, d1, d2) -> tuple[float, float]:
-    """(S, V) at the fitted parameter."""
-    return (estimate_s(fit.family, fit.theta_hat, u1, u2, d1, d2),
-            estimate_v(fit.family, fit.theta_hat, u1, u2, d1, d2))
+    """(S, V) at the fitted parameter, from one derivative pass."""
+    score, hessian = copulas.dlog_vec(fit.family, fit.theta_hat, u1, u2, d1, d2)
+    return float(-hessian.mean()), float(np.square(score).mean())
 
 
 def _ir(s: float, v: float) -> StatisticValue:
@@ -284,10 +284,8 @@ def _loo_block(fit: FitResult, rows, at_hat, u1, u2, d1, d2):
         ll = copulas.loglik_vec(family, theta[ok][:, None], u1, u2, d1, d2, strict=False)
         f_trial[ok], own_trial[ok] = _drop_own(ll, rows[act[ok]])
         ok = np.isfinite(f_trial)
-        col = theta[ok][:, None]
-        g[ok], h[ok] = _search_slopes(family, theta[ok], rows[act[ok]],
-                                      copulas.score_vec(family, col, u1, u2, d1, d2),
-                                      copulas.hessian_vec(family, col, u1, u2, d1, d2))
+        score, hessian = copulas.dlog_vec(family, theta[ok][:, None], u1, u2, d1, d2)
+        g[ok], h[ok] = _search_slopes(family, theta[ok], rows[act[ok]], score, hessian)
         up = ok & ((f_trial >= f[act]) | (np.abs(g) <= np.abs(grad[act])))
         step[act[~up]] *= 0.5
         acc = act[up]
@@ -304,8 +302,8 @@ def _loo_fits(fit: FitResult, u1, u2, d1, d2):
     """The leave-one-out maximizers x_i on the search scale, each deleted
     observation's log-likelihood at its own x_i, and the per-observation
     log-likelihood at the full-sample estimate."""
-    at_hat = [fn(fit.family, fit.theta_hat, u1, u2, d1, d2)
-              for fn in (copulas.loglik_vec, copulas.score_vec, copulas.hessian_vec)]
+    at_hat = (copulas.loglik_vec(fit.family, fit.theta_hat, u1, u2, d1, d2),
+              *copulas.dlog_vec(fit.family, fit.theta_hat, u1, u2, d1, d2))
     n = u1.size
     x = np.empty(n)
     own = np.empty(n)

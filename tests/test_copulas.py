@@ -111,21 +111,95 @@ def test_density_integrates_to_one(family):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_score_hessian_match_fd(family):
-    theta = THETAS[family]
     rng = np.random.default_rng(31)
     u1 = rng.uniform(0.05, 0.95, 60)
     u2 = rng.uniform(0.05, 0.95, 60)
     d1 = rng.integers(0, 2, 60)
     d2 = rng.integers(0, 2, 60)
-    h1 = 1e-6 * max(1.0, abs(theta))
-    h2 = 1e-4 * max(1.0, abs(theta))
-    ll = lambda t: loglik_vec(family, t, u1, u2, d1, d2)
-    fd1 = (ll(theta + h1) - ll(theta - h1)) / (2 * h1)
-    fd2 = (ll(theta + h2) - 2 * ll(theta) + ll(theta - h2)) / h2 ** 2
-    np.testing.assert_allclose(score_vec(family, theta, u1, u2, d1, d2),
-                               fd1, atol=1e-5, rtol=1e-4)
-    np.testing.assert_allclose(hessian_vec(family, theta, u1, u2, d1, d2),
-                               fd2, atol=1e-3, rtol=1e-3)
+    inputs = [(THETAS[family], u1, u2, d1, d2)]
+    if family is Family.GUMBEL:
+        # both ends of the parameter range, at pairs near the corners of
+        # the unit square, in every censoring case
+        grid = [a.ravel() for a in np.meshgrid([0.003, 0.997], [0.003, 0.997], [0, 1], [0, 1])]
+        inputs += [(theta, *grid) for theta in (1.02, 30.0)]
+    for theta, u1, u2, d1, d2 in inputs:
+        h1 = 1e-6 * max(1.0, abs(theta))
+        h2 = 1e-4 * max(1.0, abs(theta))
+        ll = lambda t: loglik_vec(family, t, u1, u2, d1, d2)
+        fd1 = (ll(theta + h1) - ll(theta - h1)) / (2 * h1)
+        fd2 = (ll(theta + h2) - 2 * ll(theta) + ll(theta - h2)) / h2 ** 2
+        np.testing.assert_allclose(score_vec(family, theta, u1, u2, d1, d2),
+                                   fd1, atol=1e-5, rtol=1e-4)
+        np.testing.assert_allclose(hessian_vec(family, theta, u1, u2, d1, d2),
+                                   fd2, atol=1e-3, rtol=1e-3)
+
+
+def test_every_family_declares_its_pieces_and_derivatives():
+    # no numerical fallback remains to stand in for a missing piece
+    for family in Family:
+        own = vars(copulas.family_ops(family))
+        for name in ("log_pdf", "log_c1", "log_cdf", "dlog_pdf", "dlog_c1", "dlog_cdf"):
+            assert name in own, (family, name)
+
+
+def _four_case_sample(n=40, seed=5):
+    rng = np.random.default_rng(seed)
+    d1, d2 = [np.tile(d, n // 4) for d in ([1, 1, 0, 0], [1, 0, 1, 0])]
+    return rng.uniform(0.02, 0.98, n), rng.uniform(0.02, 0.98, n), d1, d2
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_dlog_vec_evaluates_each_case_piece_once(family, monkeypatch):
+    ops = copulas.family_ops(family)
+    calls = {}
+    for name in ("dlog_pdf", "dlog_c1", "dlog_c2", "dlog_cdf"):
+        def counted(*args, _name=name, _piece=getattr(ops, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _piece(*args)
+        monkeypatch.setattr(ops, name, counted)
+    u1, u2, d1, d2 = _four_case_sample()
+    copulas.dlog_vec(family, THETAS[family], u1, u2, d1, d2)
+    # dlog_c2 is dlog_c1 with its pairs swapped, so dlog_c1 runs for two cases
+    assert calls == {"dlog_pdf": 1, "dlog_c1": 2, "dlog_c2": 1, "dlog_cdf": 1}
+    calls.clear()
+    copulas.dlog_vec(family, THETAS[family], u1, u2, np.ones_like(d1), np.ones_like(d2))
+    assert calls == {"dlog_pdf": 1}
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_dlog_vec_halves_are_score_and_hessian(family):
+    u1, u2, d1, d2 = _four_case_sample()
+    column = np.array(COLUMN_THETAS[family])[:, None]
+    for theta in (THETAS[family], column):
+        score, hessian = copulas.dlog_vec(family, theta, u1, u2, d1, d2)
+        assert score.tobytes() == score_vec(family, theta, u1, u2, d1, d2).tobytes()
+        assert hessian.tobytes() == hessian_vec(family, theta, u1, u2, d1, d2).tobytes()
+
+
+# Frank's log pieces near (1, 1) at strong dependence, where 1 - zeta
+# (zeta = g1 g2 / g) is of order e^-theta and cancels if formed by
+# subtraction; references from 50-digit mpmath, with log c and log c1
+# from differentiating C itself
+FRANK_CORNER = [
+    # theta, u1, u2, log_pdf, log_c1, log_cdf
+    (11.0, 0.95, 0.97, 1.7711060511062662, -0.20340949172926612, -0.07094961860678745),
+    (11.0, 0.999, 0.998, 2.365388130791886, -0.02176229343868154, -0.002982800668653503),
+    (18.0, 0.95, 0.97, 2.019372320189635, -0.2554997373730249, -0.06634754763787912),
+    (18.0, 0.999, 0.998, 2.8376337325177583, -0.03536902086246087, -0.0029693497311271445),
+    (30.0, 0.95, 0.97, 2.2373440842851946, -0.2819266486886635, -0.06123471002345625),
+    (30.0, 0.999, 0.998, 3.3146425835901505, -0.05827739903605495, -0.0029469178681375777),
+    (38.0, 0.95, 0.97, 2.3252068745789067, -0.2761896425737393, -0.05897339361372562),
+    (38.0, 0.999, 0.998, 3.529051236559806, -0.07326746158328994, -0.002932386339654243),
+]
+
+
+@pytest.mark.parametrize("theta, u1, u2, log_pdf, log_c1, log_cdf", FRANK_CORNER,
+                         ids=[f"{t:g}-{u1}-{u2}" for t, u1, u2, *_ in FRANK_CORNER])
+def test_frank_log_pieces_near_one_one(theta, u1, u2, log_pdf, log_c1, log_cdf):
+    ops = copulas.family_ops(Family.FRANK)
+    for piece, expect in (("log_pdf", log_pdf), ("log_c1", log_c1), ("log_cdf", log_cdf)):
+        got = getattr(ops, piece)(theta, np.array([u1]), np.array([u2]))[0]
+        assert got == pytest.approx(expect, rel=1e-12, abs=0.0), piece
 
 
 def test_gaussian_cdf_theta_derivative_is_density():
@@ -276,6 +350,21 @@ def test_sampler_recovers_tau(family):
     u1, u2 = sample_pairs(m, np.random.default_rng(77), 5000)
     assert ((u1 > 0) & (u1 < 1) & (u2 > 0) & (u2 < 1)).all()
     assert empirical_kendall_tau(u1, u2) == pytest.approx(0.5, abs=0.025)
+
+
+def test_frank_sampler_at_strong_dependence():
+    # tau = 0.9: 1 - g2 is of order e^-theta for u1 near 1, so forming it
+    # by subtraction rounds it to 0 and gives u2 = inf (clipped to
+    # 1 - 1e-12 by sample_pairs)
+    theta = tau_to_theta(Family.FRANK, 0.9)
+    gen = np.random.default_rng(0)
+    u1 = np.clip(gen.random(100_000), 1e-12, 1.0 - 1e-12)
+    w = np.clip(gen.random(100_000), 1e-12, 1.0 - 1e-12)
+    ops = copulas.family_ops(Family.FRANK)
+    u2 = ops.inv_conditional(theta, u1, w)
+    assert ((u2 > 1e-12) & (u2 < 1.0 - 1e-12)).all()
+    # each draw inverts the conditional distribution at its level
+    np.testing.assert_allclose(np.exp(ops.log_c1(theta, u1, u2)), w, rtol=1e-12)
 
 
 def test_sampler_deterministic():

@@ -132,14 +132,6 @@ def test_pios_near_one_under_null():
     assert 0.2 < t.value < 2.5
 
 
-# how close the per-row bracketing fit_pmle gets to each delete-one optimum.
-# Frank's log-likelihood carries rounding noise of about 1e-11 at theta ~ 11
-# (1 - zeta cancels as u1, u2 -> 1), and the bracketing search, which
-# compares objective values, stops up to 8e-7 away; evaluated with 40
-# digits, the Newton maximizers there lie within 3e-13 of the optimum
-LOO_REFERENCE_ABS = {Family.FRANK: 1e-6}
-
-
 @pytest.mark.parametrize("family", list(Family))
 def test_loo_refits_are_exact_optima(family):
     u1, u2, d1, d2 = _simulate(family, 0.5, 40, seed=13, censoring_mean=1.5)
@@ -160,7 +152,7 @@ def test_loo_refits_are_exact_optima(family):
         assert hx < 0.0 and abs(g / hx) <= 1e-10
         ref = fit_pmle(family, *sub, initial_theta=fit.theta_hat, bracket_halfwidth=0.25)
         assert x[i] == pytest.approx(copulas.to_unconstrained(family, ref.theta_hat),
-                                     rel=0, abs=LOO_REFERENCE_ABS.get(family, 5e-8))
+                                     rel=0, abs=5e-8)
         assert own[i] == pytest.approx(
             pseudo_loglik(family, theta, u1[i:i + 1], u2[i:i + 1], d1[i:i + 1], d2[i:i + 1]),
             rel=1e-12)
@@ -192,6 +184,41 @@ def test_pios_at_domain_edge_is_a_typed_error(family):
     assert not fit.converged
     with pytest.raises(InferenceError, match="did not converge"):
         pios_statistic(fit, u1, u2, d1, d2)
+
+
+def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
+    u1, u2, d1, d2 = _simulate(Family.GUMBEL, 0.5, 60, seed=4, censoring_mean=1.5)
+    fit = fit_pmle(Family.GUMBEL, u1, u2, d1, d2)
+    thetas = []
+    dlog_vec = copulas.dlog_vec
+
+    def counted(family, theta, *data):
+        thetas.append(theta)
+        return dlog_vec(family, theta, *data)
+
+    def unused(*args):
+        raise AssertionError("score and hessian come from dlog_vec")
+
+    monkeypatch.setattr(copulas, "dlog_vec", counted)
+    monkeypatch.setattr(copulas, "score_vec", unused)
+    monkeypatch.setattr(copulas, "hessian_vec", unused)
+    inference.compute_statistics(("ir", "white", "logim"), fit, u1, u2, d1, d2)
+    assert thetas == [fit.theta_hat]
+    thetas.clear()
+    pios_statistic(fit, u1, u2, d1, d2)
+    # the full-sample pass, then one theta column per Newton iteration
+    assert len(thetas) > 1 and thetas[0] == fit.theta_hat
+    assert all(t.ndim == 2 and t.shape[1] == 1 for t in thetas[1:])
+
+
+def test_pios_frank_at_strong_dependence():
+    # theta_hat ~ 38 with pairs near (1, 1): unless 1 - zeta keeps its
+    # digits there, the score is rounding noise and the leave-one-out
+    # refits cannot converge
+    u1, u2, d1, d2 = _simulate(Family.FRANK, 0.9, 100, seed=0)
+    fit = fit_pmle(Family.FRANK, u1, u2, d1, d2)
+    assert fit.converged
+    assert np.isfinite(pios_statistic(fit, u1, u2, d1, d2).value)
 
 
 def test_pios_needs_enough_rows_to_delete_one():
