@@ -52,7 +52,6 @@ class BootstrapConfig:
     seed: int = 0
     statistic: str = "ir"
     common_censoring: bool = True
-    alpha: float = 0.05
 
     def __post_init__(self):
         if self.seed < 0:
@@ -61,8 +60,6 @@ class BootstrapConfig:
             raise ValueError(f"need at least 2 bootstrap replicates, got {self.b}")
         if self.b > B_CAP:
             raise ValueError(f"at most {B_CAP} bootstrap replicates supported")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -87,13 +84,12 @@ class GofReport:
 
 @dataclass(frozen=True)
 class _Frame:
-    """Everything a replicate worker needs, picklable."""
+    """Everything a replicate worker needs, picklable. ``censoring`` holds
+    one curve shared by both margins, or one curve per margin."""
     model: CopulaModel
     event1: StepSurvival
     event2: StepSurvival
-    cens1: StepSurvival
-    cens2: StepSurvival
-    common_censoring: bool
+    censoring: tuple[StepSurvival, ...]
     n: int
     kinds: tuple[str, ...]
     master_seed: int
@@ -107,13 +103,8 @@ def generate_bootstrap_dataset(frame: _Frame, stream_index: int) -> CensoredSamp
     u1, u2 = copulas.sample_pairs(frame.model, gen, n)
     t1 = frame.event1.inverse(u1)
     t2 = frame.event2.inverse(u2)
-    if frame.common_censoring:
-        c1 = c2 = frame.cens1.inverse(gen.random(n))
-    else:
-        v1 = gen.random(n)
-        v2 = gen.random(n)
-        c1 = frame.cens1.inverse(v1)
-        c2 = frame.cens2.inverse(v2)
+    c = [curve.inverse(gen.random(n)) for curve in frame.censoring]
+    c1, c2 = c[0], c[-1]
     return CensoredSample(np.minimum(t1, c1), np.minimum(t2, c2), t1 <= c1, t2 <= c2)
 
 
@@ -134,8 +125,7 @@ def _run_replicate(args) -> tuple[int, dict[str, float] | None]:
     for stream in (base + b, base + _RETRY_OFFSET + b):
         try:
             return b, _replicate_stats(frame, stream)
-        except (InferenceError, LikelihoodError, numerics.NumericsError,
-                survival.SurvivalError):
+        except _STAT_ERRORS:
             continue
     return b, None
 
@@ -157,14 +147,11 @@ def _build_frame(sample: CensoredSample, fit: FitResult, kinds,
     event1 = survival.kaplan_meier(sample.x1, sample.d1)
     event2 = survival.kaplan_meier(sample.x2, sample.d2)
     if config.common_censoring:
-        cens1 = cens2 = survival.censoring_survival(sample, margin=1, common=True)
+        censoring = (survival.censoring_survival(sample, margin=1, common=True),)
     else:
-        cens1 = survival.censoring_survival(sample, margin=1)
-        cens2 = survival.censoring_survival(sample, margin=2)
+        censoring = tuple(survival.censoring_survival(sample, margin=m) for m in (1, 2))
     return _Frame(model=fit.model, event1=event1, event2=event2,
-                  cens1=cens1, cens2=cens2,
-                  common_censoring=config.common_censoring,
-                  n=len(sample), kinds=tuple(kinds),
+                  censoring=censoring, n=len(sample), kinds=tuple(kinds),
                   master_seed=config.seed,
                   family_index=FAMILY_ORDER.index(fit.family))
 

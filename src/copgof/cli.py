@@ -141,11 +141,12 @@ def _parse_config(args) -> dict:
 
 
 def _bootstrap_config(args, cfgmap) -> BootstrapConfig:
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError(f"alpha must lie in (0, 1), got {args.alpha}")
     try:
         return BootstrapConfig(
             b=args.b, seed=args.seed, statistic=args.statistic,
-            common_censoring=cfgmap.get("censoring_model", "common") == "common",
-            alpha=args.alpha)
+            common_censoring=cfgmap.get("censoring_model", "common") == "common")
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

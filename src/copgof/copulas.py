@@ -39,7 +39,7 @@ import numpy as np
 from scipy import special as _special
 
 from . import numerics
-from .numerics import LOG_TINY, RngStream
+from .numerics import LOG_TINY
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _ew = numerics.elementwise
@@ -715,13 +715,13 @@ def tau_to_theta(family: Family, tau: float) -> float:
     return float(ops.tau_to_theta(tau))
 
 
-def sample_pairs(m: CopulaModel, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_pairs(m: CopulaModel, gen: np.random.Generator,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw n pairs by the conditional-distribution method.
 
-    ``rng`` is an RngStream or a numpy Generator. Consumes exactly two
-    uniform blocks of length n, so the draw sequence is reproducible.
+    Consumes exactly two uniform blocks of length n from ``gen``, so the
+    draw sequence is reproducible.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     u1 = gen.random(n)
     w = gen.random(n)
     # keep conditioning values away from exact 0/1

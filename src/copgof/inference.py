@@ -12,12 +12,15 @@ mean squared score V of the pseudo-likelihood estimate the same
 information matrix, so the ratio R = V/S hovers near 1. Three statistics
 quantify the discrepancy: the information ratio R (null value 1), the
 White difference V - S (null value 0), and log S - log V (null value 0).
+All three come from one (S, V) pass per fit, ``_information``, which
+makes one ``copulas.dlog_vec`` call for the score and hessian together.
 A fourth, the cross-validated likelihood contrast T (PIOS), compares
 in-sample and leave-one-out log-likelihoods. Its n delete-one
 re-maximizations are solved together: a safeguarded Newton iteration on
 the unconstrained scale, warm-started at the full-sample estimate, runs
 over blocks of rows with the family kernels evaluated at a column of
-thetas at once.
+thetas at once, and a row converges when its Newton step is at most
+_LOO_XTOL.
 """
 
 from __future__ import annotations
@@ -36,12 +39,10 @@ MIN_OBSERVATIONS = 10
 # entries, (rows in block) x n, so each (k, n) array stays near 1 MB
 _LOO_BLOCK = 2 ** 17
 _LOO_MAX_ITER = 100
-# a row converges when its Newton step |g/h| is at most _LOO_XTOL; from
-# half the iteration cap on, at most _LOO_LATE_XTOL (fit_pmle's default
-# xatol), for rows where the score's own rounding exceeds _LOO_XTOL on
-# the search scale (Frank with theta near 15 and pairs near (1, 1))
+# a row converges when its Newton step |g/h| is at most _LOO_XTOL
 _LOO_XTOL = 1e-10
-_LOO_LATE_XTOL = 1e-8
+# fit_pmle's tolerance on the unconstrained scale
+_XATOL = 1e-8
 
 
 class InferenceError(Exception):
@@ -104,7 +105,6 @@ def _observations(u1, u2, d1, d2, min_n: int = MIN_OBSERVATIONS):
 
 def fit_pmle(family: Family, u1, u2, d1, d2,
              initial_theta: float | None = None,
-             xatol: float = 1e-8,
              bracket_halfwidth: float = 1.0) -> FitResult:
     """Maximize the censored pseudo-likelihood over the one-dimensional
     dependence parameter.
@@ -140,10 +140,10 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
     half = bracket_halfwidth
     lo, hi = x0 - half, x0 + half
     for _ in range(60):
-        x_star, f_star = numerics.maximize_1d(objective, lo, hi, tol=xatol)
+        x_star, f_star = numerics.maximize_1d(objective, lo, hi, tol=_XATOL)
         # the bounded search can stall a little short of an edge when the
         # objective is nearly flat there, so use a generous edge margin
-        margin = 0.01 * (hi - lo) + 2.0 * xatol
+        margin = 0.01 * (hi - lo) + 2.0 * _XATOL
         at_lo = x_star - lo <= margin
         at_hi = hi - x_star <= margin
         if not at_lo and not at_hi:
@@ -170,23 +170,20 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
                      n=n, converged=converged, n_evaluations=evaluations[0])
 
 
+def _information(family: Family, theta, u1, u2, d1, d2) -> tuple[float, float]:
+    """(S, V) at theta from one derivative pass: the negative mean
+    hessian and the mean squared score of the per-observation
+    log-likelihood."""
+    score, hessian = copulas.dlog_vec(family, theta, u1, u2, d1, d2)
+    return float(-hessian.mean()), float(np.square(score).mean())
+
+
 def estimate_s(family: Family, theta: float, u1, u2, d1, d2) -> float:
-    """Negative mean second derivative of the per-observation
-    log-likelihood at theta."""
-    h = copulas.hessian_vec(family, theta, u1, u2, d1, d2)
-    return float(-h.mean())
+    return _information(family, theta, u1, u2, d1, d2)[0]
 
 
 def estimate_v(family: Family, theta: float, u1, u2, d1, d2) -> float:
-    """Mean squared score at theta."""
-    s = copulas.score_vec(family, theta, u1, u2, d1, d2)
-    return float(np.square(s).mean())
-
-
-def _information(fit: FitResult, u1, u2, d1, d2) -> tuple[float, float]:
-    """(S, V) at the fitted parameter, from one derivative pass."""
-    score, hessian = copulas.dlog_vec(fit.family, fit.theta_hat, u1, u2, d1, d2)
-    return float(-hessian.mean()), float(np.square(score).mean())
+    return _information(family, theta, u1, u2, d1, d2)[1]
 
 
 def _ir(s: float, v: float) -> StatisticValue:
@@ -209,15 +206,15 @@ def _logim(s: float, v: float) -> StatisticValue:
 
 
 def ir_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
-    return _ir(*_information(fit, u1, u2, d1, d2))
+    return compute_statistic("ir", fit, u1, u2, d1, d2)
 
 
 def white_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
-    return _white(*_information(fit, u1, u2, d1, d2))
+    return compute_statistic("white", fit, u1, u2, d1, d2)
 
 
 def logim_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
-    return _logim(*_information(fit, u1, u2, d1, d2))
+    return compute_statistic("logim", fit, u1, u2, d1, d2)
 
 
 def _drop_own(a, rows):
@@ -261,7 +258,7 @@ def _loo_block(fit: FitResult, rows, at_hat, u1, u2, d1, d2):
     optimum: a Newton step s gains |h| s^2 / 2 there, which can be below
     the rounding of the objective's sum, so the sum alone would reject
     every halving of it. A rejected step is halved. A row converges when
-    its Newton step is small enough (see _LOO_XTOL).
+    its Newton step |g/h| is at most _LOO_XTOL.
     """
     family = fit.family
     k = rows.size
@@ -272,7 +269,7 @@ def _loo_block(fit: FitResult, rows, at_hat, u1, u2, d1, d2):
     step = _newton_step(grad, h)
     active = ~((h < 0.0) & (np.abs(step) <= _LOO_XTOL))
     lo, hi = copulas.family_ops(family).domain
-    for it in range(_LOO_MAX_ITER):
+    for _ in range(_LOO_MAX_ITER):
         act = np.flatnonzero(active)
         if act.size == 0:
             return x, own
@@ -291,8 +288,7 @@ def _loo_block(fit: FitResult, rows, at_hat, u1, u2, d1, d2):
         acc = act[up]
         x[acc], f[acc], own[acc], grad[acc] = trial[up], f_trial[up], own_trial[up], g[up]
         step[acc] = _newton_step(g[up], h[up])
-        xtol = _LOO_XTOL if it < _LOO_MAX_ITER // 2 else _LOO_LATE_XTOL
-        active[acc[(h[up] < 0.0) & (np.abs(step[acc]) <= xtol)]] = False
+        active[acc[(h[up] < 0.0) & (np.abs(step[acc]) <= _LOO_XTOL)]] = False
     raise InferenceError(
         f"leave-one-out refit for {family.value} did not converge in "
         f"{_LOO_MAX_ITER} iterations for {np.count_nonzero(active)} of {k} rows")
@@ -353,14 +349,16 @@ def compute_statistics(kinds, fit: FitResult, u1, u2, d1, d2) -> dict[str, Stati
     """Every kind in ``kinds`` at one fit, keyed by lower-case kind.
     ir, white and logim share one (S, V) pass."""
     kinds = statistic_kinds(kinds)
-    info = _information(fit, u1, u2, d1, d2) if _FROM_INFORMATION.keys() & set(kinds) else None
+    info = (_information(fit.family, fit.theta_hat, u1, u2, d1, d2)
+            if _FROM_INFORMATION.keys() & set(kinds) else None)
+    # pios goes through compute_statistic so that its leave-one-out refits
+    # stay nested under it, where perfbench's traced run attributes them
     return {k: _FROM_INFORMATION[k](*info) if k in _FROM_INFORMATION
             else compute_statistic(k, fit, u1, u2, d1, d2) for k in kinds}
 
 
 def compute_statistic(kind: str, fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
-    # pios is computed here so that its leave-one-out refits stay nested
-    # under compute_statistic, where perfbench's traced run attributes them
-    if kind.lower() == "pios":
+    kind, = statistic_kinds((kind,))
+    if kind == "pios":
         return pios_statistic(fit, u1, u2, d1, d2)
-    return compute_statistics((kind,), fit, u1, u2, d1, d2)[kind.lower()]
+    return _FROM_INFORMATION[kind](*_information(fit.family, fit.theta_hat, u1, u2, d1, d2))

@@ -178,8 +178,7 @@ def _owen_share(h, k, rho, s):
     share = np.where(on_axis, 0.0, share)
     origin = on_axis & (k == 0.0)
     if origin.any():
-        rho_origin = np.broadcast_to(rho, h.shape)[origin]
-        share[origin] = 0.125 + elementwise(math.asin, rho_origin) / (4.0 * math.pi)
+        share[origin] = 0.125 + elementwise(math.asin, rho[origin]) / (4.0 * math.pi)
     return share
 
 
@@ -209,8 +208,7 @@ def _binorm_logcdf_tail(lo, hi, rho):
         g_edge, slope_edge = g(lo - width, hi, rho, s, b)
         width -= (g_lo - g_edge - _TAIL_DROP) / slope_edge
     t = lo[:, None] - 0.5 * width[:, None] * (1.0 + _GL_NODES)
-    per_row = (np.reshape(a, (-1, 1)) if np.ndim(a) else a for a in (hi, rho, s, b))
-    rel = np.exp(g(t, *per_row)[0] - g_lo[:, None])
+    rel = np.exp(g(t, *(a[:, None] for a in (hi, rho, s, b)))[0] - g_lo[:, None])
     return g_lo + np.log(0.5 * width * (rel @ _GL_WEIGHTS))
 
 
@@ -225,22 +223,17 @@ def binorm_logcdf(z1, z2, rho):
     (``_binorm_logcdf_tail``). Against ``binorm_cdf`` on z in [-4, 4]^2 and
     |rho| <= 0.999 the log differs by at most about 3e-11.
 
-    Each row (last axis) of the result for an array rho equals, bit for
-    bit, the call with that row's rho alone.
+    The result is evaluated by rows (its last axis), so each row equals,
+    bit for bit, the call with that row's z and rho alone.
     """
     rho = np.asarray(rho, dtype=float)
     if not (np.abs(rho) < 1).all():
         raise ValueError(f"binorm_logcdf requires |rho| < 1, got {rho}")
-    z = [np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)]
-    if rho.ndim == 0:
-        z1, z2 = np.broadcast_arrays(*z)
-        rows, rho = (-1,), rho[()]
-    else:
-        # an array rho is evaluated by rows of the result (its last axis)
-        z1, z2, rho = np.broadcast_arrays(*z, rho)
-        rows = (-1, z1.shape[-1])
-        rho = rho.reshape(rows)
+    z1, z2, rho = np.broadcast_arrays(np.asarray(z1, dtype=float),
+                                      np.asarray(z2, dtype=float), rho)
     shape = z1.shape
+    rows = (-1, shape[-1] if shape else 1)
+    rho = rho.reshape(rows)
     lo = np.minimum(z1, z2).reshape(rows)
     hi = np.maximum(z1, z2).reshape(rows)
     edge = np.isinf(lo) | np.isinf(hi)      # Phi2 = Phi(lo) there, 0 at lo = -inf
@@ -252,16 +245,11 @@ def binorm_logcdf(z1, z2, rho):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(owen)
     tail = (lo < 0.0) & ~(out >= _TAIL_SWITCH + _special.log_ndtr(hi))
-    # the tail rule's node sum is a BLAS product, whose rounding of a row
-    # depends on the other rows in it: a scalar rho takes one product
-    # over all rows, an array rho one per row of the result
-    if rho.ndim == 0:
-        if tail.any():
-            out[tail] = _binorm_logcdf_tail(lo[tail], hi[tail], rho)
-    else:
-        for r in np.flatnonzero(tail.any(axis=1)):
-            t = tail[r]
-            out[r, t] = _binorm_logcdf_tail(lo[r, t], hi[r, t], rho[r, t])
+    # the tail rule's node sum is a BLAS product, whose rounding of an
+    # entry depends on the other entries in it: one product per row
+    for r in np.flatnonzero(tail.any(axis=1)):
+        t = tail[r]
+        out[r, t] = _binorm_logcdf_tail(lo[r, t], hi[r, t], rho[r, t])
     out[edge] = _special.log_ndtr(lo_edge)
     return out.reshape(shape)[()]
 

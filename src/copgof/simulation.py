@@ -111,8 +111,10 @@ class StudyConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be positive")
-        # b, alpha and seed follow the bootstrap's rules
-        BootstrapConfig(b=self.b, seed=self.seed, alpha=self.alpha)
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        # b and seed follow the bootstrap's rules
+        BootstrapConfig(b=self.b, seed=self.seed)
         object.__setattr__(self, "kinds", inference.statistic_kinds(self.kinds))
         if not self.kinds:
             raise ValueError("no statistic kinds given")
@@ -126,7 +128,7 @@ def _study_replicate(args):
     out = {}
     for fam in null_families:
         boot_seed = derive_seed(cfg.seed, _BOOT_TAG, r, FAMILY_ORDER.index(fam))
-        bcfg = BootstrapConfig(b=cfg.b, seed=boot_seed, alpha=cfg.alpha)
+        bcfg = BootstrapConfig(b=cfg.b, seed=boot_seed)
         try:
             reps = bootstrap.bootstrap_reports(sample, fam, bcfg, kinds=cfg.kinds)
             out[fam] = {k: (reps[k].statistic.value, reps[k].p_value) for k in cfg.kinds}

@@ -133,9 +133,6 @@ class StepSurvival:
         out = padded[idx]
         return float(out) if t.ndim == 0 else out
 
-    def __call__(self, t):
-        return self.evaluate(t)
-
     def inverse(self, u) -> np.ndarray:
         """Generalized inverse at each level in the array u: the smallest
         t with S(t) <= u. u >= 1 maps to 0, levels below the final plateau

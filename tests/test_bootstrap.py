@@ -11,7 +11,9 @@ from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_pvalue,
                               select_copula, _build_frame)
 from copgof.copulas import CopulaModel, Family
 from copgof.inference import fit_pmle
-from copgof.survival import CensoredSample, pseudo_observations
+from copgof.numerics import RngStream
+from copgof.survival import (CensoredSample, censoring_survival, kaplan_meier,
+                             pseudo_observations)
 
 
 def _make_pairs(family, tau, n, seed, censoring_mean=1.5):
@@ -29,8 +31,6 @@ PAIRS = _make_pairs(Family.CLAYTON, 0.5, 150, seed=60)
 def test_config_validation():
     with pytest.raises(ValueError):
         BootstrapConfig(b=1)
-    with pytest.raises(ValueError):
-        BootstrapConfig(b=50, alpha=0.0)
     with pytest.raises(ValueError):
         BootstrapConfig(b=B_CAP + 1)
     with pytest.raises(ValueError):
@@ -179,6 +179,34 @@ def test_generated_dataset_matches_shape():
     again = generate_bootstrap_dataset(frame, stream_index=3)
     assert data == again
     assert data != generate_bootstrap_dataset(frame, stream_index=4)
+
+
+def test_per_margin_dataset_is_an_explicit_redraw():
+    # per-margin censoring: after the pair draws, one uniform block for
+    # margin 1 and one for margin 2, each through its own censoring curve
+    fit = fit_pmle(Family.CLAYTON, *pseudo_observations(PAIRS))
+    config = BootstrapConfig(b=10, seed=7, common_censoring=False)
+    frame = _build_frame(PAIRS, fit, ("ir",), config)
+    data = generate_bootstrap_dataset(frame, stream_index=5)
+
+    gen = RngStream(7, 5).generator()
+    u1, u2 = copulas.sample_pairs(fit.model, gen, len(PAIRS))
+    t1 = kaplan_meier(PAIRS.x1, PAIRS.d1).inverse(u1)
+    t2 = kaplan_meier(PAIRS.x2, PAIRS.d2).inverse(u2)
+    c1 = censoring_survival(PAIRS, margin=1).inverse(gen.random(len(PAIRS)))
+    c2 = censoring_survival(PAIRS, margin=2).inverse(gen.random(len(PAIRS)))
+    assert data == CensoredSample(np.minimum(t1, c1), np.minimum(t2, c2),
+                                  t1 <= c1, t2 <= c2)
+    common = _build_frame(PAIRS, fit, ("ir",), BootstrapConfig(b=10, seed=7))
+    assert data != generate_bootstrap_dataset(common, stream_index=5)
+
+
+def test_per_margin_reports_are_deterministic():
+    cfg = BootstrapConfig(b=20, seed=3, common_censoring=False)
+    kinds = ("ir", "white", "logim")
+    a = bootstrap_reports(PAIRS, Family.CLAYTON, cfg, kinds=kinds)
+    assert a == bootstrap_reports(PAIRS, Family.CLAYTON, cfg, kinds=kinds)
+    assert a["ir"].b_used == 20
 
 
 def test_uncensored_original_stays_uncensored():

@@ -60,6 +60,16 @@ def test_cmd_test_output_file(data_csv, tmp_path):
     assert json.loads(out.read_text())["family"] == "clayton"
 
 
+def test_cmd_test_per_margin_censoring(data_csv, capsys):
+    argv = ["test", "--input", data_csv, "--family", "clayton", "--b", "20", "--seed", "3"]
+    assert main(argv) == 0
+    common = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--config", "censoring_model=per-margin"]) == 0
+    per_margin = json.loads(capsys.readouterr().out)
+    assert per_margin["theta_hat"] == common["theta_hat"]
+    assert per_margin["sigma_b"] != common["sigma_b"]
+
+
 def test_cmd_select(data_csv, capsys):
     rc = main(["select", "--input", data_csv, "--families", "clayton,joe",
                "--b", "30", "--seed", "2"])
