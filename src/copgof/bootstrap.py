@@ -199,6 +199,12 @@ def bootstrap_pvalue(pairs, family: Family, config: BootstrapConfig) -> GofRepor
     return bootstrap_reports(pairs, family, config)[config.statistic.lower()]
 
 
+def _rank_key(family: Family, p_value: float, loglik: float):
+    """Ranking of a tested family, best first: larger bootstrap p-value,
+    ties broken on larger pseudo-log-likelihood, then on family name."""
+    return (-p_value, -loglik, family.value)
+
+
 @dataclass(frozen=True)
 class SelectionEntry:
     family: Family
@@ -218,7 +224,8 @@ class SelectionResult:
 def select_copula(pairs, families, config: BootstrapConfig) -> SelectionResult:
     """Test each candidate family and rank by bootstrap p-value.
 
-    Ties break on pseudo-log-likelihood, then family name. Families
+    Ties break on pseudo-log-likelihood, then family name (``_rank_key``,
+    which the simulation study's selection rate shares). Families
     whose fit or bootstrap fails are ranked last and carry the error
     message instead of a report. Duplicate candidates are collapsed.
     """
@@ -240,7 +247,7 @@ def select_copula(pairs, families, config: BootstrapConfig) -> SelectionResult:
     def sort_key(e: SelectionEntry):
         if e.report is None:
             return (1, 0.0, 0.0, e.family.value)
-        return (0, -e.report.p_value, -e.report.loglik, e.family.value)
+        return (0, *_rank_key(e.family, e.report.p_value, e.report.loglik))
 
     entries.sort(key=sort_key)
     return SelectionResult(entries=tuple(entries))

@@ -248,10 +248,16 @@ class _Frank(_Family):
                         + _ew(math.exp, -theta) * np.expm1(theta * (1.0 - u1))) / g)
         return g, g1, g2, zeta, omz
 
+    @staticmethod
+    def _log_omz(zeta, omz):
+        """log(1 - zeta), relatively accurate also where zeta is tiny (the
+        lower-left corner, or small theta), as the log of C needs."""
+        return np.where(zeta < 0.5, np.log1p(-np.minimum(zeta, 0.5)), np.log(omz))
+
     @classmethod
     def log_cdf(cls, theta, u1, u2):
-        omz = cls._core(theta, u1, u2)[4]
-        return np.log(-np.log(omz) / theta)
+        _, _, _, zeta, omz = cls._core(theta, u1, u2)
+        return np.log(-cls._log_omz(zeta, omz) / theta)
 
     @classmethod
     def log_c1(cls, theta, u1, u2):
@@ -281,7 +287,7 @@ class _Frank(_Family):
     def dlog_cdf(cls, theta, u1, u2):
         _, _, _, _, _, zeta, omz, z_t, z_tt = cls._zeta_derivs(theta, u1, u2)
         t2 = _pow(theta, 2)
-        logomz = np.log(omz)
+        logomz = cls._log_omz(zeta, omz)
         c = -logomz / theta
         c_t = logomz / t2 + z_t / (theta * omz)
         c_tt = (-2.0 * logomz / _pow(theta, 3) - 2.0 * z_t / (t2 * omz)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bootstrap, copulas, inference, numerics
 from ._parallel import ordered_map
-from .bootstrap import _STAT_ERRORS, BootstrapConfig
+from .bootstrap import _STAT_ERRORS, BootstrapConfig, _rank_key
 from .copulas import CopulaModel, Family, FAMILY_ORDER
 from .numerics import RngStream, derive_seed
 from .survival import CensoredSample
@@ -122,7 +122,8 @@ class StudyConfig:
 
 def _study_replicate(args):
     """Test every null family on replicate r's dataset, giving
-    {family: {kind: (statistic, p-value)}, or None where the test failed}."""
+    {family: {kind: (statistic, p-value, pseudo-log-likelihood)}, or None
+    where the test failed}."""
     scenario, null_families, cfg, r = args
     sample = generate_scenario_dataset(scenario, cfg.seed, replicate=r)
     out = {}
@@ -131,7 +132,8 @@ def _study_replicate(args):
         bcfg = BootstrapConfig(b=cfg.b, seed=boot_seed)
         try:
             reps = bootstrap.bootstrap_reports(sample, fam, bcfg, kinds=cfg.kinds)
-            out[fam] = {k: (reps[k].statistic.value, reps[k].p_value) for k in cfg.kinds}
+            out[fam] = {k: (reps[k].statistic.value, reps[k].p_value, reps[k].loglik)
+                        for k in cfg.kinds}
         except _STAT_ERRORS:
             out[fam] = None
     return out
@@ -142,9 +144,9 @@ def run_rejection_study(scenario: Scenario, null_families,
     """Rejection and selection rates of each null family under a scenario.
 
     The selection rate of a family is the fraction of replicates in
-    which it attains the largest p-value (per statistic kind) among the
-    candidates that succeeded. Failed replicates are excluded from both
-    rates and counted in ``failures``.
+    which it ranks first (per statistic kind) among the candidates that
+    succeeded, by the ranking of ``bootstrap.select_copula``. Failed
+    replicates are excluded from both rates and counted in ``failures``.
     """
     null_families = list(null_families)
     results = ordered_map(
@@ -165,9 +167,8 @@ def run_rejection_study(scenario: Scenario, null_families,
                 used += 1
                 if res[fam][kind][1] < cfg.alpha:
                     rejections += 1
-                winners = [f for f in null_families
-                           if res[f] is not None]
-                best = max(winners, key=lambda f: res[f][kind][1])
+                winners = [f for f in null_families if res[f] is not None]
+                best = min(winners, key=lambda f: _rank_key(f, *res[f][kind][1:]))
                 if best is fam:
                     selections += 1
             rows.append(RejectionRow(

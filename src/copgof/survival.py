@@ -208,9 +208,13 @@ def pseudo_observations(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     Kaplan-Meier.
 
     Returns (u1, u2, d1, d2) with u_r = S_r(x_r) clamped to
-    [1/(2n), 1 - 1/(2n)].
+    [1/(2n), 1 - 1/(2n)]. Raises SurvivalError for a margin with no
+    observed events, whose pseudo-observations would all be equal.
     """
     s = as_sample(data)
+    for margin, d in ((1, s.d1), (2, s.d2)):
+        if not d.any():
+            raise SurvivalError(f"margin {margin} has no observed events")
     eps = 1.0 / (2.0 * len(s))
     u1 = np.clip(kaplan_meier(s.x1, s.d1).evaluate(s.x1), eps, 1.0 - eps)
     u2 = np.clip(kaplan_meier(s.x2, s.d2).evaluate(s.x2), eps, 1.0 - eps)

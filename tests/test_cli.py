@@ -106,6 +106,18 @@ def test_cmd_fit_config_initial_theta(data_csv, capsys):
     assert json.loads(capsys.readouterr().out)["converged"] is True
 
 
+def test_cmd_fit_margin_without_events_exits_2(tmp_path, capsys):
+    gen = np.random.default_rng(3)
+    p = tmp_path / "censored.csv"
+    rows = ["x1,x2,d1,d2"] + [f"{a:.10g},{b:.10g},0,1"
+                              for a, b in gen.exponential(1.0, (80, 2))]
+    p.write_text("\n".join(rows) + "\n")
+    assert main(["fit", "--input", str(p), "--family", "clayton"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "margin 1 has no observed events" in captured.err
+
+
 def test_cmd_km_schema(data_csv, capsys):
     rc = main(["km", "--input", data_csv, "--margin", "1"])
     assert rc == 0

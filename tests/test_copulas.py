@@ -176,10 +176,12 @@ def test_dlog_vec_halves_are_score_and_hessian(family):
         assert hessian.tobytes() == hessian_vec(family, theta, u1, u2, d1, d2).tobytes()
 
 
-# Frank's log pieces near (1, 1) at strong dependence, where 1 - zeta
-# (zeta = g1 g2 / g) is of order e^-theta and cancels if formed by
-# subtraction; references from 50-digit mpmath, with log c and log c1
-# from differentiating C itself
+# Frank's log pieces in the two corners where 1 - zeta (zeta = g1 g2 / g)
+# loses digits: near (1, 1) at strong dependence it is of order e^-theta
+# and cancels if formed by subtraction, and in the lower-left corner or at
+# small theta zeta is tiny, so log C needs log1p(-zeta) rather than the log
+# of 1 - zeta. References from 50-digit mpmath, with log c and log c1 from
+# differentiating C itself
 FRANK_CORNER = [
     # theta, u1, u2, log_pdf, log_c1, log_cdf
     (11.0, 0.95, 0.97, 1.7711060511062662, -0.20340949172926612, -0.07094961860678745),
@@ -190,6 +192,8 @@ FRANK_CORNER = [
     (30.0, 0.999, 0.998, 3.3146425835901505, -0.05827739903605495, -0.0029469178681375777),
     (38.0, 0.95, 0.97, 2.3252068745789067, -0.2761896425737393, -0.05897339361372562),
     (38.0, 0.999, 0.998, 3.529051236559806, -0.07326746158328994, -0.002932386339654243),
+    (0.1, 1e-6, 0.2, 0.029583309665826247, -1.5698379569650531, -15.385348475333272),
+    (5.0, 1e-6, 1e-3, 1.6111937120970083, -5.294060550325389, -19.109568620841976),
 ]
 
 
@@ -200,6 +204,17 @@ def test_frank_log_pieces_near_one_one(theta, u1, u2, log_pdf, log_c1, log_cdf):
     for piece, expect in (("log_pdf", log_pdf), ("log_c1", log_c1), ("log_cdf", log_cdf)):
         got = getattr(ops, piece)(theta, np.array([u1]), np.array([u2]))[0]
         assert got == pytest.approx(expect, rel=1e-12, abs=0.0), piece
+
+
+@pytest.mark.parametrize("theta, u1, u2, d1, d2", [
+    # theta, u1, u2, then d/dtheta and d^2/dtheta^2 of log C (50-digit mpmath)
+    (0.1, 1e-6, 0.2, 0.3920009944539003, -0.0799583341934933),
+    (5.0, 1e-6, 1e-3, 0.19271626669051212, -0.03317024276897294),
+])
+def test_frank_dlog_cdf_in_the_lower_corner(theta, u1, u2, d1, d2):
+    got = copulas.family_ops(Family.FRANK).dlog_cdf(theta, np.array([u1]), np.array([u2]))
+    assert got[0][0] == pytest.approx(d1, rel=1e-12, abs=0.0)
+    assert got[1][0] == pytest.approx(d2, rel=1e-12, abs=0.0)
 
 
 def test_gaussian_cdf_theta_derivative_is_density():

@@ -1,9 +1,11 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from copgof import bootstrap
 from copgof.copulas import Family
 from copgof.simulation import (CENSORING_LEVELS, Scenario, StudyConfig,
                                generate_scenario_dataset,
@@ -128,3 +130,21 @@ def test_csv_writers(tmp_path):
     qlines = qq.read_text().strip().splitlines()
     assert qlines[0] == "statistic,normal_quantile"
     assert len(qlines) == 4
+
+
+def test_selection_rate_breaks_ties_like_select(monkeypatch):
+    # every p-value tied at 0: the study must rank like select_copula, on
+    # pseudo-log-likelihood and then name, not take the first family listed
+    inner = bootstrap.bootstrap_reports
+
+    def tied(*args, **kwargs):
+        return {k: replace(r, p_value=0.0) for k, r in inner(*args, **kwargs).items()}
+
+    monkeypatch.setenv("COPULA_GOF_THREADS", "1")
+    monkeypatch.setattr(bootstrap, "bootstrap_reports", tied)
+    sc = Scenario(Family.FRANK, 0.5, 60, "none")
+    cfg = StudyConfig(replications=4, b=10, seed=2, kinds=("ir",))
+    nulls = [Family.CLAYTON, Family.FRANK, Family.GUMBEL]
+    rows = run_rejection_study(sc, nulls, cfg)
+    assert [r.selection_rate for r in rows] == [0.0, 0.25, 0.75]
+    assert [r.rejection_rate for r in rows] == [1.0, 1.0, 1.0]

@@ -139,6 +139,18 @@ def test_pseudo_observations_clamped():
     assert (np.diff(u2) > 0).all()
 
 
+@pytest.mark.parametrize("margin", [1, 2])
+def test_pseudo_observations_reject_a_margin_without_events(margin):
+    # the all-censored margin's pseudo-observations would be one constant
+    # and a copula fit on them a silent number
+    gen = np.random.default_rng(3)
+    x1, x2 = gen.exponential(1.0, 80), gen.exponential(1.0, 80)
+    d = [np.zeros(80), gen.random(80) < 0.7]
+    sample = CensoredSample(x1, x2, *(d if margin == 1 else d[::-1]))
+    with pytest.raises(SurvivalError, match=f"margin {margin} has no observed events"):
+        pseudo_observations(sample)
+
+
 def test_kendall_tau_hand_values():
     assert empirical_kendall_tau([1, 2, 3], [1, 2, 3]) == 1.0
     assert empirical_kendall_tau([1, 2, 3], [3, 2, 1]) == -1.0
