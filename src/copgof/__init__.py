@@ -13,13 +13,11 @@ from .copulas import (CopulaModel, CopulaError, Family, LikelihoodError,
                       cdf, density, partial_u1, partial_u2, sample_pairs,
                       tau_to_theta, theta_to_tau)
 from .inference import (FitResult, InferenceError, StatisticValue,
-                        compute_statistic, fit_pmle, ir_statistic,
-                        logim_statistic, pios_statistic, pseudo_loglik,
-                        white_statistic)
+                        compute_statistic, fit_pmle, pios_statistic)
 from .simulation import (Scenario, StudyConfig, generate_scenario_dataset,
                          run_null_distribution, run_rejection_study)
 from .survival import (CensoredPair, CensoredSample, StepSurvival,
-                       SurvivalError, censoring_survival,
+                       SurvivalError, censoring_curves,
                        empirical_kendall_tau, kaplan_meier,
                        pseudo_observations)
 
@@ -32,11 +30,10 @@ __all__ = [
     "cdf", "density", "partial_u1", "partial_u2",
     "sample_pairs", "tau_to_theta", "theta_to_tau",
     "FitResult", "InferenceError", "StatisticValue", "compute_statistic",
-    "fit_pmle", "ir_statistic", "logim_statistic", "pios_statistic",
-    "pseudo_loglik", "white_statistic",
+    "fit_pmle", "pios_statistic",
     "Scenario", "StudyConfig", "generate_scenario_dataset",
     "run_null_distribution", "run_rejection_study",
     "CensoredPair", "CensoredSample", "StepSurvival", "SurvivalError",
-    "censoring_survival", "empirical_kendall_tau",
+    "censoring_curves", "empirical_kendall_tau",
     "kaplan_meier", "pseudo_observations",
 ]

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import copulas, inference, numerics, survival
 from ._parallel import ordered_map
@@ -139,20 +140,16 @@ def _pvalue(observed: float, null_value: float, sigma_b: float) -> tuple[float, 
     if sigma_b == 0.0:
         return (1.0 if observed == null_value else 0.0), True
     z = abs(observed - null_value) / sigma_b
-    return float(2.0 * (1.0 - numerics.norm_cdf(z))), False
+    return float(2.0 * (1.0 - ndtr(z))), False
 
 
 def _build_frame(sample: CensoredSample, fit: FitResult, kinds,
                  config: BootstrapConfig) -> _Frame:
     event1 = survival.kaplan_meier(sample.x1, sample.d1)
     event2 = survival.kaplan_meier(sample.x2, sample.d2)
-    if config.common_censoring:
-        censoring = (survival.censoring_survival(sample, margin=1, common=True),)
-    else:
-        censoring = tuple(survival.censoring_survival(sample, margin=m) for m in (1, 2))
     return _Frame(model=fit.model, event1=event1, event2=event2,
-                  censoring=censoring, n=len(sample), kinds=tuple(kinds),
-                  master_seed=config.seed,
+                  censoring=survival.censoring_curves(sample, config.common_censoring),
+                  n=len(sample), kinds=tuple(kinds), master_seed=config.seed,
                   family_index=FAMILY_ORDER.index(fit.family))
 
 

@@ -12,8 +12,10 @@ mean squared score V of the pseudo-likelihood estimate the same
 information matrix, so the ratio R = V/S hovers near 1. Three statistics
 quantify the discrepancy: the information ratio R (null value 1), the
 White difference V - S (null value 0), and log S - log V (null value 0).
-All three come from one (S, V) pass per fit, ``_information``, which
+All three come from one (S, V) pass per fit, ``information``, which
 makes one ``copulas.dlog_vec`` call for the score and hessian together.
+``compute_statistic`` and ``compute_statistics`` are the entry points
+for one kind or several.
 A fourth, the cross-validated likelihood contrast T (PIOS), compares
 in-sample and leave-one-out log-likelihoods. Its n delete-one
 re-maximizations are solved together: a safeguarded Newton iteration on
@@ -68,10 +70,6 @@ class StatisticValue:
     kind: str
     value: float
     null_value: float
-
-
-def pseudo_loglik(family: Family, theta: float, u1, u2, d1, d2) -> float:
-    return float(copulas.loglik_vec(family, theta, u1, u2, d1, d2).sum())
 
 
 def _tau_start(family: Family, u1, u2) -> float:
@@ -165,25 +163,17 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
     except LikelihoodError:
         converged = False
     # maximize_1d returns a finite f_star, so every piece at theta_hat was
-    # finite and f_star is the strict pseudo_loglik there
+    # finite and f_star is the strict pseudo-log-likelihood there
     return FitResult(family=family, theta_hat=theta_hat, loglik=f_star,
                      n=n, converged=converged, n_evaluations=evaluations[0])
 
 
-def _information(family: Family, theta, u1, u2, d1, d2) -> tuple[float, float]:
+def information(family: Family, theta, u1, u2, d1, d2) -> tuple[float, float]:
     """(S, V) at theta from one derivative pass: the negative mean
     hessian and the mean squared score of the per-observation
     log-likelihood."""
     score, hessian = copulas.dlog_vec(family, theta, u1, u2, d1, d2)
     return float(-hessian.mean()), float(np.square(score).mean())
-
-
-def estimate_s(family: Family, theta: float, u1, u2, d1, d2) -> float:
-    return _information(family, theta, u1, u2, d1, d2)[0]
-
-
-def estimate_v(family: Family, theta: float, u1, u2, d1, d2) -> float:
-    return _information(family, theta, u1, u2, d1, d2)[1]
 
 
 def _ir(s: float, v: float) -> StatisticValue:
@@ -203,18 +193,6 @@ def _logim(s: float, v: float) -> StatisticValue:
         raise InferenceError(
             f"non-positive information estimates (S = {s:.6g}, V = {v:.6g})")
     return StatisticValue(kind="logim", value=math.log(s) - math.log(v), null_value=0.0)
-
-
-def ir_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
-    return compute_statistic("ir", fit, u1, u2, d1, d2)
-
-
-def white_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
-    return compute_statistic("white", fit, u1, u2, d1, d2)
-
-
-def logim_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
-    return compute_statistic("logim", fit, u1, u2, d1, d2)
 
 
 def _drop_own(a, rows):
@@ -349,7 +327,7 @@ def compute_statistics(kinds, fit: FitResult, u1, u2, d1, d2) -> dict[str, Stati
     """Every kind in ``kinds`` at one fit, keyed by lower-case kind.
     ir, white and logim share one (S, V) pass."""
     kinds = statistic_kinds(kinds)
-    info = (_information(fit.family, fit.theta_hat, u1, u2, d1, d2)
+    info = (information(fit.family, fit.theta_hat, u1, u2, d1, d2)
             if _FROM_INFORMATION.keys() & set(kinds) else None)
     # pios goes through compute_statistic so that its leave-one-out refits
     # stay nested under it, where perfbench's traced run attributes them
@@ -358,7 +336,8 @@ def compute_statistics(kinds, fit: FitResult, u1, u2, d1, d2) -> dict[str, Stati
 
 
 def compute_statistic(kind: str, fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
+    """The statistic ``kind`` (ir, white, logim or pios, any case) at one fit."""
     kind, = statistic_kinds((kind,))
     if kind == "pios":
         return pios_statistic(fit, u1, u2, d1, d2)
-    return _FROM_INFORMATION[kind](*_information(fit.family, fit.theta_hat, u1, u2, d1, d2))
+    return _FROM_INFORMATION[kind](*information(fit.family, fit.theta_hat, u1, u2, d1, d2))

@@ -1,9 +1,11 @@
 """Shared numeric kernel.
 
-Univariate adaptive quadrature, the Debye-1 integral, standard/bivariate
-normal distribution functions, bracketed root finding, bounded 1-D
+Univariate adaptive quadrature, the Debye-1 integral, bivariate normal
+distribution functions, bracketed root finding, bounded 1-D
 maximization, and splittable deterministic RNG streams. Everything here
-is a pure function of its inputs.
+is a pure function of its inputs. Univariate normal functions are
+scipy's (``scipy.special.ndtr``, ``ndtri``, ``log_ndtr``), called
+directly where they are needed.
 
 The bivariate normal CDF used by the library is ``binorm_logcdf``, an
 array function (Owen's T identity, with a log-space Gauss-Legendre
@@ -86,26 +88,6 @@ def debye1(theta: float) -> float:
     return integrate(integrand, 0.0, theta) / theta
 
 
-def norm_pdf(z):
-    return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
-
-
-def norm_cdf(z):
-    return _special.ndtr(z)
-
-
-def norm_logcdf(z):
-    return _special.log_ndtr(z)
-
-
-def norm_quantile(u):
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise ValueError("norm_quantile requires u in (0, 1)")
-    out = _special.ndtri(u_arr)
-    return float(out) if np.isscalar(u) or out.ndim == 0 else out
-
-
 def binorm_pdf(z1, z2, rho: float):
     """Standard bivariate normal density with correlation rho."""
     if not abs(rho) < 1:
@@ -134,13 +116,14 @@ def binorm_cdf(z1: float, z2: float, rho: float) -> float:
     if math.isinf(z1) and z1 > 0 and math.isinf(z2) and z2 > 0:
         return 1.0
     if math.isinf(z1):
-        return float(norm_cdf(z2)) if z1 > 0 else 0.0
+        return float(_special.ndtr(z2)) if z1 > 0 else 0.0
     if math.isinf(z2):
-        return float(norm_cdf(z1)) if z2 > 0 else 0.0
+        return float(_special.ndtr(z1)) if z2 > 0 else 0.0
     s = math.sqrt(1.0 - rho * rho)
 
     def integrand(t):
-        return float(norm_pdf(t)) * float(norm_cdf((z2 - rho * t) / s))
+        pdf = np.exp(-0.5 * np.square(t)) / math.sqrt(2.0 * math.pi)
+        return float(pdf) * float(_special.ndtr((z2 - rho * t) / s))
 
     return integrate(integrand, -np.inf, z1, _BINORM_SPEC)
 
@@ -311,9 +294,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.PCG64(seq))
-
-    def uniform(self, n: int) -> np.ndarray:
-        return self.generator().random(n)
 
 
 def derive_seed(master_seed: int, *key: int) -> int:

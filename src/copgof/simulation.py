@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
-from . import bootstrap, copulas, inference, numerics
+from . import bootstrap, copulas, inference
 from ._parallel import ordered_map
 from .bootstrap import _STAT_ERRORS, BootstrapConfig, _rank_key
 from .copulas import CopulaModel, Family, FAMILY_ORDER
@@ -204,7 +205,7 @@ def run_null_distribution(scenario: Scenario, cfg: StudyConfig) -> dict[str, Nul
         stats = np.sort(np.array([r[kind][0] for r in kept]))
         pvals = np.array([r[kind][1] for r in kept])
         m = stats.size
-        q = numerics.norm_quantile((np.arange(1, m + 1) - 0.5) / m)
+        q = ndtri((np.arange(1, m + 1) - 0.5) / m)
         out[kind] = NullDistribution(kind=kind, statistics=stats,
                                      normal_quantiles=q, p_values=pvals)
     return out

@@ -184,23 +184,19 @@ def kaplan_meier(times, events) -> StepSurvival:
     return StepSurvival(jump_times=jt, values=surv, n_at_risk=r)
 
 
-def censoring_survival(data, margin: int, common: bool = False) -> StepSurvival:
-    """Kaplan-Meier estimate of the censoring distribution.
+def censoring_curves(data, common: bool) -> tuple[StepSurvival, ...]:
+    """Kaplan-Meier estimates of the censoring distribution.
 
-    With ``common=True`` the two margins are assumed to share one
-    censoring variable: the curve is fit to max(x1, x2) with event
-    indicator 1 - d1*d2 (a censoring event is observed unless both
-    failure times were seen). Otherwise the roles of event and censoring
-    are swapped on the requested margin.
+    With ``common`` the two margins share one censoring variable, and the
+    one curve is fit to max(x1, x2) with event indicator 1 - d1*d2 (a
+    censoring event is observed unless both failure times were seen).
+    Otherwise each margin gets its own curve, with the roles of event and
+    censoring swapped.
     """
-    if margin not in (1, 2):
-        raise ValueError("margin must be 1 or 2")
     s = as_sample(data)
     if common:
-        return kaplan_meier(np.maximum(s.x1, s.x2), 1 - s.d1 * s.d2)
-    if margin == 1:
-        return kaplan_meier(s.x1, 1 - s.d1)
-    return kaplan_meier(s.x2, 1 - s.d2)
+        return (kaplan_meier(np.maximum(s.x1, s.x2), 1 - s.d1 * s.d2),)
+    return kaplan_meier(s.x1, 1 - s.d1), kaplan_meier(s.x2, 1 - s.d2)
 
 
 def pseudo_observations(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from copgof import bootstrap, copulas, inference, numerics, simulation, survival
 from copgof.bootstrap import BootstrapConfig
 from copgof.cli import main as cli_main
 from copgof.copulas import CopulaModel, Family, cdf, density, loglik_vec
-from copgof.inference import fit_pmle, ir_statistic, pios_statistic
+from copgof.inference import compute_statistic, fit_pmle, pios_statistic
 from copgof.simulation import Scenario, StudyConfig
 from copgof.survival import CensoredPair, kaplan_meier
 
@@ -157,8 +157,7 @@ def test_criterion_04_information_matrix_equivalence():
     for family in ANALYTIC:
         u1, u2, d1, d2, theta = _known_margin_sample(family, 0.5, n, seed=91,
                                                      censoring_mean=1.5)
-        s = inference.estimate_s(family, theta, u1, u2, d1, d2)
-        v = inference.estimate_v(family, theta, u1, u2, d1, d2)
+        s, v = inference.information(family, theta, u1, u2, d1, d2)
         ratio = abs(s - v) / s
         assert ratio <= 0.05, f"{family.value}: |S-V|/S = {ratio:.4f}"
     # misspecified: Clayton data, Frank model at its own pseudo-MLE.
@@ -168,8 +167,7 @@ def test_criterion_04_information_matrix_equivalence():
     u1, u2, d1, d2, _ = _known_margin_sample(Family.CLAYTON, 0.7, n, seed=92,
                                              censoring_mean=None)
     fit = fit_pmle(Family.FRANK, u1, u2, d1, d2)
-    s = inference.estimate_s(Family.FRANK, fit.theta_hat, u1, u2, d1, d2)
-    v = inference.estimate_v(Family.FRANK, fit.theta_hat, u1, u2, d1, d2)
+    s, v = inference.information(Family.FRANK, fit.theta_hat, u1, u2, d1, d2)
     ratio = abs(s - v) / s
     assert ratio > 0.10, f"misspecified ratio only {ratio:.4f}"
     elapsed = time.time() - start
@@ -188,7 +186,7 @@ def test_criterion_05_ir_pios_equivalence():
                 Scenario(Family.CLAYTON, 0.5, n, "none"), seed=300, replicate=r)
             u1, u2, d1, d2 = survival.pseudo_observations(pairs)
             fit = fit_pmle(Family.CLAYTON, u1, u2, d1, d2)
-            rn = ir_statistic(fit, u1, u2, d1, d2).value
+            rn = compute_statistic("ir", fit, u1, u2, d1, d2).value
             tn = pios_statistic(fit, u1, u2, d1, d2).value
             gaps.append(abs(rn - tn))
         return float(np.mean(gaps))

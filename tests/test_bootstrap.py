@@ -12,7 +12,7 @@ from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_pvalue,
 from copgof.copulas import CopulaModel, Family
 from copgof.inference import fit_pmle
 from copgof.numerics import RngStream
-from copgof.survival import (CensoredSample, censoring_survival, kaplan_meier,
+from copgof.survival import (CensoredSample, censoring_curves, kaplan_meier,
                              pseudo_observations)
 
 
@@ -193,8 +193,9 @@ def test_per_margin_dataset_is_an_explicit_redraw():
     u1, u2 = copulas.sample_pairs(fit.model, gen, len(PAIRS))
     t1 = kaplan_meier(PAIRS.x1, PAIRS.d1).inverse(u1)
     t2 = kaplan_meier(PAIRS.x2, PAIRS.d2).inverse(u2)
-    c1 = censoring_survival(PAIRS, margin=1).inverse(gen.random(len(PAIRS)))
-    c2 = censoring_survival(PAIRS, margin=2).inverse(gen.random(len(PAIRS)))
+    curve1, curve2 = censoring_curves(PAIRS, common=False)
+    c1 = curve1.inverse(gen.random(len(PAIRS)))
+    c2 = curve2.inverse(gen.random(len(PAIRS)))
     assert data == CensoredSample(np.minimum(t1, c1), np.minimum(t2, c2),
                                   t1 <= c1, t2 <= c2)
     common = _build_frame(PAIRS, fit, ("ir",), BootstrapConfig(b=10, seed=7))

@@ -3,10 +3,8 @@ import pytest
 
 from copgof import copulas, inference, numerics
 from copgof.copulas import CopulaModel, Family
-from copgof.inference import (InferenceError, compute_statistic, estimate_s,
-                              estimate_v, fit_pmle, ir_statistic,
-                              logim_statistic, pios_statistic, pseudo_loglik,
-                              white_statistic)
+from copgof.inference import (InferenceError, compute_statistic, fit_pmle,
+                              information, pios_statistic)
 from copgof.survival import CensoredPair, CensoredSample, pseudo_observations
 
 
@@ -84,18 +82,11 @@ def test_fit_bracket_expands_beyond_initial():
     assert fit.theta_hat == pytest.approx(expect, rel=0.2)
 
 
-def test_pseudo_loglik_is_sum():
-    u1, u2, d1, d2 = _simulate(Family.JOE, 0.5, 50, seed=2)
-    per = copulas.loglik_vec(Family.JOE, 2.5, u1, u2, d1, d2)
-    assert pseudo_loglik(Family.JOE, 2.5, u1, u2, d1, d2) == pytest.approx(per.sum())
-
-
 def test_information_equality_under_null():
     # S and V estimate the same quantity when the model is correct
     u1, u2, d1, d2 = _simulate(Family.GAUSSIAN, 0.5, 8000, seed=17)
     fit = fit_pmle(Family.GAUSSIAN, u1, u2, d1, d2)
-    s = estimate_s(Family.GAUSSIAN, fit.theta_hat, u1, u2, d1, d2)
-    v = estimate_v(Family.GAUSSIAN, fit.theta_hat, u1, u2, d1, d2)
+    s, v = information(Family.GAUSSIAN, fit.theta_hat, u1, u2, d1, d2)
     assert s > 0.0 and v > 0.0
     assert v / s == pytest.approx(1.0, abs=0.08)
 
@@ -103,22 +94,21 @@ def test_information_equality_under_null():
 def test_ir_statistic_null_and_misspecified():
     u1, u2, d1, d2 = _simulate(Family.CLAYTON, 0.7, 3000, seed=23)
     fit_ok = fit_pmle(Family.CLAYTON, u1, u2, d1, d2)
-    r_ok = ir_statistic(fit_ok, u1, u2, d1, d2)
+    r_ok = compute_statistic("ir", fit_ok, u1, u2, d1, d2)
     assert r_ok.kind == "ir" and r_ok.null_value == 1.0
     assert abs(r_ok.value - 1.0) < 0.1
     fit_bad = fit_pmle(Family.FRANK, u1, u2, d1, d2)
-    r_bad = ir_statistic(fit_bad, u1, u2, d1, d2)
+    r_bad = compute_statistic("ir", fit_bad, u1, u2, d1, d2)
     assert abs(r_bad.value - 1.0) > 0.1
 
 
 def test_white_and_logim_consistent_with_ir():
     u1, u2, d1, d2 = _simulate(Family.FRANK, 0.5, 500, seed=5)
     fit = fit_pmle(Family.FRANK, u1, u2, d1, d2)
-    s = estimate_s(Family.FRANK, fit.theta_hat, u1, u2, d1, d2)
-    v = estimate_v(Family.FRANK, fit.theta_hat, u1, u2, d1, d2)
-    w = white_statistic(fit, u1, u2, d1, d2)
-    lg = logim_statistic(fit, u1, u2, d1, d2)
-    ir = ir_statistic(fit, u1, u2, d1, d2)
+    s, v = information(Family.FRANK, fit.theta_hat, u1, u2, d1, d2)
+    w = compute_statistic("white", fit, u1, u2, d1, d2)
+    lg = compute_statistic("logim", fit, u1, u2, d1, d2)
+    ir = compute_statistic("ir", fit, u1, u2, d1, d2)
     assert w.value == pytest.approx(v - s, rel=1e-12)
     assert lg.value == pytest.approx(-np.log(ir.value), rel=1e-10)
     assert w.null_value == 0.0 and lg.null_value == 0.0
@@ -153,9 +143,9 @@ def test_loo_refits_are_exact_optima(family):
         ref = fit_pmle(family, *sub, initial_theta=fit.theta_hat, bracket_halfwidth=0.25)
         assert x[i] == pytest.approx(copulas.to_unconstrained(family, ref.theta_hat),
                                      rel=0, abs=5e-8)
-        assert own[i] == pytest.approx(
-            pseudo_loglik(family, theta, u1[i:i + 1], u2[i:i + 1], d1[i:i + 1], d2[i:i + 1]),
-            rel=1e-12)
+        own_ref = copulas.loglik_vec(family, theta, u1[i:i + 1], u2[i:i + 1],
+                                     d1[i:i + 1], d2[i:i + 1]).sum()
+        assert own[i] == pytest.approx(own_ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copgof.survival import (CensoredPair, CensoredSample, StepSurvival,
-                             SurvivalError, as_sample, censoring_survival,
+                             SurvivalError, as_sample, censoring_curves,
                              empirical_kendall_tau, kaplan_meier,
                              pseudo_observations)
 
@@ -115,7 +115,7 @@ def test_censored_sample_rows_equality_and_pickle():
 def test_censoring_survival_swaps_indicators():
     pairs = [CensoredPair(1, 5, 1, 1), CensoredPair(2, 6, 0, 1),
              CensoredPair(3, 7, 0, 0)]
-    g = censoring_survival(pairs, margin=1)
+    g, _ = censoring_curves(pairs, common=False)
     # censoring events at 2 and 3; death at 1 counts as censored-for-G
     np.testing.assert_array_equal(g.jump_times, [2, 3])
     np.testing.assert_allclose(g.values, [0.5, 0.0])
@@ -123,7 +123,7 @@ def test_censoring_survival_swaps_indicators():
 
 def test_censoring_survival_common():
     pairs = [CensoredPair(1, 5, 1, 1), CensoredPair(2, 6, 0, 1)]
-    g = censoring_survival(pairs, margin=1, common=True)
+    g, = censoring_curves(pairs, common=True)
     # times max(x1,x2) = 5, 6; events 1 - d1*d2 = 0, 1
     np.testing.assert_array_equal(g.jump_times, [6])
 
