@@ -5,8 +5,8 @@ families), fit (parameter estimate only), km (marginal Kaplan-Meier
 curve), simulate (Monte Carlo study). JSON goes to stdout with floats at
 12 significant digits; CSV schemas are fixed.
 
-Exit codes: 0 success, 1 input or parse failure, 2 statistical failure,
-64 usage error.
+Exit codes: 0 success, 1 input, parse or output failure (an unreadable
+--input or an unwritable --output), 2 statistical failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -173,11 +173,16 @@ def _report_json(report: bootstrap.GofReport, alpha: float) -> dict:
 
 @contextlib.contextmanager
 def _output(path):
-    """A text stream on ``path``, or stdout when no path is given."""
+    """A text stream on ``path``, or stdout when no path is given. A path
+    that cannot be opened for writing is an InputError."""
     if not path:
         yield sys.stdout
         return
-    with open(path, "w", newline="") as fh:
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
+    with fh:
         yield fh
 
 

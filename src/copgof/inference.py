@@ -5,7 +5,8 @@ Kaplan-Meier transforms produce pseudo-observations, then the censored
 copula pseudo-likelihood is maximized in one dimension. The search runs
 on an unconstrained transform of theta with a bracket that expands
 geometrically from a Kendall-tau moment start until it contains the
-optimum.
+optimum. A search that stops unconverged on a finite edge of the domain
+raises InferenceError.
 
 Under a correctly specified copula the negative mean hessian S and the
 mean squared score V of the pseudo-likelihood estimate the same
@@ -45,6 +46,9 @@ _LOO_MAX_ITER = 100
 _LOO_XTOL = 1e-10
 # fit_pmle's tolerance on the unconstrained scale
 _XATOL = 1e-8
+# an optimizer that stops unconverged this close to a finite domain edge
+# is on the edge: the likelihood rises toward the boundary of the family
+_EDGE_DISTANCE = 1e-6
 
 
 class InferenceError(Exception):
@@ -101,6 +105,13 @@ def _observations(u1, u2, d1, d2, min_n: int = MIN_OBSERVATIONS):
     return u1, u2, d1, d2
 
 
+def _on_edge(family: Family, theta):
+    """Whether theta (a float or an array) lies within _EDGE_DISTANCE of a
+    finite edge of the family's domain."""
+    lo, hi = copulas.family_ops(family).domain
+    return np.minimum(theta - lo, hi - theta) <= _EDGE_DISTANCE
+
+
 def fit_pmle(family: Family, u1, u2, d1, d2,
              initial_theta: float | None = None,
              bracket_halfwidth: float = 1.0) -> FitResult:
@@ -111,7 +122,9 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
     or atanh theta depending on the family). The bracket starts at
     +-bracket_halfwidth around the initial point and doubles, recentered
     on the current best edge, until the interior optimum is strict or 60
-    expansions have been used.
+    expansions have been used. A fit that ends unconverged on a finite
+    edge of the domain, as on independent data for a family whose
+    independence point is that edge, raises InferenceError.
     """
     u1, u2, d1, d2 = _observations(u1, u2, d1, d2)
     n = u1.size
@@ -162,6 +175,11 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
         converged = abs(total_score) <= 1e-6 * n
     except LikelihoodError:
         converged = False
+    if not converged and _on_edge(family, theta_hat):
+        lo, hi = copulas.family_ops(family).domain
+        raise InferenceError(
+            f"{family.value} fit did not converge: theta_hat = {theta_hat!r} "
+            f"is on the edge of the domain ({lo:g}, {hi:g})")
     # maximize_1d returns a finite f_star, so every piece at theta_hat was
     # finite and f_star is the strict pseudo-log-likelihood there
     return FitResult(family=family, theta_hat=theta_hat, loglik=f_star,
@@ -267,6 +285,11 @@ def _loo_block(fit: FitResult, rows, at_hat, u1, u2, d1, d2):
         x[acc], f[acc], own[acc], grad[acc] = trial[up], f_trial[up], own_trial[up], g[up]
         step[acc] = _newton_step(g[up], h[up])
         active[acc[(h[up] < 0.0) & (np.abs(step[acc]) <= _LOO_XTOL)]] = False
+    edge = np.count_nonzero(_on_edge(family, copulas.from_unconstrained(family, x[active])))
+    if edge:
+        raise InferenceError(
+            f"leave-one-out optimum on the domain edge for {family.value} "
+            f"at {edge} of {k} rows")
     raise InferenceError(
         f"leave-one-out refit for {family.value} did not converge in "
         f"{_LOO_MAX_ITER} iterations for {np.count_nonzero(active)} of {k} rows")
@@ -301,7 +324,8 @@ def pios_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
     i. All n are solved together, in blocks of about _LOO_BLOCK / n rows,
     by a safeguarded Newton iteration on the unconstrained scale
     warm-started at theta_hat (see ``_loo_block``). Raises InferenceError
-    if a refit does not converge, as on a theta_hat at the domain edge.
+    if a refit does not converge, naming the rows whose leave-one-out
+    optimum is on the domain edge.
     """
     u1, u2, d1, d2 = _observations(u1, u2, d1, d2, MIN_OBSERVATIONS + 1)
     _, own, at_hat = _loo_fits(fit, u1, u2, d1, d2)

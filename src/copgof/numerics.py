@@ -272,11 +272,8 @@ def maximize_1d(f, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, floa
     if counts[1] > 0.2 * counts[0]:
         raise OptimizationError(
             f"objective non-finite at {counts[1]}/{counts[0]} probes on [{lo}, {hi}]")
-    x = float(res.x)
-    fx = f(x)
-    if not np.isfinite(fx):
-        raise OptimizationError(f"objective non-finite at reported optimum {x}")
-    return x, float(fx)
+    # res.fun is neg(res.x), the best probe, which is finite when any probe is
+    return float(res.x), float(-res.fun)
 
 
 @dataclass(frozen=True)

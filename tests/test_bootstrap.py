@@ -148,15 +148,22 @@ def test_pios_reports_deterministic_across_worker_counts(monkeypatch):
 
 
 def test_pios_at_domain_edge_fails_typed(monkeypatch):
-    # independent margins: the observed Clayton fit sits on the domain
-    # edge, and its leave-one-out refits end in a typed error, not a number
+    # independent margins: the observed Clayton fit ends on the domain
+    # edge, a typed error; handed such a fit, the leave-one-out refits
+    # end in a typed error too, not a number
     monkeypatch.setenv("COPULA_GOF_THREADS", "1")
     gen = np.random.default_rng(1)
     t1, t2, c = gen.exponential(1.0, 60), gen.exponential(1.0, 60), gen.exponential(3.0, 60)
     sample = CensoredSample(np.minimum(t1, c), np.minimum(t2, c), t1 <= c, t2 <= c)
+    config = BootstrapConfig(b=4, seed=1)
+    with pytest.raises(inference.InferenceError, match="on the edge of the domain"):
+        bootstrap_reports(sample, Family.CLAYTON, config, kinds=("pios",))
+    u1, u2, d1, d2 = pseudo_observations(sample)
+    loglik = float(copulas.loglik_vec(Family.CLAYTON, 1e-8, u1, u2, d1, d2).sum())
+    edge = inference.FitResult(Family.CLAYTON, 1e-8, loglik, len(sample),
+                               converged=False, n_evaluations=0)
     with pytest.raises(inference.InferenceError, match="leave-one-out"):
-        bootstrap_reports(sample, Family.CLAYTON, BootstrapConfig(b=4, seed=1),
-                          kinds=("pios",))
+        bootstrap_reports(sample, Family.CLAYTON, config, kinds=("pios",), fit=edge)
 
 
 def test_seed_changes_sigma():

@@ -231,6 +231,15 @@ def test_input_missing_file(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", [["fit", "--family", "clayton"], ["km"]])
+def test_unwritable_output_is_an_input_error(data_csv, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "x.json"
+    rc = main([command[0], "--input", data_csv, "--output", str(out), *command[1:]])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+
+
 def test_input_bad_header(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("a,b,c,d\n1,2,1,1\n")

@@ -3,8 +3,9 @@ import pytest
 
 from copgof import copulas, inference, numerics
 from copgof.copulas import CopulaModel, Family
-from copgof.inference import (InferenceError, compute_statistic, fit_pmle,
-                              information, pios_statistic)
+from copgof.inference import (FitResult, InferenceError, compute_statistic,
+                              fit_pmle, information, pios_statistic)
+from copgof.simulation import Scenario, generate_scenario_dataset
 from copgof.survival import CensoredPair, CensoredSample, pseudo_observations
 
 
@@ -160,20 +161,54 @@ def test_pios_is_independent_of_the_block_size(family, monkeypatch):
         assert pios_statistic(fit, u1, u2, d1, d2).value == whole
 
 
+def _edge_fit(family, u1, u2, d1, d2):
+    """An unconverged fit 1e-8 inside the lower edge of the domain."""
+    theta = copulas.family_ops(family).domain[0] + 1e-8
+    loglik = float(copulas.loglik_vec(family, theta, u1, u2, d1, d2).sum())
+    return FitResult(family, theta, loglik, u1.size, converged=False, n_evaluations=0)
+
+
 @pytest.mark.parametrize("family", [Family.CLAYTON, Family.FRANK, Family.JOE, Family.GUMBEL])
 def test_pios_at_domain_edge_is_a_typed_error(family):
-    # independent data: the fit lands on the domain edge (Clayton and
-    # Frank near 0, Joe and Gumbel near 1) and the leave-one-out refits
-    # walk off it instead of converging
+    # independent data: the fit ends on the domain edge (Clayton and
+    # Frank near 0, Joe and Gumbel near 1) without converging, which is a
+    # typed error; at such a fit every leave-one-out optimum is the edge
     gen = np.random.default_rng(1)
     t1, t2 = gen.exponential(1.0, 60), gen.exponential(1.0, 60)
     c = gen.exponential(3.0, 60)
     u1, u2, d1, d2 = pseudo_observations(
         CensoredSample(np.minimum(t1, c), np.minimum(t2, c), t1 <= c, t2 <= c))
+    with pytest.raises(InferenceError, match="on the edge of the domain"):
+        fit_pmle(family, u1, u2, d1, d2)
+    with pytest.raises(InferenceError, match="leave-one-out optimum on the domain edge"):
+        pios_statistic(_edge_fit(family, u1, u2, d1, d2), u1, u2, d1, d2)
+
+
+@pytest.mark.parametrize("family, n, rows", [(Family.CLAYTON, 100, 2),
+                                             (Family.JOE, 40, 1),
+                                             (Family.GUMBEL, 40, 6)])
+def test_pios_with_delete_one_optima_on_the_edge_is_a_typed_error(family, n, rows):
+    # an interior fit whose delete-one scores at the edge are negative for
+    # a few rows: those rows' leave-one-out optimum is the domain edge
+    sample = generate_scenario_dataset(Scenario(family, 0.2, n, "c40"), seed=1)
+    u1, u2, d1, d2 = pseudo_observations(sample)
     fit = fit_pmle(family, u1, u2, d1, d2)
-    assert not fit.converged
-    with pytest.raises(InferenceError, match="did not converge"):
+    assert fit.converged
+    with pytest.raises(InferenceError, match=f"leave-one-out optimum on the domain "
+                                             f"edge for {family.value} at {rows} of {n} rows"):
         pios_statistic(fit, u1, u2, d1, d2)
+
+
+def test_fit_on_independent_data_is_a_typed_error():
+    # tau ~ -0.12: Clayton, Frank, Joe and Gumbel all stop unconverged on
+    # their independence edge; the Gaussian fit is interior
+    gen = np.random.default_rng(3)
+    t1, t2 = gen.exponential(1.0, 200), gen.exponential(1.0, 200)
+    u1, u2, d1, d2 = pseudo_observations(CensoredSample(t1, t2, np.ones(200), np.ones(200)))
+    for family in (Family.CLAYTON, Family.FRANK, Family.JOE, Family.GUMBEL):
+        with pytest.raises(InferenceError, match=f"{family.value} fit did not converge"):
+            fit_pmle(family, u1, u2, d1, d2)
+    assert fit_pmle(Family.GAUSSIAN, u1, u2, d1, d2).converged
 
 
 def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
