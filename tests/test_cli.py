@@ -118,6 +118,22 @@ def test_cmd_fit_margin_without_events_exits_2(tmp_path, capsys):
     assert "margin 1 has no observed events" in captured.err
 
 
+@pytest.mark.parametrize("family, statistic", [("gumbel", "ir"), ("frank", "white")])
+def test_cmd_test_on_independent_data_exits_2(tmp_path, capsys, family, statistic):
+    # empirical tau -0.12: the fit stops unconverged on the independence
+    # edge, which is a statistical failure, not a p-value
+    gen = np.random.default_rng(3)
+    t1, t2 = gen.exponential(1.0, 200), gen.exponential(1.0, 200)
+    p = tmp_path / "independent.csv"
+    rows = ["x1,x2,d1,d2"] + [f"{a!r},{b!r},1,1" for a, b in zip(t1.tolist(), t2.tolist())]
+    p.write_text("\n".join(rows) + "\n")
+    rc = main(["test", "--input", str(p), "--family", family, "--statistic", statistic,
+               "--b", "20", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "on the edge of the domain" in captured.err
+
+
 def test_cmd_km_schema(data_csv, capsys):
     rc = main(["km", "--input", data_csv, "--margin", "1"])
     assert rc == 0

@@ -199,18 +199,6 @@ def test_pios_with_delete_one_optima_on_the_edge_is_a_typed_error(family, n, row
         pios_statistic(fit, u1, u2, d1, d2)
 
 
-def test_fit_on_independent_data_is_a_typed_error():
-    # tau ~ -0.12: Clayton, Frank, Joe and Gumbel all stop unconverged on
-    # their independence edge; the Gaussian fit is interior
-    gen = np.random.default_rng(3)
-    t1, t2 = gen.exponential(1.0, 200), gen.exponential(1.0, 200)
-    u1, u2, d1, d2 = pseudo_observations(CensoredSample(t1, t2, np.ones(200), np.ones(200)))
-    for family in (Family.CLAYTON, Family.FRANK, Family.JOE, Family.GUMBEL):
-        with pytest.raises(InferenceError, match=f"{family.value} fit did not converge"):
-            fit_pmle(family, u1, u2, d1, d2)
-    assert fit_pmle(Family.GAUSSIAN, u1, u2, d1, d2).converged
-
-
 def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
     u1, u2, d1, d2 = _simulate(Family.GUMBEL, 0.5, 60, seed=4, censoring_mean=1.5)
     fit = fit_pmle(Family.GUMBEL, u1, u2, d1, d2)
