@@ -14,7 +14,11 @@ standardized by that deviation around its null value.
 
 Replicate b of family f draws from stream index f * 2^20 + b of the
 master seed, so results are independent of worker count and of which
-other families are being tested.
+other families are being tested. Replicates are drawn in (k, n) blocks
+of about ``_BLOCK`` entries: one sampler call, one inverse Kaplan-Meier
+pass per curve and one product-limit pass per margin cover the block,
+while each row keeps its own stream, so results are independent of the
+block size too. Each row is then refit as its own task.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ from .survival import CensoredSample, StepSurvival
 B_CAP = 1 << 20
 _RETRY_OFFSET = B_CAP >> 1
 MIN_REPLICATE_FRACTION = 0.8
+# replicates are generated in blocks of about this many entries,
+# (rows in block) x n, so each (k, n) array stays near 1 MB
+_BLOCK = 2 ** 17
 
 
 class BootstrapError(Exception):
@@ -97,38 +104,76 @@ class _Frame:
     family_index: int
 
 
-def generate_bootstrap_dataset(frame: _Frame, stream_index: int) -> CensoredSample:
-    """One parametric bootstrap sample from the fitted model."""
-    gen = RngStream(frame.master_seed, stream_index).generator()
+def generate_bootstrap_dataset(frame: _Frame, stream_indices) -> tuple[np.ndarray, ...]:
+    """Parametric bootstrap samples from the fitted model, one per stream
+    index, as four (k, n) arrays (x1, x2, d1, d2).
+
+    Row j is what the stream alone gives: its pairs, then one block of
+    censoring uniforms per censoring curve. Each inverse Kaplan-Meier curve
+    is taken once over the whole block, and the block's times are checked
+    once, as CensoredSample checks a sample's.
+    """
+    gens = [RngStream(frame.master_seed, s).generator() for s in stream_indices]
     n = frame.n
-    u1, u2 = copulas.sample_pairs(frame.model, gen, n)
+    u1, u2 = copulas.sample_pairs(frame.model, gens, n)
     t1 = frame.event1.inverse(u1)
     t2 = frame.event2.inverse(u2)
-    c = [curve.inverse(gen.random(n)) for curve in frame.censoring]
+    levels = [np.array([g.random(n) for g in gens]) for _ in frame.censoring]
+    c = [curve.inverse(u) for curve, u in zip(frame.censoring, levels)]
     c1, c2 = c[0], c[-1]
-    return CensoredSample(np.minimum(t1, c1), np.minimum(t2, c2), t1 <= c1, t2 <= c2)
+    x1, x2 = np.minimum(t1, c1), np.minimum(t2, c2)
+    if not (np.isfinite(x1) & np.isfinite(x2) & (x1 >= 0.0) & (x2 >= 0.0)).all():
+        raise ValueError("bootstrap times must be finite and non-negative")
+    return x1, x2, (t1 <= c1).astype(np.int8), (t2 <= c2).astype(np.int8)
 
 
-def _replicate_stats(frame: _Frame, stream_index: int) -> dict[str, float]:
-    sample = generate_bootstrap_dataset(frame, stream_index)
-    u1, u2, d1, d2 = survival.pseudo_observations(sample)
-    fit = inference.fit_pmle(frame.model.family, u1, u2, d1, d2,
-                             initial_theta=frame.model.theta)
-    stats = inference.compute_statistics(frame.kinds, fit, u1, u2, d1, d2)
+def _replicate_stats(args) -> dict[str, float] | None:
+    """Worker body: refit one generated replicate and recompute the
+    statistics, or None when that fails with a typed error."""
+    frame, row = args
+    try:
+        if isinstance(row, survival.SurvivalError):
+            raise row
+        u1, u2, d1, d2 = row
+        fit = inference.fit_pmle(frame.model.family, u1, u2, d1, d2,
+                                 initial_theta=frame.model.theta)
+        stats = inference.compute_statistics(frame.kinds, fit, u1, u2, d1, d2)
+    except _STAT_ERRORS:
+        return None
     return {k: v.value for k, v in stats.items()}
 
 
-def _run_replicate(args) -> tuple[int, dict[str, float] | None]:
-    """Worker body: try the primary stream, retry once on a fresh
-    sub-stream, and report a drop if both attempts fail."""
-    frame, b = args
+def _block_stats(frame: _Frame, stream_indices) -> list[dict[str, float] | None]:
+    """Generate the replicates on these streams as one block and refit
+    each row as its own task."""
+    x1, x2, d1, d2 = generate_bootstrap_dataset(frame, stream_indices)
+    u1, u2, errors = survival._pseudo_rows(x1, x2, d1, d2)
+    rows = [err if err is not None else (u1[j], u2[j], d1[j], d2[j])
+            for j, err in enumerate(errors)]
+    return ordered_map(_replicate_stats, [(frame, row) for row in rows])
+
+
+def _replicates(frame: _Frame, b: int) -> list[dict[str, float]]:
+    """Statistics of the b replicates that succeed, in replicate order.
+
+    Replicate i draws from stream base + i, in blocks of about _BLOCK
+    entries. A replicate that fails gets one retry on stream
+    base + _RETRY_OFFSET + i, and the retries of a block are generated as
+    one more block; a replicate that fails twice is dropped.
+    """
     base = frame.family_index * B_CAP
-    for stream in (base + b, base + _RETRY_OFFSET + b):
-        try:
-            return b, _replicate_stats(frame, stream)
-        except _STAT_ERRORS:
-            continue
-    return b, None
+    size = -(-_BLOCK // frame.n)
+    kept = []
+    for start in range(0, b, size):
+        idx = range(start, min(start + size, b))
+        stats = _block_stats(frame, [base + i for i in idx])
+        failed = [j for j, s in enumerate(stats) if s is None]
+        if failed:
+            retried = _block_stats(frame, [base + _RETRY_OFFSET + idx[j] for j in failed])
+            for j, s in zip(failed, retried):
+                stats[j] = s
+        kept.extend(s for s in stats if s is not None)
+    return kept
 
 
 def _censoring_rates(d1, d2) -> tuple[float, float]:
@@ -169,9 +214,7 @@ def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
         fit = inference.fit_pmle(family, u1, u2, d1, d2)
     observed = inference.compute_statistics(kinds, fit, u1, u2, d1, d2)
 
-    frame = _build_frame(sample, fit, kinds, config)
-    results = ordered_map(_run_replicate, [(frame, b) for b in range(config.b)])
-    kept = [stats for _, stats in results if stats is not None]
+    kept = _replicates(_build_frame(sample, fit, kinds, config), config.b)
     floor = math.ceil(MIN_REPLICATE_FRACTION * config.b)
     if len(kept) < floor:
         raise BootstrapError(

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 
 from . import bootstrap, copulas, inference, simulation, survival
@@ -186,6 +187,21 @@ def _output(path):
         yield fh
 
 
+def _check_output(path) -> None:
+    """Raise the InputError of ``_output`` now, before the computation,
+    when ``path`` cannot be opened for writing. An existing file is left
+    as it was, and a file this check creates is removed again."""
+    if not path:
+        return
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _emit_json(obj, path=None) -> None:
     with _output(path) as fh:
         fh.write(json.dumps(obj, indent=2) + "\n")
@@ -195,6 +211,7 @@ def cmd_test(args) -> int:
     config = _bootstrap_config(args, _parse_config(args))
     sample = read_data_csv(args.input)
     family = _parse_family(args.family)
+    _check_output(args.output)
     report = bootstrap.bootstrap_pvalue(sample, family, config)
     _emit_json(_report_json(report, args.alpha), args.output)
     return EXIT_OK
@@ -204,6 +221,7 @@ def cmd_select(args) -> int:
     config = _bootstrap_config(args, _parse_config(args))
     sample = read_data_csv(args.input)
     families = _parse_families(args.families)
+    _check_output(args.output)
     result = bootstrap.select_copula(sample, families, config)
     ranking = []
     for entry in result.entries:
@@ -234,6 +252,7 @@ def cmd_fit(args) -> int:
             copulas.CopulaModel(family, initial_theta)
         except ValueError as exc:
             raise UsageError(f"initial_theta: {exc}") from None
+    _check_output(args.output)
     u1, u2, d1, d2 = survival.pseudo_observations(sample)
     fit = inference.fit_pmle(family, u1, u2, d1, d2, initial_theta=initial_theta)
     _emit_json({
@@ -273,9 +292,10 @@ def cmd_simulate(args) -> int:
                                      alpha=args.alpha, seed=args.seed, kinds=kinds)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    null_families = (_parse_families(args.null_families)
+                     if args.mode == "rejection" and args.null_families else [true_family])
+    _check_output(args.output)
     if args.mode == "rejection":
-        null_families = (_parse_families(args.null_families)
-                         if args.null_families else [true_family])
         rows = simulation.run_rejection_study(scenario, null_families, cfg)
         with _output(args.output) as fh:
             simulation.write_rejection_csv(rows, fh)

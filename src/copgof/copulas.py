@@ -721,15 +721,20 @@ def tau_to_theta(family: Family, tau: float) -> float:
     return float(ops.tau_to_theta(tau))
 
 
-def sample_pairs(m: CopulaModel, gen: np.random.Generator,
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_pairs(m: CopulaModel, gen, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw n pairs by the conditional-distribution method.
 
-    Consumes exactly two uniform blocks of length n from ``gen``, so the
-    draw sequence is reproducible.
+    Each generator consumes exactly two uniform blocks of length n (u1,
+    then w), so the draw sequence is reproducible. ``gen`` is one
+    Generator, giving two arrays of length n, or a sequence of k of them,
+    giving two (k, n) blocks whose row j is what generator j alone gives.
+    One ``inv_conditional`` call covers the whole block.
     """
-    u1 = gen.random(n)
-    w = gen.random(n)
+    single = isinstance(gen, np.random.Generator)
+    draws = np.array([(g.random(n), g.random(n)) for g in ([gen] if single else gen)])
+    u1, w = draws[:, 0], draws[:, 1]
+    if single:
+        u1, w = u1[0], w[0]
     # keep conditioning values away from exact 0/1
     u1 = np.clip(u1, 1e-12, 1.0 - 1e-12)
     w = np.clip(w, 1e-12, 1.0 - 1e-12)

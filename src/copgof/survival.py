@@ -9,9 +9,12 @@ the arrays.
 
 Margins are estimated by the Kaplan-Meier product-limit estimator, and
 its generalized inverse :meth:`StepSurvival.inverse` maps uniform levels
-back to times. Pseudo-observations feed the copula likelihood: each
-margin is transformed through its own survival estimate and clamped into
-(0, 1) by 1/(2n) at both ends.
+(of any shape) back to times. Pseudo-observations feed the copula
+likelihood: each margin is transformed through its own survival estimate
+and clamped into (0, 1) by 1/(2n) at both ends. One row-wise
+product-limit pass serves :func:`kaplan_meier` (a block of one row) and
+the pseudo-observations of a whole (k, n) block of bootstrap replicates
+at once; each row equals its own one-sample call bit for bit.
 """
 
 from __future__ import annotations
@@ -150,6 +153,40 @@ class StepSurvival:
         return np.where(u >= 1.0, 0.0, out)
 
 
+def _product_limit(times, events):
+    """One product-limit pass over the rows of (k, n) blocks of times and
+    event indicators, ties deaths-first: a tie group's number at risk
+    counts every row from its first sorted position on.
+
+    The group's factor 1 - d/r sits at that position and 1.0 everywhere
+    else, so the running product along a row is, bit for bit, the product
+    over its death groups alone. Returns the stable sort ``order``, the
+    sorted times, the survival at each sorted time, and the flat indices
+    of the first positions of the tie groups with deaths.
+    """
+    k, n = times.shape
+    order = np.argsort(times, axis=1, kind="stable")
+    t_sorted = np.take_along_axis(times, order, axis=1)
+    e_sorted = np.take_along_axis(events, order, axis=1).astype(np.int64)
+    start = np.ones((k, n), dtype=bool)
+    start[:, 1:] = t_sorted[:, 1:] != t_sorted[:, :-1]
+    first = np.flatnonzero(start)
+    deaths = np.add.reduceat(e_sorted.ravel(), first)
+    factor = np.ones(k * n)
+    factor[first] = 1.0 - deaths / (n - first % n)
+    surv = np.cumprod(factor.reshape(k, n), axis=1)
+    return order, t_sorted, surv, first[deaths > 0]
+
+
+def _km_rows(times, events) -> np.ndarray:
+    """Kaplan-Meier survival of each row of (k, n) blocks at that row's
+    own times, equal to ``kaplan_meier(x, d).evaluate(x)`` row by row."""
+    order, _, surv, _ = _product_limit(times, events)
+    out = np.empty_like(surv)
+    np.put_along_axis(out, order, surv, axis=1)
+    return out
+
+
 def kaplan_meier(times, events) -> StepSurvival:
     """Product-limit survival estimate.
 
@@ -165,23 +202,9 @@ def kaplan_meier(times, events) -> StepSurvival:
         raise SurvivalError("times and events must have equal length")
     if (times < 0).any() or not np.isfinite(times).all():
         raise SurvivalError("times must be finite and non-negative")
-    n = times.size
-    order = np.argsort(times, kind="stable")
-    t_sorted = times[order]
-    e_sorted = events[order].astype(np.int64)
-
-    uniq, start = np.unique(t_sorted, return_index=True)
-    deaths = np.add.reduceat(e_sorted, start)
-    counts = np.diff(np.append(start, n))
-    removed_before = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    at_risk = n - removed_before
-
-    has_death = deaths > 0
-    jt = uniq[has_death]
-    d = deaths[has_death]
-    r = at_risk[has_death]
-    surv = np.cumprod(1.0 - d / r)
-    return StepSurvival(jump_times=jt, values=surv, n_at_risk=r)
+    _, t_sorted, surv, jumps = _product_limit(times[None], events[None])
+    return StepSurvival(jump_times=t_sorted[0, jumps], values=surv[0, jumps],
+                        n_at_risk=times.size - jumps)
 
 
 def censoring_curves(data, common: bool) -> tuple[StepSurvival, ...]:
@@ -199,6 +222,22 @@ def censoring_curves(data, common: bool) -> tuple[StepSurvival, ...]:
     return kaplan_meier(s.x1, 1 - s.d1), kaplan_meier(s.x2, 1 - s.d2)
 
 
+def _pseudo_rows(x1, x2, d1, d2):
+    """``pseudo_observations`` of each row of (k, n) blocks, from one
+    product-limit pass per margin: (u1, u2, errors), where errors[j] is
+    the SurvivalError of row j if a margin of it has no observed events,
+    else None."""
+    eps = 1.0 / (2.0 * x1.shape[1])
+    u1 = np.clip(_km_rows(x1, d1), eps, 1.0 - eps)
+    u2 = np.clip(_km_rows(x2, d2), eps, 1.0 - eps)
+    errors = [None] * x1.shape[0]
+    # margin 1 last: its error wins when neither margin has events
+    for margin, d in ((2, d2), (1, d1)):
+        for j in np.flatnonzero(~d.any(axis=1)):
+            errors[j] = SurvivalError(f"margin {margin} has no observed events")
+    return u1, u2, errors
+
+
 def pseudo_observations(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Transform a censored sample to the copula scale via marginal
     Kaplan-Meier.
@@ -208,13 +247,10 @@ def pseudo_observations(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     observed events, whose pseudo-observations would all be equal.
     """
     s = as_sample(data)
-    for margin, d in ((1, s.d1), (2, s.d2)):
-        if not d.any():
-            raise SurvivalError(f"margin {margin} has no observed events")
-    eps = 1.0 / (2.0 * len(s))
-    u1 = np.clip(kaplan_meier(s.x1, s.d1).evaluate(s.x1), eps, 1.0 - eps)
-    u2 = np.clip(kaplan_meier(s.x2, s.d2).evaluate(s.x2), eps, 1.0 - eps)
-    return u1, u2, s.d1, s.d2
+    u1, u2, errors = _pseudo_rows(s.x1[None], s.x2[None], s.d1[None], s.d2[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return u1[0], u2[0], s.d1, s.d2
 
 
 def empirical_kendall_tau(x, y) -> float:

@@ -9,8 +9,8 @@ from copgof import bootstrap, copulas, inference, numerics
 from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_pvalue,
                               bootstrap_reports, generate_bootstrap_dataset,
                               select_copula, _build_frame)
-from copgof.copulas import CopulaModel, Family
-from copgof.inference import fit_pmle
+from copgof.copulas import FAMILY_ORDER, CopulaModel, Family
+from copgof.inference import compute_statistics, fit_pmle
 from copgof.numerics import RngStream
 from copgof.survival import (CensoredSample, censoring_curves, kaplan_meier,
                              pseudo_observations)
@@ -26,6 +26,11 @@ def _make_pairs(family, tau, n, seed, censoring_mean=1.5):
 
 
 PAIRS = _make_pairs(Family.CLAYTON, 0.5, 150, seed=60)
+
+
+def _row(block, j=0):
+    """Row j of a generated (k, n) block as a CensoredSample."""
+    return CensoredSample(*(a[j] for a in block))
 
 
 def test_config_validation():
@@ -177,15 +182,15 @@ def test_generated_dataset_matches_shape():
     u1, u2, d1, d2 = pseudo_observations(PAIRS)
     fit = fit_pmle(Family.CLAYTON, u1, u2, d1, d2)
     frame = _build_frame(PAIRS, fit, ("ir",), BootstrapConfig(b=10, seed=0))
-    data = generate_bootstrap_dataset(frame, stream_index=3)
+    data = _row(generate_bootstrap_dataset(frame, [3]))
     assert len(data) == len(PAIRS)
     # roughly matching censoring level
     rate = sum(1 - p.d1 for p in data) / len(data)
     assert 0.1 < rate < 0.65
     # same stream, same data
-    again = generate_bootstrap_dataset(frame, stream_index=3)
+    again = _row(generate_bootstrap_dataset(frame, [3]))
     assert data == again
-    assert data != generate_bootstrap_dataset(frame, stream_index=4)
+    assert data != _row(generate_bootstrap_dataset(frame, [4]))
 
 
 def test_per_margin_dataset_is_an_explicit_redraw():
@@ -194,7 +199,7 @@ def test_per_margin_dataset_is_an_explicit_redraw():
     fit = fit_pmle(Family.CLAYTON, *pseudo_observations(PAIRS))
     config = BootstrapConfig(b=10, seed=7, common_censoring=False)
     frame = _build_frame(PAIRS, fit, ("ir",), config)
-    data = generate_bootstrap_dataset(frame, stream_index=5)
+    data = _row(generate_bootstrap_dataset(frame, [5]))
 
     gen = RngStream(7, 5).generator()
     u1, u2 = copulas.sample_pairs(fit.model, gen, len(PAIRS))
@@ -206,7 +211,83 @@ def test_per_margin_dataset_is_an_explicit_redraw():
     assert data == CensoredSample(np.minimum(t1, c1), np.minimum(t2, c2),
                                   t1 <= c1, t2 <= c2)
     common = _build_frame(PAIRS, fit, ("ir",), BootstrapConfig(b=10, seed=7))
-    assert data != generate_bootstrap_dataset(common, stream_index=5)
+    assert data != _row(generate_bootstrap_dataset(common, [5]))
+
+
+@pytest.mark.parametrize("common", [True, False])
+def test_block_rows_equal_their_single_stream_calls(common):
+    # Joe draws through the bisection sampler; each block row is its own
+    # stream's sample, bit for bit
+    fit = fit_pmle(Family.JOE, *pseudo_observations(PAIRS))
+    frame = _build_frame(PAIRS, fit, ("ir",),
+                         BootstrapConfig(b=10, seed=7, common_censoring=common))
+    streams = [3, 9, 4, B_CAP + 1]
+    block = generate_bootstrap_dataset(frame, streams)
+    assert [a.shape for a in block] == [(4, len(PAIRS))] * 4
+    for j, stream in enumerate(streams):
+        single = generate_bootstrap_dataset(frame, [stream])
+        assert [a[j].tobytes() for a in block] == [a[0].tobytes() for a in single]
+
+
+JOE_PAIRS = _make_pairs(Family.JOE, 0.5, 60, seed=62)
+
+
+def test_joe_reports_independent_of_block_size_and_workers(monkeypatch):
+    cfg = BootstrapConfig(b=16, seed=5)
+    kinds = ("ir", "white", "logim")
+    monkeypatch.setenv("COPULA_GOF_THREADS", "1")
+    whole = bootstrap_reports(JOE_PAIRS, Family.JOE, cfg, kinds=kinds)
+    assert whole["ir"].b_used == 16
+    # 1 entry makes one-row blocks, 7n seven-row blocks and a ragged last one
+    for block in (1, 7 * len(JOE_PAIRS), bootstrap._BLOCK):
+        monkeypatch.setattr(bootstrap, "_BLOCK", block)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("COPULA_GOF_THREADS", threads)
+            assert bootstrap_reports(JOE_PAIRS, Family.JOE, cfg, kinds=kinds) == whole
+
+
+def test_rows_without_events_are_retried_as_an_explicit_loop(monkeypatch):
+    # chosen streams lose every event on margin 2, which fails that row
+    # alone; the reports equal a per-replicate loop over the primary and
+    # then the retry stream, and a replicate failing on both is dropped
+    family = Family.CLAYTON
+    cfg = BootstrapConfig(b=12, seed=3)
+    kinds = ("ir", "white", "logim")
+    base = FAMILY_ORDER.index(family) * B_CAP
+    retry = base + bootstrap._RETRY_OFFSET
+    broken = {base + 2, base + 5, base + 6, retry + 6}
+    draw = generate_bootstrap_dataset
+
+    def censor_chosen(frame, streams):
+        x1, x2, d1, d2 = draw(frame, streams)
+        for j, stream in enumerate(streams):
+            if stream in broken:
+                d2[j] = 0
+        return x1, x2, d1, d2
+
+    monkeypatch.setenv("COPULA_GOF_THREADS", "1")
+    monkeypatch.setattr(bootstrap, "generate_bootstrap_dataset", censor_chosen)
+    reports = bootstrap_reports(PAIRS, family, cfg, kinds=kinds)
+
+    fit = fit_pmle(family, *pseudo_observations(PAIRS))
+    frame = _build_frame(PAIRS, fit, kinds, cfg)
+    draws = []
+    for b in range(cfg.b):
+        for stream in (base + b, retry + b):
+            try:
+                u1, u2, d1, d2 = pseudo_observations(_row(censor_chosen(frame, [stream])))
+                refit = fit_pmle(family, u1, u2, d1, d2, initial_theta=fit.theta_hat)
+                draws.append(compute_statistics(kinds, refit, u1, u2, d1, d2))
+                break
+            except bootstrap._STAT_ERRORS:
+                continue
+    assert len(draws) == cfg.b - 1
+    for k in kinds:
+        sigma_b = float(np.std([d[k].value for d in draws], ddof=1))
+        rep = reports[k]
+        assert (rep.b_used, rep.sigma_b) == (cfg.b - 1, sigma_b)
+        assert rep.p_value == bootstrap._pvalue(rep.statistic.value,
+                                                rep.statistic.null_value, sigma_b)[0]
 
 
 def test_per_margin_reports_are_deterministic():
@@ -222,7 +303,7 @@ def test_uncensored_original_stays_uncensored():
     u1, u2, d1, d2 = pseudo_observations(pairs)
     fit = fit_pmle(Family.GUMBEL, u1, u2, d1, d2)
     frame = _build_frame(pairs, fit, ("ir",), BootstrapConfig(b=10, seed=0))
-    data = generate_bootstrap_dataset(frame, stream_index=0)
+    data = _row(generate_bootstrap_dataset(frame, [0]))
     assert all(p.d1 == 1 and p.d2 == 1 for p in data)
 
 

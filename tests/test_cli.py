@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from copgof import copulas
+from copgof import bootstrap, copulas, inference, simulation
 from copgof.cli import main
 from copgof.copulas import CopulaModel, Family
 
@@ -254,6 +254,46 @@ def test_unwritable_output_is_an_input_error(data_csv, tmp_path, capsys, command
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, module, work", [
+    (["test", "--input", "DATA", "--family", "clayton", "--b", "200",
+      "--output", "/nonexistent/x.json"], bootstrap, "bootstrap_pvalue"),
+    (["select", "--input", "DATA", "--families", "clayton,frank", "--b", "200",
+      "--output", "/nonexistent/x.json"], bootstrap, "select_copula"),
+    (["fit", "--input", "DATA", "--family", "clayton",
+      "--output", "/nonexistent/x.json"], inference, "fit_pmle"),
+    (["simulate", "--true-family", "clayton", "--n", "40", "--replications", "2",
+      "--b", "4", "--output", "/nonexistent/x.csv"], simulation, "run_rejection_study"),
+    (["simulate", "--mode", "null", "--true-family", "clayton", "--n", "40",
+      "--replications", "2", "--b", "4", "--output", "/nonexistent/x.csv"],
+     simulation, "run_null_distribution"),
+], ids=["test", "select", "fit", "simulate", "simulate-null"])
+def test_unwritable_output_fails_before_the_work(argv, module, work, data_csv,
+                                                 monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --output was checked")
+
+    monkeypatch.setattr(module, work, forbidden)
+    rc = main([data_csv if a == "DATA" else a for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {argv[-1]}: ") and err.count("\n") == 1
+
+
+def test_failed_run_leaves_the_output_path_as_it_was(tmp_path, capsys):
+    # 9 rows fail the fit (exit 2) after --output was checked
+    p = tmp_path / "deg.csv"
+    p.write_text("\n".join(["x1,x2,d1,d2"] + [f"{i}.0,{i}.5,1,1" for i in range(1, 10)]))
+    old = tmp_path / "old.json"
+    old.write_text("earlier report\n")
+    new = tmp_path / "new.json"
+    for out in (old, new):
+        rc = main(["test", "--input", str(p), "--family", "clayton", "--b", "20",
+                   "--output", str(out)])
+        assert rc == 2
+    assert old.read_text() == "earlier report\n"
+    assert not new.exists()
 
 
 def test_input_bad_header(tmp_path, capsys):

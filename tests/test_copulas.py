@@ -389,6 +389,20 @@ def test_sampler_deterministic():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+@pytest.mark.parametrize("k", [1, 3, 20])
+@pytest.mark.parametrize("family", list(Family))
+def test_sample_pairs_block_rows_equal_single_draws(family, k):
+    # row j of a block is generator j's own draw, bit for bit, and one
+    # generator in a list gives a block of one row
+    m = CopulaModel(family, tau_to_theta(family, 0.6))
+    seeds = [100 + 7 * j for j in range(k)]
+    u1, u2 = sample_pairs(m, [np.random.default_rng(s) for s in seeds], 50)
+    assert u1.shape == u2.shape == (k, 50)
+    for j, s in enumerate(seeds):
+        v1, v2 = sample_pairs(m, np.random.default_rng(s), 50)
+        assert u1[j].tobytes() == v1.tobytes() and u2[j].tobytes() == v2.tobytes()
+
+
 # --- validation and transforms ------------------------------------------
 
 def test_model_domain_validation():

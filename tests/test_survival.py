@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copgof import survival
 from copgof.survival import (CensoredPair, CensoredSample, StepSurvival,
                              SurvivalError, as_sample, censoring_curves,
                              empirical_kendall_tau, kaplan_meier,
@@ -182,3 +183,37 @@ def test_km_is_decreasing_probability(rows):
     assert (km.values >= -1e-15).all() and (km.values <= 1.0).all()
     if km.values.size > 1:
         assert (np.diff(km.values) <= 1e-15).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=3), st.data())
+def test_product_limit_rows_equal_per_row_kaplan_meier(n, k, decimals, data):
+    # times rounded to few decimals tie heavily; a row with event
+    # probability 0 is censored throughout
+    rows = data.draw(st.lists(st.tuples(
+        st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=n, max_size=n),
+        st.sampled_from([0.0, 0.3, 0.8, 1.0])), min_size=k, max_size=k))
+    x = np.round(np.array([t for t, _ in rows]), decimals)
+    seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    d = (rng.random((k, n)) < np.array([[p] for _, p in rows])).astype(np.int8)
+    s_rows = survival._km_rows(x, d)
+    for j in range(k):
+        assert s_rows[j].tobytes() == kaplan_meier(x[j], d[j]).evaluate(x[j]).tobytes()
+
+    # the pseudo-observations of a row fail alone when a margin of that
+    # row has no events, and otherwise equal its own call
+    x2, d2 = x[::-1], d[::-1]
+    u1, u2, errors = survival._pseudo_rows(x, x2, d, d2)
+    for j in range(k):
+        sample = CensoredSample(x[j], x2[j], d[j], d2[j])
+        if not (d[j].any() and d2[j].any()):
+            with pytest.raises(SurvivalError) as exc:
+                pseudo_observations(sample)
+            assert isinstance(errors[j], SurvivalError)
+            assert str(errors[j]) == str(exc.value)
+            continue
+        assert errors[j] is None
+        v1, v2, _, _ = pseudo_observations(sample)
+        assert u1[j].tobytes() == v1.tobytes() and u2[j].tobytes() == v2.tobytes()
