@@ -4,8 +4,13 @@ The censored log-likelihood of one observation (u1, u2, d1, d2) selects a
 single piece: the copula density for a doubly observed pair, a partial
 derivative when exactly one margin is censored, and the copula function
 itself when both are censored. Only the formulas differ by family.
+The split into these four cases belongs to the sample: an
+``Observations`` validates (u1, u2, d1, d2) and gathers each case's rows
+once, when it is built, and a fit reuses it for every evaluation. Then
 ``loglik_vec`` evaluates each case's piece over its rows, and ``dlog_vec``
-each case's derivative piece, once for both the score and the hessian.
+each case's derivative piece, once for both the score and the hessian;
+each scatters the cases back in row order. A sample with a single case
+(any uncensored one) is evaluated whole, with no gather or scatter.
 
 A family class declares its math and nothing else:
 
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as _special
@@ -625,28 +630,104 @@ def density(m: CopulaModel, u1, u2):
     return _pointwise("log_pdf", m, u1, u2)
 
 
-# the piece of each censoring case, in the order _by_case forms its masks:
-# both margins observed, only the second censored, only the first, both
+# the piece of each censoring case, indexed by the case number
+# 2 (1 - d1) + (1 - d2): both margins observed, only the second censored,
+# only the first, both
 _PIECES = ("log_pdf", "log_c1", "log_c2", "log_cdf")
 _DPIECES = ("dlog_pdf", "dlog_c1", "dlog_c2", "dlog_cdf")
 
 
-def _by_case(family: Family, pieces, theta, u1, u2, d1, d2):
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Observations:
+    """A pseudo-sample (u1, u2, d1, d2), split once into its censoring
+    cases for the likelihood kernels.
+
+    Validated on construction: four 1-D arrays of equal length, with
+    event indicators 0 or 1; anything else raises ValueError naming the
+    argument. The arrays are read-only copies: float u1, u2 and int8 d1,
+    d2. ``n`` (and ``size``, as for an array) is the number of rows.
+
+    ``cases`` holds one (case, rows, u1 rows, u2 rows) entry per
+    censoring case present, in case order, where ``case`` indexes
+    ``_PIECES``. When one case covers every row, its entry holds the
+    whole arrays and ``rows`` is None, so the kernels neither gather nor
+    scatter.
+    """
+    u1: np.ndarray
+    u2: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    n: int = field(init=False)
+    cases: tuple = field(init=False)
+
+    def __post_init__(self):
+        arrays = {"u1": np.array(self.u1, dtype=float), "u2": np.array(self.u2, dtype=float),
+                  "d1": np.asarray(self.d1), "d2": np.asarray(self.d2)}
+        n = arrays["u1"].size
+        for name, a in arrays.items():
+            if a.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D array, got shape {a.shape}")
+            if a.size != n:
+                raise ValueError(f"{name} has {a.size} rows where u1 has {n}")
+        for name in ("d1", "d2"):
+            a = arrays[name]
+            bad = ~((a == 0) | (a == 1))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"{name} must hold event indicators 0 or 1; row {i} is {a[i]}")
+            arrays[name] = a.astype(np.int8)
+        for name, a in arrays.items():
+            object.__setattr__(self, name, _read_only(a))
+        object.__setattr__(self, "n", n)
+        case = 2 * (1 - self.d1) + (1 - self.d2)
+        counts = np.bincount(case, minlength=4).tolist()
+        if n and n in counts:
+            cases = [(counts.index(n), None, self.u1, self.u2)]
+        else:
+            cases = []
+            for c in range(4):
+                if counts[c]:
+                    rows = _read_only(np.flatnonzero(case == c))
+                    cases.append((c, rows, _read_only(self.u1[rows]),
+                                  _read_only(self.u2[rows])))
+        object.__setattr__(self, "cases", tuple(cases))
+
+    @property
+    def size(self) -> int:
+        return self.n
+
+
+def _full(a, shape):
+    """``a`` if it has ``shape``, else a fresh broadcast copy (a
+    theta-only piece)."""
+    return a if np.shape(a) == shape else np.broadcast_to(a, shape).copy()
+
+
+def _by_case(family: Family, pieces, theta, obs: Observations):
     """Evaluate each row's censoring-case piece from ``pieces``, once per
-    case present. A (k, 1) theta column gives a (k, n) result, one row per
-    theta; the censoring masks select along the last axis. The (d1, d2)
-    pairs of the derivative pieces stack on a leading axis of length 2."""
+    case present in ``obs``. A (k, 1) theta column gives a (k, n) result,
+    one row per theta. Each case's rows are scattered back in row order,
+    so sums over the result do not depend on the split. The (d1, d2)
+    pairs of the derivative pieces stack on a leading axis of length 2.
+    The result is always a fresh array: it never shares memory with
+    ``obs``."""
     ops = _OPS[family]
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    d1 = np.asarray(d1).astype(bool)
-    d2 = np.asarray(d2).astype(bool)
-    lead = (2,) if pieces == _DPIECES else ()
-    out = np.empty(lead + np.shape(theta)[:1] + u1.shape, dtype=float)
+    shape = np.shape(theta)[:1] + (obs.n,)
+    derivs = pieces is _DPIECES
     with np.errstate(all="ignore"):
-        for mask, piece in zip((d1 & d2, d1 & ~d2, ~d1 & d2, ~d1 & ~d2), pieces):
-            if mask.any():
-                out[..., mask] = getattr(ops, piece)(theta, u1[mask], u2[mask])
+        if obs.cases and obs.cases[0][1] is None:    # one case, every row
+            (case, _, u1, u2), = obs.cases
+            out = getattr(ops, pieces[case])(theta, u1, u2)
+            return tuple(_full(a, shape) for a in out) if derivs else _full(out, shape)
+        out = np.empty(((2,) if derivs else ()) + shape, dtype=float)
+        for case, rows, u1, u2 in obs.cases:
+            out[..., rows] = getattr(ops, pieces[case])(theta, u1, u2)
     return out
 
 
@@ -661,9 +742,10 @@ def _nonfinite_error(what: str, family: Family, theta, out) -> LikelihoodError:
                            index=idx)
 
 
-def loglik_vec(family: Family, theta, u1, u2, d1, d2, strict: bool = True):
-    """Per-observation censored log-likelihood, vectorized over the rows
-    and, for a (k, 1) theta column, over the k thetas as a (k, n) array.
+def loglik_vec(family: Family, theta, obs: Observations, strict: bool = True):
+    """Per-observation censored log-likelihood of ``obs``, vectorized over
+    the rows and, for a (k, 1) theta column, over the k thetas as a (k, n)
+    array.
 
     A piece that is -inf (its probability underflowed) is raised to
     log(1e-300) so optimization near parameter boundaries stays finite;
@@ -671,9 +753,8 @@ def loglik_vec(family: Family, theta, u1, u2, d1, d2, strict: bool = True):
     derivatives of this function. NaNs raise LikelihoodError when strict,
     otherwise map to -inf (optimizers treat the point as invalid).
     """
-    out = _by_case(family, _PIECES, theta, u1, u2, d1, d2)
-    bad = ~np.isfinite(out)
-    if bad.any():
+    out = _by_case(family, _PIECES, theta, obs)
+    if not np.isfinite(out).all():
         neginf = np.isneginf(out)
         out[neginf] = LOG_TINY
         still_bad = ~np.isfinite(out)
@@ -684,24 +765,24 @@ def loglik_vec(family: Family, theta, u1, u2, d1, d2, strict: bool = True):
     return out
 
 
-def dlog_vec(family: Family, theta, u1, u2, d1, d2):
-    """Per-observation score and hessian, the first and second
+def dlog_vec(family: Family, theta, obs: Observations):
+    """Per-observation score and hessian of ``obs``, the first and second
     theta-derivatives of ``loglik_vec``, each shaped as its result. One
     pass evaluates each censoring case's derivative piece once for both;
     a non-finite entry in either raises LikelihoodError."""
-    score, hessian = _by_case(family, _DPIECES, theta, u1, u2, d1, d2)
+    score, hessian = _by_case(family, _DPIECES, theta, obs)
     for what, out in (("score", score), ("hessian", hessian)):
         if not np.isfinite(out).all():
             raise _nonfinite_error(what, family, theta, out)
     return score, hessian
 
 
-def score_vec(family: Family, theta, u1, u2, d1, d2):
-    return dlog_vec(family, theta, u1, u2, d1, d2)[0]
+def score_vec(family: Family, theta, obs: Observations):
+    return dlog_vec(family, theta, obs)[0]
 
 
-def hessian_vec(family: Family, theta, u1, u2, d1, d2):
-    return dlog_vec(family, theta, u1, u2, d1, d2)[1]
+def hessian_vec(family: Family, theta, obs: Observations):
+    return dlog_vec(family, theta, obs)[1]
 
 
 def theta_to_tau(family: Family, theta: float) -> float:

@@ -8,6 +8,13 @@ geometrically from a Kendall-tau moment start until it contains the
 optimum. A search that stops unconverged on a finite edge of the domain
 raises InferenceError.
 
+Every entry point keeps its (u1, u2, d1, d2) signature and builds one
+``copulas.Observations`` per call: the sample is validated and split into
+its censoring cases once, and every likelihood and derivative evaluation
+of the fit, the (S, V) pass or the leave-one-out refits reuses that
+split. A malformed sample (unequal lengths, event indicators other than
+0 or 1) raises ValueError.
+
 Under a correctly specified copula the negative mean hessian S and the
 mean squared score V of the pseudo-likelihood estimate the same
 information matrix, so the ratio R = V/S hovers near 1. Three statistics
@@ -91,18 +98,17 @@ def _tau_start(family: Family, u1, u2) -> float:
     return copulas.tau_to_theta(family, tau)
 
 
-def _observations(u1, u2, d1, d2, min_n: int = MIN_OBSERVATIONS):
-    """The four arrays of a sample, checked: at least ``min_n`` rows and
-    pseudo-observations strictly inside (0, 1)."""
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    d1 = np.asarray(d1)
-    d2 = np.asarray(d2)
-    if u1.size < min_n:
-        raise InferenceError(f"need at least {min_n} observations, got {u1.size}")
+def _observations(u1, u2, d1, d2, min_n: int = MIN_OBSERVATIONS) -> copulas.Observations:
+    """The sample as one ``copulas.Observations`` (ValueError if it is
+    malformed), checked: at least ``min_n`` rows and pseudo-observations
+    strictly inside (0, 1)."""
+    obs = copulas.Observations(u1, u2, d1, d2)
+    if obs.n < min_n:
+        raise InferenceError(f"need at least {min_n} observations, got {obs.n}")
+    u1, u2 = obs.u1, obs.u2
     if not ((u1 > 0) & (u1 < 1) & (u2 > 0) & (u2 < 1)).all():
         raise InferenceError("pseudo-observations must lie strictly in (0, 1)")
-    return u1, u2, d1, d2
+    return obs
 
 
 def _on_edge(family: Family, theta):
@@ -126,10 +132,9 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
     edge of the domain, as on independent data for a family whose
     independence point is that edge, raises InferenceError.
     """
-    u1, u2, d1, d2 = _observations(u1, u2, d1, d2)
-    n = u1.size
+    obs = _observations(u1, u2, d1, d2)
     if initial_theta is None:
-        initial_theta = _tau_start(family, u1, u2)
+        initial_theta = _tau_start(family, obs.u1, obs.u2)
     x0 = copulas.to_unconstrained(family, initial_theta)
     in_domain = copulas.family_ops(family).in_domain
     evaluations = [0]
@@ -145,7 +150,7 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
             return -math.inf
         if not in_domain(theta):
             return -math.inf
-        ll = copulas.loglik_vec(family, theta, u1, u2, d1, d2, strict=False)
+        ll = copulas.loglik_vec(family, theta, obs, strict=False)
         return float(ll.sum())
 
     half = bracket_halfwidth
@@ -171,8 +176,8 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
 
     theta_hat = copulas.from_unconstrained(family, x_star)
     try:
-        total_score = float(copulas.score_vec(family, theta_hat, u1, u2, d1, d2).sum())
-        converged = abs(total_score) <= 1e-6 * n
+        total_score = float(copulas.score_vec(family, theta_hat, obs).sum())
+        converged = abs(total_score) <= 1e-6 * obs.n
     except LikelihoodError:
         converged = False
     if not converged and _on_edge(family, theta_hat):
@@ -183,14 +188,14 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
     # maximize_1d returns a finite f_star, so every piece at theta_hat was
     # finite and f_star is the strict pseudo-log-likelihood there
     return FitResult(family=family, theta_hat=theta_hat, loglik=f_star,
-                     n=n, converged=converged, n_evaluations=evaluations[0])
+                     n=obs.n, converged=converged, n_evaluations=evaluations[0])
 
 
 def information(family: Family, theta, u1, u2, d1, d2) -> tuple[float, float]:
     """(S, V) at theta from one derivative pass: the negative mean
     hessian and the mean squared score of the per-observation
-    log-likelihood."""
-    score, hessian = copulas.dlog_vec(family, theta, u1, u2, d1, d2)
+    log-likelihood. Raises ValueError for a malformed sample."""
+    score, hessian = copulas.dlog_vec(family, theta, copulas.Observations(u1, u2, d1, d2))
     return float(-hessian.mean()), float(np.square(score).mean())
 
 
@@ -240,7 +245,7 @@ def _search_slopes(family: Family, theta, rows, score, hessian):
     return g * t1, h * t1 * t1 + g * t2
 
 
-def _loo_block(fit: FitResult, rows, at_hat, u1, u2, d1, d2):
+def _loo_block(fit: FitResult, rows, at_hat, obs: copulas.Observations):
     """Leave-one-out maximizers on the search scale for the deleted
     observations ``rows``, and each one's log-likelihood at its own fit.
 
@@ -274,10 +279,10 @@ def _loo_block(fit: FitResult, rows, at_hat, u1, u2, d1, d2):
         f_trial = np.full(act.size, -np.inf)
         own_trial, g, h = np.zeros((3, act.size))
         ok = (lo < theta) & (theta < hi)
-        ll = copulas.loglik_vec(family, theta[ok][:, None], u1, u2, d1, d2, strict=False)
+        ll = copulas.loglik_vec(family, theta[ok][:, None], obs, strict=False)
         f_trial[ok], own_trial[ok] = _drop_own(ll, rows[act[ok]])
         ok = np.isfinite(f_trial)
-        score, hessian = copulas.dlog_vec(family, theta[ok][:, None], u1, u2, d1, d2)
+        score, hessian = copulas.dlog_vec(family, theta[ok][:, None], obs)
         g[ok], h[ok] = _search_slopes(family, theta[ok], rows[act[ok]], score, hessian)
         up = ok & ((f_trial >= f[act]) | (np.abs(g) <= np.abs(grad[act])))
         step[act[~up]] *= 0.5
@@ -295,19 +300,19 @@ def _loo_block(fit: FitResult, rows, at_hat, u1, u2, d1, d2):
         f"{_LOO_MAX_ITER} iterations for {np.count_nonzero(active)} of {k} rows")
 
 
-def _loo_fits(fit: FitResult, u1, u2, d1, d2):
+def _loo_fits(fit: FitResult, obs: copulas.Observations):
     """The leave-one-out maximizers x_i on the search scale, each deleted
     observation's log-likelihood at its own x_i, and the per-observation
     log-likelihood at the full-sample estimate."""
-    at_hat = (copulas.loglik_vec(fit.family, fit.theta_hat, u1, u2, d1, d2),
-              *copulas.dlog_vec(fit.family, fit.theta_hat, u1, u2, d1, d2))
-    n = u1.size
+    at_hat = (copulas.loglik_vec(fit.family, fit.theta_hat, obs),
+              *copulas.dlog_vec(fit.family, fit.theta_hat, obs))
+    n = obs.n
     x = np.empty(n)
     own = np.empty(n)
     size = -(-_LOO_BLOCK // n)
     for start in range(0, n, size):
         rows = np.arange(start, min(start + size, n))
-        x[rows], own[rows] = _loo_block(fit, rows, at_hat, u1, u2, d1, d2)
+        x[rows], own[rows] = _loo_block(fit, rows, at_hat, obs)
     if not np.isfinite(own).all():
         idx = int(np.argmax(~np.isfinite(own)))
         raise LikelihoodError(
@@ -327,8 +332,8 @@ def pios_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
     if a refit does not converge, naming the rows whose leave-one-out
     optimum is on the domain edge.
     """
-    u1, u2, d1, d2 = _observations(u1, u2, d1, d2, MIN_OBSERVATIONS + 1)
-    _, own, at_hat = _loo_fits(fit, u1, u2, d1, d2)
+    obs = _observations(u1, u2, d1, d2, MIN_OBSERVATIONS + 1)
+    _, own, at_hat = _loo_fits(fit, obs)
     return StatisticValue(kind="pios", value=float(np.sum(at_hat - own)), null_value=1.0)
 
 

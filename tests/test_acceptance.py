@@ -68,11 +68,11 @@ def test_criterion_01_derivative_correctness():
             d2 = rng.integers(0, 2, 1)
             scale = max(1.0, abs(theta))
             h1, h2 = 1e-6 * scale, 1e-4 * scale
-            ll = lambda t: loglik_vec(family, t, u1, u2, d1, d2)
+            ll = lambda t: loglik_vec(family, t, copulas.Observations(u1, u2, d1, d2))
             fd1 = (ll(theta + h1) - ll(theta - h1)) / (2 * h1)
             fd2 = (ll(theta + h2) - 2 * ll(theta) + ll(theta - h2)) / h2 ** 2
-            s = copulas.score_vec(family, theta, u1, u2, d1, d2)
-            h = copulas.hessian_vec(family, theta, u1, u2, d1, d2)
+            s = copulas.score_vec(family, theta, copulas.Observations(u1, u2, d1, d2))
+            h = copulas.hessian_vec(family, theta, copulas.Observations(u1, u2, d1, d2))
             assert abs(s[0] - fd1[0]) <= 1e-5 * max(1.0, abs(fd1[0])), \
                 f"{family.value} score at theta={theta}, u=({u1[0]},{u2[0]})"
             assert abs(h[0] - fd2[0]) <= 1e-3 * max(1.0, abs(fd2[0])), \
@@ -305,8 +305,8 @@ def test_criterion_10_hand_oracles():
     one = np.array([1])
     zero = np.array([0])
     half = np.array([0.5])
-    ll_obs = loglik_vec(Family.CLAYTON, 2.0, half, half, one, one)[0]
-    ll_cen = loglik_vec(Family.CLAYTON, 2.0, half, half, zero, zero)[0]
+    ll_obs = loglik_vec(Family.CLAYTON, 2.0, copulas.Observations(half, half, one, one))[0]
+    ll_cen = loglik_vec(Family.CLAYTON, 2.0, copulas.Observations(half, half, zero, zero))[0]
     assert abs(ll_obs - 0.39272) <= 1e-5
     assert abs(ll_cen - (-0.97295)) <= 1e-5
     elapsed = time.time() - start

@@ -164,7 +164,8 @@ def test_pios_at_domain_edge_fails_typed(monkeypatch):
     with pytest.raises(inference.InferenceError, match="on the edge of the domain"):
         bootstrap_reports(sample, Family.CLAYTON, config, kinds=("pios",))
     u1, u2, d1, d2 = pseudo_observations(sample)
-    loglik = float(copulas.loglik_vec(Family.CLAYTON, 1e-8, u1, u2, d1, d2).sum())
+    loglik = float(copulas.loglik_vec(Family.CLAYTON, 1e-8,
+                                      copulas.Observations(u1, u2, d1, d2)).sum())
     edge = inference.FitResult(Family.CLAYTON, 1e-8, loglik, len(sample),
                                converged=False, n_evaluations=0)
     with pytest.raises(inference.InferenceError, match="leave-one-out"):

@@ -44,10 +44,10 @@ def test_clayton_loglik_pieces_frozen():
     u1 = np.array([0.5])
     u2 = np.array([0.5])
     # fully observed pair: log c(1/2,1/2;2) = log 1.48100...
-    ll = loglik_vec(Family.CLAYTON, 2.0, u1, u2, np.array([1]), np.array([1]))
+    ll = loglik_vec(Family.CLAYTON, 2.0, copulas.Observations(u1, u2, np.array([1]), np.array([1])))
     assert ll[0] == pytest.approx(0.39272, abs=1e-5)
     # doubly censored pair: log C(1/2,1/2;2) = -log(7)/2
-    ll = loglik_vec(Family.CLAYTON, 2.0, u1, u2, np.array([0]), np.array([0]))
+    ll = loglik_vec(Family.CLAYTON, 2.0, copulas.Observations(u1, u2, np.array([0]), np.array([0])))
     assert ll[0] == pytest.approx(-0.97295, abs=1e-5)
     assert ll[0] == pytest.approx(-math.log(7.0) / 2.0, abs=1e-12)
 
@@ -125,12 +125,12 @@ def test_score_hessian_match_fd(family):
     for theta, u1, u2, d1, d2 in inputs:
         h1 = 1e-6 * max(1.0, abs(theta))
         h2 = 1e-4 * max(1.0, abs(theta))
-        ll = lambda t: loglik_vec(family, t, u1, u2, d1, d2)
+        ll = lambda t: loglik_vec(family, t, copulas.Observations(u1, u2, d1, d2))
         fd1 = (ll(theta + h1) - ll(theta - h1)) / (2 * h1)
         fd2 = (ll(theta + h2) - 2 * ll(theta) + ll(theta - h2)) / h2 ** 2
-        np.testing.assert_allclose(score_vec(family, theta, u1, u2, d1, d2),
+        np.testing.assert_allclose(score_vec(family, theta, copulas.Observations(u1, u2, d1, d2)),
                                    fd1, atol=1e-5, rtol=1e-4)
-        np.testing.assert_allclose(hessian_vec(family, theta, u1, u2, d1, d2),
+        np.testing.assert_allclose(hessian_vec(family, theta, copulas.Observations(u1, u2, d1, d2)),
                                    fd2, atol=1e-3, rtol=1e-3)
 
 
@@ -158,22 +158,24 @@ def test_dlog_vec_evaluates_each_case_piece_once(family, monkeypatch):
             return _piece(*args)
         monkeypatch.setattr(ops, name, counted)
     u1, u2, d1, d2 = _four_case_sample()
-    copulas.dlog_vec(family, THETAS[family], u1, u2, d1, d2)
+    copulas.dlog_vec(family, THETAS[family], copulas.Observations(u1, u2, d1, d2))
     # dlog_c2 is dlog_c1 with its pairs swapped, so dlog_c1 runs for two cases
     assert calls == {"dlog_pdf": 1, "dlog_c1": 2, "dlog_c2": 1, "dlog_cdf": 1}
     calls.clear()
-    copulas.dlog_vec(family, THETAS[family], u1, u2, np.ones_like(d1), np.ones_like(d2))
+    copulas.dlog_vec(family, THETAS[family],
+                     copulas.Observations(u1, u2, np.ones_like(d1), np.ones_like(d2)))
     assert calls == {"dlog_pdf": 1}
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_dlog_vec_halves_are_score_and_hessian(family):
     u1, u2, d1, d2 = _four_case_sample()
+    obs = copulas.Observations(u1, u2, d1, d2)
     column = np.array(COLUMN_THETAS[family])[:, None]
     for theta in (THETAS[family], column):
-        score, hessian = copulas.dlog_vec(family, theta, u1, u2, d1, d2)
-        assert score.tobytes() == score_vec(family, theta, u1, u2, d1, d2).tobytes()
-        assert hessian.tobytes() == hessian_vec(family, theta, u1, u2, d1, d2).tobytes()
+        score, hessian = copulas.dlog_vec(family, theta, obs)
+        assert score.tobytes() == score_vec(family, theta, obs).tobytes()
+        assert hessian.tobytes() == hessian_vec(family, theta, obs).tobytes()
 
 
 # Frank's log pieces in the two corners where 1 - zeta (zeta = g1 g2 / g)
@@ -252,8 +254,8 @@ def test_gaussian_censored_corner_score_is_finite():
     # Phi2 ~ exp(-750) here: it used to underflow to 0 and make the
     # score and hessian non-finite (LikelihoodError)
     rho, u, d = -0.99, np.array([0.003]), np.array([0])
-    s = score_vec(Family.GAUSSIAN, rho, u, u, d, d)
-    h = hessian_vec(Family.GAUSSIAN, rho, u, u, d, d)
+    s = score_vec(Family.GAUSSIAN, rho, copulas.Observations(u, u, d, d))
+    h = hessian_vec(Family.GAUSSIAN, rho, copulas.Observations(u, u, d, d))
     assert np.isfinite(s).all() and np.isfinite(h).all()
     ops = copulas.family_ops(Family.GAUSSIAN)
     eps = 1e-6
@@ -267,10 +269,11 @@ def test_loglik_follows_its_score_below_log_tiny():
     # floored there, so the log-likelihood has the slope its score reports
     rho, u, d = -0.99, np.array([0.003]), np.array([0])
     eps = 1e-6
-    ll = lambda r: loglik_vec(Family.GAUSSIAN, r, u, u, d, d)
+    ll = lambda r: loglik_vec(Family.GAUSSIAN, r, copulas.Observations(u, u, d, d))
     fd = (ll(rho + eps) - ll(rho - eps)) / (2 * eps)
     assert ll(rho)[0] < numerics.LOG_TINY
-    np.testing.assert_allclose(fd, score_vec(Family.GAUSSIAN, rho, u, u, d, d), rtol=1e-6)
+    np.testing.assert_allclose(
+        fd, score_vec(Family.GAUSSIAN, rho, copulas.Observations(u, u, d, d)), rtol=1e-6)
 
 
 # thetas per family for the column kernels: 1 and 2 are exponents numpy
@@ -292,12 +295,103 @@ def test_theta_column_rows_equal_scalar_calls(family, d1, d2):
     u2 = np.concatenate([rng.uniform(0.001, 0.999, 300), [0.003, 0.5, 0.002, 0.9]])
     d1 = np.full(u1.size, d1)
     d2 = np.full(u1.size, d2)
+    obs = copulas.Observations(u1, u2, d1, d2)
     thetas = COLUMN_THETAS[family]
     for fn in (loglik_vec, score_vec, hessian_vec):
-        block = fn(family, np.array(thetas)[:, None], u1, u2, d1, d2)
+        block = fn(family, np.array(thetas)[:, None], obs)
         assert block.shape == (len(thetas), u1.size)
         for row, theta in zip(block, thetas):
-            assert row.tobytes() == fn(family, theta, u1, u2, d1, d2).tobytes(), (fn, theta)
+            assert row.tobytes() == fn(family, theta, obs).tobytes(), (fn, theta)
+
+
+def _per_mask(family, pieces, theta, u1, u2, d1, d2):
+    """Reference evaluation of each row's censoring-case piece: four
+    boolean masks formed from the indicators on every call, each case's
+    rows gathered and its piece's values assigned back through the mask."""
+    ops = copulas.family_ops(family)
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    d1 = np.asarray(d1).astype(bool)
+    d2 = np.asarray(d2).astype(bool)
+    lead = (2,) if pieces == copulas._DPIECES else ()
+    out = np.empty(lead + np.shape(theta)[:1] + u1.shape, dtype=float)
+    with np.errstate(all="ignore"):
+        for mask, piece in zip((d1 & d2, d1 & ~d2, ~d1 & d2, ~d1 & ~d2), pieces):
+            if mask.any():
+                out[..., mask] = getattr(ops, piece)(theta, u1[mask], u2[mask])
+    return out
+
+
+THETA_RANGES = {
+    Family.CLAYTON: (0.05, 15.0),
+    Family.FRANK: (0.1, 30.0),
+    Family.JOE: (1.01, 10.0),
+    Family.GAUSSIAN: (-0.95, 0.95),
+    Family.GUMBEL: (1.02, 10.0),
+}
+
+
+@st.composite
+def _split_cases(draw):
+    family = draw(st.sampled_from(list(Family)))
+    lo, hi = THETA_RANGES[family]
+    thetas = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=4))
+    theta = np.array(thetas)[:, None] if draw(st.booleans()) else thetas[0]
+    mix = draw(st.sampled_from(["observed", "censored", "one per case", "any"]))
+    if mix == "one per case":
+        order = np.array(draw(st.permutations(range(4))))
+        d1, d2 = np.array([1, 1, 0, 0])[order], np.array([1, 0, 1, 0])[order]
+    else:
+        n = draw(st.integers(1, 40))
+        if mix == "any":
+            d1, d2 = (np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+                      for _ in range(2))
+        else:
+            d1 = d2 = np.full(n, int(mix == "observed"))
+    u1, u2 = (np.array(draw(st.lists(st.floats(1e-4, 1.0 - 1e-4), min_size=d1.size,
+                                     max_size=d1.size))) for _ in range(2))
+    return family, theta, u1, u2, d1, d2
+
+
+@given(_split_cases())
+@settings(max_examples=300, deadline=None)
+def test_case_split_equals_per_mask_evaluation(case):
+    family, theta, u1, u2, d1, d2 = case
+    obs = copulas.Observations(u1, u2, d1, d2)
+    for a in (obs.u1, obs.u2, obs.d1, obs.d2,
+              *(a for _, rows, v1, v2 in obs.cases for a in (rows, v1, v2) if a is not None)):
+        assert not a.flags.writeable
+
+    raw = _per_mask(family, copulas._PIECES, theta, u1, u2, d1, d2)
+    expect = np.where(np.isneginf(raw), numerics.LOG_TINY, raw)
+    expect[~np.isfinite(expect)] = -np.inf
+    ll = loglik_vec(family, theta, obs, strict=False)
+    assert ll.tobytes() == expect.tobytes()
+    outputs = [ll]
+
+    raw = _per_mask(family, copulas._DPIECES, theta, u1, u2, d1, d2)
+    try:
+        score, hessian = copulas.dlog_vec(family, theta, obs)
+    except copulas.LikelihoodError:
+        assert not np.isfinite(raw).all()
+    else:
+        assert score.tobytes() == raw[0].tobytes()
+        assert hessian.tobytes() == raw[1].tobytes()
+        outputs += [score, hessian]
+    for out in outputs:
+        assert not np.shares_memory(out, obs.u1) and not np.shares_memory(out, obs.u2)
+
+
+def test_observations_copy_their_input():
+    u1, u2 = np.array([0.2, 0.7]), np.array([0.4, 0.9])
+    d = np.array([1, 1])
+    obs = copulas.Observations(u1, u2, d, d)
+    before = loglik_vec(Family.CLAYTON, 2.0, obs)
+    u1[0], d[1] = 0.9, 0
+    assert loglik_vec(Family.CLAYTON, 2.0, obs).tobytes() == before.tobytes()
+    assert obs.size == obs.n == 2
+    with pytest.raises(AttributeError):
+        obs.u1 = u1
 
 
 def test_unconstrained_transforms_take_arrays():

@@ -47,7 +47,8 @@ def test_fit_with_censoring():
 def test_fit_score_near_zero_at_optimum():
     u1, u2, d1, d2 = _simulate(Family.FRANK, 0.5, 400, seed=21)
     fit = fit_pmle(Family.FRANK, u1, u2, d1, d2)
-    total = copulas.score_vec(Family.FRANK, fit.theta_hat, u1, u2, d1, d2).sum()
+    obs = copulas.Observations(u1, u2, d1, d2)
+    total = copulas.score_vec(Family.FRANK, fit.theta_hat, obs).sum()
     assert abs(total) <= 1e-6 * fit.n
 
 
@@ -62,6 +63,37 @@ def test_fit_rejects_out_of_range_inputs():
     u2 = np.array([0.5] * 11 + [1.0])
     with pytest.raises(InferenceError):
         fit_pmle(Family.CLAYTON, u1, u2, np.ones(12), np.ones(12))
+
+
+def _set_d1(value, rows=slice(0, 5)):
+    def defect(u1, u2, d1, d2):
+        d1 = d1.astype(float)
+        d1[rows] = value
+        return u1, u2, d1, d2
+    return defect
+
+
+# each defect, and the argument its ValueError names
+MALFORMED = {
+    "indicator 2": (_set_d1(2), "d1"),
+    "indicator -1": (_set_d1(-1), "d1"),
+    "indicator 0.5": (_set_d1(0.5), "d1"),
+    "indicator nan": (_set_d1(np.nan, 0), "d1"),
+    "short d2": (lambda u1, u2, d1, d2: (u1, u2, d1, d2[:-1]), "d2"),
+    "long u2": (lambda u1, u2, d1, d2: (u1, np.append(u2, 0.5), d1, d2), "u2"),
+}
+
+
+@pytest.mark.parametrize("entry", ["fit_pmle", "information"])
+@pytest.mark.parametrize("defect", list(MALFORMED))
+def test_malformed_samples_fail_typed(defect, entry):
+    make, name = MALFORMED[defect]
+    sample = make(*_simulate(Family.CLAYTON, 0.5, 60, seed=2, censoring_mean=1.5))
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        if entry == "fit_pmle":
+            fit_pmle(Family.CLAYTON, *sample)
+        else:
+            information(Family.CLAYTON, 2.0, *sample)
 
 
 def test_fit_at_domain_edge_is_a_typed_error():
@@ -127,25 +159,25 @@ def test_pios_near_one_under_null():
 def test_loo_refits_are_exact_optima(family):
     u1, u2, d1, d2 = _simulate(family, 0.5, 40, seed=13, censoring_mean=1.5)
     fit = fit_pmle(family, u1, u2, d1, d2)
-    x, own, at_hat = inference._loo_fits(fit, u1, u2, d1, d2)
+    x, own, at_hat = inference._loo_fits(fit, copulas.Observations(u1, u2, d1, d2))
     assert at_hat.tobytes() == copulas.loglik_vec(family, fit.theta_hat,
-                                                  u1, u2, d1, d2).tobytes()
+                                                  copulas.Observations(u1, u2, d1, d2)).tobytes()
     n = u1.size
     for i in range(n):
         keep = np.arange(n) != i
         sub = (u1[keep], u2[keep], d1[keep], d2[keep])
         theta = copulas.from_unconstrained(family, x[i])
         # gradient and hessian of the delete-one objective on the search scale
-        s = copulas.score_vec(family, theta, *sub).sum()
-        h = copulas.hessian_vec(family, theta, *sub).sum()
+        s = copulas.score_vec(family, theta, copulas.Observations(*sub)).sum()
+        h = copulas.hessian_vec(family, theta, copulas.Observations(*sub)).sum()
         t1, t2 = copulas.unconstrained_derivs(family, theta)
         g, hx = s * t1, h * t1 * t1 + s * t2
         assert hx < 0.0 and abs(g / hx) <= 1e-10
         ref = fit_pmle(family, *sub, initial_theta=fit.theta_hat, bracket_halfwidth=0.25)
         assert x[i] == pytest.approx(copulas.to_unconstrained(family, ref.theta_hat),
                                      rel=0, abs=5e-8)
-        own_ref = copulas.loglik_vec(family, theta, u1[i:i + 1], u2[i:i + 1],
-                                     d1[i:i + 1], d2[i:i + 1]).sum()
+        one = copulas.Observations(u1[i:i + 1], u2[i:i + 1], d1[i:i + 1], d2[i:i + 1])
+        own_ref = copulas.loglik_vec(family, theta, one).sum()
         assert own[i] == pytest.approx(own_ref, rel=1e-12)
 
 
@@ -164,7 +196,7 @@ def test_pios_is_independent_of_the_block_size(family, monkeypatch):
 def _edge_fit(family, u1, u2, d1, d2):
     """An unconverged fit 1e-8 inside the lower edge of the domain."""
     theta = copulas.family_ops(family).domain[0] + 1e-8
-    loglik = float(copulas.loglik_vec(family, theta, u1, u2, d1, d2).sum())
+    loglik = float(copulas.loglik_vec(family, theta, copulas.Observations(u1, u2, d1, d2)).sum())
     return FitResult(family, theta, loglik, u1.size, converged=False, n_evaluations=0)
 
 

@@ -3,11 +3,23 @@ every name the benchmark's traced run wraps still exists where its
 callers look it up, so a deletion cannot silently break ``--trace 1``."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 import copgof
+from copgof import copulas, inference
+from copgof.copulas import Family
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def test_all_names_resolve():
@@ -16,9 +28,22 @@ def test_all_names_resolve():
 
 
 def test_traced_names_exist():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in spans.TRACED
+    missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in _spans().TRACED
                if not callable(getattr(module, attr, None))]
     assert not missing
+
+
+def test_traced_rows_count_the_observations():
+    spans = _spans()
+    rng = np.random.default_rng(3)
+    u1, u2 = copulas.sample_pairs(copulas.CopulaModel(Family.CLAYTON, 2.0), rng, 37)
+    obs = copulas.Observations(u1, u2, rng.integers(0, 2, 37), rng.integers(0, 2, 37))
+    counters = Counter()
+    spans._count_rows(counters, (Family.CLAYTON, 2.0, obs), {"strict": False}, None)
+    assert counters["copulas.loglik_vec.rows"] == 37
+    # through a fit: every traced loglik_vec call adds the n rows of its sample
+    tracer = spans.Tracer()
+    with tracer.installed():
+        inference.fit_pmle(Family.CLAYTON, obs.u1, obs.u2, obs.d1, obs.d2)
+    calls = sum(name == "copulas.loglik_vec" for name, *_ in tracer.spans)
+    assert calls > 1 and tracer.counters["copulas.loglik_vec.rows"] == 37 * calls
