@@ -10,7 +10,7 @@ from .bootstrap import (BootstrapConfig, BootstrapError, GofReport,
                         SelectionResult, bootstrap_pvalue, bootstrap_reports,
                         select_copula)
 from .copulas import (CopulaModel, CopulaError, Family, LikelihoodError,
-                      cdf, density, partial_u1, partial_u2, sample_pairs,
+                      Observations, cdf, density, partial_u1, partial_u2, sample_pairs,
                       tau_to_theta, theta_to_tau)
 from .inference import (FitResult, InferenceError, StatisticValue,
                         compute_statistic, fit_pmle, pios_statistic)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BootstrapConfig", "BootstrapError", "GofReport", "SelectionResult",
     "bootstrap_pvalue", "bootstrap_reports", "select_copula",
-    "CopulaModel", "CopulaError", "Family", "LikelihoodError",
+    "CopulaModel", "CopulaError", "Family", "LikelihoodError", "Observations",
     "cdf", "density", "partial_u1", "partial_u2",
     "sample_pairs", "tau_to_theta", "theta_to_tau",
     "FitResult", "InferenceError", "StatisticValue", "compute_statistic",

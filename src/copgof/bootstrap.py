@@ -134,10 +134,9 @@ def _replicate_stats(args) -> dict[str, float] | None:
     try:
         if isinstance(row, survival.SurvivalError):
             raise row
-        u1, u2, d1, d2 = row
-        fit = inference.fit_pmle(frame.model.family, u1, u2, d1, d2,
-                                 initial_theta=frame.model.theta)
-        stats = inference.compute_statistics(frame.kinds, fit, u1, u2, d1, d2)
+        obs = copulas.Observations(*row)
+        fit = inference.fit_pmle(frame.model.family, obs, initial_theta=frame.model.theta)
+        stats = inference.compute_statistics(frame.kinds, fit, obs)
     except _STAT_ERRORS:
         return None
     return {k: v.value for k, v in stats.items()}
@@ -176,11 +175,6 @@ def _replicates(frame: _Frame, b: int) -> list[dict[str, float]]:
     return kept
 
 
-def _censoring_rates(d1, d2) -> tuple[float, float]:
-    return (float(1.0 - np.asarray(d1, dtype=float).mean()),
-            float(1.0 - np.asarray(d2, dtype=float).mean()))
-
-
 def _pvalue(observed: float, null_value: float, sigma_b: float) -> tuple[float, bool]:
     if sigma_b == 0.0:
         return (1.0 if observed == null_value else 0.0), True
@@ -209,10 +203,10 @@ def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
     """
     sample = survival.as_sample(pairs)
     kinds = inference.statistic_kinds(kinds or (config.statistic,))
-    u1, u2, d1, d2 = survival.pseudo_observations(sample)
+    obs = survival.pseudo_observations(sample)
     if fit is None:
-        fit = inference.fit_pmle(family, u1, u2, d1, d2)
-    observed = inference.compute_statistics(kinds, fit, u1, u2, d1, d2)
+        fit = inference.fit_pmle(family, obs)
+    observed = inference.compute_statistics(kinds, fit, obs)
 
     kept = _replicates(_build_frame(sample, fit, kinds, config), config.b)
     floor = math.ceil(MIN_REPLICATE_FRACTION * config.b)
@@ -221,7 +215,7 @@ def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
             f"only {len(kept)} of {config.b} bootstrap replicates succeeded "
             f"for {family.value}; at least {floor} are required")
 
-    rates = _censoring_rates(d1, d2)
+    rates = (float(1.0 - obs.d1.mean()), float(1.0 - obs.d2.mean()))
     reports = {}
     for k in kinds:
         draws = np.array([s[k] for s in kept])

@@ -253,8 +253,8 @@ def cmd_fit(args) -> int:
         except ValueError as exc:
             raise UsageError(f"initial_theta: {exc}") from None
     _check_output(args.output)
-    u1, u2, d1, d2 = survival.pseudo_observations(sample)
-    fit = inference.fit_pmle(family, u1, u2, d1, d2, initial_theta=initial_theta)
+    fit = inference.fit_pmle(family, survival.pseudo_observations(sample),
+                             initial_theta=initial_theta)
     _emit_json({
         "family": family.value,
         "theta_hat": _fmt(fit.theta_hat),

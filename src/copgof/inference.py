@@ -8,12 +8,11 @@ geometrically from a Kendall-tau moment start until it contains the
 optimum. A search that stops unconverged on a finite edge of the domain
 raises InferenceError.
 
-Every entry point keeps its (u1, u2, d1, d2) signature and builds one
-``copulas.Observations`` per call: the sample is validated and split into
-its censoring cases once, and every likelihood and derivative evaluation
-of the fit, the (S, V) pass or the leave-one-out refits reuses that
-split. A malformed sample (unequal lengths, event indicators other than
-0 or 1) raises ValueError.
+Every entry point takes the pseudo-sample as the ``copulas.Observations``
+that ``survival.pseudo_observations`` returns, validated and split into
+its censoring cases once; the fit, the (S, V) pass and the leave-one-out
+refits all reuse that split. The entry points check only that it has
+enough rows and that every pseudo-observation lies strictly in (0, 1).
 
 Under a correctly specified copula the negative mean hessian S and the
 mean squared score V of the pseudo-likelihood estimate the same
@@ -40,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import copulas, numerics
-from .copulas import CopulaModel, Family, LikelihoodError
+from . import copulas, numerics, survival
+from .copulas import CopulaModel, Family, LikelihoodError, Observations
 
 MIN_OBSERVATIONS = 10
 
@@ -83,11 +82,10 @@ class StatisticValue:
     null_value: float
 
 
-def _tau_start(family: Family, u1, u2) -> float:
+def _tau_start(family: Family, obs: Observations) -> float:
     """Moment start: invert the empirical Kendall tau, folded into the
     family's admissible tau range."""
-    from .survival import empirical_kendall_tau
-    tau = empirical_kendall_tau(u1, u2)
+    tau = survival.empirical_kendall_tau(obs.u1, obs.u2)
     lo, hi = copulas.family_ops(family).tau_domain
     margin = 0.01
     tau = min(max(tau, lo + margin), hi - margin)
@@ -98,17 +96,14 @@ def _tau_start(family: Family, u1, u2) -> float:
     return copulas.tau_to_theta(family, tau)
 
 
-def _observations(u1, u2, d1, d2, min_n: int = MIN_OBSERVATIONS) -> copulas.Observations:
-    """The sample as one ``copulas.Observations`` (ValueError if it is
-    malformed), checked: at least ``min_n`` rows and pseudo-observations
-    strictly inside (0, 1)."""
-    obs = copulas.Observations(u1, u2, d1, d2)
+def _check(obs: Observations, min_n: int = MIN_OBSERVATIONS) -> None:
+    """InferenceError unless ``obs`` has at least ``min_n`` rows and its
+    pseudo-observations lie strictly inside (0, 1)."""
     if obs.n < min_n:
         raise InferenceError(f"need at least {min_n} observations, got {obs.n}")
     u1, u2 = obs.u1, obs.u2
     if not ((u1 > 0) & (u1 < 1) & (u2 > 0) & (u2 < 1)).all():
         raise InferenceError("pseudo-observations must lie strictly in (0, 1)")
-    return obs
 
 
 def _on_edge(family: Family, theta):
@@ -118,7 +113,7 @@ def _on_edge(family: Family, theta):
     return np.minimum(theta - lo, hi - theta) <= _EDGE_DISTANCE
 
 
-def fit_pmle(family: Family, u1, u2, d1, d2,
+def fit_pmle(family: Family, obs: Observations, *,
              initial_theta: float | None = None,
              bracket_halfwidth: float = 1.0) -> FitResult:
     """Maximize the censored pseudo-likelihood over the one-dimensional
@@ -132,9 +127,9 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
     edge of the domain, as on independent data for a family whose
     independence point is that edge, raises InferenceError.
     """
-    obs = _observations(u1, u2, d1, d2)
+    _check(obs)
     if initial_theta is None:
-        initial_theta = _tau_start(family, obs.u1, obs.u2)
+        initial_theta = _tau_start(family, obs)
     x0 = copulas.to_unconstrained(family, initial_theta)
     in_domain = copulas.family_ops(family).in_domain
     evaluations = [0]
@@ -191,11 +186,11 @@ def fit_pmle(family: Family, u1, u2, d1, d2,
                      n=obs.n, converged=converged, n_evaluations=evaluations[0])
 
 
-def information(family: Family, theta, u1, u2, d1, d2) -> tuple[float, float]:
+def information(family: Family, theta, obs: Observations) -> tuple[float, float]:
     """(S, V) at theta from one derivative pass: the negative mean
     hessian and the mean squared score of the per-observation
-    log-likelihood. Raises ValueError for a malformed sample."""
-    score, hessian = copulas.dlog_vec(family, theta, copulas.Observations(u1, u2, d1, d2))
+    log-likelihood."""
+    score, hessian = copulas.dlog_vec(family, theta, obs)
     return float(-hessian.mean()), float(np.square(score).mean())
 
 
@@ -245,7 +240,7 @@ def _search_slopes(family: Family, theta, rows, score, hessian):
     return g * t1, h * t1 * t1 + g * t2
 
 
-def _loo_block(fit: FitResult, rows, at_hat, obs: copulas.Observations):
+def _loo_block(fit: FitResult, rows, at_hat, obs: Observations):
     """Leave-one-out maximizers on the search scale for the deleted
     observations ``rows``, and each one's log-likelihood at its own fit.
 
@@ -300,7 +295,7 @@ def _loo_block(fit: FitResult, rows, at_hat, obs: copulas.Observations):
         f"{_LOO_MAX_ITER} iterations for {np.count_nonzero(active)} of {k} rows")
 
 
-def _loo_fits(fit: FitResult, obs: copulas.Observations):
+def _loo_fits(fit: FitResult, obs: Observations):
     """The leave-one-out maximizers x_i on the search scale, each deleted
     observation's log-likelihood at its own x_i, and the per-observation
     log-likelihood at the full-sample estimate."""
@@ -321,7 +316,7 @@ def _loo_fits(fit: FitResult, obs: copulas.Observations):
     return x, own, at_hat[0]
 
 
-def pios_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
+def pios_statistic(fit: FitResult, obs: Observations) -> StatisticValue:
     """In-sample minus leave-one-out log-likelihood contrast,
     sum_i l_i(theta_hat) - l_i(theta_hat_(-i)).
 
@@ -332,7 +327,7 @@ def pios_statistic(fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
     if a refit does not converge, naming the rows whose leave-one-out
     optimum is on the domain edge.
     """
-    obs = _observations(u1, u2, d1, d2, MIN_OBSERVATIONS + 1)
+    _check(obs, MIN_OBSERVATIONS + 1)
     _, own, at_hat = _loo_fits(fit, obs)
     return StatisticValue(kind="pios", value=float(np.sum(at_hat - own)), null_value=1.0)
 
@@ -352,21 +347,21 @@ def statistic_kinds(kinds) -> tuple[str, ...]:
     return kinds
 
 
-def compute_statistics(kinds, fit: FitResult, u1, u2, d1, d2) -> dict[str, StatisticValue]:
+def compute_statistics(kinds, fit: FitResult, obs: Observations) -> dict[str, StatisticValue]:
     """Every kind in ``kinds`` at one fit, keyed by lower-case kind.
     ir, white and logim share one (S, V) pass."""
     kinds = statistic_kinds(kinds)
-    info = (information(fit.family, fit.theta_hat, u1, u2, d1, d2)
+    info = (information(fit.family, fit.theta_hat, obs)
             if _FROM_INFORMATION.keys() & set(kinds) else None)
     # pios goes through compute_statistic so that its leave-one-out refits
     # stay nested under it, where perfbench's traced run attributes them
     return {k: _FROM_INFORMATION[k](*info) if k in _FROM_INFORMATION
-            else compute_statistic(k, fit, u1, u2, d1, d2) for k in kinds}
+            else compute_statistic(k, fit, obs) for k in kinds}
 
 
-def compute_statistic(kind: str, fit: FitResult, u1, u2, d1, d2) -> StatisticValue:
+def compute_statistic(kind: str, fit: FitResult, obs: Observations) -> StatisticValue:
     """The statistic ``kind`` (ir, white, logim or pios, any case) at one fit."""
     kind, = statistic_kinds((kind,))
     if kind == "pios":
-        return pios_statistic(fit, u1, u2, d1, d2)
-    return _FROM_INFORMATION[kind](*information(fit.family, fit.theta_hat, u1, u2, d1, d2))
+        return pios_statistic(fit, obs)
+    return _FROM_INFORMATION[kind](*information(fit.family, fit.theta_hat, obs))

@@ -10,11 +10,11 @@ the arrays.
 Margins are estimated by the Kaplan-Meier product-limit estimator, and
 its generalized inverse :meth:`StepSurvival.inverse` maps uniform levels
 (of any shape) back to times. Pseudo-observations feed the copula
-likelihood: each margin is transformed through its own survival estimate
-and clamped into (0, 1) by 1/(2n) at both ends. One row-wise
-product-limit pass serves :func:`kaplan_meier` (a block of one row) and
-the pseudo-observations of a whole (k, n) block of bootstrap replicates
-at once; each row equals its own one-sample call bit for bit.
+likelihood as one ``copulas.Observations``: each margin is transformed
+through its own survival estimate and clamped into (0, 1) by 1/(2n) at
+both ends. One row-wise product-limit pass serves :func:`kaplan_meier`
+and the pseudo-observations of a (k, n) block of bootstrap replicates at
+once; each row equals its own one-sample call bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import copulas
 
 
 class SurvivalError(Exception):
@@ -238,19 +240,19 @@ def _pseudo_rows(x1, x2, d1, d2):
     return u1, u2, errors
 
 
-def pseudo_observations(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def pseudo_observations(data) -> copulas.Observations:
     """Transform a censored sample to the copula scale via marginal
     Kaplan-Meier.
 
-    Returns (u1, u2, d1, d2) with u_r = S_r(x_r) clamped to
-    [1/(2n), 1 - 1/(2n)]. Raises SurvivalError for a margin with no
-    observed events, whose pseudo-observations would all be equal.
+    Returns the ``copulas.Observations`` (u1, u2, d1, d2), u_r = S_r(x_r)
+    clamped to [1/(2n), 1 - 1/(2n)]. Raises SurvivalError for a margin
+    with no observed events, whose pseudo-observations would all be equal.
     """
     s = as_sample(data)
     u1, u2, errors = _pseudo_rows(s.x1[None], s.x2[None], s.d1[None], s.d2[None])
     if errors[0] is not None:
         raise errors[0]
-    return u1[0], u2[0], s.d1, s.d2
+    return copulas.Observations(u1[0], u2[0], s.d1, s.d2)
 
 
 def empirical_kendall_tau(x, y) -> float:

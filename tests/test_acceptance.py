@@ -157,7 +157,7 @@ def test_criterion_04_information_matrix_equivalence():
     for family in ANALYTIC:
         u1, u2, d1, d2, theta = _known_margin_sample(family, 0.5, n, seed=91,
                                                      censoring_mean=1.5)
-        s, v = inference.information(family, theta, u1, u2, d1, d2)
+        s, v = inference.information(family, theta, copulas.Observations(u1, u2, d1, d2))
         ratio = abs(s - v) / s
         assert ratio <= 0.05, f"{family.value}: |S-V|/S = {ratio:.4f}"
     # misspecified: Clayton data, Frank model at its own pseudo-MLE.
@@ -166,8 +166,9 @@ def test_criterion_04_information_matrix_equivalence():
     # the uncensored sample where the discrepancy is unambiguous.
     u1, u2, d1, d2, _ = _known_margin_sample(Family.CLAYTON, 0.7, n, seed=92,
                                              censoring_mean=None)
-    fit = fit_pmle(Family.FRANK, u1, u2, d1, d2)
-    s, v = inference.information(Family.FRANK, fit.theta_hat, u1, u2, d1, d2)
+    obs = copulas.Observations(u1, u2, d1, d2)
+    fit = fit_pmle(Family.FRANK, obs)
+    s, v = inference.information(Family.FRANK, fit.theta_hat, obs)
     ratio = abs(s - v) / s
     assert ratio > 0.10, f"misspecified ratio only {ratio:.4f}"
     elapsed = time.time() - start
@@ -184,10 +185,10 @@ def test_criterion_05_ir_pios_equivalence():
         for r in range(reps):
             pairs = simulation.generate_scenario_dataset(
                 Scenario(Family.CLAYTON, 0.5, n, "none"), seed=300, replicate=r)
-            u1, u2, d1, d2 = survival.pseudo_observations(pairs)
-            fit = fit_pmle(Family.CLAYTON, u1, u2, d1, d2)
-            rn = compute_statistic("ir", fit, u1, u2, d1, d2).value
-            tn = pios_statistic(fit, u1, u2, d1, d2).value
+            obs = survival.pseudo_observations(pairs)
+            fit = fit_pmle(Family.CLAYTON, obs)
+            rn = compute_statistic("ir", fit, obs).value
+            tn = pios_statistic(fit, obs).value
             gaps.append(abs(rn - tn))
         return float(np.mean(gaps))
 

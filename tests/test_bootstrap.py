@@ -12,6 +12,7 @@ from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_pvalue,
 from copgof.copulas import FAMILY_ORDER, CopulaModel, Family
 from copgof.inference import compute_statistics, fit_pmle
 from copgof.numerics import RngStream
+from copgof.simulation import Scenario, generate_scenario_dataset
 from copgof.survival import (CensoredSample, censoring_curves, kaplan_meier,
                              pseudo_observations)
 
@@ -68,6 +69,26 @@ def test_pair_list_and_sample_give_the_same_reports():
             == bootstrap_reports(PAIRS, Family.FRANK, cfg, kinds=kinds))
 
 
+@pytest.mark.parametrize("kinds", [("ir", "white", "logim"), ("pios",), ("ir", "pios")])
+def test_one_observations_per_sample(kinds, monkeypatch):
+    # the observed pseudo-sample and each replicate's are built once, and
+    # the fit and every statistic reuse that one object: b + 1 builds
+    builds = []
+    init = copulas.Observations.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        init(self)
+
+    monkeypatch.setenv("COPULA_GOF_THREADS", "1")
+    monkeypatch.setattr(copulas.Observations, "__post_init__", counted)
+    sample = generate_scenario_dataset(Scenario(Family.CLAYTON, 0.5, 100, "c20"), seed=1)
+    reports = bootstrap_reports(sample, Family.CLAYTON, BootstrapConfig(b=20, seed=1),
+                                kinds=kinds)
+    assert reports[kinds[0]].b_used == 20
+    assert len(builds) == 21
+
+
 def test_replicate_value_error_is_not_a_drop(monkeypatch):
     # only the typed statistical failures count as dropped replicates;
     # anything else is a bug and must surface
@@ -75,7 +96,7 @@ def test_replicate_value_error_is_not_a_drop(monkeypatch):
         raise ValueError("bug inside a replicate")
 
     monkeypatch.setenv("COPULA_GOF_THREADS", "1")
-    fit = fit_pmle(Family.CLAYTON, *pseudo_observations(PAIRS))
+    fit = fit_pmle(Family.CLAYTON, pseudo_observations(PAIRS))
     monkeypatch.setattr(copulas, "sample_pairs", broken)
     with pytest.raises(ValueError, match="bug inside a replicate"):
         bootstrap_reports(PAIRS, Family.CLAYTON, BootstrapConfig(b=10, seed=1), fit=fit)
@@ -92,7 +113,7 @@ def test_replicate_fit_at_domain_edge_is_a_drop(monkeypatch):
 
     monkeypatch.setenv("COPULA_GOF_THREADS", "1")
     sample = _make_pairs(Family.GAUSSIAN, 0.3, 40, seed=4, censoring_mean=None)
-    fit = fit_pmle(Family.GAUSSIAN, *pseudo_observations(sample))
+    fit = fit_pmle(Family.GAUSSIAN, pseudo_observations(sample))
     monkeypatch.setattr(copulas, "sample_pairs", comonotone)
     monkeypatch.setattr(inference, "fit_pmle",
                         functools.partial(fit_pmle, bracket_halfwidth=15.0))
@@ -163,9 +184,8 @@ def test_pios_at_domain_edge_fails_typed(monkeypatch):
     config = BootstrapConfig(b=4, seed=1)
     with pytest.raises(inference.InferenceError, match="on the edge of the domain"):
         bootstrap_reports(sample, Family.CLAYTON, config, kinds=("pios",))
-    u1, u2, d1, d2 = pseudo_observations(sample)
     loglik = float(copulas.loglik_vec(Family.CLAYTON, 1e-8,
-                                      copulas.Observations(u1, u2, d1, d2)).sum())
+                                      pseudo_observations(sample)).sum())
     edge = inference.FitResult(Family.CLAYTON, 1e-8, loglik, len(sample),
                                converged=False, n_evaluations=0)
     with pytest.raises(inference.InferenceError, match="leave-one-out"):
@@ -180,8 +200,7 @@ def test_seed_changes_sigma():
 
 
 def test_generated_dataset_matches_shape():
-    u1, u2, d1, d2 = pseudo_observations(PAIRS)
-    fit = fit_pmle(Family.CLAYTON, u1, u2, d1, d2)
+    fit = fit_pmle(Family.CLAYTON, pseudo_observations(PAIRS))
     frame = _build_frame(PAIRS, fit, ("ir",), BootstrapConfig(b=10, seed=0))
     data = _row(generate_bootstrap_dataset(frame, [3]))
     assert len(data) == len(PAIRS)
@@ -197,7 +216,7 @@ def test_generated_dataset_matches_shape():
 def test_per_margin_dataset_is_an_explicit_redraw():
     # per-margin censoring: after the pair draws, one uniform block for
     # margin 1 and one for margin 2, each through its own censoring curve
-    fit = fit_pmle(Family.CLAYTON, *pseudo_observations(PAIRS))
+    fit = fit_pmle(Family.CLAYTON, pseudo_observations(PAIRS))
     config = BootstrapConfig(b=10, seed=7, common_censoring=False)
     frame = _build_frame(PAIRS, fit, ("ir",), config)
     data = _row(generate_bootstrap_dataset(frame, [5]))
@@ -219,7 +238,7 @@ def test_per_margin_dataset_is_an_explicit_redraw():
 def test_block_rows_equal_their_single_stream_calls(common):
     # Joe draws through the bisection sampler; each block row is its own
     # stream's sample, bit for bit
-    fit = fit_pmle(Family.JOE, *pseudo_observations(PAIRS))
+    fit = fit_pmle(Family.JOE, pseudo_observations(PAIRS))
     frame = _build_frame(PAIRS, fit, ("ir",),
                          BootstrapConfig(b=10, seed=7, common_censoring=common))
     streams = [3, 9, 4, B_CAP + 1]
@@ -270,15 +289,15 @@ def test_rows_without_events_are_retried_as_an_explicit_loop(monkeypatch):
     monkeypatch.setattr(bootstrap, "generate_bootstrap_dataset", censor_chosen)
     reports = bootstrap_reports(PAIRS, family, cfg, kinds=kinds)
 
-    fit = fit_pmle(family, *pseudo_observations(PAIRS))
+    fit = fit_pmle(family, pseudo_observations(PAIRS))
     frame = _build_frame(PAIRS, fit, kinds, cfg)
     draws = []
     for b in range(cfg.b):
         for stream in (base + b, retry + b):
             try:
-                u1, u2, d1, d2 = pseudo_observations(_row(censor_chosen(frame, [stream])))
-                refit = fit_pmle(family, u1, u2, d1, d2, initial_theta=fit.theta_hat)
-                draws.append(compute_statistics(kinds, refit, u1, u2, d1, d2))
+                obs = pseudo_observations(_row(censor_chosen(frame, [stream])))
+                refit = fit_pmle(family, obs, initial_theta=fit.theta_hat)
+                draws.append(compute_statistics(kinds, refit, obs))
                 break
             except bootstrap._STAT_ERRORS:
                 continue
@@ -301,8 +320,7 @@ def test_per_margin_reports_are_deterministic():
 
 def test_uncensored_original_stays_uncensored():
     pairs = _make_pairs(Family.GUMBEL, 0.5, 120, seed=7, censoring_mean=None)
-    u1, u2, d1, d2 = pseudo_observations(pairs)
-    fit = fit_pmle(Family.GUMBEL, u1, u2, d1, d2)
+    fit = fit_pmle(Family.GUMBEL, pseudo_observations(pairs))
     frame = _build_frame(pairs, fit, ("ir",), BootstrapConfig(b=10, seed=0))
     data = _row(generate_bootstrap_dataset(frame, [0]))
     assert all(p.d1 == 1 and p.d2 == 1 for p in data)

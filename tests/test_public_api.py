@@ -44,6 +44,6 @@ def test_traced_rows_count_the_observations():
     # through a fit: every traced loglik_vec call adds the n rows of its sample
     tracer = spans.Tracer()
     with tracer.installed():
-        inference.fit_pmle(Family.CLAYTON, obs.u1, obs.u2, obs.d1, obs.d2)
+        inference.fit_pmle(Family.CLAYTON, obs)
     calls = sum(name == "copulas.loglik_vec" for name, *_ in tracer.spans)
     assert calls > 1 and tracer.counters["copulas.loglik_vec.rows"] == 37 * calls

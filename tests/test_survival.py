@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copgof import survival
+from copgof import copulas, survival
 from copgof.survival import (CensoredPair, CensoredSample, StepSurvival,
                              SurvivalError, as_sample, censoring_curves,
                              empirical_kendall_tau, kaplan_meier,
@@ -131,7 +131,10 @@ def test_censoring_survival_common():
 
 def test_pseudo_observations_clamped():
     pairs = [CensoredPair(float(i), float(10 - i), 1, 1) for i in range(1, 9)]
-    u1, u2, d1, d2 = pseudo_observations(pairs)
+    obs = pseudo_observations(pairs)
+    assert isinstance(obs, copulas.Observations)
+    assert obs.d1.dtype == np.int8 and (obs.d1 == 1).all() and (obs.d2 == 1).all()
+    u1, u2 = obs.u1, obs.u2
     n = len(pairs)
     assert (u1 >= 1.0 / (2 * n)).all() and (u1 <= 1.0 - 1.0 / (2 * n)).all()
     assert (u2 >= 1.0 / (2 * n)).all()
@@ -215,5 +218,5 @@ def test_product_limit_rows_equal_per_row_kaplan_meier(n, k, decimals, data):
             assert str(errors[j]) == str(exc.value)
             continue
         assert errors[j] is None
-        v1, v2, _, _ = pseudo_observations(sample)
-        assert u1[j].tobytes() == v1.tobytes() and u2[j].tobytes() == v2.tobytes()
+        obs = pseudo_observations(sample)
+        assert u1[j].tobytes() == obs.u1.tobytes() and u2[j].tobytes() == obs.u2.tobytes()
