@@ -197,11 +197,16 @@ def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
     """Full test for one null family, one report per statistic kind.
 
     ``pairs`` is a CensoredSample or a sequence of CensoredPair rows.
-    Replicate fits and the (S, V) pass of each fit are shared across
-    kinds, so asking for ir, white and logim together costs the same as
-    any one of them.
+    ``fit``, if given, must be a fit of ``family`` to this sample
+    (ValueError otherwise). Replicate fits and the (S, V) pass of each
+    fit are shared across kinds, so asking for ir, white and logim
+    together costs the same as any one of them.
     """
     sample = survival.as_sample(pairs)
+    if fit is not None and (fit.family is not family or fit.n != len(sample)):
+        raise ValueError(
+            f"fit of {fit.family.value} to {fit.n} rows given for a "
+            f"{family.value} test of {len(sample)} rows")
     kinds = inference.statistic_kinds(kinds or (config.statistic,))
     obs = survival.pseudo_observations(sample)
     if fit is None:
@@ -264,14 +269,11 @@ def select_copula(pairs, families, config: BootstrapConfig) -> SelectionResult:
     message instead of a report. Duplicate candidates are collapsed.
     """
     sample = survival.as_sample(pairs)
-    seen = []
-    for f in families:
-        if f not in seen:
-            seen.append(f)
-    if not seen:
+    families = list(dict.fromkeys(families))
+    if not families:
         raise ValueError("no candidate families given")
     entries = []
-    for fam in seen:
+    for fam in families:
         try:
             rep = bootstrap_pvalue(sample, fam, config)
             entries.append(SelectionEntry(family=fam, report=rep))

@@ -651,6 +651,8 @@ class Observations:
     event indicators 0 or 1; anything else raises ValueError naming the
     argument. The arrays are read-only copies: float u1, u2 and int8 d1,
     d2. ``n`` (and ``size``, as for an array) is the number of rows.
+    A pickled sample is rebuilt from its four arrays, so it is validated,
+    split and read-only again on the other side.
 
     ``cases`` holds one (case, rows, u1 rows, u2 rows) entry per
     censoring case present, in case order, where ``case`` indexes
@@ -701,6 +703,9 @@ class Observations:
     @property
     def size(self) -> int:
         return self.n
+
+    def __reduce__(self):
+        return Observations, (self.u1, self.u2, self.d1, self.d2)
 
 
 def _full(a, shape):

@@ -148,8 +148,9 @@ def run_rejection_study(scenario: Scenario, null_families,
     which it ranks first (per statistic kind) among the candidates that
     succeeded, by the ranking of ``bootstrap.select_copula``. Failed
     replicates are excluded from both rates and counted in ``failures``.
+    Duplicate null families are collapsed, keeping first-seen order.
     """
-    null_families = list(null_families)
+    null_families = list(dict.fromkeys(null_families))
     results = ordered_map(
         _study_replicate,
         [(scenario, null_families, cfg, r) for r in range(cfg.replications)])

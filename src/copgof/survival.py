@@ -56,9 +56,10 @@ class CensoredSample:
     """n bivariate observations as four read-only arrays: float times
     x1, x2 and int8 event indicators d1, d2 (1 observed, 0 censored).
 
-    Validated once on construction. Its length is n, iterating yields
-    the rows as :class:`CensoredPair`, and two samples are equal when
-    their arrays are.
+    Validated once on construction, and again when unpickled, which
+    rebuilds it from its arrays. Its length is n, iterating yields the
+    rows as :class:`CensoredPair`, and two samples are equal when their
+    arrays are.
     """
     x1: np.ndarray
     x2: np.ndarray
@@ -98,6 +99,9 @@ class CensoredSample:
                    for k in ("x1", "x2", "d1", "d2"))
 
     __hash__ = None
+
+    def __reduce__(self):
+        return CensoredSample, (self.x1, self.x2, self.d1, self.d2)
 
 
 def as_sample(data) -> CensoredSample:

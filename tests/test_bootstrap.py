@@ -69,6 +69,19 @@ def test_pair_list_and_sample_give_the_same_reports():
             == bootstrap_reports(PAIRS, Family.FRANK, cfg, kinds=kinds))
 
 
+def test_fit_of_another_family_or_sample_is_rejected():
+    # a given fit must be the null family's fit to this sample: a Frank
+    # fit would otherwise be reported and bootstrapped as Clayton
+    config = BootstrapConfig(b=4, seed=1)
+    frank = fit_pmle(Family.FRANK, pseudo_observations(PAIRS))
+    with pytest.raises(ValueError, match="fit of frank to 150 rows"):
+        bootstrap_reports(PAIRS, Family.CLAYTON, config, fit=frank)
+    smaller = _make_pairs(Family.CLAYTON, 0.5, 100, seed=61)
+    other = fit_pmle(Family.CLAYTON, pseudo_observations(smaller))
+    with pytest.raises(ValueError, match="fit of clayton to 100 rows"):
+        bootstrap_reports(PAIRS, Family.CLAYTON, config, fit=other)
+
+
 @pytest.mark.parametrize("kinds", [("ir", "white", "logim"), ("pios",), ("ir", "pios")])
 def test_one_observations_per_sample(kinds, monkeypatch):
     # the observed pseudo-sample and each replicate's are built once, and

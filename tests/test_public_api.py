@@ -3,6 +3,7 @@ every name the benchmark's traced run wraps still exists where its
 callers look it up, so a deletion cannot silently break ``--trace 1``."""
 
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import copgof
 from copgof import copulas, inference
 from copgof.copulas import Family
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _spans():
@@ -47,3 +49,12 @@ def test_traced_rows_count_the_observations():
         inference.fit_pmle(Family.CLAYTON, obs)
     calls = sum(name == "copulas.loglik_vec" for name, *_ in tracer.spans)
     assert calls > 1 and tracer.counters["copulas.loglik_vec.rows"] == 37 * calls
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's library example runs as written, so a signature change
+    # that it does not follow fails here
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library use\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "Family.CLAYTON"

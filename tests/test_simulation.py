@@ -81,6 +81,14 @@ def test_rejection_study_columns_and_bounds():
     assert sum(r.selection_rate for r in rows) == pytest.approx(1.0)
 
 
+def test_rejection_study_collapses_duplicate_nulls():
+    # each null family is tested once per replicate, in first-seen order
+    sc = Scenario(Family.CLAYTON, 0.5, 40, "none")
+    cfg = StudyConfig(replications=2, b=4, seed=3, kinds=("ir",))
+    rows = run_rejection_study(sc, [Family.CLAYTON, Family.CLAYTON, Family.FRANK], cfg)
+    assert rows == run_rejection_study(sc, [Family.CLAYTON, Family.FRANK], cfg)
+
+
 def test_study_deterministic_across_worker_counts():
     sc = Scenario(Family.FRANK, 0.5, 50, "c20")
     cfg = StudyConfig(replications=4, b=15, seed=8, kinds=("ir", "white"))

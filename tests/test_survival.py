@@ -110,7 +110,26 @@ def test_censored_sample_rows_equality_and_pickle():
     assert sample.d1.dtype == np.int8 and not sample.x1.flags.writeable
     assert sample == CensoredSample([1.0, 2.0], [5.0, 6.0], [True, False], [1, 1])
     assert sample != CensoredSample([1.0, 2.0], [5.0, 6.0], [1, 1], [1, 1])
-    assert pickle.loads(pickle.dumps(sample)) == sample
+    again = pickle.loads(pickle.dumps(sample))
+    assert again == sample
+    # unpickling rebuilds the sample, so its arrays stay read-only
+    assert not any(getattr(again, k).flags.writeable for k in ("x1", "x2", "d1", "d2"))
+
+
+def test_observations_pickle_rebuilds_the_sample():
+    obs = pseudo_observations(CensoredSample([1.0, 2.0, 3.0], [5.0, 6.0, 4.0],
+                                             [1, 0, 1], [1, 1, 0]))
+    again = pickle.loads(pickle.dumps(obs))
+    assert isinstance(again, copulas.Observations) and again.n == obs.n
+    for k in ("u1", "u2", "d1", "d2"):
+        a, b = getattr(obs, k), getattr(again, k)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert not b.flags.writeable
+    assert len(again.cases) == len(obs.cases)
+    for (c, rows, u1, u2), (c2, rows2, v1, v2) in zip(obs.cases, again.cases):
+        assert c == c2 and rows.tobytes() == rows2.tobytes()
+        assert u1.tobytes() == v1.tobytes() and u2.tobytes() == v2.tobytes()
+        assert not any(a.flags.writeable for a in (rows2, v1, v2))
 
 
 def test_censoring_survival_swaps_indicators():
