@@ -7,10 +7,10 @@ from that frame as arrays: dependent uniforms come from the fitted
 model, event times from the inverse marginal Kaplan-Meier curves, and
 censoring times from the inverse censoring Kaplan-Meier (one shared
 censoring variable by default). The null copula is refit on every
-replicate and every requested statistic is recomputed from one (S, V)
-pass, giving a bootstrap standard deviation per statistic. The reported
-p-value is the two-sided normal tail of the observed statistic
-standardized by that deviation around its null value.
+replicate and every requested statistic is recomputed from the refit's
+one derivative pass, giving a bootstrap standard deviation per
+statistic. The reported p-value is the two-sided normal tail of the
+observed statistic standardized by that deviation around its null value.
 
 Replicate b of family f draws from stream index f * 2^20 + b of the
 master seed, so results are independent of worker count and of which
@@ -136,7 +136,7 @@ def _replicate_stats(args) -> dict[str, float] | None:
             raise row
         obs = copulas.Observations(*row)
         fit = inference.fit_pmle(frame.model.family, obs, initial_theta=frame.model.theta)
-        stats = inference.compute_statistics(frame.kinds, fit, obs)
+        stats = inference.compute_statistics(frame.kinds, fit)
     except _STAT_ERRORS:
         return None
     return {k: v.value for k, v in stats.items()}
@@ -197,21 +197,22 @@ def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
     """Full test for one null family, one report per statistic kind.
 
     ``pairs`` is a CensoredSample or a sequence of CensoredPair rows.
-    ``fit``, if given, must be a fit of ``family`` to this sample
-    (ValueError otherwise). Replicate fits and the (S, V) pass of each
-    fit are shared across kinds, so asking for ir, white and logim
-    together costs the same as any one of them.
+    ``fit``, if given, must be a fit of ``family`` to this sample's
+    pseudo-observations (ValueError otherwise). Replicate fits and the
+    (S, V) pass of each fit are shared across kinds, so asking for ir,
+    white and logim together costs the same as any one of them.
     """
     sample = survival.as_sample(pairs)
-    if fit is not None and (fit.family is not family or fit.n != len(sample)):
-        raise ValueError(
-            f"fit of {fit.family.value} to {fit.n} rows given for a "
-            f"{family.value} test of {len(sample)} rows")
     kinds = inference.statistic_kinds(kinds or (config.statistic,))
     obs = survival.pseudo_observations(sample)
     if fit is None:
         fit = inference.fit_pmle(family, obs)
-    observed = inference.compute_statistics(kinds, fit, obs)
+    elif fit.family is not family or fit.obs != obs:
+        raise ValueError(
+            f"fit of {fit.family.value} to {fit.n} rows given for a "
+            f"{family.value} test of {len(sample)} rows; it must be the "
+            f"{family.value} fit to this sample")
+    observed = inference.compute_statistics(kinds, fit)
 
     kept = _replicates(_build_frame(sample, fit, kinds, config), config.b)
     floor = math.ceil(MIN_REPLICATE_FRACTION * config.b)

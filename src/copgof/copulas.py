@@ -651,8 +651,9 @@ class Observations:
     event indicators 0 or 1; anything else raises ValueError naming the
     argument. The arrays are read-only copies: float u1, u2 and int8 d1,
     d2. ``n`` (and ``size``, as for an array) is the number of rows.
-    A pickled sample is rebuilt from its four arrays, so it is validated,
-    split and read-only again on the other side.
+    Two samples are equal when their arrays are. A pickled sample is
+    rebuilt from its four arrays, so it is validated, split and
+    read-only again on the other side.
 
     ``cases`` holds one (case, rows, u1 rows, u2 rows) entry per
     censoring case present, in case order, where ``case`` indexes
@@ -703,6 +704,14 @@ class Observations:
     @property
     def size(self) -> int:
         return self.n
+
+    def __eq__(self, other):
+        if not isinstance(other, Observations):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k))
+                   for k in ("u1", "u2", "d1", "d2"))
+
+    __hash__ = None
 
     def __reduce__(self):
         return Observations, (self.u1, self.u2, self.d1, self.d2)

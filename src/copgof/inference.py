@@ -8,34 +8,37 @@ geometrically from a Kendall-tau moment start until it contains the
 optimum. A search that stops unconverged on a finite edge of the domain
 raises InferenceError.
 
-Every entry point takes the pseudo-sample as the ``copulas.Observations``
+``fit_pmle`` takes the pseudo-sample as the ``copulas.Observations``
 that ``survival.pseudo_observations`` returns, validated and split into
-its censoring cases once; the fit, the (S, V) pass and the leave-one-out
-refits all reuse that split. The entry points check only that it has
-enough rows and that every pseudo-observation lies strictly in (0, 1).
+its censoring cases once, and checks only that it has enough rows and
+that every pseudo-observation lies strictly in (0, 1). Its
+``FitResult`` is the fitted model on that sample: it carries the
+sample and the per-observation score and hessian at theta_hat from the
+one ``copulas.dlog_vec`` pass that the convergence check makes. Every
+statistic is a function of the fit alone.
 
 Under a correctly specified copula the negative mean hessian S and the
 mean squared score V of the pseudo-likelihood estimate the same
 information matrix, so the ratio R = V/S hovers near 1. Three statistics
 quantify the discrepancy: the information ratio R (null value 1), the
 White difference V - S (null value 0), and log S - log V (null value 0).
-All three come from one (S, V) pass per fit, ``information``, which
-makes one ``copulas.dlog_vec`` call for the score and hessian together.
-``compute_statistic`` and ``compute_statistics`` are the entry points
-for one kind or several.
+All three read (S, V) from the fit's score and hessian, so they make no
+derivative pass of their own; ``information`` gives (S, V) at any other
+theta. ``compute_statistic`` and ``compute_statistics`` are the entry
+points for one kind or several.
 A fourth, the cross-validated likelihood contrast T (PIOS), compares
 in-sample and leave-one-out log-likelihoods. Its n delete-one
 re-maximizations are solved together: a safeguarded Newton iteration on
-the unconstrained scale, warm-started at the full-sample estimate, runs
-over blocks of rows with the family kernels evaluated at a column of
-thetas at once, and a row converges when its Newton step is at most
-_LOO_XTOL.
+the unconstrained scale, warm-started at the full-sample estimate and
+its score and hessian, runs over blocks of rows with the family kernels
+evaluated at a column of thetas at once, and a row converges when its
+Newton step is at most _LOO_XTOL.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,12 +66,21 @@ class InferenceError(Exception):
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted family on its sample ``obs``: theta_hat, the
+    pseudo-log-likelihood there, and the read-only per-observation
+    ``score`` and ``hessian`` at theta_hat."""
     family: Family
     theta_hat: float
     loglik: float
-    n: int
     converged: bool
     n_evaluations: int
+    obs: Observations = field(compare=False, repr=False)
+    score: np.ndarray = field(compare=False, repr=False)
+    hessian: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.obs.n
 
     @property
     def model(self) -> CopulaModel:
@@ -96,9 +108,16 @@ def _tau_start(family: Family, obs: Observations) -> float:
     return copulas.tau_to_theta(family, tau)
 
 
+def _check_type(obs) -> None:
+    if not isinstance(obs, Observations):
+        raise TypeError(f"expected the pseudo-sample as a copulas.Observations, "
+                        f"got {type(obs).__name__}")
+
+
 def _check(obs: Observations, min_n: int = MIN_OBSERVATIONS) -> None:
     """InferenceError unless ``obs`` has at least ``min_n`` rows and its
     pseudo-observations lie strictly inside (0, 1)."""
+    _check_type(obs)
     if obs.n < min_n:
         raise InferenceError(f"need at least {min_n} observations, got {obs.n}")
     u1, u2 = obs.u1, obs.u2
@@ -113,6 +132,13 @@ def _on_edge(family: Family, theta):
     return np.minimum(theta - lo, hi - theta) <= _EDGE_DISTANCE
 
 
+def _edge_error(family: Family, theta_hat: float) -> InferenceError:
+    lo, hi = copulas.family_ops(family).domain
+    return InferenceError(
+        f"{family.value} fit did not converge: theta_hat = {theta_hat!r} "
+        f"is on the edge of the domain ({lo:g}, {hi:g})")
+
+
 def fit_pmle(family: Family, obs: Observations, *,
              initial_theta: float | None = None,
              bracket_halfwidth: float = 1.0) -> FitResult:
@@ -125,7 +151,9 @@ def fit_pmle(family: Family, obs: Observations, *,
     on the current best edge, until the interior optimum is strict or 60
     expansions have been used. A fit that ends unconverged on a finite
     edge of the domain, as on independent data for a family whose
-    independence point is that edge, raises InferenceError.
+    independence point is that edge, raises InferenceError. The score
+    and hessian at theta_hat come from one ``copulas.dlog_vec`` pass; if
+    an entry is non-finite off the edge, its LikelihoodError propagates.
     """
     _check(obs)
     if initial_theta is None:
@@ -171,27 +199,34 @@ def fit_pmle(family: Family, obs: Observations, *,
 
     theta_hat = copulas.from_unconstrained(family, x_star)
     try:
-        total_score = float(copulas.score_vec(family, theta_hat, obs).sum())
-        converged = abs(total_score) <= 1e-6 * obs.n
+        score, hessian = copulas.dlog_vec(family, theta_hat, obs)
     except LikelihoodError:
-        converged = False
+        if _on_edge(family, theta_hat):
+            raise _edge_error(family, theta_hat) from None
+        raise
+    converged = abs(float(score.sum())) <= 1e-6 * obs.n
     if not converged and _on_edge(family, theta_hat):
-        lo, hi = copulas.family_ops(family).domain
-        raise InferenceError(
-            f"{family.value} fit did not converge: theta_hat = {theta_hat!r} "
-            f"is on the edge of the domain ({lo:g}, {hi:g})")
+        raise _edge_error(family, theta_hat)
     # maximize_1d returns a finite f_star, so every piece at theta_hat was
     # finite and f_star is the strict pseudo-log-likelihood there
+    score.flags.writeable = hessian.flags.writeable = False
     return FitResult(family=family, theta_hat=theta_hat, loglik=f_star,
-                     n=obs.n, converged=converged, n_evaluations=evaluations[0])
+                     converged=converged, n_evaluations=evaluations[0],
+                     obs=obs, score=score, hessian=hessian)
+
+
+def _moments(score, hessian) -> tuple[float, float]:
+    """(S, V): the negative mean hessian and the mean squared score."""
+    return float(-hessian.mean()), float(np.square(score).mean())
 
 
 def information(family: Family, theta, obs: Observations) -> tuple[float, float]:
     """(S, V) at theta from one derivative pass: the negative mean
     hessian and the mean squared score of the per-observation
-    log-likelihood."""
-    score, hessian = copulas.dlog_vec(family, theta, obs)
-    return float(-hessian.mean()), float(np.square(score).mean())
+    log-likelihood. At a fit's theta_hat, the statistics read them from
+    the fit instead."""
+    _check_type(obs)
+    return _moments(*copulas.dlog_vec(family, theta, obs))
 
 
 def _ir(s: float, v: float) -> StatisticValue:
@@ -240,7 +275,7 @@ def _search_slopes(family: Family, theta, rows, score, hessian):
     return g * t1, h * t1 * t1 + g * t2
 
 
-def _loo_block(fit: FitResult, rows, at_hat, obs: Observations):
+def _loo_block(fit: FitResult, rows, at_hat):
     """Leave-one-out maximizers on the search scale for the deleted
     observations ``rows``, and each one's log-likelihood at its own fit.
 
@@ -256,7 +291,7 @@ def _loo_block(fit: FitResult, rows, at_hat, obs: Observations):
     every halving of it. A rejected step is halved. A row converges when
     its Newton step |g/h| is at most _LOO_XTOL.
     """
-    family = fit.family
+    family, obs = fit.family, fit.obs
     k = rows.size
     f, own = _drop_own(np.tile(at_hat[0], (k, 1)), rows)
     grad, h = _search_slopes(family, fit.theta_hat, rows,
@@ -295,19 +330,19 @@ def _loo_block(fit: FitResult, rows, at_hat, obs: Observations):
         f"{_LOO_MAX_ITER} iterations for {np.count_nonzero(active)} of {k} rows")
 
 
-def _loo_fits(fit: FitResult, obs: Observations):
+def _loo_fits(fit: FitResult):
     """The leave-one-out maximizers x_i on the search scale, each deleted
     observation's log-likelihood at its own x_i, and the per-observation
     log-likelihood at the full-sample estimate."""
-    at_hat = (copulas.loglik_vec(fit.family, fit.theta_hat, obs),
-              *copulas.dlog_vec(fit.family, fit.theta_hat, obs))
-    n = obs.n
+    at_hat = (copulas.loglik_vec(fit.family, fit.theta_hat, fit.obs),
+              fit.score, fit.hessian)
+    n = fit.n
     x = np.empty(n)
     own = np.empty(n)
     size = -(-_LOO_BLOCK // n)
     for start in range(0, n, size):
         rows = np.arange(start, min(start + size, n))
-        x[rows], own[rows] = _loo_block(fit, rows, at_hat, obs)
+        x[rows], own[rows] = _loo_block(fit, rows, at_hat)
     if not np.isfinite(own).all():
         idx = int(np.argmax(~np.isfinite(own)))
         raise LikelihoodError(
@@ -316,19 +351,19 @@ def _loo_fits(fit: FitResult, obs: Observations):
     return x, own, at_hat[0]
 
 
-def pios_statistic(fit: FitResult, obs: Observations) -> StatisticValue:
+def pios_statistic(fit: FitResult) -> StatisticValue:
     """In-sample minus leave-one-out log-likelihood contrast,
     sum_i l_i(theta_hat) - l_i(theta_hat_(-i)).
 
     Each theta_hat_(-i) is an exact re-maximization without observation
     i. All n are solved together, in blocks of about _LOO_BLOCK / n rows,
     by a safeguarded Newton iteration on the unconstrained scale
-    warm-started at theta_hat (see ``_loo_block``). Raises InferenceError
-    if a refit does not converge, naming the rows whose leave-one-out
-    optimum is on the domain edge.
+    warm-started at theta_hat and the fit's score and hessian there (see
+    ``_loo_block``). Raises InferenceError if a refit does not converge,
+    naming the rows whose leave-one-out optimum is on the domain edge.
     """
-    _check(obs, MIN_OBSERVATIONS + 1)
-    _, own, at_hat = _loo_fits(fit, obs)
+    _check(fit.obs, MIN_OBSERVATIONS + 1)
+    _, own, at_hat = _loo_fits(fit)
     return StatisticValue(kind="pios", value=float(np.sum(at_hat - own)), null_value=1.0)
 
 
@@ -347,21 +382,20 @@ def statistic_kinds(kinds) -> tuple[str, ...]:
     return kinds
 
 
-def compute_statistics(kinds, fit: FitResult, obs: Observations) -> dict[str, StatisticValue]:
+def compute_statistics(kinds, fit: FitResult) -> dict[str, StatisticValue]:
     """Every kind in ``kinds`` at one fit, keyed by lower-case kind.
-    ir, white and logim share one (S, V) pass."""
+    ir, white and logim share the fit's (S, V)."""
     kinds = statistic_kinds(kinds)
-    info = (information(fit.family, fit.theta_hat, obs)
-            if _FROM_INFORMATION.keys() & set(kinds) else None)
+    info = _moments(fit.score, fit.hessian)
     # pios goes through compute_statistic so that its leave-one-out refits
     # stay nested under it, where perfbench's traced run attributes them
     return {k: _FROM_INFORMATION[k](*info) if k in _FROM_INFORMATION
-            else compute_statistic(k, fit, obs) for k in kinds}
+            else compute_statistic(k, fit) for k in kinds}
 
 
-def compute_statistic(kind: str, fit: FitResult, obs: Observations) -> StatisticValue:
+def compute_statistic(kind: str, fit: FitResult) -> StatisticValue:
     """The statistic ``kind`` (ir, white, logim or pios, any case) at one fit."""
     kind, = statistic_kinds((kind,))
     if kind == "pios":
-        return pios_statistic(fit, obs)
-    return _FROM_INFORMATION[kind](*information(fit.family, fit.theta_hat, obs))
+        return pios_statistic(fit)
+    return _FROM_INFORMATION[kind](*_moments(fit.score, fit.hessian))

@@ -198,7 +198,8 @@ def kaplan_meier(times, events) -> StepSurvival:
 
     Ties between deaths and censorings at the same time are handled
     deaths-first: censored subjects at t remain in the risk set for the
-    deaths at t.
+    deaths at t. Event indicators must be 0 (censored) or 1 (death);
+    SurvivalError names the first row that holds anything else.
     """
     times = np.asarray(times, dtype=float)
     events = np.asarray(events)
@@ -208,6 +209,10 @@ def kaplan_meier(times, events) -> StepSurvival:
         raise SurvivalError("times and events must have equal length")
     if (times < 0).any() or not np.isfinite(times).all():
         raise SurvivalError("times must be finite and non-negative")
+    bad = ~((events == 0) | (events == 1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SurvivalError(f"row {i}: event indicator {events[i]} is not 0 or 1")
     _, t_sorted, surv, jumps = _product_limit(times[None], events[None])
     return StepSurvival(jump_times=t_sorted[0, jumps], values=surv[0, jumps],
                         n_at_risk=times.size - jumps)

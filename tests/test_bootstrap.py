@@ -80,26 +80,47 @@ def test_fit_of_another_family_or_sample_is_rejected():
     other = fit_pmle(Family.CLAYTON, pseudo_observations(smaller))
     with pytest.raises(ValueError, match="fit of clayton to 100 rows"):
         bootstrap_reports(PAIRS, Family.CLAYTON, config, fit=other)
+    # equal n is not enough: the fit must be to this sample's
+    # pseudo-observations, whose score and hessian its statistics read
+    same_size = _make_pairs(Family.CLAYTON, 0.5, len(PAIRS), seed=62)
+    other = fit_pmle(Family.CLAYTON, pseudo_observations(same_size))
+    with pytest.raises(ValueError, match="fit of clayton to 150 rows"):
+        bootstrap_reports(PAIRS, Family.CLAYTON, config, fit=other)
+    own = fit_pmle(Family.CLAYTON, pseudo_observations(PAIRS))
+    assert (bootstrap_reports(PAIRS, Family.CLAYTON, config, fit=own)
+            == bootstrap_reports(PAIRS, Family.CLAYTON, config))
 
 
 @pytest.mark.parametrize("kinds", [("ir", "white", "logim"), ("pios",), ("ir", "pios")])
 def test_one_observations_per_sample(kinds, monkeypatch):
     # the observed pseudo-sample and each replicate's are built once, and
-    # the fit and every statistic reuse that one object: b + 1 builds
+    # the fit and every statistic reuse that one object: b + 1 builds.
+    # Each fit makes one scalar-theta dlog_vec pass and every statistic
+    # reads it from the fit: b + 1 passes (pios's leave-one-out
+    # iterations take theta columns)
     builds = []
+    passes = []
     init = copulas.Observations.__post_init__
+    dlog_vec = copulas.dlog_vec
 
     def counted(self):
         builds.append(self)
         init(self)
 
+    def counted_dlog(family, theta, obs):
+        if np.ndim(theta) == 0:
+            passes.append(theta)
+        return dlog_vec(family, theta, obs)
+
     monkeypatch.setenv("COPULA_GOF_THREADS", "1")
     monkeypatch.setattr(copulas.Observations, "__post_init__", counted)
+    monkeypatch.setattr(copulas, "dlog_vec", counted_dlog)
     sample = generate_scenario_dataset(Scenario(Family.CLAYTON, 0.5, 100, "c20"), seed=1)
     reports = bootstrap_reports(sample, Family.CLAYTON, BootstrapConfig(b=20, seed=1),
                                 kinds=kinds)
     assert reports[kinds[0]].b_used == 20
     assert len(builds) == 21
+    assert len(passes) == 21
 
 
 def test_replicate_value_error_is_not_a_drop(monkeypatch):
@@ -197,10 +218,11 @@ def test_pios_at_domain_edge_fails_typed(monkeypatch):
     config = BootstrapConfig(b=4, seed=1)
     with pytest.raises(inference.InferenceError, match="on the edge of the domain"):
         bootstrap_reports(sample, Family.CLAYTON, config, kinds=("pios",))
-    loglik = float(copulas.loglik_vec(Family.CLAYTON, 1e-8,
-                                      pseudo_observations(sample)).sum())
-    edge = inference.FitResult(Family.CLAYTON, 1e-8, loglik, len(sample),
-                               converged=False, n_evaluations=0)
+    obs = pseudo_observations(sample)
+    loglik = float(copulas.loglik_vec(Family.CLAYTON, 1e-8, obs).sum())
+    score, hessian = copulas.dlog_vec(Family.CLAYTON, 1e-8, obs)
+    edge = inference.FitResult(Family.CLAYTON, 1e-8, loglik, converged=False,
+                               n_evaluations=0, obs=obs, score=score, hessian=hessian)
     with pytest.raises(inference.InferenceError, match="leave-one-out"):
         bootstrap_reports(sample, Family.CLAYTON, config, kinds=("pios",), fit=edge)
 
@@ -310,7 +332,7 @@ def test_rows_without_events_are_retried_as_an_explicit_loop(monkeypatch):
             try:
                 obs = pseudo_observations(_row(censor_chosen(frame, [stream])))
                 refit = fit_pmle(family, obs, initial_theta=fit.theta_hat)
-                draws.append(compute_statistics(kinds, refit, obs))
+                draws.append(compute_statistics(kinds, refit))
                 break
             except bootstrap._STAT_ERRORS:
                 continue

@@ -30,7 +30,7 @@ def test_fit_recovers_parameter(family):
     fit = fit_pmle(family, _simulate(family, 0.5, 1500, seed=11))
     assert fit.converged
     assert fit.theta_hat == pytest.approx(theta, rel=0.12)
-    assert fit.n == 1500
+    assert fit.n == fit.obs.n == 1500
     assert fit.loglik > 0.0  # dependence beats independence here
 
 
@@ -97,8 +97,9 @@ def test_malformed_samples_fail_typed(defect, entry):
 
 
 def test_four_array_calls_raise_type_error():
-    # every entry point takes one Observations; the old four-array form
-    # has no fallback
+    # the fit and information take one Observations, and the statistics
+    # take the fit alone; the four-array form, the arrays as one tuple and
+    # a sample next to the fit have no fallback
     obs = _simulate(Family.CLAYTON, 0.5, 30, seed=2)
     fit = fit_pmle(Family.CLAYTON, obs)
     arrays = (obs.u1, obs.u2, obs.d1, obs.d2)
@@ -106,9 +107,16 @@ def test_four_array_calls_raise_type_error():
              lambda: information(Family.CLAYTON, 2.0, *arrays),
              lambda: compute_statistic("ir", fit, *arrays),
              lambda: inference.compute_statistics(("ir",), fit, *arrays),
-             lambda: pios_statistic(fit, *arrays)]
+             lambda: pios_statistic(fit, *arrays),
+             lambda: compute_statistic("ir", fit, obs),
+             lambda: inference.compute_statistics(("ir",), fit, obs),
+             lambda: pios_statistic(fit, obs)]
     for call in calls:
         with pytest.raises(TypeError):
+            call()
+    for call in (lambda: fit_pmle(Family.CLAYTON, arrays),
+                 lambda: information(Family.CLAYTON, 2.0, arrays)):
+        with pytest.raises(TypeError, match="copulas.Observations, got tuple"):
             call()
 
 
@@ -143,11 +151,11 @@ def test_information_equality_under_null():
 def test_ir_statistic_null_and_misspecified():
     obs = _simulate(Family.CLAYTON, 0.7, 3000, seed=23)
     fit_ok = fit_pmle(Family.CLAYTON, obs)
-    r_ok = compute_statistic("ir", fit_ok, obs)
+    r_ok = compute_statistic("ir", fit_ok)
     assert r_ok.kind == "ir" and r_ok.null_value == 1.0
     assert abs(r_ok.value - 1.0) < 0.1
     fit_bad = fit_pmle(Family.FRANK, obs)
-    r_bad = compute_statistic("ir", fit_bad, obs)
+    r_bad = compute_statistic("ir", fit_bad)
     assert abs(r_bad.value - 1.0) > 0.1
 
 
@@ -155,9 +163,9 @@ def test_white_and_logim_consistent_with_ir():
     obs = _simulate(Family.FRANK, 0.5, 500, seed=5)
     fit = fit_pmle(Family.FRANK, obs)
     s, v = information(Family.FRANK, fit.theta_hat, obs)
-    w = compute_statistic("white", fit, obs)
-    lg = compute_statistic("logim", fit, obs)
-    ir = compute_statistic("ir", fit, obs)
+    w = compute_statistic("white", fit)
+    lg = compute_statistic("logim", fit)
+    ir = compute_statistic("ir", fit)
     assert w.value == pytest.approx(v - s, rel=1e-12)
     assert lg.value == pytest.approx(-np.log(ir.value), rel=1e-10)
     assert w.null_value == 0.0 and lg.null_value == 0.0
@@ -165,7 +173,7 @@ def test_white_and_logim_consistent_with_ir():
 
 def test_pios_near_one_under_null():
     obs = _simulate(Family.CLAYTON, 0.5, 150, seed=41)
-    t = pios_statistic(fit_pmle(Family.CLAYTON, obs), obs)
+    t = pios_statistic(fit_pmle(Family.CLAYTON, obs))
     assert t.kind == "pios" and t.null_value == 1.0
     assert 0.2 < t.value < 2.5
 
@@ -175,7 +183,7 @@ def test_loo_refits_are_exact_optima(family):
     obs = _simulate(family, 0.5, 40, seed=13, censoring_mean=1.5)
     u1, u2, d1, d2 = obs.u1, obs.u2, obs.d1, obs.d2
     fit = fit_pmle(family, obs)
-    x, own, at_hat = inference._loo_fits(fit, obs)
+    x, own, at_hat = inference._loo_fits(fit)
     assert at_hat.tobytes() == copulas.loglik_vec(family, fit.theta_hat, obs).tobytes()
     n = obs.n
     for i in range(n):
@@ -200,19 +208,21 @@ def test_loo_refits_are_exact_optima(family):
 def test_pios_is_independent_of_the_block_size(family, monkeypatch):
     obs = _simulate(family, 0.5, 40, seed=13, censoring_mean=1.5)
     fit = fit_pmle(family, obs)
-    whole = pios_statistic(fit, obs).value
+    whole = pios_statistic(fit).value
     # 7 entries make one-row blocks; 6 * 40 + 1 makes 7-row blocks and a
     # ragged last one
     for block in (7, 6 * 40 + 1):
         monkeypatch.setattr(inference, "_LOO_BLOCK", block)
-        assert pios_statistic(fit, obs).value == whole
+        assert pios_statistic(fit).value == whole
 
 
 def _edge_fit(family, obs):
     """An unconverged fit 1e-8 inside the lower edge of the domain."""
     theta = copulas.family_ops(family).domain[0] + 1e-8
     loglik = float(copulas.loglik_vec(family, theta, obs).sum())
-    return FitResult(family, theta, loglik, obs.n, converged=False, n_evaluations=0)
+    score, hessian = copulas.dlog_vec(family, theta, obs)
+    return FitResult(family, theta, loglik, converged=False, n_evaluations=0,
+                     obs=obs, score=score, hessian=hessian)
 
 
 @pytest.mark.parametrize("family", [Family.CLAYTON, Family.FRANK, Family.JOE, Family.GUMBEL])
@@ -228,7 +238,7 @@ def test_pios_at_domain_edge_is_a_typed_error(family):
     with pytest.raises(InferenceError, match="on the edge of the domain"):
         fit_pmle(family, obs)
     with pytest.raises(InferenceError, match="leave-one-out optimum on the domain edge"):
-        pios_statistic(_edge_fit(family, obs), obs)
+        pios_statistic(_edge_fit(family, obs))
 
 
 @pytest.mark.parametrize("family, n, rows", [(Family.CLAYTON, 100, 2),
@@ -243,12 +253,11 @@ def test_pios_with_delete_one_optima_on_the_edge_is_a_typed_error(family, n, row
     assert fit.converged
     with pytest.raises(InferenceError, match=f"leave-one-out optimum on the domain "
                                              f"edge for {family.value} at {rows} of {n} rows"):
-        pios_statistic(fit, obs)
+        pios_statistic(fit)
 
 
 def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
     obs = _simulate(Family.GUMBEL, 0.5, 60, seed=4, censoring_mean=1.5)
-    fit = fit_pmle(Family.GUMBEL, obs)
     thetas = []
     dlog_vec = copulas.dlog_vec
 
@@ -262,13 +271,21 @@ def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
     monkeypatch.setattr(copulas, "dlog_vec", counted)
     monkeypatch.setattr(copulas, "score_vec", unused)
     monkeypatch.setattr(copulas, "hessian_vec", unused)
-    inference.compute_statistics(("ir", "white", "logim"), fit, obs)
+    fit = fit_pmle(Family.GUMBEL, obs)
+    # the fit's convergence check is the one pass at theta_hat, and the
+    # fit keeps it, read-only
     assert thetas == [fit.theta_hat]
+    score, hessian = dlog_vec(Family.GUMBEL, fit.theta_hat, obs)
+    assert fit.score.tobytes() == score.tobytes()
+    assert fit.hessian.tobytes() == hessian.tobytes()
+    assert not (fit.score.flags.writeable or fit.hessian.flags.writeable)
     thetas.clear()
-    pios_statistic(fit, obs)
-    # the full-sample pass, then one theta column per Newton iteration
-    assert len(thetas) > 1 and thetas[0] == fit.theta_hat
-    assert all(t.ndim == 2 and t.shape[1] == 1 for t in thetas[1:])
+    inference.compute_statistics(("ir", "white", "logim"), fit)
+    assert thetas == []
+    pios_statistic(fit)
+    # one theta column per Newton iteration, and no pass at theta_hat
+    assert len(thetas) > 0
+    assert all(t.ndim == 2 and t.shape[1] == 1 for t in thetas)
 
 
 def test_pios_frank_at_strong_dependence():
@@ -278,19 +295,19 @@ def test_pios_frank_at_strong_dependence():
     obs = _simulate(Family.FRANK, 0.9, 100, seed=0)
     fit = fit_pmle(Family.FRANK, obs)
     assert fit.converged
-    assert np.isfinite(pios_statistic(fit, obs).value)
+    assert np.isfinite(pios_statistic(fit).value)
 
 
 def test_pios_needs_enough_rows_to_delete_one():
     obs = _simulate(Family.CLAYTON, 0.5, 10, seed=3)
     fit = fit_pmle(Family.CLAYTON, obs)
     with pytest.raises(InferenceError, match="at least 11"):
-        pios_statistic(fit, obs)
+        pios_statistic(fit)
 
 
 def test_compute_statistic_dispatch():
     obs = _simulate(Family.GUMBEL, 0.5, 200, seed=8)
     fit = fit_pmle(Family.GUMBEL, obs)
-    assert compute_statistic("IR", fit, obs).kind == "ir"
+    assert compute_statistic("IR", fit).kind == "ir"
     with pytest.raises(ValueError):
-        compute_statistic("wald", fit, obs)
+        compute_statistic("wald", fit)

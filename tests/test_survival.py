@@ -52,6 +52,16 @@ def test_km_empty_and_mismatched():
         kaplan_meier([1, 2], [1])
 
 
+@pytest.mark.parametrize("events, row, value", [([2, 0, 1], 0, "2"),
+                                                ([0.5, 0, 1], 0, "0.5"),
+                                                ([1, 0, -1], 2, "-1")])
+def test_km_rejects_indicators_other_than_0_or_1(events, row, value):
+    # an indicator of 2 would count two deaths for one subject, and 0.5
+    # would be read as censored
+    with pytest.raises(SurvivalError, match=f"row {row}: event indicator {value} "):
+        kaplan_meier([1.0, 2.0, 3.0], events)
+
+
 def test_km_inverse_basic():
     km = kaplan_meier([1, 2, 3, 4], [1, 1, 1, 1])
     np.testing.assert_array_equal(km.inverse(np.array([1.0, 1.5, 0.75, 0.6, 0.0])),
