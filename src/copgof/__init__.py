@@ -2,18 +2,19 @@
 right censoring.
 
 The main entry points are :func:`fit_pmle` for two-stage pseudo-maximum-
-likelihood estimation, :func:`bootstrap_pvalue` for a calibrated test of
-one null family, and :func:`select_copula` for ranking candidates.
+likelihood estimation, :func:`compute_statistic` for one statistic at a
+fit, :func:`bootstrap_reports` for a calibrated test of one null family
+on one or more statistics, and :func:`select_copula` for ranking
+candidates.
 """
 
 from .bootstrap import (BootstrapConfig, BootstrapError, GofReport,
-                        SelectionResult, bootstrap_pvalue, bootstrap_reports,
-                        select_copula)
+                        SelectionResult, bootstrap_reports, select_copula)
 from .copulas import (CopulaModel, CopulaError, Family, LikelihoodError,
                       Observations, cdf, density, partial_u1, partial_u2, sample_pairs,
                       tau_to_theta, theta_to_tau)
 from .inference import (FitResult, InferenceError, StatisticValue,
-                        compute_statistic, fit_pmle, pios_statistic)
+                        compute_statistic, fit_pmle)
 from .simulation import (Scenario, StudyConfig, generate_scenario_dataset,
                          run_null_distribution, run_rejection_study)
 from .survival import (CensoredPair, CensoredSample, StepSurvival,
@@ -25,12 +26,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BootstrapConfig", "BootstrapError", "GofReport", "SelectionResult",
-    "bootstrap_pvalue", "bootstrap_reports", "select_copula",
+    "bootstrap_reports", "select_copula",
     "CopulaModel", "CopulaError", "Family", "LikelihoodError", "Observations",
     "cdf", "density", "partial_u1", "partial_u2",
     "sample_pairs", "tau_to_theta", "theta_to_tau",
     "FitResult", "InferenceError", "StatisticValue", "compute_statistic",
-    "fit_pmle", "pios_statistic",
+    "fit_pmle",
     "Scenario", "StudyConfig", "generate_scenario_dataset",
     "run_null_distribution", "run_rejection_study",
     "CensoredPair", "CensoredSample", "StepSurvival", "SurvivalError",

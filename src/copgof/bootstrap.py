@@ -15,10 +15,14 @@ observed statistic standardized by that deviation around its null value.
 Replicate b of family f draws from stream index f * 2^20 + b of the
 master seed, so results are independent of worker count and of which
 other families are being tested. Replicates are drawn in (k, n) blocks
-of about ``_BLOCK`` entries: one sampler call, one inverse Kaplan-Meier
-pass per curve and one product-limit pass per margin cover the block,
-while each row keeps its own stream, so results are independent of the
-block size too. Each row is then refit as its own task.
+of about ``inference.BLOCK_ENTRIES`` entries: one sampler call, one
+inverse Kaplan-Meier pass per curve and one product-limit pass per
+margin cover the block, while each row keeps its own stream, so results
+are independent of the block size too. Each row is then refit as its
+own task.
+
+``bootstrap_reports`` is the one test entry point: its ``kinds`` names
+the statistics a test computes, and ``select_copula`` ranks on one kind.
 """
 
 from __future__ import annotations
@@ -39,9 +43,6 @@ from .survival import CensoredSample, StepSurvival
 B_CAP = 1 << 20
 _RETRY_OFFSET = B_CAP >> 1
 MIN_REPLICATE_FRACTION = 0.8
-# replicates are generated in blocks of about this many entries,
-# (rows in block) x n, so each (k, n) array stays near 1 MB
-_BLOCK = 2 ** 17
 
 
 class BootstrapError(Exception):
@@ -58,7 +59,6 @@ _STAT_ERRORS = (InferenceError, LikelihoodError, BootstrapError,
 class BootstrapConfig:
     b: int = 200
     seed: int = 0
-    statistic: str = "ir"
     common_censoring: bool = True
 
     def __post_init__(self):
@@ -155,13 +155,13 @@ def _block_stats(frame: _Frame, stream_indices) -> list[dict[str, float] | None]
 def _replicates(frame: _Frame, b: int) -> list[dict[str, float]]:
     """Statistics of the b replicates that succeed, in replicate order.
 
-    Replicate i draws from stream base + i, in blocks of about _BLOCK
-    entries. A replicate that fails gets one retry on stream
-    base + _RETRY_OFFSET + i, and the retries of a block are generated as
-    one more block; a replicate that fails twice is dropped.
+    Replicate i draws from stream base + i, in blocks of about
+    inference.BLOCK_ENTRIES entries. A replicate that fails gets one retry
+    on stream base + _RETRY_OFFSET + i, and the retries of a block are
+    generated as one more block; a replicate that fails twice is dropped.
     """
     base = frame.family_index * B_CAP
-    size = -(-_BLOCK // frame.n)
+    size = -(-inference.BLOCK_ENTRIES // frame.n)
     kept = []
     for start in range(0, b, size):
         idx = range(start, min(start + size, b))
@@ -193,17 +193,20 @@ def _build_frame(sample: CensoredSample, fit: FitResult, kinds,
 
 
 def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
-                      kinds=None, fit: FitResult | None = None) -> dict[str, GofReport]:
+                      kinds=("ir",), fit: FitResult | None = None) -> dict[str, GofReport]:
     """Full test for one null family, one report per statistic kind.
 
     ``pairs`` is a CensoredSample or a sequence of CensoredPair rows.
+    ``kinds`` is a non-empty sequence of statistic kinds (see
+    ``inference.statistic_kinds``); the reports are keyed by lower-case
+    kind.
     ``fit``, if given, must be a fit of ``family`` to this sample's
     pseudo-observations (ValueError otherwise). Replicate fits and the
     (S, V) pass of each fit are shared across kinds, so asking for ir,
     white and logim together costs the same as any one of them.
     """
     sample = survival.as_sample(pairs)
-    kinds = inference.statistic_kinds(kinds or (config.statistic,))
+    kinds = inference.statistic_kinds(kinds)
     obs = survival.pseudo_observations(sample)
     if fit is None:
         fit = inference.fit_pmle(family, obs)
@@ -235,10 +238,6 @@ def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
     return reports
 
 
-def bootstrap_pvalue(pairs, family: Family, config: BootstrapConfig) -> GofReport:
-    return bootstrap_reports(pairs, family, config)[config.statistic.lower()]
-
-
 def _rank_key(family: Family, p_value: float, loglik: float):
     """Ranking of a tested family, best first: larger bootstrap p-value,
     ties broken on larger pseudo-log-likelihood, then on family name."""
@@ -261,8 +260,10 @@ class SelectionResult:
         return self.entries[0]
 
 
-def select_copula(pairs, families, config: BootstrapConfig) -> SelectionResult:
-    """Test each candidate family and rank by bootstrap p-value.
+def select_copula(pairs, families, config: BootstrapConfig,
+                  kind: str = "ir") -> SelectionResult:
+    """Test each candidate family on the statistic ``kind`` and rank by
+    bootstrap p-value.
 
     Ties break on pseudo-log-likelihood, then family name (``_rank_key``,
     which the simulation study's selection rate shares). Families
@@ -276,7 +277,7 @@ def select_copula(pairs, families, config: BootstrapConfig) -> SelectionResult:
     entries = []
     for fam in families:
         try:
-            rep = bootstrap_pvalue(sample, fam, config)
+            rep, = bootstrap_reports(sample, fam, config, (kind,)).values()
             entries.append(SelectionEntry(family=fam, report=rep))
         except _STAT_ERRORS as exc:
             entries.append(SelectionEntry(family=fam, report=None, error=str(exc)))

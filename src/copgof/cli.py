@@ -146,7 +146,7 @@ def _bootstrap_config(args, cfgmap) -> BootstrapConfig:
         raise UsageError(f"alpha must lie in (0, 1), got {args.alpha}")
     try:
         return BootstrapConfig(
-            b=args.b, seed=args.seed, statistic=args.statistic,
+            b=args.b, seed=args.seed,
             common_censoring=cfgmap.get("censoring_model", "common") == "common")
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -212,7 +212,8 @@ def cmd_test(args) -> int:
     sample = read_data_csv(args.input)
     family = _parse_family(args.family)
     _check_output(args.output)
-    report = bootstrap.bootstrap_pvalue(sample, family, config)
+    report, = bootstrap.bootstrap_reports(sample, family, config,
+                                          kinds=(args.statistic,)).values()
     _emit_json(_report_json(report, args.alpha), args.output)
     return EXIT_OK
 
@@ -222,7 +223,7 @@ def cmd_select(args) -> int:
     sample = read_data_csv(args.input)
     families = _parse_families(args.families)
     _check_output(args.output)
-    result = bootstrap.select_copula(sample, families, config)
+    result = bootstrap.select_copula(sample, families, config, kind=args.statistic)
     ranking = []
     for entry in result.entries:
         if entry.report is not None:

@@ -24,8 +24,8 @@ quantify the discrepancy: the information ratio R (null value 1), the
 White difference V - S (null value 0), and log S - log V (null value 0).
 All three read (S, V) from the fit's score and hessian, so they make no
 derivative pass of their own; ``information`` gives (S, V) at any other
-theta. ``compute_statistic`` and ``compute_statistics`` are the entry
-points for one kind or several.
+theta. ``compute_statistic`` is the entry point for one kind, and
+``compute_statistics`` for several at one fit.
 A fourth, the cross-validated likelihood contrast T (PIOS), compares
 in-sample and leave-one-out log-likelihoods. Its n delete-one
 re-maximizations are solved together: a safeguarded Newton iteration on
@@ -47,9 +47,10 @@ from .copulas import CopulaModel, Family, LikelihoodError, Observations
 
 MIN_OBSERVATIONS = 10
 
-# leave-one-out refits run in blocks of about this many log-likelihood
-# entries, (rows in block) x n, so each (k, n) array stays near 1 MB
-_LOO_BLOCK = 2 ** 17
+# leave-one-out refits and bootstrap replicates run in blocks of about
+# this many entries, (rows in block) x n, so each (k, n) array stays near
+# 1 MB; both read it at call time
+BLOCK_ENTRIES = 2 ** 17
 _LOO_MAX_ITER = 100
 # a row converges when its Newton step |g/h| is at most _LOO_XTOL
 _LOO_XTOL = 1e-10
@@ -77,6 +78,17 @@ class FitResult:
     obs: Observations = field(compare=False, repr=False)
     score: np.ndarray = field(compare=False, repr=False)
     hessian: np.ndarray = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("score", "hessian"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so read-only again when unpickled
+        return FitResult, (self.family, self.theta_hat, self.loglik, self.converged,
+                           self.n_evaluations, self.obs, self.score, self.hessian)
 
     @property
     def n(self) -> int:
@@ -209,7 +221,6 @@ def fit_pmle(family: Family, obs: Observations, *,
         raise _edge_error(family, theta_hat)
     # maximize_1d returns a finite f_star, so every piece at theta_hat was
     # finite and f_star is the strict pseudo-log-likelihood there
-    score.flags.writeable = hessian.flags.writeable = False
     return FitResult(family=family, theta_hat=theta_hat, loglik=f_star,
                      converged=converged, n_evaluations=evaluations[0],
                      obs=obs, score=score, hessian=hessian)
@@ -339,7 +350,7 @@ def _loo_fits(fit: FitResult):
     n = fit.n
     x = np.empty(n)
     own = np.empty(n)
-    size = -(-_LOO_BLOCK // n)
+    size = -(-BLOCK_ENTRIES // n)
     for start in range(0, n, size):
         rows = np.arange(start, min(start + size, n))
         x[rows], own[rows] = _loo_block(fit, rows, at_hat)
@@ -351,30 +362,21 @@ def _loo_fits(fit: FitResult):
     return x, own, at_hat[0]
 
 
-def pios_statistic(fit: FitResult) -> StatisticValue:
-    """In-sample minus leave-one-out log-likelihood contrast,
-    sum_i l_i(theta_hat) - l_i(theta_hat_(-i)).
-
-    Each theta_hat_(-i) is an exact re-maximization without observation
-    i. All n are solved together, in blocks of about _LOO_BLOCK / n rows,
-    by a safeguarded Newton iteration on the unconstrained scale
-    warm-started at theta_hat and the fit's score and hessian there (see
-    ``_loo_block``). Raises InferenceError if a refit does not converge,
-    naming the rows whose leave-one-out optimum is on the domain edge.
-    """
-    _check(fit.obs, MIN_OBSERVATIONS + 1)
-    _, own, at_hat = _loo_fits(fit)
-    return StatisticValue(kind="pios", value=float(np.sum(at_hat - own)), null_value=1.0)
-
-
 # statistics that are functions of (S, V) alone; pios needs its own refits
 _FROM_INFORMATION = {"ir": _ir, "white": _white, "logim": _logim}
 STATISTIC_KINDS = tuple(sorted([*_FROM_INFORMATION, "pios"]))
 
 
 def statistic_kinds(kinds) -> tuple[str, ...]:
-    """``kinds`` in lower case, checked against STATISTIC_KINDS."""
+    """``kinds``, a non-empty sequence of kind names, in lower case and
+    checked against STATISTIC_KINDS. A bare string is a TypeError: it
+    would be read as a sequence of one-letter kinds."""
+    if isinstance(kinds, str):
+        raise TypeError(f"expected a sequence of statistic kinds, got the string "
+                        f"{kinds!r}; pass ({kinds!r},)")
     kinds = tuple(k.lower() for k in kinds)
+    if not kinds:
+        raise ValueError("no statistic kinds given")
     for k in kinds:
         if k not in STATISTIC_KINDS:
             valid = "|".join(STATISTIC_KINDS)
@@ -394,8 +396,20 @@ def compute_statistics(kinds, fit: FitResult) -> dict[str, StatisticValue]:
 
 
 def compute_statistic(kind: str, fit: FitResult) -> StatisticValue:
-    """The statistic ``kind`` (ir, white, logim or pios, any case) at one fit."""
+    """The statistic ``kind`` (ir, white, logim or pios, any case) at one fit.
+
+    pios is the in-sample minus leave-one-out log-likelihood contrast,
+    sum_i l_i(theta_hat) - l_i(theta_hat_(-i)). Each theta_hat_(-i) is an
+    exact re-maximization without observation i. All n are solved
+    together, in blocks of about BLOCK_ENTRIES / n rows, by a safeguarded
+    Newton iteration on the unconstrained scale warm-started at theta_hat
+    and the fit's score and hessian there (see ``_loo_block``). It raises
+    InferenceError if a refit does not converge, naming the rows whose
+    leave-one-out optimum is on the domain edge.
+    """
     kind, = statistic_kinds((kind,))
-    if kind == "pios":
-        return pios_statistic(fit)
-    return _FROM_INFORMATION[kind](*_moments(fit.score, fit.hessian))
+    if kind in _FROM_INFORMATION:
+        return _FROM_INFORMATION[kind](*_moments(fit.score, fit.hessian))
+    _check(fit.obs, MIN_OBSERVATIONS + 1)
+    _, own, at_hat = _loo_fits(fit)
+    return StatisticValue(kind="pios", value=float(np.sum(at_hat - own)), null_value=1.0)

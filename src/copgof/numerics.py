@@ -1,11 +1,12 @@
 """Shared numeric kernel.
 
-Univariate adaptive quadrature, the Debye-1 integral, bivariate normal
-distribution functions, bracketed root finding, bounded 1-D
-maximization, and splittable deterministic RNG streams. Everything here
-is a pure function of its inputs. Univariate normal functions are
-scipy's (``scipy.special.ndtr``, ``ndtri``, ``log_ndtr``), called
-directly where they are needed.
+The Debye-1 integral, bivariate normal distribution functions,
+bracketed root finding, bounded 1-D maximization, and splittable
+deterministic RNG streams. Everything here is a pure function of its
+inputs. Univariate normal functions and adaptive quadrature are
+scipy's (``scipy.special.ndtr``, ``ndtri``, ``log_ndtr``,
+``scipy.integrate.quad``), called directly where they are needed; a
+quadrature that misses its tolerance raises NumericsError.
 
 The bivariate normal CDF used by the library is ``binorm_logcdf``, an
 array function (Owen's T identity, with a log-space Gauss-Legendre
@@ -31,49 +32,12 @@ class NumericsError(Exception):
     """Base class for numeric-kernel failures."""
 
 
-class QuadratureError(NumericsError):
-    def __init__(self, message: str, estimate: float, error_bound: float):
-        super().__init__(f"{message} (best estimate {estimate!r}, bound {error_bound!r})")
-        self.estimate = estimate
-        self.error_bound = error_bound
-
-
 class BracketError(NumericsError):
     pass
 
 
 class OptimizationError(NumericsError):
     pass
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Adaptive quadrature of ``f`` on (a, b); endpoints may be infinite."""
-    if not (a <= b):
-        raise ValueError(f"integration bounds out of order: {a} > {b}")
-    result = _integrate.quad(
-        f, a, b,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions, full_output=1,
-    )
-    if len(result) > 3:
-        raise QuadratureError(str(result[3]), estimate=result[0], error_bound=result[1])
-    return result[0]
 
 
 def debye1(theta: float) -> float:
@@ -85,7 +49,11 @@ def debye1(theta: float) -> float:
         # t/(e^t - 1) -> 1 as t -> 0; expm1 keeps the small-t branch exact
         return t / math.expm1(t) if t > 0 else 1.0
 
-    return integrate(integrand, 0.0, theta) / theta
+    value, bound, *warning = _integrate.quad(integrand, 0.0, theta, epsabs=1e-10,
+                                             epsrel=1e-10, limit=200, full_output=1)
+    if warning[1:]:
+        raise NumericsError(f"debye1({theta!r}): {warning[1]} (bound {bound!r})")
+    return value / theta
 
 
 def binorm_pdf(z1, z2, rho: float):
@@ -95,9 +63,6 @@ def binorm_pdf(z1, z2, rho: float):
     s2 = 1.0 - rho * rho
     q = (np.square(z1) + np.square(z2) - 2.0 * rho * np.asarray(z1) * np.asarray(z2)) / (2.0 * s2)
     return np.exp(-q) / (2.0 * math.pi * math.sqrt(s2))
-
-
-_BINORM_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=200)
 
 
 def binorm_cdf(z1: float, z2: float, rho: float) -> float:
@@ -125,7 +90,11 @@ def binorm_cdf(z1: float, z2: float, rho: float) -> float:
         pdf = np.exp(-0.5 * np.square(t)) / math.sqrt(2.0 * math.pi)
         return float(pdf) * float(_special.ndtr((z2 - rho * t) / s))
 
-    return integrate(integrand, -np.inf, z1, _BINORM_SPEC)
+    value, bound, *warning = _integrate.quad(integrand, -np.inf, z1, epsabs=1e-300,
+                                             epsrel=1e-12, limit=200, full_output=1)
+    if warning[1:]:
+        raise NumericsError(f"binorm_cdf: {warning[1]} (bound {bound!r})")
+    return value
 
 
 _LOG_SQRT2PI = 0.5 * math.log(2.0 * math.pi)

@@ -117,8 +117,6 @@ class StudyConfig:
         # b and seed follow the bootstrap's rules
         BootstrapConfig(b=self.b, seed=self.seed)
         object.__setattr__(self, "kinds", inference.statistic_kinds(self.kinds))
-        if not self.kinds:
-            raise ValueError("no statistic kinds given")
 
 
 def _study_replicate(args):

@@ -20,7 +20,7 @@ from copgof import bootstrap, copulas, inference, numerics, simulation, survival
 from copgof.bootstrap import BootstrapConfig
 from copgof.cli import main as cli_main
 from copgof.copulas import CopulaModel, Family, cdf, density, loglik_vec
-from copgof.inference import compute_statistic, fit_pmle, pios_statistic
+from copgof.inference import compute_statistic, fit_pmle
 from copgof.simulation import Scenario, StudyConfig
 from copgof.survival import CensoredPair, kaplan_meier
 
@@ -188,7 +188,7 @@ def test_criterion_05_ir_pios_equivalence():
             obs = survival.pseudo_observations(pairs)
             fit = fit_pmle(Family.CLAYTON, obs)
             rn = compute_statistic("ir", fit).value
-            tn = pios_statistic(fit).value
+            tn = compute_statistic("pios", fit).value
             gaps.append(abs(rn - tn))
         return float(np.mean(gaps))
 

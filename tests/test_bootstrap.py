@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from copgof import bootstrap, copulas, inference, numerics
-from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_pvalue,
-                              bootstrap_reports, generate_bootstrap_dataset,
-                              select_copula, _build_frame)
+from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_reports,
+                              generate_bootstrap_dataset, select_copula,
+                              _build_frame)
 from copgof.copulas import FAMILY_ORDER, CopulaModel, Family
 from copgof.inference import compute_statistics, fit_pmle
 from copgof.numerics import RngStream
-from copgof.simulation import Scenario, generate_scenario_dataset
+from copgof.simulation import Scenario, StudyConfig, generate_scenario_dataset
 from copgof.survival import (CensoredSample, censoring_curves, kaplan_meier,
                              pseudo_observations)
 
@@ -41,11 +41,28 @@ def test_config_validation():
         BootstrapConfig(b=B_CAP + 1)
     with pytest.raises(ValueError):
         BootstrapConfig(b=50, seed=-1)
+    # the statistics a test computes are its kinds, not a config field
+    with pytest.raises(TypeError):
+        BootstrapConfig(b=4, seed=1, statistic="pios")
+
+
+def test_kinds_must_be_a_non_empty_sequence():
+    # a bare string would read as one-letter kinds, and an empty selection
+    # computes nothing: both fail before any fit
+    cfg = BootstrapConfig(b=4, seed=1)
+    with pytest.raises(TypeError, match="sequence of statistic kinds"):
+        bootstrap_reports(PAIRS, Family.CLAYTON, cfg, kinds="ir")
+    with pytest.raises(TypeError, match="sequence of statistic kinds"):
+        StudyConfig(kinds="ir")
+    for call in (lambda: bootstrap_reports(PAIRS, Family.CLAYTON, cfg, kinds=()),
+                 lambda: StudyConfig(kinds=())):
+        with pytest.raises(ValueError, match="no statistic kinds given"):
+            call()
 
 
 def test_null_family_gets_large_pvalue():
-    report = bootstrap_pvalue(PAIRS, Family.CLAYTON,
-                              BootstrapConfig(b=60, seed=1))
+    report = bootstrap_reports(PAIRS, Family.CLAYTON,
+                               BootstrapConfig(b=60, seed=1))["ir"]
     assert report.p_value > 0.05
     assert report.b_used == 60
     assert not report.degenerate
@@ -176,8 +193,8 @@ def test_gaussian_path_never_calls_the_quadrature_oracle(tau, monkeypatch):
 
 def test_bootstrap_deterministic_across_runs():
     cfg = BootstrapConfig(b=40, seed=9)
-    a = bootstrap_pvalue(PAIRS, Family.FRANK, cfg)
-    b = bootstrap_pvalue(PAIRS, Family.FRANK, cfg)
+    a = bootstrap_reports(PAIRS, Family.FRANK, cfg)
+    b = bootstrap_reports(PAIRS, Family.FRANK, cfg)
     assert a == b
 
 
@@ -186,9 +203,9 @@ def test_bootstrap_deterministic_across_worker_counts():
     prev = os.environ.get("COPULA_GOF_THREADS")
     try:
         os.environ["COPULA_GOF_THREADS"] = "1"
-        a = bootstrap_pvalue(PAIRS, Family.CLAYTON, cfg)
+        a = bootstrap_reports(PAIRS, Family.CLAYTON, cfg)
         os.environ["COPULA_GOF_THREADS"] = "4"
-        b = bootstrap_pvalue(PAIRS, Family.CLAYTON, cfg)
+        b = bootstrap_reports(PAIRS, Family.CLAYTON, cfg)
     finally:
         if prev is None:
             os.environ.pop("COPULA_GOF_THREADS", None)
@@ -228,8 +245,8 @@ def test_pios_at_domain_edge_fails_typed(monkeypatch):
 
 
 def test_seed_changes_sigma():
-    a = bootstrap_pvalue(PAIRS, Family.CLAYTON, BootstrapConfig(b=40, seed=1))
-    b = bootstrap_pvalue(PAIRS, Family.CLAYTON, BootstrapConfig(b=40, seed=2))
+    a = bootstrap_reports(PAIRS, Family.CLAYTON, BootstrapConfig(b=40, seed=1))["ir"]
+    b = bootstrap_reports(PAIRS, Family.CLAYTON, BootstrapConfig(b=40, seed=2))["ir"]
     assert a.sigma_b != b.sigma_b
     assert a.statistic.value == b.statistic.value  # observed stat is data-only
 
@@ -294,8 +311,8 @@ def test_joe_reports_independent_of_block_size_and_workers(monkeypatch):
     whole = bootstrap_reports(JOE_PAIRS, Family.JOE, cfg, kinds=kinds)
     assert whole["ir"].b_used == 16
     # 1 entry makes one-row blocks, 7n seven-row blocks and a ragged last one
-    for block in (1, 7 * len(JOE_PAIRS), bootstrap._BLOCK):
-        monkeypatch.setattr(bootstrap, "_BLOCK", block)
+    for block in (1, 7 * len(JOE_PAIRS), inference.BLOCK_ENTRIES):
+        monkeypatch.setattr(inference, "BLOCK_ENTRIES", block)
         for threads in ("1", "2"):
             monkeypatch.setenv("COPULA_GOF_THREADS", threads)
             assert bootstrap_reports(JOE_PAIRS, Family.JOE, cfg, kinds=kinds) == whole
@@ -371,15 +388,24 @@ def test_select_prefers_true_family():
 
 
 def test_select_dedupes_and_validates():
-    result = select_copula(PAIRS, [Family.CLAYTON, Family.CLAYTON],
-                           BootstrapConfig(b=30, seed=5))
+    cfg = BootstrapConfig(b=30, seed=5)
+    result = select_copula(PAIRS, [Family.CLAYTON, Family.CLAYTON], cfg)
     assert len(result.entries) == 1
+    assert result.best.report == bootstrap_reports(PAIRS, Family.CLAYTON, cfg)["ir"]
+    # kind picks the statistic the candidates are tested and ranked on
+    families = [Family.CLAYTON, Family.FRANK]
+    white = select_copula(PAIRS, families, cfg, kind="white")
+    expect = {fam: bootstrap_reports(PAIRS, fam, cfg, kinds=("white",))["white"]
+              for fam in families}
+    assert {e.family: e.report for e in white.entries} == expect
+    ps = [e.report.p_value for e in white.entries]
+    assert ps == sorted(ps, reverse=True)
     with pytest.raises(ValueError):
         select_copula(PAIRS, [], BootstrapConfig(b=30, seed=5))
 
 
 def test_critical_value_decision():
-    report = bootstrap_pvalue(PAIRS, Family.CLAYTON, BootstrapConfig(b=30, seed=3))
+    report = bootstrap_reports(PAIRS, Family.CLAYTON, BootstrapConfig(b=30, seed=3))["ir"]
     assert report.reject(0.9999) is (report.p_value < 0.9999)
     assert report.reject(1e-12) is False
 

@@ -79,6 +79,13 @@ def test_cmd_select(data_csv, capsys):
     assert len(result["ranking"]) == 2
     ps = [e["p_value"] for e in result["ranking"]]
     assert ps == sorted(ps, reverse=True)
+    assert {e["statistic"]["kind"] for e in result["ranking"]} == {"ir"}
+    # --statistic picks the statistic every candidate is tested on
+    rc = main(["select", "--input", data_csv, "--families", "clayton,joe",
+               "--b", "30", "--seed", "2", "--statistic", "white"])
+    assert rc == 0
+    ranking = json.loads(capsys.readouterr().out)["ranking"]
+    assert {e["statistic"]["kind"] for e in ranking} == {"white"}
 
 
 def test_cmd_select_warns_on_duplicates(data_csv, capsys):
@@ -258,7 +265,7 @@ def test_unwritable_output_is_an_input_error(data_csv, tmp_path, capsys, command
 
 @pytest.mark.parametrize("argv, module, work", [
     (["test", "--input", "DATA", "--family", "clayton", "--b", "200",
-      "--output", "/nonexistent/x.json"], bootstrap, "bootstrap_pvalue"),
+      "--output", "/nonexistent/x.json"], bootstrap, "bootstrap_reports"),
     (["select", "--input", "DATA", "--families", "clayton,frank", "--b", "200",
       "--output", "/nonexistent/x.json"], bootstrap, "select_copula"),
     (["fit", "--input", "DATA", "--family", "clayton",

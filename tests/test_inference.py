@@ -1,10 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from copgof import copulas, inference, numerics
 from copgof.copulas import CopulaModel, Family
 from copgof.inference import (FitResult, InferenceError, compute_statistic,
-                              fit_pmle, information, pios_statistic)
+                              fit_pmle, information)
 from copgof.simulation import Scenario, generate_scenario_dataset
 from copgof.survival import CensoredPair, CensoredSample, pseudo_observations
 
@@ -107,10 +109,8 @@ def test_four_array_calls_raise_type_error():
              lambda: information(Family.CLAYTON, 2.0, *arrays),
              lambda: compute_statistic("ir", fit, *arrays),
              lambda: inference.compute_statistics(("ir",), fit, *arrays),
-             lambda: pios_statistic(fit, *arrays),
              lambda: compute_statistic("ir", fit, obs),
-             lambda: inference.compute_statistics(("ir",), fit, obs),
-             lambda: pios_statistic(fit, obs)]
+             lambda: inference.compute_statistics(("ir",), fit, obs)]
     for call in calls:
         with pytest.raises(TypeError):
             call()
@@ -173,7 +173,7 @@ def test_white_and_logim_consistent_with_ir():
 
 def test_pios_near_one_under_null():
     obs = _simulate(Family.CLAYTON, 0.5, 150, seed=41)
-    t = pios_statistic(fit_pmle(Family.CLAYTON, obs))
+    t = compute_statistic("pios", fit_pmle(Family.CLAYTON, obs))
     assert t.kind == "pios" and t.null_value == 1.0
     assert 0.2 < t.value < 2.5
 
@@ -208,12 +208,12 @@ def test_loo_refits_are_exact_optima(family):
 def test_pios_is_independent_of_the_block_size(family, monkeypatch):
     obs = _simulate(family, 0.5, 40, seed=13, censoring_mean=1.5)
     fit = fit_pmle(family, obs)
-    whole = pios_statistic(fit).value
+    whole = compute_statistic("pios", fit).value
     # 7 entries make one-row blocks; 6 * 40 + 1 makes 7-row blocks and a
     # ragged last one
     for block in (7, 6 * 40 + 1):
-        monkeypatch.setattr(inference, "_LOO_BLOCK", block)
-        assert pios_statistic(fit).value == whole
+        monkeypatch.setattr(inference, "BLOCK_ENTRIES", block)
+        assert compute_statistic("pios", fit).value == whole
 
 
 def _edge_fit(family, obs):
@@ -238,7 +238,7 @@ def test_pios_at_domain_edge_is_a_typed_error(family):
     with pytest.raises(InferenceError, match="on the edge of the domain"):
         fit_pmle(family, obs)
     with pytest.raises(InferenceError, match="leave-one-out optimum on the domain edge"):
-        pios_statistic(_edge_fit(family, obs))
+        compute_statistic("pios", _edge_fit(family, obs))
 
 
 @pytest.mark.parametrize("family, n, rows", [(Family.CLAYTON, 100, 2),
@@ -253,7 +253,7 @@ def test_pios_with_delete_one_optima_on_the_edge_is_a_typed_error(family, n, row
     assert fit.converged
     with pytest.raises(InferenceError, match=f"leave-one-out optimum on the domain "
                                              f"edge for {family.value} at {rows} of {n} rows"):
-        pios_statistic(fit)
+        compute_statistic("pios", fit)
 
 
 def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
@@ -282,10 +282,28 @@ def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
     thetas.clear()
     inference.compute_statistics(("ir", "white", "logim"), fit)
     assert thetas == []
-    pios_statistic(fit)
+    compute_statistic("pios", fit)
     # one theta column per Newton iteration, and no pass at theta_hat
     assert len(thetas) > 0
     assert all(t.ndim == 2 and t.shape[1] == 1 for t in thetas)
+
+
+def test_fit_arrays_are_read_only_through_the_type():
+    # a fit built directly or unpickled holds read-only copies of its score
+    # and hessian, as the one fit_pmle returns does
+    obs = _simulate(Family.CLAYTON, 0.5, 40, seed=6, censoring_mean=1.5)
+    fit = fit_pmle(Family.CLAYTON, obs)
+    score, hessian = copulas.dlog_vec(Family.CLAYTON, 2.0, obs)
+    built = FitResult(Family.CLAYTON, 2.0, 0.0, converged=False, n_evaluations=0,
+                      obs=obs, score=score, hessian=hessian)
+    assert score.flags.writeable and hessian.flags.writeable
+    again = pickle.loads(pickle.dumps(fit))
+    assert again == fit and again.obs == obs
+    for f in (fit, built, again):
+        assert not (f.score.flags.writeable or f.hessian.flags.writeable)
+    assert again.score.tobytes() == fit.score.tobytes()
+    assert again.hessian.tobytes() == fit.hessian.tobytes()
+    assert compute_statistic("pios", again) == compute_statistic("pios", fit)
 
 
 def test_pios_frank_at_strong_dependence():
@@ -295,14 +313,14 @@ def test_pios_frank_at_strong_dependence():
     obs = _simulate(Family.FRANK, 0.9, 100, seed=0)
     fit = fit_pmle(Family.FRANK, obs)
     assert fit.converged
-    assert np.isfinite(pios_statistic(fit).value)
+    assert np.isfinite(compute_statistic("pios", fit).value)
 
 
 def test_pios_needs_enough_rows_to_delete_one():
     obs = _simulate(Family.CLAYTON, 0.5, 10, seed=3)
     fit = fit_pmle(Family.CLAYTON, obs)
     with pytest.raises(InferenceError, match="at least 11"):
-        pios_statistic(fit)
+        compute_statistic("pios", fit)
 
 
 def test_compute_statistic_dispatch():

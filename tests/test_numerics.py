@@ -7,27 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr, ndtr
 
 from copgof import numerics
-from copgof.numerics import (BracketError, QuadratureSpec, RngStream,
-                             derive_seed, find_root, integrate, maximize_1d)
-
-
-def test_integrate_polynomial():
-    spec = QuadratureSpec()
-    val = integrate(lambda t: 3.0 * t * t, 0.0, 2.0, spec)
-    assert val == pytest.approx(8.0, abs=1e-10)
-
-
-def test_integrate_infinite_domain():
-    spec = QuadratureSpec()
-    val = integrate(lambda t: math.exp(-t), 0.0, math.inf, spec)
-    assert val == pytest.approx(1.0, abs=1e-9)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
+from copgof.numerics import (BracketError, RngStream, derive_seed, find_root,
+                             maximize_1d)
 
 
 def test_debye1_known_value():
