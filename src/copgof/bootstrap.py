@@ -18,8 +18,12 @@ other families are being tested. Replicates are drawn in (k, n) blocks
 of about ``inference.BLOCK_ENTRIES`` entries: one sampler call, one
 inverse Kaplan-Meier pass per curve and one product-limit pass per
 margin cover the block, while each row keeps its own stream, so results
-are independent of the block size too. Each row is then refit as its
-own task.
+are independent of the block size too. The rows of a block are then
+refit together (``inference.fit_block``): the Brent searches of all rows
+step in lockstep, one kernel call per round, and one derivative pass
+gives every row's statistics. Each row equals its own one-sample fit bit
+for bit, so the reports do not depend on the block size or on the
+worker count, over which the pool spreads the blocks.
 
 ``bootstrap_reports`` is the one test entry point: its ``kinds`` names
 the statistics a test computes, and ``select_copula`` ranks on one kind.
@@ -127,52 +131,59 @@ def generate_bootstrap_dataset(frame: _Frame, stream_indices) -> tuple[np.ndarra
     return x1, x2, (t1 <= c1).astype(np.int8), (t2 <= c2).astype(np.int8)
 
 
-def _replicate_stats(args) -> dict[str, float] | None:
-    """Worker body: refit one generated replicate and recompute the
-    statistics, or None when that fails with a typed error."""
-    frame, row = args
-    try:
-        if isinstance(row, survival.SurvivalError):
-            raise row
-        obs = copulas.Observations(*row)
-        fit = inference.fit_pmle(frame.model.family, obs, initial_theta=frame.model.theta)
-        stats = inference.compute_statistics(frame.kinds, fit)
-    except _STAT_ERRORS:
-        return None
-    return {k: v.value for k, v in stats.items()}
-
-
 def _block_stats(frame: _Frame, stream_indices) -> list[dict[str, float] | None]:
-    """Generate the replicates on these streams as one block and refit
-    each row as its own task."""
+    """Generate the replicates on these streams as one block, refit every
+    row in one ``inference.fit_block`` call warm-started at the model's
+    theta, and recompute the statistics from each row's score and
+    hessian: per row, the statistic values, or None where the row failed
+    with a typed error."""
     x1, x2, d1, d2 = generate_bootstrap_dataset(frame, stream_indices)
     u1, u2, errors = survival._pseudo_rows(x1, x2, d1, d2)
-    rows = [err if err is not None else (u1[j], u2[j], d1[j], d2[j])
-            for j, err in enumerate(errors)]
-    return ordered_map(_replicate_stats, [(frame, row) for row in rows])
+    rows = [j for j, err in enumerate(errors) if err is None]
+    stats = [None] * len(errors)
+    if not rows:
+        return stats
+    if len(rows) < len(errors):
+        u1, u2, d1, d2 = (a[rows] for a in (u1, u2, d1, d2))
+    try:
+        fits = inference.fit_block(frame.model.family, copulas.Observations(u1, u2, d1, d2),
+                                   initial_theta=frame.model.theta)
+    except _STAT_ERRORS:
+        return stats
+    for i, j in enumerate(rows):
+        try:
+            stats[j] = {k: v.value for k, v in fits.statistics(frame.kinds, i).items()}
+        except _STAT_ERRORS:
+            pass
+    return stats
+
+
+def _block_task(args) -> list[dict[str, float] | None]:
+    """Worker body: the statistics of the replicates ``idx`` (one block),
+    each failed one replaced by its retry, all retries as one more block."""
+    frame, idx = args
+    base = frame.family_index * B_CAP
+    stats = _block_stats(frame, [base + i for i in idx])
+    failed = [j for j, s in enumerate(stats) if s is None]
+    if failed:
+        retried = _block_stats(frame, [base + _RETRY_OFFSET + idx[j] for j in failed])
+        for j, s in zip(failed, retried):
+            stats[j] = s
+    return stats
 
 
 def _replicates(frame: _Frame, b: int) -> list[dict[str, float]]:
     """Statistics of the b replicates that succeed, in replicate order.
 
     Replicate i draws from stream base + i, in blocks of about
-    inference.BLOCK_ENTRIES entries. A replicate that fails gets one retry
-    on stream base + _RETRY_OFFSET + i, and the retries of a block are
-    generated as one more block; a replicate that fails twice is dropped.
+    inference.BLOCK_ENTRIES entries, and the pool maps the blocks. A
+    replicate that fails gets one retry on stream base + _RETRY_OFFSET + i,
+    and the retries of a block are generated as one more block; a
+    replicate that fails twice is dropped.
     """
-    base = frame.family_index * B_CAP
     size = -(-inference.BLOCK_ENTRIES // frame.n)
-    kept = []
-    for start in range(0, b, size):
-        idx = range(start, min(start + size, b))
-        stats = _block_stats(frame, [base + i for i in idx])
-        failed = [j for j, s in enumerate(stats) if s is None]
-        if failed:
-            retried = _block_stats(frame, [base + _RETRY_OFFSET + idx[j] for j in failed])
-            for j, s in zip(failed, retried):
-                stats[j] = s
-        kept.extend(s for s in stats if s is not None)
-    return kept
+    blocks = [(frame, range(start, min(start + size, b))) for start in range(0, b, size)]
+    return [s for stats in ordered_map(_block_task, blocks) for s in stats if s is not None]
 
 
 def _pvalue(observed: float, null_value: float, sigma_b: float) -> tuple[float, bool]:

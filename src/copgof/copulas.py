@@ -11,6 +11,10 @@ once, when it is built, and a fit reuses it for every evaluation. Then
 each case's derivative piece, once for both the score and the hessian;
 each scatters the cases back in row order. A sample with a single case
 (any uncensored one) is evaluated whole, with no gather or scatter.
+An ``Observations`` may also be a (k, n) block of k samples, evaluated
+at a (k, 1) column of thetas, one per row; its case split pads each
+row's entries of a case to the longest row's count, and each row of the
+result equals that row's own one-sample call bit for bit.
 
 A family class declares its math and nothing else:
 
@@ -67,7 +71,7 @@ def _apow(base, p):
     out = base ** p
     if isinstance(p, np.ndarray) and p.ndim:
         flat = p.ravel()
-        for j in np.flatnonzero(np.isin(flat, (-1.0, 0.5, 2.0))):
+        for j in np.flatnonzero((flat == -1.0) | (flat == 0.5) | (flat == 2.0)):
             out[j] = (base if base.ndim < 2 else base[j]) ** float(flat[j])
     return out
 
@@ -644,22 +648,30 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Observations:
-    """A pseudo-sample (u1, u2, d1, d2), split once into its censoring
-    cases for the likelihood kernels.
+    """A pseudo-sample (u1, u2, d1, d2), or a (k, n) block of k of them,
+    split once into its censoring cases for the likelihood kernels.
 
-    Validated on construction: four 1-D arrays of equal length, with
-    event indicators 0 or 1; anything else raises ValueError naming the
-    argument. The arrays are read-only copies: float u1, u2 and int8 d1,
-    d2. ``n`` (and ``size``, as for an array) is the number of rows.
-    Two samples are equal when their arrays are. A pickled sample is
-    rebuilt from its four arrays, so it is validated, split and
-    read-only again on the other side.
+    Validated on construction: four arrays of one shape, 1-D for a
+    sample or (k, n) for a block, with event indicators 0 or 1; anything
+    else raises ValueError naming the argument. The arrays are read-only
+    copies: float u1, u2 and int8 d1, d2. ``n`` is the number of rows of
+    a sample (entries per row of a block), ``k`` the number of samples
+    (1 for a 1-D one) and ``size``, as for an array, the number of
+    entries. Two samples are equal when their arrays are. A pickled
+    sample is rebuilt from its four arrays, so it is validated, split
+    and read-only again on the other side.
 
-    ``cases`` holds one (case, rows, u1 rows, u2 rows) entry per
-    censoring case present, in case order, where ``case`` indexes
-    ``_PIECES``. When one case covers every row, its entry holds the
-    whole arrays and ``rows`` is None, so the kernels neither gather nor
-    scatter.
+    ``cases`` holds one (case, positions, u1 entries, u2 entries) entry
+    per censoring case present, in case order, where ``case`` indexes
+    ``_PIECES``. A sample gathers the case's rows, and ``positions`` are
+    their indices. A block gathers each row's entries of the case in row
+    order into a (k, m) array, m the longest row's count, padded with
+    u = 0.5 (z = 0 on the Gaussian scale, so a pad never enters
+    ``binorm_logcdf``'s tail branch); ``positions`` are the flat indices
+    of the k*m entries in the (k, n) result, k*n for a pad. When one case
+    covers every entry, its entry holds the whole arrays and
+    ``positions`` is None, so the kernels neither gather nor scatter.
+    ``take`` and ``row`` reuse this split for some of a block's rows.
     """
     u1: np.ndarray
     u2: np.ndarray
@@ -671,39 +683,104 @@ class Observations:
     def __post_init__(self):
         arrays = {"u1": np.array(self.u1, dtype=float), "u2": np.array(self.u2, dtype=float),
                   "d1": np.asarray(self.d1), "d2": np.asarray(self.d2)}
-        n = arrays["u1"].size
+        shape = arrays["u1"].shape
         for name, a in arrays.items():
-            if a.ndim != 1:
-                raise ValueError(f"{name} must be a 1-D array, got shape {a.shape}")
-            if a.size != n:
-                raise ValueError(f"{name} has {a.size} rows where u1 has {n}")
+            if a.ndim not in (1, 2):
+                raise ValueError(f"{name} must be a 1-D array or a (k, n) block, "
+                                 f"got shape {a.shape}")
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape} where u1 has {shape}")
         for name in ("d1", "d2"):
             a = arrays[name]
             bad = ~((a == 0) | (a == 1))
             if bad.any():
-                i = int(np.argmax(bad))
+                at = np.unravel_index(np.argmax(bad), a.shape)
+                at = int(at[0]) if a.ndim == 1 else tuple(map(int, at))
                 raise ValueError(
-                    f"{name} must hold event indicators 0 or 1; row {i} is {a[i]}")
+                    f"{name} must hold event indicators 0 or 1; row {at} is {a[at]}")
             arrays[name] = a.astype(np.int8)
         for name, a in arrays.items():
             object.__setattr__(self, name, _read_only(a))
-        object.__setattr__(self, "n", n)
-        case = 2 * (1 - self.d1) + (1 - self.d2)
+        object.__setattr__(self, "n", shape[-1])
+        object.__setattr__(self, "cases", self._split())
+
+    def _split(self) -> tuple:
+        case = (2 * (1 - self.d1) + (1 - self.d2)).ravel()
+        size = case.size
         counts = np.bincount(case, minlength=4).tolist()
-        if n and n in counts:
-            cases = [(counts.index(n), None, self.u1, self.u2)]
-        else:
-            cases = []
-            for c in range(4):
-                if counts[c]:
-                    rows = _read_only(np.flatnonzero(case == c))
-                    cases.append((c, rows, _read_only(self.u1[rows]),
-                                  _read_only(self.u2[rows])))
-        object.__setattr__(self, "cases", tuple(cases))
+        if size and size in counts:
+            return ((counts.index(size), None, self.u1, self.u2),)
+        k, n = self.k, self.n
+        u1, u2 = self.u1.ravel(), self.u2.ravel()
+        cases = []
+        for c in range(4):
+            if not counts[c]:
+                continue
+            flat = np.flatnonzero(case == c)
+            row = flat // n
+            per_row = np.bincount(row, minlength=k)
+            m = int(per_row.max())
+            slot = row * m + (np.arange(flat.size) - (np.cumsum(per_row) - per_row)[row])
+            positions = np.full(k * m, size)
+            positions[slot] = flat
+            v1, v2 = np.full(k * m, 0.5), np.full(k * m, 0.5)
+            v1[slot], v2[slot] = u1[flat], u2[flat]
+            shape = (k, m) if self.u1.ndim == 2 else (m,)
+            cases.append((c, _read_only(positions), _read_only(v1.reshape(shape)),
+                          _read_only(v2.reshape(shape))))
+        return tuple(cases)
+
+    @classmethod
+    def _assemble(cls, u1, u2, d1, d2, cases) -> "Observations":
+        """An Observations from parts that an existing one validated and
+        split, without doing either again."""
+        obs = object.__new__(cls)
+        for name, a in (("u1", u1), ("u2", u2), ("d1", d1), ("d2", d2)):
+            object.__setattr__(obs, name, a)
+        object.__setattr__(obs, "n", u1.shape[-1])
+        object.__setattr__(obs, "cases", tuple(cases))
+        return obs
+
+    @property
+    def k(self) -> int:
+        return 1 if self.u1.ndim == 1 else self.u1.shape[0]
 
     @property
     def size(self) -> int:
-        return self.n
+        return self.u1.size
+
+    def take(self, rows) -> "Observations":
+        """The block of this block's ``rows`` (indices, in that order)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        arrays = [_read_only(a[rows]) for a in (self.u1, self.u2, self.d1, self.d2)]
+        pad, new_pad = self.size, rows.size * self.n
+        shift = ((np.arange(rows.size) - rows) * self.n)[:, None]
+        cases = []
+        for c, positions, v1, v2 in self.cases:
+            if positions is not None:
+                p = positions.reshape(v1.shape)[rows]
+                positions = _read_only(np.where(p < pad, p + shift, new_pad).ravel())
+            cases.append((c, positions, _read_only(v1[rows]), _read_only(v2[rows])))
+        return Observations._assemble(*arrays, cases)
+
+    def row(self, j: int) -> "Observations":
+        """Row j of a block as its own sample, equal to
+        ``Observations(u1[j], u2[j], d1[j], d2[j])``; a sample's row 0 is
+        the sample itself."""
+        if self.u1.ndim == 1:
+            return self
+        arrays = (self.u1[j], self.u2[j], self.d1[j], self.d2[j])
+        cases = []
+        for c, positions, v1, v2 in self.cases:
+            if positions is None:
+                return Observations._assemble(*arrays, [(c, None, *arrays[:2])])
+            count = int(np.count_nonzero(positions.reshape(v1.shape)[j] < self.size))
+            if count == self.n:
+                return Observations._assemble(*arrays, [(c, None, *arrays[:2])])
+            if count:
+                rows = positions[j * v1.shape[1]:j * v1.shape[1] + count] - j * self.n
+                cases.append((c, _read_only(rows), v1[j, :count], v2[j, :count]))
+        return Observations._assemble(*arrays, cases)
 
     def __eq__(self, other):
         if not isinstance(other, Observations):
@@ -724,25 +801,33 @@ def _full(a, shape):
 
 
 def _by_case(family: Family, pieces, theta, obs: Observations):
-    """Evaluate each row's censoring-case piece from ``pieces``, once per
-    case present in ``obs``. A (k, 1) theta column gives a (k, n) result,
-    one row per theta. Each case's rows are scattered back in row order,
-    so sums over the result do not depend on the split. The (d1, d2)
-    pairs of the derivative pieces stack on a leading axis of length 2.
-    The result is always a fresh array: it never shares memory with
+    """Evaluate each entry's censoring-case piece from ``pieces``, once per
+    case present in ``obs``. A (k, 1) theta column gives a (k, n) result:
+    over a sample, one row per theta; over a (k, n) block, row j at
+    theta j. Each case's entries are scattered back to their places, so
+    sums over the result do not depend on the split. The (d1, d2) pairs
+    of the derivative pieces stack on a leading axis of length 2. The
+    result is always a fresh array: it never shares memory with
     ``obs``."""
     ops = _OPS[family]
-    shape = np.shape(theta)[:1] + (obs.n,)
-    derivs = pieces is _DPIECES
+    shape = obs.u1.shape if np.ndim(theta) == 0 else (len(theta), obs.n)
+    lead = (2,) if pieces is _DPIECES else ()
     with np.errstate(all="ignore"):
-        if obs.cases and obs.cases[0][1] is None:    # one case, every row
+        if obs.cases and obs.cases[0][1] is None:    # one case, every entry
             (case, _, u1, u2), = obs.cases
             out = getattr(ops, pieces[case])(theta, u1, u2)
-            return tuple(_full(a, shape) for a in out) if derivs else _full(out, shape)
-        out = np.empty(((2,) if derivs else ()) + shape, dtype=float)
-        for case, rows, u1, u2 in obs.cases:
-            out[..., rows] = getattr(ops, pieces[case])(theta, u1, u2)
-    return out
+            return tuple(_full(a, shape) for a in out) if lead else _full(out, shape)
+        if obs.u1.ndim == 1:
+            out = np.empty(lead + shape, dtype=float)
+            for case, rows, u1, u2 in obs.cases:
+                out[..., rows] = getattr(ops, pieces[case])(theta, u1, u2)
+            return out
+        # a block scatters its flat entries; the pads land in one spare slot
+        out = np.empty(lead + (obs.size + 1,), dtype=float)
+        for case, positions, u1, u2 in obs.cases:
+            out[..., positions] = np.reshape(getattr(ops, pieces[case])(theta, u1, u2),
+                                             lead + (-1,))
+    return out[..., :-1].reshape(lead + shape)
 
 
 def _nonfinite_error(what: str, family: Family, theta, out) -> LikelihoodError:

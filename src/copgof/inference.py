@@ -5,8 +5,18 @@ Kaplan-Meier transforms produce pseudo-observations, then the censored
 copula pseudo-likelihood is maximized in one dimension. The search runs
 on an unconstrained transform of theta with a bracket that expands
 geometrically from a Kendall-tau moment start until it contains the
-optimum. A search that stops unconverged on a finite edge of the domain
-raises InferenceError.
+optimum, by scipy's bounded Brent method (``numerics.maximize_1d``). A
+search that stops unconverged on a finite edge of the domain raises
+InferenceError.
+
+``fit_block`` fits every row of a (k, n) block of pseudo-samples, such
+as a bootstrap's replicates, with the same search: each row's Brent
+steps are its own, but the rows step in lockstep, so each round
+evaluates all their thetas in one kernel call on a (k, 1) column, and
+one derivative pass at the column of estimates ends the fit. A row
+equals its own ``fit_pmle`` bit for bit, and a row whose fit fails
+holds its typed error instead of raising. ``fit_pmle`` is the same
+search with one row.
 
 ``fit_pmle`` takes the pseudo-sample as the ``copulas.Observations``
 that ``survival.pseudo_observations`` returns, validated and split into
@@ -151,6 +161,200 @@ def _edge_error(family: Family, theta_hat: float) -> InferenceError:
         f"is on the edge of the domain ({lo:g}, {hi:g})")
 
 
+@dataclass(frozen=True, eq=False)
+class BlockFit:
+    """Fits of one family to each row of ``obs``, a sample (one row) or a
+    (k, n) block: per row theta_hat, the pseudo-log-likelihood there,
+    the convergence flag, the objective evaluations, and the score and
+    hessian rows, (k, n), at theta_hat. ``errors[j]`` is the typed error
+    that ended row j's fit, or None; a failed row's other entries are
+    undefined."""
+    family: Family
+    obs: Observations
+    theta_hat: np.ndarray
+    loglik: np.ndarray
+    converged: np.ndarray
+    n_evaluations: np.ndarray
+    score: np.ndarray
+    hessian: np.ndarray
+    errors: tuple
+
+    def result(self, j: int) -> FitResult:
+        """Row j's fit on its own sample, or its error raised."""
+        if self.errors[j] is not None:
+            raise self.errors[j]
+        return FitResult(family=self.family, theta_hat=float(self.theta_hat[j]),
+                         loglik=float(self.loglik[j]), converged=bool(self.converged[j]),
+                         n_evaluations=int(self.n_evaluations[j]), obs=self.obs.row(j),
+                         score=self.score[j], hessian=self.hessian[j])
+
+    def statistics(self, kinds, j: int) -> dict[str, StatisticValue]:
+        """``compute_statistics(kinds, self.result(j))``. ir, white and logim
+        read row j's score and hessian; only pios builds the row's
+        FitResult, for its leave-one-out refits."""
+        if self.errors[j] is not None:
+            raise self.errors[j]
+        return _statistics(statistic_kinds(kinds), self.score[j], self.hessian[j],
+                           lambda: self.result(j))
+
+
+class _Rows:
+    """The pseudo-log-likelihood sums of the searches still running, each
+    row of ``obs`` at its theta, in one kernel call: a sample's one row at
+    its float theta, a block's rows at a (k, 1) column. The rows asked for
+    only shrink, and their sub-block is taken again each time they do."""
+
+    def __init__(self, family: Family, obs: Observations):
+        self.family, self.obs, self.sub = family, obs, obs
+
+    def sums(self, rows, theta):
+        if self.obs.u1.ndim == 1:
+            return [copulas.loglik_vec(self.family, float(theta[0]), self.obs,
+                                       strict=False).sum()]
+        if rows.size != self.sub.k:
+            self.sub = self.obs.take(rows)
+        ll = copulas.loglik_vec(self.family, theta[:, None], self.sub, strict=False)
+        return ll.sum(axis=1)
+
+
+def _search(family: Family, obs: Observations, x0, half: float):
+    """Bracketed bounded Brent search on the unconstrained scale for every
+    row of ``obs``, all rows in lockstep: (x_star, f_star, evaluations,
+    errors), errors[j] being the typed error that ended row j.
+
+    A row's bracket starts at x0[j] +- half and doubles, recentered on the
+    current best edge, until its optimum is strictly inside or 60
+    expansions have been used. A search point whose theta overflows, or
+    rounds onto the domain's edge, scores -inf. Each bracket round is one
+    ``numerics.maximize_1d`` call over the rows still expanding, which
+    evaluates the rows still searching in one kernel call per step.
+    """
+    k = obs.k
+    lo_theta, hi_theta = copulas.family_ops(family).domain
+    lo, hi = x0 - half, x0 + half
+    x_star, f_star = np.full(k, np.nan), np.full(k, np.nan)
+    evaluations = np.zeros(k, dtype=np.int64)
+    errors = [None] * k
+    pending = np.arange(k)
+    for _ in range(60):
+        block = _Rows(family, obs)
+
+        def objective(idx, xs, rows=pending):
+            rows = rows[idx]
+            evaluations[rows] += 1
+            # far out on the search scale the transform overflows or rounds
+            # onto the domain's edge (tanh(x) == 1.0 from x ~ 19.1): score
+            # such points as invalid, as loglik_vec does for NaN pieces
+            theta = np.full(len(xs), np.nan)
+            for i, x in enumerate(xs):
+                try:
+                    theta[i] = copulas.from_unconstrained(family, x)
+                except OverflowError:
+                    pass
+            valid = (lo_theta < theta) & (theta < hi_theta)
+            values = np.full(len(xs), -math.inf)
+            if valid.any():
+                # an invalid point's row is evaluated at a valid theta and
+                # dropped, so the rows evaluated are those still running
+                theta[~valid] = theta[valid][0]
+                values[valid] = np.asarray(block.sums(rows, theta))[valid]
+            return values
+
+        results = numerics.maximize_1d(objective, lo[pending], hi[pending], tol=_XATOL)
+        expanding = []
+        for j, res in zip(pending.tolist(), results):
+            if isinstance(res, numerics.OptimizationError):
+                errors[j] = res
+                continue
+            x, f = res
+            # the bounded search can stall a little short of an edge when
+            # the objective is nearly flat there, so use a generous edge margin
+            margin = 0.01 * (hi[j] - lo[j]) + 2.0 * _XATOL
+            at_lo = x - lo[j] <= margin
+            at_hi = hi[j] - x <= margin
+            if not at_lo and not at_hi:
+                x_star[j], f_star[j] = x, f
+                continue
+            width = hi[j] - lo[j]
+            if at_lo:
+                lo[j], hi[j] = lo[j] - width, x + margin
+            else:
+                lo[j], hi[j] = x - margin, hi[j] + width
+            expanding.append(j)
+        pending = np.array(expanding, dtype=np.intp)
+        if not expanding:
+            break
+    for j in pending.tolist():
+        errors[j] = InferenceError(
+            f"bracket expansion failed for {family.value}: optimum keeps "
+            f"escaping toward the parameter boundary")
+    return x_star, f_star, evaluations, errors
+
+
+def _dlog_rows(family: Family, obs: Observations, rows, thetas):
+    """Score and hessian of ``obs``'s ``rows`` at their thetas, as (len(rows),
+    n) arrays, from one ``copulas.dlog_vec`` pass, and each row's
+    LikelihoodError or None. Only when that pass fails is each row
+    evaluated alone, to find which rows fail with which error."""
+    try:
+        if obs.u1.ndim == 1:
+            score, hessian = copulas.dlog_vec(family, thetas[0], obs)
+            return score[None], hessian[None], [None]
+        sub = obs if len(rows) == obs.k else obs.take(rows)
+        score, hessian = copulas.dlog_vec(family, np.array(thetas)[:, None], sub)
+        return score, hessian, [None] * len(rows)
+    except LikelihoodError:
+        pass
+    score, hessian = np.full((2, len(rows), obs.n), np.nan)
+    errors = [None] * len(rows)
+    for i, (j, theta) in enumerate(zip(rows, thetas)):
+        try:
+            score[i], hessian[i] = copulas.dlog_vec(family, theta, obs.row(j))
+        except LikelihoodError as exc:
+            errors[i] = exc
+    return score, hessian, errors
+
+
+def fit_block(family: Family, obs: Observations, *, initial_theta,
+              bracket_halfwidth: float = 1.0) -> BlockFit:
+    """``fit_pmle`` of every row of ``obs``, a sample or a (k, n) block,
+    started at ``initial_theta`` (a float, or one per row), as one
+    lockstep search: each round takes one Brent step per row still
+    searching and evaluates all their thetas in one ``copulas.loglik_vec``
+    call, and one ``copulas.dlog_vec`` pass gives every row's score and
+    hessian. Row j equals ``fit_pmle`` of ``obs.row(j)`` bit for bit; a
+    row whose fit fails holds its typed error in ``errors``. Raises
+    InferenceError for the whole block if its rows are too short or a
+    pseudo-observation lies outside (0, 1)."""
+    _check(obs)
+    k = obs.k
+    x0 = np.broadcast_to(copulas.to_unconstrained(family, initial_theta), (k,))
+    x_star, f_star, evaluations, errors = _search(family, obs, x0, bracket_halfwidth)
+    rows = [j for j in range(k) if errors[j] is None]
+    theta_hat = np.full(k, np.nan)
+    converged = np.zeros(k, dtype=bool)
+    score, hessian = np.full((2, k, obs.n), np.nan)
+    if rows:
+        thetas = [copulas.from_unconstrained(family, x_star[j]) for j in rows]
+        theta_hat[rows] = thetas
+        s, h, dlog_errors = _dlog_rows(family, obs, rows, thetas)
+        score[rows], hessian[rows] = s, h
+        for i, j in enumerate(rows):
+            theta = thetas[i]
+            if dlog_errors[i] is not None:
+                errors[j] = (_edge_error(family, theta) if _on_edge(family, theta)
+                             else dlog_errors[i])
+                continue
+            converged[j] = abs(float(s[i].sum())) <= 1e-6 * obs.n
+            if not converged[j] and _on_edge(family, theta):
+                errors[j] = _edge_error(family, theta)
+    # maximize_1d returns a finite f_star, so every piece at theta_hat was
+    # finite and f_star is the strict pseudo-log-likelihood there
+    return BlockFit(family=family, obs=obs, theta_hat=theta_hat, loglik=f_star,
+                    converged=converged, n_evaluations=evaluations, score=score,
+                    hessian=hessian, errors=tuple(errors))
+
+
 def fit_pmle(family: Family, obs: Observations, *,
              initial_theta: float | None = None,
              bracket_halfwidth: float = 1.0) -> FitResult:
@@ -166,64 +370,15 @@ def fit_pmle(family: Family, obs: Observations, *,
     independence point is that edge, raises InferenceError. The score
     and hessian at theta_hat come from one ``copulas.dlog_vec`` pass; if
     an entry is non-finite off the edge, its LikelihoodError propagates.
+    This is ``fit_block``'s search with one row.
     """
     _check(obs)
+    if obs.u1.ndim != 1:
+        raise TypeError("fit_pmle takes one sample; fit a (k, n) block with fit_block")
     if initial_theta is None:
         initial_theta = _tau_start(family, obs)
-    x0 = copulas.to_unconstrained(family, initial_theta)
-    in_domain = copulas.family_ops(family).in_domain
-    evaluations = [0]
-
-    def objective(x: float) -> float:
-        evaluations[0] += 1
-        # far out on the search scale the transform overflows or rounds
-        # onto the domain's edge (tanh(x) == 1.0 from x ~ 19.1): score
-        # such points as invalid, as loglik_vec does for NaN pieces
-        try:
-            theta = copulas.from_unconstrained(family, x)
-        except OverflowError:
-            return -math.inf
-        if not in_domain(theta):
-            return -math.inf
-        ll = copulas.loglik_vec(family, theta, obs, strict=False)
-        return float(ll.sum())
-
-    half = bracket_halfwidth
-    lo, hi = x0 - half, x0 + half
-    for _ in range(60):
-        x_star, f_star = numerics.maximize_1d(objective, lo, hi, tol=_XATOL)
-        # the bounded search can stall a little short of an edge when the
-        # objective is nearly flat there, so use a generous edge margin
-        margin = 0.01 * (hi - lo) + 2.0 * _XATOL
-        at_lo = x_star - lo <= margin
-        at_hi = hi - x_star <= margin
-        if not at_lo and not at_hi:
-            break
-        width = hi - lo
-        if at_lo:
-            lo, hi = lo - width, x_star + margin
-        else:
-            lo, hi = x_star - margin, hi + width
-    else:
-        raise InferenceError(
-            f"bracket expansion failed for {family.value}: optimum keeps "
-            f"escaping toward the parameter boundary")
-
-    theta_hat = copulas.from_unconstrained(family, x_star)
-    try:
-        score, hessian = copulas.dlog_vec(family, theta_hat, obs)
-    except LikelihoodError:
-        if _on_edge(family, theta_hat):
-            raise _edge_error(family, theta_hat) from None
-        raise
-    converged = abs(float(score.sum())) <= 1e-6 * obs.n
-    if not converged and _on_edge(family, theta_hat):
-        raise _edge_error(family, theta_hat)
-    # maximize_1d returns a finite f_star, so every piece at theta_hat was
-    # finite and f_star is the strict pseudo-log-likelihood there
-    return FitResult(family=family, theta_hat=theta_hat, loglik=f_star,
-                     converged=converged, n_evaluations=evaluations[0],
-                     obs=obs, score=score, hessian=hessian)
+    return fit_block(family, obs, initial_theta=initial_theta,
+                     bracket_halfwidth=bracket_halfwidth).result(0)
 
 
 def _moments(score, hessian) -> tuple[float, float]:
@@ -370,10 +525,16 @@ STATISTIC_KINDS = tuple(sorted([*_FROM_INFORMATION, "pios"]))
 def statistic_kinds(kinds) -> tuple[str, ...]:
     """``kinds``, a non-empty sequence of kind names, in lower case and
     checked against STATISTIC_KINDS. A bare string is a TypeError: it
-    would be read as a sequence of one-letter kinds."""
+    would be read as a sequence of one-letter kinds. So is an entry that
+    is not a string, naming that entry."""
     if isinstance(kinds, str):
         raise TypeError(f"expected a sequence of statistic kinds, got the string "
                         f"{kinds!r}; pass ({kinds!r},)")
+    kinds = tuple(kinds)
+    for k in kinds:
+        if not isinstance(k, str):
+            raise TypeError(f"expected a sequence of statistic kinds, got the entry "
+                            f"{k!r}; each kind is a string such as 'ir'")
     kinds = tuple(k.lower() for k in kinds)
     if not kinds:
         raise ValueError("no statistic kinds given")
@@ -387,12 +548,17 @@ def statistic_kinds(kinds) -> tuple[str, ...]:
 def compute_statistics(kinds, fit: FitResult) -> dict[str, StatisticValue]:
     """Every kind in ``kinds`` at one fit, keyed by lower-case kind.
     ir, white and logim share the fit's (S, V)."""
-    kinds = statistic_kinds(kinds)
-    info = _moments(fit.score, fit.hessian)
+    return _statistics(statistic_kinds(kinds), fit.score, fit.hessian, lambda: fit)
+
+
+def _statistics(kinds, score, hessian, fit) -> dict[str, StatisticValue]:
+    """The checked ``kinds`` from a fit's score and hessian; ``fit()`` gives
+    the FitResult that pios needs."""
+    info = _moments(score, hessian)
     # pios goes through compute_statistic so that its leave-one-out refits
     # stay nested under it, where perfbench's traced run attributes them
     return {k: _FROM_INFORMATION[k](*info) if k in _FROM_INFORMATION
-            else compute_statistic(k, fit) for k in kinds}
+            else compute_statistic(k, fit()) for k in kinds}
 
 
 def compute_statistic(kind: str, fit: FitResult) -> StatisticValue:

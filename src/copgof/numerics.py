@@ -3,8 +3,11 @@
 The Debye-1 integral, bivariate normal distribution functions,
 bracketed root finding, bounded 1-D maximization, and splittable
 deterministic RNG streams. Everything here is a pure function of its
-inputs. Univariate normal functions and adaptive quadrature are
-scipy's (``scipy.special.ndtr``, ``ndtri``, ``log_ndtr``,
+inputs. The maximization is scipy's bounded Brent method, copied as a
+generator that yields each point to evaluate, so that many searches can
+step in lockstep and share one objective call per round. Univariate
+normal functions and adaptive quadrature are scipy's
+(``scipy.special.ndtr``, ``ndtri``, ``log_ndtr``,
 ``scipy.integrate.quad``), called directly where they are needed; a
 quadrature that misses its tolerance raises NumericsError.
 
@@ -218,31 +221,192 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return float(_optimize.brentq(f, lo, hi, xtol=tol))
 
 
-def maximize_1d(f, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Bounded scalar maximization (golden-section/parabolic hybrid).
+def _sign(v):
+    """np.sign of a finite float, as an int."""
+    return (v > 0.0) - (v < 0.0)
 
-    Returns (argmax, max). Raises OptimizationError if more than 20% of
-    the probed points evaluate non-finite.
-    """
+
+def _minimize_bounded(x1, x2, xatol=1e-5, maxiter=500):
+    """scipy.optimize's bounded Brent minimizer, ``_minimize_scalar_bounded``
+    (scipy 1.17), copied line for line as a generator: it yields each point
+    x to evaluate and is sent f(x). Returns (x, fun, nfev, status), the
+    fields of scipy's result, without its printing options.
+
+    numpy's scalar abs, sign and maximum are the builtins here, which is
+    several times faster per step. The points, brackets and steps they
+    take are always finite (a non-finite f(x) only fails the parabola
+    test), and there the builtins give the same values, so every step
+    equals scipy's bit for bit."""
+    maxfun = maxiter
+    # Test bounds are of correct form
+    if not (np.size(x1) == 1 and np.isfinite(x1) and np.size(x2) == 1 and np.isfinite(x2)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+
+    if x1 > x2:
+        raise ValueError("The lower bound exceeds the upper bound.")
+
+    flag = 0
+
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = yield x
+    num = 1
+    fu = math.inf
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while (abs(xf - xm) > (tol2 - 0.5 * (b - a))):
+        golden = 1
+        # Check for parabolic fit
+        if abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if ((abs(p) < abs(0.5*q*r)) and (p > q*(a - xf)) and
+                    (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = _sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:      # do a golden-section step
+                golden = 1
+
+        if golden:  # do a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean*e
+
+        si = _sign(rat) + (rat == 0)
+        x = xf + si * max(abs(rat), tol1)
+        fu = yield x
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            flag = 1
+            break
+
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        flag = 2
+
+    return xf, fx, num, flag
+
+
+def _maximize(lo, hi, tol):
+    """One bounded maximization as a generator: yields each point x and is
+    sent f(x). The minimizer sees -f(x), and 1e300 where f(x) is not
+    finite. Returns (argmax, max); raises OptimizationError if more than
+    20% of the probed points evaluate non-finite."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    counts = [0, 0]  # total, non-finite
-
-    def neg(x):
-        counts[0] += 1
-        v = f(x)
-        if not np.isfinite(v):
-            counts[1] += 1
-            return 1e300
-        return -v
-
-    res = _optimize.minimize_scalar(neg, bounds=(lo, hi), method="bounded",
-                                    options={"xatol": tol})
-    if counts[1] > 0.2 * counts[0]:
+    probes = nonfinite = 0
+    search = _minimize_bounded(float(lo), float(hi), xatol=tol)
+    x = next(search)
+    while True:
+        probes += 1
+        v = float((yield x))
+        if not math.isfinite(v):
+            nonfinite += 1
+        try:
+            x = search.send(-v if math.isfinite(v) else 1e300)
+        except StopIteration as stop:
+            x_best, f_best, _, _ = stop.value
+            break
+    if nonfinite > 0.2 * probes:
         raise OptimizationError(
-            f"objective non-finite at {counts[1]}/{counts[0]} probes on [{lo}, {hi}]")
-    # res.fun is neg(res.x), the best probe, which is finite when any probe is
-    return float(res.x), float(-res.fun)
+            f"objective non-finite at {nonfinite}/{probes} probes on [{lo}, {hi}]")
+    # f_best is the best probe's -f, which is finite when any probe is
+    return float(x_best), float(-f_best)
+
+
+def maximize_1d(f, lo, hi, tol: float = 1e-8):
+    """Bounded maximization by Brent's method (golden-section/parabolic
+    hybrid, scipy's bounded ``minimize_scalar`` on -f).
+
+    For floats lo < hi, f maps a float to a float; returns (argmax, max)
+    and raises OptimizationError if more than 20% of the probed points
+    evaluate non-finite.
+
+    For equal-length 1-D arrays lo and hi, the k brackets are searched
+    in lockstep: each round, every search still running asks for one
+    point, and one call f(rows, x) evaluates them all, where ``rows``
+    indexes the running searches and ``x`` lists their points. Each
+    search takes the steps it would take alone. Returns one entry per
+    bracket: (argmax, max), or that search's OptimizationError.
+    """
+    if np.ndim(lo) == 0:
+        (out,) = _lockstep(lambda rows, x: [f(x[0])], [_maximize(lo, hi, tol)])
+        if isinstance(out, OptimizationError):
+            raise out
+        return out
+    return _lockstep(f, [_maximize(a, b, tol) for a, b in zip(lo, hi)])
+
+
+def _lockstep(f, searches):
+    """Step the generator searches together, one point each per round and
+    one f call per round; each search's return value, or its
+    OptimizationError, in search order."""
+    results = [None] * len(searches)
+    values = [None] * len(searches)
+    running = range(len(searches))
+    while True:
+        asked, points = [], []
+        for j in running:
+            try:
+                points.append(searches[j].send(values[j]))
+                asked.append(j)
+            except StopIteration as stop:
+                results[j] = stop.value
+            except OptimizationError as exc:
+                results[j] = exc
+        if not asked:
+            return results
+        running = asked
+        for j, v in zip(asked, f(np.array(asked), points)):
+            values[j] = v
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import functools
 import os
 from pathlib import Path
 
@@ -44,6 +43,16 @@ def test_config_validation():
     # the statistics a test computes are its kinds, not a config field
     with pytest.raises(TypeError):
         BootstrapConfig(b=4, seed=1, statistic="pios")
+
+
+def test_kind_entries_must_be_strings():
+    # a non-string entry, or a sequence passed where one kind is
+    # expected, is a TypeError naming the entry, before any fit
+    cfg = BootstrapConfig(b=4, seed=1)
+    with pytest.raises(TypeError, match="got the entry None"):
+        bootstrap_reports(PAIRS, Family.CLAYTON, cfg, kinds=(None,))
+    with pytest.raises(TypeError, match=r"got the entry \('ir',\)"):
+        select_copula(PAIRS, [Family.CLAYTON], cfg, kind=("ir",))
 
 
 def test_kinds_must_be_a_non_empty_sequence():
@@ -110,11 +119,12 @@ def test_fit_of_another_family_or_sample_is_rejected():
 
 @pytest.mark.parametrize("kinds", [("ir", "white", "logim"), ("pios",), ("ir", "pios")])
 def test_one_observations_per_sample(kinds, monkeypatch):
-    # the observed pseudo-sample and each replicate's are built once, and
-    # the fit and every statistic reuse that one object: b + 1 builds.
-    # Each fit makes one scalar-theta dlog_vec pass and every statistic
-    # reads it from the fit: b + 1 passes (pios's leave-one-out
-    # iterations take theta columns)
+    # the observed pseudo-sample and the one block of the b replicates are
+    # built once, and the fits and every statistic reuse them, pios's
+    # one-row samples included: 2 builds. The observed fit makes one
+    # scalar-theta dlog_vec pass, the block fit one pass at its theta
+    # column, and every statistic reads them: 1 scalar pass (pios's
+    # leave-one-out iterations take theta columns too)
     builds = []
     passes = []
     init = copulas.Observations.__post_init__
@@ -136,8 +146,8 @@ def test_one_observations_per_sample(kinds, monkeypatch):
     reports = bootstrap_reports(sample, Family.CLAYTON, BootstrapConfig(b=20, seed=1),
                                 kinds=kinds)
     assert reports[kinds[0]].b_used == 20
-    assert len(builds) == 21
-    assert len(passes) == 21
+    assert len(builds) == 2
+    assert len(passes) == 1
 
 
 def test_replicate_value_error_is_not_a_drop(monkeypatch):
@@ -166,11 +176,85 @@ def test_replicate_fit_at_domain_edge_is_a_drop(monkeypatch):
     sample = _make_pairs(Family.GAUSSIAN, 0.3, 40, seed=4, censoring_mean=None)
     fit = fit_pmle(Family.GAUSSIAN, pseudo_observations(sample))
     monkeypatch.setattr(copulas, "sample_pairs", comonotone)
-    monkeypatch.setattr(inference, "fit_pmle",
-                        functools.partial(fit_pmle, bracket_halfwidth=15.0))
+    fit_block = inference.fit_block
+    blocks = []
+
+    def wide(family, obs, **kwargs):
+        fits = fit_block(family, obs, **kwargs, bracket_halfwidth=15.0)
+        blocks.append(fits)
+        return fits
+
+    monkeypatch.setattr(inference, "fit_block", wide)
     with pytest.raises(bootstrap.BootstrapError, match="only 0 of 4"):
         bootstrap_reports(sample, Family.GAUSSIAN, BootstrapConfig(b=4, seed=1),
                           kinds=("white",), fit=fit)
+    # the wide bracket reached the replicate fits: the block and its retry
+    # block, every row ending in a typed error
+    assert [fits.obs.k for fits in blocks] == [4, 4]
+    assert all(isinstance(err, (inference.InferenceError, numerics.NumericsError))
+               for fits in blocks for err in fits.errors)
+
+
+def _independent_pairs(n, seed):
+    gen = np.random.default_rng(seed)
+    t1, t2, c = gen.exponential(1.0, n), gen.exponential(1.0, n), gen.exponential(3.0, n)
+    return CensoredSample(np.minimum(t1, c), np.minimum(t2, c), t1 <= c, t2 <= c)
+
+
+def _comonotone_pairs(n, seed):
+    t = np.random.default_rng(seed).exponential(1.0, n)
+    return CensoredSample(t, t.copy(), np.ones(n), np.ones(n))
+
+
+def _stats_outcome(call):
+    try:
+        return call()
+    except bootstrap._STAT_ERRORS as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("halfwidth", [1.0, 15.0])
+def test_block_fit_rows_equal_their_own_fits(family, halfwidth):
+    # rows of mixed censoring, uncensored rows, independent rows (whose
+    # fits end on the edge for the families with an edge there) and
+    # comonotone ones (which push a wide bracket to non-finite points):
+    # each row of one block fit equals fit_pmle on that row's own sample,
+    # its estimate, log-likelihood, score and hessian bit for bit, or
+    # its error
+    n = 40
+    samples = [_make_pairs(fam, tau, n, seed=70 + i, censoring_mean=cm)
+               for i, (fam, tau, cm) in enumerate([(family, 0.5, 1.5), (Family.CLAYTON, 0.3, 0.8),
+                                                   (Family.GUMBEL, 0.7, None),
+                                                   (Family.FRANK, 0.2, 2.0)])]
+    samples += [_independent_pairs(n, seed=80), _comonotone_pairs(n, seed=81)]
+    rows = [pseudo_observations(s) for s in samples]
+    block = copulas.Observations(*(np.array([getattr(r, a) for r in rows])
+                                   for a in ("u1", "u2", "d1", "d2")))
+    theta0 = copulas.tau_to_theta(family, 0.5)
+    fits = inference.fit_block(family, block, initial_theta=theta0,
+                               bracket_halfwidth=halfwidth)
+    outcomes = set()
+    for j, obs in enumerate(rows):
+        try:
+            ref = fit_pmle(family, obs, initial_theta=theta0, bracket_halfwidth=halfwidth)
+        except bootstrap._STAT_ERRORS as exc:
+            err = fits.errors[j]
+            assert (type(err), str(err)) == (type(exc), str(exc)), j
+            with pytest.raises(type(exc)):
+                fits.result(j)
+            outcomes.add(type(exc).__name__)
+            continue
+        got = fits.result(j)
+        assert fits.errors[j] is None and got == ref, j
+        assert got.score.tobytes() == ref.score.tobytes(), j
+        assert got.hessian.tobytes() == ref.hessian.tobytes(), j
+        assert got.obs == obs
+        kinds = ("ir", "white", "logim")
+        assert _stats_outcome(lambda: fits.statistics(kinds, j)) == _stats_outcome(
+            lambda: compute_statistics(kinds, ref))
+        outcomes.add("fit")
+    assert "fit" in outcomes
 
 
 @pytest.mark.parametrize("tau", [0.5, -0.3])

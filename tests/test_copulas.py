@@ -382,6 +382,70 @@ def test_case_split_equals_per_mask_evaluation(case):
         assert not np.shares_memory(out, obs.u1) and not np.shares_memory(out, obs.u2)
 
 
+@st.composite
+def _blocks(draw):
+    """A (k, n) block over every censoring mix a row can have: any cases,
+    one case missing, only observed and only censored entries; with one
+    theta per row."""
+    family = draw(st.sampled_from(list(Family)))
+    lo, hi = THETA_RANGES[family]
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    d1, d2 = np.empty((k, n), dtype=int), np.empty((k, n), dtype=int)
+    for j in range(k):
+        mix = draw(st.sampled_from(["any", "lacks a case", "observed", "censored"]))
+        cases = {"any": range(4), "observed": [0], "censored": [3],
+                 "lacks a case": sorted(draw(st.permutations(range(4)))[:3])}[mix]
+        case = np.array(draw(st.lists(st.sampled_from(list(cases)), min_size=n, max_size=n)))
+        d1[j], d2[j] = 1 - case // 2, 1 - case % 2
+    u1, u2 = (np.array(draw(st.lists(st.floats(1e-4, 1.0 - 1e-4), min_size=k * n,
+                                     max_size=k * n))).reshape(k, n) for _ in range(2))
+    thetas = draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k))
+    return family, np.array(thetas), u1, u2, d1, d2
+
+
+def _outcome(call):
+    try:
+        return call()
+    except copulas.LikelihoodError as exc:
+        return exc
+
+
+@given(_blocks())
+@settings(max_examples=300, deadline=None)
+def test_block_rows_equal_their_one_sample_calls(case):
+    family, thetas, u1, u2, d1, d2 = case
+    block = copulas.Observations(u1, u2, d1, d2)
+    k = thetas.size
+    assert (block.k, block.n, block.size) == (k, u1.shape[1], u1.size)
+    rows = [copulas.Observations(u1[j], u2[j], d1[j], d2[j]) for j in range(k)]
+    assert [block.row(j) for j in range(k)] == rows
+    order = np.arange(k)[::-1]
+    taken = block.take(order)
+    assert taken == copulas.Observations(u1[order], u2[order], d1[order], d2[order])
+    column = thetas[:, None]
+    calls = [lambda th, o: loglik_vec(family, th, o, strict=False),
+             lambda th, o: loglik_vec(family, th, o),
+             lambda th, o: np.array(copulas.dlog_vec(family, th, o))]
+    for call in calls:
+        whole = _outcome(lambda: call(column, block))
+        alone = [_outcome(lambda: call(float(t), r)) for t, r in zip(thetas, rows)]
+        # a row rebuilt from the block's split evaluates as its own sample
+        assert all(_same(_outcome(lambda: call(float(t), block.row(j))), a)
+                   for j, (t, a) in enumerate(zip(thetas, alone)))
+        if isinstance(whole, Exception):
+            assert any(isinstance(a, Exception) for a in alone)
+            continue
+        for j, a in enumerate(alone):
+            assert whole[..., j, :].tobytes() == a.tobytes(), (call, j)
+        assert _same(_outcome(lambda: call(column[order], taken)), whole[..., order, :])
+
+
+def _same(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return a.tobytes() == b.tobytes()
+
+
 def test_observations_copy_their_input():
     u1, u2 = np.array([0.2, 0.7]), np.array([0.4, 0.9])
     d = np.array([1, 1])

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr, ndtr
 
 from copgof import numerics
-from copgof.numerics import (BracketError, RngStream, derive_seed, find_root,
-                             maximize_1d)
+from copgof.numerics import (BracketError, OptimizationError, RngStream, derive_seed,
+                             find_root, maximize_1d)
 
 
 def test_debye1_known_value():
@@ -132,6 +133,120 @@ def test_maximize_1d_parabola():
     x, fx = maximize_1d(lambda x: -(x - 0.7) ** 2, -5.0, 5.0, tol=1e-10)
     assert x == pytest.approx(0.7, abs=1e-6)
     assert fx == pytest.approx(0.0, abs=1e-10)
+
+
+def _in_house_brent(f, lo, hi, xatol):
+    search = numerics._minimize_bounded(lo, hi, xatol=xatol)
+    x = next(search)
+    try:
+        while True:
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _objectives(rng):
+    """Smooth, flat and partly non-finite objectives, with their brackets."""
+    for _ in range(40):
+        c, w = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)
+        lo, hi = -5.0 + rng.uniform(-1.0, 1.0), 5.0 + rng.uniform(-1.0, 1.0)
+        yield "smooth", (lambda x, c=c, w=w: w * (x - c) ** 2 + math.sin(x)), lo, hi
+        yield "flat", (lambda x: 1.0), lo, hi
+        yield "step", (lambda x, c=c: float(x > c)), lo, hi
+        yield "inf beyond", (lambda x, c=c: math.inf if x > c else -math.cos(x)), lo, hi
+        yield "nan near", (lambda x, c=c: math.nan if abs(x - c) < 0.5 else abs(x - c)), lo, hi
+        yield "1e300 mapped", (lambda x, c=c: 1e300 if x < c else (x - c - 1.0) ** 2), lo, hi
+
+
+def test_in_house_brent_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for name, f, lo, hi in _objectives(rng):
+        for xatol in (1e-10, 1e-8, 1e-5, 1e-2):
+            with np.errstate(all="ignore"):
+                ref = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                      options={"xatol": xatol})
+                x, fun, nfev, status = _in_house_brent(f, lo, hi, xatol)
+            assert np.float64(x).tobytes() == np.float64(ref.x).tobytes(), name
+            assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes(), name
+            assert (nfev, status) == (ref.nfev, ref.status), name
+
+
+def test_maximize_1d_lockstep_rows_equal_their_own_searches():
+    # brackets searched together take the steps each takes alone, and
+    # one bracket's non-finite probes fail that bracket only
+    tops = [0.7, -2.0, 3.3, 0.0]
+
+    def value(j, x):
+        return math.nan if j == 3 else -(x - tops[j]) ** 2 + math.cos(3.0 * x)
+
+    lo, hi = np.array([-5.0, -4.0, 1.0, -1.0]), np.array([5.0, 1.0, 9.0, 1.0])
+    calls = []
+
+    def batch(rows, xs):
+        calls.append(len(rows))
+        return [value(j, x) for j, x in zip(rows.tolist(), xs)]
+
+    out = maximize_1d(batch, lo, hi, tol=1e-9)
+    for j in range(3):
+        x, fx = maximize_1d(lambda x: value(j, x), lo[j], hi[j], tol=1e-9)
+        assert (x, fx) == out[j]
+    assert isinstance(out[3], OptimizationError)
+    with pytest.raises(OptimizationError, match="non-finite"):
+        maximize_1d(lambda x: value(3, x), lo[3], hi[3], tol=1e-9)
+    # one call per round, over the searches still running
+    assert calls[0] == 4 and calls == sorted(calls, reverse=True)
+
+
+# numpy functions that the likelihood kernels apply to gathered, padded
+# and theta-column arrays: each must give an entry the same bits whatever
+# the array's length, offset, stride or shape, or block rows would differ
+# from their one-sample calls
+_LAYOUT_UFUNCS = {
+    "log1p": (np.log1p, (-0.9, 5.0)),
+    "exp": (np.exp, (-30.0, 30.0)),
+    "expm1": (np.expm1, (-30.0, 30.0)),
+    "log": (np.log, (1e-6, 50.0)),
+    "sqrt": (np.sqrt, (0.0, 50.0)),
+    "tanh": (np.tanh, (-20.0, 20.0)),
+    "arctanh": (np.arctanh, (-0.999, 0.999)),
+}
+
+
+@pytest.mark.parametrize("name", [*_LAYOUT_UFUNCS, "power"])
+def test_ufunc_results_do_not_depend_on_array_layout(name):
+    rng = np.random.default_rng(21)
+    size = 1006
+    if name == "power":
+        base = rng.uniform(1e-3, 1.0, size)
+        p = rng.choice([-1.0, 0.5, 2.0, -2.5, 0.37, 3.1], size) * rng.choice([1.0, 1.0001], size)
+
+        def fn(idx):
+            return np.power(base[idx], p[idx])
+
+        whole = np.power(base, p)
+        # a (k, 1) exponent column over a (k, m) block: row j at p[j]
+        column = np.power(np.tile(base[:40], (6, 1)), p[:6, None])
+        for j in range(6):
+            expect = np.power(base[:40], np.full(40, p[j]))
+            assert column[j].tobytes() == expect.tobytes(), ("column", j)
+    else:
+        f, (lo, hi) = _LAYOUT_UFUNCS[name]
+        x = rng.uniform(lo, hi, size)
+
+        def fn(idx):
+            return f(x[idx])
+
+        whole = f(x)
+        k = 7
+        assert f(x[:k, None]).tobytes() == whole[:k].tobytes(), "column"
+        block = f(np.broadcast_to(x[:k, None], (k, 33)))
+        assert block.tobytes() == np.repeat(whole[:k], 33).tobytes(), "broadcast column"
+    for length in range(1, 1001):
+        for offset in (0, 1, 2, 3, 5):
+            got = fn(slice(offset, offset + length))
+            assert got.tobytes() == whole[offset:offset + length].tobytes(), (length, offset)
+    for offset in range(3):
+        assert fn(slice(offset, None, 3)).tobytes() == whole[offset::3].tobytes(), "stride 3"
 
 
 def test_rng_stream_reproducible():
