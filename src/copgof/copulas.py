@@ -234,9 +234,15 @@ class _Clayton(_Family):
 
     @staticmethod
     def inv_conditional(theta, u1, w):
-        # closed-form inverse of c1(u1, .) at level w
-        t1 = u1 ** -theta
-        return (1.0 + t1 * (w ** (-theta / (1.0 + theta)) - 1.0)) ** (-1.0 / theta)
+        # closed-form inverse of c1(u1, .) at level w; where u1 ** -theta
+        # overflows (large theta), the log of the inner sum by logaddexp
+        with np.errstate(over="ignore", invalid="ignore"):
+            inner = 1.0 + u1 ** -theta * (w ** (-theta / (1.0 + theta)) - 1.0)
+        u2 = inner ** (-1.0 / theta)
+        big = ~np.isfinite(inner)
+        log_rise = np.log(np.expm1(-theta / (1.0 + theta) * np.log(w[big])))
+        u2[big] = np.exp(-np.logaddexp(0.0, log_rise - theta * np.log(u1[big])) / theta)
+        return u2
 
 
 class _Frank(_Family):

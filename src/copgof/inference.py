@@ -3,15 +3,16 @@
 The dependence parameter is estimated in two stages: marginal
 Kaplan-Meier transforms produce pseudo-observations, then the censored
 copula pseudo-likelihood is maximized in one dimension. The search runs
-on an unconstrained transform of theta with a bracket that expands
-geometrically from a Kendall-tau moment start until it contains the
-optimum, by scipy's bounded Brent method (``numerics.maximize_1d``). A
-search that stops unconverged on a finite edge of the domain raises
+on an unconstrained transform of theta, from a Kendall-tau moment start,
+as one ``numerics.maximize_1d`` search per row: scipy's bounded Brent
+method in a bracket that moves toward the optimum until it holds it
+strictly inside. This module gives that search its objective only. A search
+that stops unconverged on a finite edge of the domain raises
 InferenceError.
 
 ``fit_block`` fits every row of a (k, n) block of pseudo-samples, such
-as a bootstrap's replicates, with the same search: each row's Brent
-steps are its own, but the rows step in lockstep, so each round
+as a bootstrap's replicates, with one ``maximize_1d`` call: each row's
+search is its own, but the rows step in lockstep, so each round
 evaluates all their thetas in one kernel call on a (k, 1) column, and
 one derivative pass at the column of estimates ends the fit. A row
 equals its own ``fit_pmle`` bit for bit, and a row whose fit fails
@@ -64,8 +65,10 @@ BLOCK_ENTRIES = 2 ** 17
 _LOO_MAX_ITER = 100
 # a row converges when its Newton step |g/h| is at most _LOO_XTOL
 _LOO_XTOL = 1e-10
-# fit_pmle's tolerance on the unconstrained scale
+# fit_pmle's tolerance on the unconstrained scale, and the half-width of
+# its first bracket there
 _XATOL = 1e-8
+_HALFWIDTH = 1.0
 # an optimizer that stops unconverged this close to a finite domain edge
 # is on the edge: the likelihood rises toward the boundary of the family
 _EDGE_DISTANCE = 1e-6
@@ -198,96 +201,59 @@ class BlockFit:
                            lambda: self.result(j))
 
 
-class _Rows:
-    """The pseudo-log-likelihood sums of the searches still running, each
-    row of ``obs`` at its theta, in one kernel call: a sample's one row at
-    its float theta, a block's rows at a (k, 1) column. The rows asked for
-    only shrink, and their sub-block is taken again each time they do."""
-
-    def __init__(self, family: Family, obs: Observations):
-        self.family, self.obs, self.sub = family, obs, obs
-
-    def sums(self, rows, theta):
-        if self.obs.u1.ndim == 1:
-            return [copulas.loglik_vec(self.family, float(theta[0]), self.obs,
-                                       strict=False).sum()]
-        if rows.size != self.sub.k:
-            self.sub = self.obs.take(rows)
-        ll = copulas.loglik_vec(self.family, theta[:, None], self.sub, strict=False)
-        return ll.sum(axis=1)
-
-
-def _search(family: Family, obs: Observations, x0, half: float):
-    """Bracketed bounded Brent search on the unconstrained scale for every
-    row of ``obs``, all rows in lockstep: (x_star, f_star, evaluations,
-    errors), errors[j] being the typed error that ended row j.
-
-    A row's bracket starts at x0[j] +- half and doubles, recentered on the
-    current best edge, until its optimum is strictly inside or 60
-    expansions have been used. A search point whose theta overflows, or
-    rounds onto the domain's edge, scores -inf. Each bracket round is one
-    ``numerics.maximize_1d`` call over the rows still expanding, which
-    evaluates the rows still searching in one kernel call per step.
-    """
-    k = obs.k
+def _search(family: Family, obs: Observations, x0):
+    """One ``numerics.maximize_1d`` call on the unconstrained scale for
+    every row of ``obs``, from x0[j] +- _HALFWIDTH: (x_star, f_star,
+    evaluations, errors), errors[j] being the typed error that ended row
+    j. Each round evaluates the running rows in one kernel call: a
+    sample's one row at its float theta, a block's rows at a (k, 1)
+    column of their sub-block. A point whose theta overflows, or rounds
+    onto the domain's edge, scores -inf."""
     lo_theta, hi_theta = copulas.family_ops(family).domain
-    lo, hi = x0 - half, x0 + half
-    x_star, f_star = np.full(k, np.nan), np.full(k, np.nan)
-    evaluations = np.zeros(k, dtype=np.int64)
-    errors = [None] * k
-    pending = np.arange(k)
-    for _ in range(60):
-        block = _Rows(family, obs)
+    evaluations = np.zeros(obs.k, dtype=np.int64)
+    sub = obs
 
-        def objective(idx, xs, rows=pending):
-            rows = rows[idx]
-            evaluations[rows] += 1
-            # far out on the search scale the transform overflows or rounds
-            # onto the domain's edge (tanh(x) == 1.0 from x ~ 19.1): score
-            # such points as invalid, as loglik_vec does for NaN pieces
-            theta = np.full(len(xs), np.nan)
-            for i, x in enumerate(xs):
-                try:
-                    theta[i] = copulas.from_unconstrained(family, x)
-                except OverflowError:
-                    pass
-            valid = (lo_theta < theta) & (theta < hi_theta)
-            values = np.full(len(xs), -math.inf)
-            if valid.any():
-                # an invalid point's row is evaluated at a valid theta and
-                # dropped, so the rows evaluated are those still running
-                theta[~valid] = theta[valid][0]
-                values[valid] = np.asarray(block.sums(rows, theta))[valid]
+    def objective(rows, xs):
+        nonlocal sub
+        evaluations[rows] += 1
+        # far out on the search scale the transform overflows or rounds
+        # onto the domain's edge (tanh(x) == 1.0 from x ~ 19.1): score
+        # such points as invalid, as loglik_vec does for NaN pieces
+        theta = np.full(len(xs), np.nan)
+        for i, x in enumerate(xs):
+            try:
+                theta[i] = copulas.from_unconstrained(family, x)
+            except OverflowError:
+                pass
+        valid = (lo_theta < theta) & (theta < hi_theta)
+        values = np.full(len(xs), -math.inf)
+        if not valid.any():
             return values
+        # an invalid point's row is evaluated at a valid theta and
+        # dropped, so the rows evaluated are those still running
+        theta[~valid] = theta[valid][0]
+        if obs.u1.ndim == 1:
+            ll = copulas.loglik_vec(family, float(theta[0]), obs, strict=False).sum()
+        else:
+            # the running rows only shrink, so a change of count is a change of rows
+            if rows.size != sub.k:
+                sub = obs.take(rows)
+            ll = copulas.loglik_vec(family, theta[:, None], sub, strict=False).sum(axis=1)
+        values[valid] = np.atleast_1d(ll)[valid]
+        return values
 
-        results = numerics.maximize_1d(objective, lo[pending], hi[pending], tol=_XATOL)
-        expanding = []
-        for j, res in zip(pending.tolist(), results):
-            if isinstance(res, numerics.OptimizationError):
-                errors[j] = res
-                continue
-            x, f = res
-            # the bounded search can stall a little short of an edge when
-            # the objective is nearly flat there, so use a generous edge margin
-            margin = 0.01 * (hi[j] - lo[j]) + 2.0 * _XATOL
-            at_lo = x - lo[j] <= margin
-            at_hi = hi[j] - x <= margin
-            if not at_lo and not at_hi:
-                x_star[j], f_star[j] = x, f
-                continue
-            width = hi[j] - lo[j]
-            if at_lo:
-                lo[j], hi[j] = lo[j] - width, x + margin
-            else:
-                lo[j], hi[j] = x - margin, hi[j] + width
-            expanding.append(j)
-        pending = np.array(expanding, dtype=np.intp)
-        if not expanding:
-            break
-    for j in pending.tolist():
-        errors[j] = InferenceError(
-            f"bracket expansion failed for {family.value}: optimum keeps "
-            f"escaping toward the parameter boundary")
+    results = numerics.maximize_1d(objective, x0, _HALFWIDTH, tol=_XATOL)
+    x_star, f_star = np.full((2, obs.k), np.nan)
+    errors = [None] * obs.k
+    for j, res in enumerate(results):
+        if not isinstance(res, numerics.NumericsError):
+            x_star[j], f_star[j] = res
+        elif isinstance(res, numerics.BracketError):
+            errors[j] = InferenceError(
+                f"bracket expansion failed for {family.value}: optimum keeps "
+                f"escaping toward the parameter boundary")
+        else:
+            errors[j] = res
     return x_star, f_star, evaluations, errors
 
 
@@ -315,21 +281,21 @@ def _dlog_rows(family: Family, obs: Observations, rows, thetas):
     return score, hessian, errors
 
 
-def fit_block(family: Family, obs: Observations, *, initial_theta,
-              bracket_halfwidth: float = 1.0) -> BlockFit:
+def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
     """``fit_pmle`` of every row of ``obs``, a sample or a (k, n) block,
     started at ``initial_theta`` (a float, or one per row), as one
-    lockstep search: each round takes one Brent step per row still
-    searching and evaluates all their thetas in one ``copulas.loglik_vec``
-    call, and one ``copulas.dlog_vec`` pass gives every row's score and
-    hessian. Row j equals ``fit_pmle`` of ``obs.row(j)`` bit for bit; a
-    row whose fit fails holds its typed error in ``errors``. Raises
-    InferenceError for the whole block if its rows are too short or a
-    pseudo-observation lies outside (0, 1)."""
+    lockstep ``numerics.maximize_1d`` call: each round takes one step of
+    each running row's own bracketed search and evaluates all their
+    thetas in one ``copulas.loglik_vec`` call, and one
+    ``copulas.dlog_vec`` pass gives every row's score and hessian. Row j
+    equals ``fit_pmle`` of ``obs.row(j)`` bit for bit; a row whose fit
+    fails holds its typed error in ``errors``. Raises InferenceError for
+    the whole block if its rows are too short or a pseudo-observation
+    lies outside (0, 1)."""
     _check(obs)
     k = obs.k
     x0 = np.broadcast_to(copulas.to_unconstrained(family, initial_theta), (k,))
-    x_star, f_star, evaluations, errors = _search(family, obs, x0, bracket_halfwidth)
+    x_star, f_star, evaluations, errors = _search(family, obs, x0)
     rows = [j for j in range(k) if errors[j] is None]
     theta_hat = np.full(k, np.nan)
     converged = np.zeros(k, dtype=bool)
@@ -356,16 +322,17 @@ def fit_block(family: Family, obs: Observations, *, initial_theta,
 
 
 def fit_pmle(family: Family, obs: Observations, *,
-             initial_theta: float | None = None,
-             bracket_halfwidth: float = 1.0) -> FitResult:
+             initial_theta: float | None = None) -> FitResult:
     """Maximize the censored pseudo-likelihood over the one-dimensional
     dependence parameter.
 
     The search runs on the unconstrained scale (log theta, log(theta-1)
-    or atanh theta depending on the family). The bracket starts at
-    +-bracket_halfwidth around the initial point and doubles, recentered
-    on the current best edge, until the interior optimum is strict or 60
-    expansions have been used. A fit that ends unconverged on a finite
+    or atanh theta depending on the family), as one bracketed Brent
+    search (``numerics.maximize_1d``). The bracket starts at +-_HALFWIDTH
+    around the initial point; while the optimum sits on one of its edges,
+    the next runs from just inside that optimum to one width past that
+    edge, until the optimum is strictly inside or 60 brackets have been
+    used (then InferenceError). A fit that ends unconverged on a finite
     edge of the domain, as on independent data for a family whose
     independence point is that edge, raises InferenceError. The score
     and hessian at theta_hat come from one ``copulas.dlog_vec`` pass; if
@@ -377,8 +344,7 @@ def fit_pmle(family: Family, obs: Observations, *,
         raise TypeError("fit_pmle takes one sample; fit a (k, n) block with fit_block")
     if initial_theta is None:
         initial_theta = _tau_start(family, obs)
-    return fit_block(family, obs, initial_theta=initial_theta,
-                     bracket_halfwidth=bracket_halfwidth).result(0)
+    return fit_block(family, obs, initial_theta=initial_theta).result(0)
 
 
 def _moments(score, hessian) -> tuple[float, float]:
@@ -443,7 +409,8 @@ def _search_slopes(family: Family, theta, rows, score, hessian):
 
 def _loo_block(fit: FitResult, rows, at_hat):
     """Leave-one-out maximizers on the search scale for the deleted
-    observations ``rows``, and each one's log-likelihood at its own fit.
+    observations ``rows``, each one's log-likelihood at its own fit, and
+    which rows did not converge in _LOO_MAX_ITER iterations.
 
     Row j maximizes the log-likelihood summed over every observation but
     rows[j], from the full-sample estimate, where ``at_hat`` holds the
@@ -469,7 +436,7 @@ def _loo_block(fit: FitResult, rows, at_hat):
     for _ in range(_LOO_MAX_ITER):
         act = np.flatnonzero(active)
         if act.size == 0:
-            return x, own
+            break
         trial = x[act] + step[act]
         theta = copulas.from_unconstrained(family, trial)
         f_trial = np.full(act.size, -np.inf)
@@ -486,29 +453,36 @@ def _loo_block(fit: FitResult, rows, at_hat):
         x[acc], f[acc], own[acc], grad[acc] = trial[up], f_trial[up], own_trial[up], g[up]
         step[acc] = _newton_step(g[up], h[up])
         active[acc[(h[up] < 0.0) & (np.abs(step[acc]) <= _LOO_XTOL)]] = False
-    edge = np.count_nonzero(_on_edge(family, copulas.from_unconstrained(family, x[active])))
-    if edge:
-        raise InferenceError(
-            f"leave-one-out optimum on the domain edge for {family.value} "
-            f"at {edge} of {k} rows")
-    raise InferenceError(
-        f"leave-one-out refit for {family.value} did not converge in "
-        f"{_LOO_MAX_ITER} iterations for {np.count_nonzero(active)} of {k} rows")
+    return x, own, active
 
 
 def _loo_fits(fit: FitResult):
     """The leave-one-out maximizers x_i on the search scale, each deleted
     observation's log-likelihood at its own x_i, and the per-observation
-    log-likelihood at the full-sample estimate."""
-    at_hat = (copulas.loglik_vec(fit.family, fit.theta_hat, fit.obs),
+    log-likelihood at the full-sample estimate. Raises InferenceError if
+    a refit did not converge, counting over all n rows those whose
+    optimum is on the domain edge, or else those unconverged."""
+    family = fit.family
+    at_hat = (copulas.loglik_vec(family, fit.theta_hat, fit.obs),
               fit.score, fit.hessian)
     n = fit.n
     x = np.empty(n)
     own = np.empty(n)
+    unconverged = np.empty(n, dtype=bool)
     size = -(-BLOCK_ENTRIES // n)
     for start in range(0, n, size):
         rows = np.arange(start, min(start + size, n))
-        x[rows], own[rows] = _loo_block(fit, rows, at_hat)
+        x[rows], own[rows], unconverged[rows] = _loo_block(fit, rows, at_hat)
+    if unconverged.any():
+        theta = copulas.from_unconstrained(family, x[unconverged])
+        edge = np.count_nonzero(_on_edge(family, theta))
+        if edge:
+            raise InferenceError(
+                f"leave-one-out optimum on the domain edge for {family.value} "
+                f"at {edge} of {n} rows")
+        raise InferenceError(
+            f"leave-one-out refit for {family.value} did not converge in "
+            f"{_LOO_MAX_ITER} iterations for {np.count_nonzero(unconverged)} of {n} rows")
     if not np.isfinite(own).all():
         idx = int(np.argmax(~np.isfinite(own)))
         raise LikelihoodError(

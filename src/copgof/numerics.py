@@ -1,12 +1,14 @@
 """Shared numeric kernel.
 
 The Debye-1 integral, bivariate normal distribution functions,
-bracketed root finding, bounded 1-D maximization, and splittable
-deterministic RNG streams. Everything here is a pure function of its
-inputs. The maximization is scipy's bounded Brent method, copied as a
-generator that yields each point to evaluate, so that many searches can
-step in lockstep and share one objective call per round. Univariate
-normal functions and adaptive quadrature are scipy's
+bracketed root finding, 1-D maximization, and splittable deterministic
+RNG streams. Everything here is a pure function of its inputs. The
+maximization is scipy's bounded Brent method, copied as a generator
+that yields each point to evaluate. One generator per row runs that
+row's whole search, the Brent steps in a bracket that moves toward
+the optimum while it sits on an edge, so that many rows can step in
+lockstep (``maximize_1d``) and share one objective call per round.
+Univariate normal functions and adaptive quadrature are scipy's
 (``scipy.special.ndtr``, ``ndtri``, ``log_ndtr``,
 ``scipy.integrate.quad``), called directly where they are needed; a
 quadrature that misses its tolerance raises NumericsError.
@@ -362,33 +364,48 @@ def _maximize(lo, hi, tol):
     return float(x_best), float(-f_best)
 
 
-def maximize_1d(f, lo, hi, tol: float = 1e-8):
-    """Bounded maximization by Brent's method (golden-section/parabolic
-    hybrid, scipy's bounded ``minimize_scalar`` on -f).
+_MAX_EXPANSIONS = 60
 
-    For floats lo < hi, f maps a float to a float; returns (argmax, max)
-    and raises OptimizationError if more than 20% of the probed points
-    evaluate non-finite.
 
-    For equal-length 1-D arrays lo and hi, the k brackets are searched
-    in lockstep: each round, every search still running asks for one
-    point, and one call f(rows, x) evaluates them all, where ``rows``
-    indexes the running searches and ``x`` lists their points. Each
-    search takes the steps it would take alone. Returns one entry per
-    bracket: (argmax, max), or that search's OptimizationError.
+def _bracketed(x0, half, tol):
+    """One row's whole search as a generator: ``_maximize`` on x0 +- half,
+    and while its optimum lies within a margin (1% of the width plus
+    2 tol) of an edge, again on a bracket from the optimum less that
+    margin to one width past that edge. Returns
+    (argmax, max); raises OptimizationError from a bracket with too many
+    non-finite probes, and BracketError when the optimum still sits on
+    an edge after _MAX_EXPANSIONS brackets."""
+    lo, hi = x0 - half, x0 + half
+    for _ in range(_MAX_EXPANSIONS):
+        x, fx = yield from _maximize(lo, hi, tol)
+        # the bounded search can stall a little short of an edge when
+        # the objective is nearly flat there, so use a generous edge margin
+        width = hi - lo
+        margin = 0.01 * width + 2.0 * tol
+        if x - lo <= margin:
+            lo, hi = lo - width, x + margin
+        elif hi - x <= margin:
+            lo, hi = x - margin, hi + width
+        else:
+            return x, fx
+    raise BracketError(f"optimum still on an edge of [{lo}, {hi}] after "
+                       f"{_MAX_EXPANSIONS} brackets from {x0}")
+
+
+def maximize_1d(f, x0, half: float, tol: float = 1e-8):
+    """Maximization of k objectives of one variable by Brent's method
+    (golden-section/parabolic hybrid, scipy's bounded ``minimize_scalar``
+    on -f), each from its start x0[j] in a bracket of x0[j] +- half that
+    moves toward the optimum while it sits on an edge (``_bracketed``).
+
+    The k searches step in lockstep: each round, every search still
+    running asks for one point, and one call f(rows, x) evaluates them
+    all, where ``rows`` indexes the running searches and ``x`` lists
+    their points. Each search takes the steps it would take alone.
+    Returns one entry per start: (argmax, max), or the NumericsError
+    that ended that search (OptimizationError or BracketError).
     """
-    if np.ndim(lo) == 0:
-        (out,) = _lockstep(lambda rows, x: [f(x[0])], [_maximize(lo, hi, tol)])
-        if isinstance(out, OptimizationError):
-            raise out
-        return out
-    return _lockstep(f, [_maximize(a, b, tol) for a, b in zip(lo, hi)])
-
-
-def _lockstep(f, searches):
-    """Step the generator searches together, one point each per round and
-    one f call per round; each search's return value, or its
-    OptimizationError, in search order."""
+    searches = [_bracketed(x, half, tol) for x in x0]
     results = [None] * len(searches)
     values = [None] * len(searches)
     running = range(len(searches))
@@ -400,7 +417,7 @@ def _lockstep(f, searches):
                 asked.append(j)
             except StopIteration as stop:
                 results[j] = stop.value
-            except OptimizationError as exc:
+            except NumericsError as exc:
                 results[j] = exc
         if not asked:
             return results

@@ -176,15 +176,16 @@ def test_replicate_fit_at_domain_edge_is_a_drop(monkeypatch):
     sample = _make_pairs(Family.GAUSSIAN, 0.3, 40, seed=4, censoring_mean=None)
     fit = fit_pmle(Family.GAUSSIAN, pseudo_observations(sample))
     monkeypatch.setattr(copulas, "sample_pairs", comonotone)
+    monkeypatch.setattr(inference, "_HALFWIDTH", 15.0)
     fit_block = inference.fit_block
     blocks = []
 
-    def wide(family, obs, **kwargs):
-        fits = fit_block(family, obs, **kwargs, bracket_halfwidth=15.0)
+    def recorded(family, obs, **kwargs):
+        fits = fit_block(family, obs, **kwargs)
         blocks.append(fits)
         return fits
 
-    monkeypatch.setattr(inference, "fit_block", wide)
+    monkeypatch.setattr(inference, "fit_block", recorded)
     with pytest.raises(bootstrap.BootstrapError, match="only 0 of 4"):
         bootstrap_reports(sample, Family.GAUSSIAN, BootstrapConfig(b=4, seed=1),
                           kinds=("white",), fit=fit)
@@ -215,7 +216,7 @@ def _stats_outcome(call):
 
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("halfwidth", [1.0, 15.0])
-def test_block_fit_rows_equal_their_own_fits(family, halfwidth):
+def test_block_fit_rows_equal_their_own_fits(family, halfwidth, monkeypatch):
     # rows of mixed censoring, uncensored rows, independent rows (whose
     # fits end on the edge for the families with an edge there) and
     # comonotone ones (which push a wide bracket to non-finite points):
@@ -232,12 +233,12 @@ def test_block_fit_rows_equal_their_own_fits(family, halfwidth):
     block = copulas.Observations(*(np.array([getattr(r, a) for r in rows])
                                    for a in ("u1", "u2", "d1", "d2")))
     theta0 = copulas.tau_to_theta(family, 0.5)
-    fits = inference.fit_block(family, block, initial_theta=theta0,
-                               bracket_halfwidth=halfwidth)
+    monkeypatch.setattr(inference, "_HALFWIDTH", halfwidth)
+    fits = inference.fit_block(family, block, initial_theta=theta0)
     outcomes = set()
     for j, obs in enumerate(rows):
         try:
-            ref = fit_pmle(family, obs, initial_theta=theta0, bracket_halfwidth=halfwidth)
+            ref = fit_pmle(family, obs, initial_theta=theta0)
         except bootstrap._STAT_ERRORS as exc:
             err = fits.errors[j]
             assert (type(err), str(err)) == (type(exc), str(exc)), j

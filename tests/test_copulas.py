@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -539,6 +540,18 @@ def test_frank_sampler_at_strong_dependence():
     assert ((u2 > 1e-12) & (u2 < 1.0 - 1e-12)).all()
     # each draw inverts the conditional distribution at its level
     np.testing.assert_allclose(np.exp(ops.log_c1(theta, u1, u2)), w, rtol=1e-12)
+
+
+def test_clayton_sampler_at_large_theta():
+    # u1 ** -theta overflows here; the inverse still keeps u2 near u1,
+    # against values computed in 50-digit arithmetic
+    ops = copulas.family_ops(Family.CLAYTON)
+    u2 = ops.inv_conditional(108.0, np.array([1e-3, 3e-4]), np.array([0.3, 0.7]))
+    np.testing.assert_allclose(u2, [9.92330664347009e-4, 3.02393517869978e-4], rtol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u1, u2 = sample_pairs(CopulaModel(Family.CLAYTON, 108.0), np.random.default_rng(3), 2000)
+    assert (u2 > 1e-12).all()
 
 
 def test_sampler_deterministic():

@@ -120,15 +120,60 @@ def test_four_array_calls_raise_type_error():
             call()
 
 
-def test_fit_at_domain_edge_is_a_typed_error():
+def test_fit_at_domain_edge_is_a_typed_error(monkeypatch):
     # comonotone pseudo-observations: the Gaussian likelihood grows
     # without bound toward rho = 1, and the wide bracket reaches search
     # points where tanh(x) rounds to 1.0
     u = (np.arange(1, 31) - 0.5) / 30
     d = np.ones(30)
+    monkeypatch.setattr(inference, "_HALFWIDTH", 15.0)
     with pytest.raises((InferenceError, numerics.NumericsError)):
-        fit_pmle(Family.GAUSSIAN, copulas.Observations(u, u, d, d), initial_theta=0.9,
-                 bracket_halfwidth=15.0)
+        fit_pmle(Family.GAUSSIAN, copulas.Observations(u, u, d, d), initial_theta=0.9)
+
+
+def test_block_fit_is_one_search_whatever_its_rows_brackets(monkeypatch):
+    # Clayton rows started at tau = 0.5 whose optima, near tau = 0.1, 0.5
+    # and 0.85, take 3, 1 and 2 brackets when each is fitted alone: the
+    # block runs every row's whole search in one maximize_1d call
+    theta0 = copulas.tau_to_theta(Family.CLAYTON, 0.5)
+    rows = [pseudo_observations(generate_scenario_dataset(
+        Scenario(Family.CLAYTON, tau, 100, "c40"), 2)) for tau in (0.1, 0.5, 0.85)]
+    brackets, calls = [], []
+    bracket, maximize = numerics._maximize, numerics.maximize_1d
+
+    def counted_bracket(lo, hi, tol):
+        brackets.append((lo, hi))
+        return (yield from bracket(lo, hi, tol))
+
+    def counted_maximize(*args, **kwargs):
+        calls.append(args)
+        return maximize(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "_maximize", counted_bracket)
+    monkeypatch.setattr(numerics, "maximize_1d", counted_maximize)
+    refs, per_row = [], []
+    for obs in rows:
+        brackets.clear()
+        refs.append(fit_pmle(Family.CLAYTON, obs, initial_theta=theta0))
+        per_row.append(len(brackets))
+    assert per_row == [3, 1, 2]
+    calls.clear()
+    block = copulas.Observations(*(np.array([getattr(r, a) for r in rows])
+                                   for a in ("u1", "u2", "d1", "d2")))
+    fits = inference.fit_block(Family.CLAYTON, block, initial_theta=theta0)
+    assert len(calls) == 1
+    assert [fits.result(j) for j in range(3)] == refs
+
+
+def test_bracket_failure_is_a_typed_error():
+    # the Clayton optimum of this Frank sample keeps escaping every
+    # bracket; a solver without the bracket search retires this case
+    sample = generate_scenario_dataset(Scenario(Family.FRANK, 0.5, 60, "none"), 14,
+                                       replicate=1)
+    with pytest.raises(InferenceError) as err:
+        fit_pmle(Family.CLAYTON, pseudo_observations(sample))
+    assert str(err.value) == ("bracket expansion failed for clayton: optimum keeps "
+                              "escaping toward the parameter boundary")
 
 
 def test_fit_bracket_expands_beyond_initial():
@@ -179,10 +224,12 @@ def test_pios_near_one_under_null():
 
 
 @pytest.mark.parametrize("family", list(Family))
-def test_loo_refits_are_exact_optima(family):
+def test_loo_refits_are_exact_optima(family, monkeypatch):
     obs = _simulate(family, 0.5, 40, seed=13, censoring_mean=1.5)
     u1, u2, d1, d2 = obs.u1, obs.u2, obs.d1, obs.d2
     fit = fit_pmle(family, obs)
+    # the reference refits below search from a narrow first bracket
+    monkeypatch.setattr(inference, "_HALFWIDTH", 0.25)
     x, own, at_hat = inference._loo_fits(fit)
     assert at_hat.tobytes() == copulas.loglik_vec(family, fit.theta_hat, obs).tobytes()
     n = obs.n
@@ -196,7 +243,7 @@ def test_loo_refits_are_exact_optima(family):
         t1, t2 = copulas.unconstrained_derivs(family, theta)
         g, hx = s * t1, h * t1 * t1 + s * t2
         assert hx < 0.0 and abs(g / hx) <= 1e-10
-        ref = fit_pmle(family, sub, initial_theta=fit.theta_hat, bracket_halfwidth=0.25)
+        ref = fit_pmle(family, sub, initial_theta=fit.theta_hat)
         assert x[i] == pytest.approx(copulas.to_unconstrained(family, ref.theta_hat),
                                      rel=0, abs=5e-8)
         one = copulas.Observations(u1[i:i + 1], u2[i:i + 1], d1[i:i + 1], d2[i:i + 1])
@@ -214,6 +261,22 @@ def test_pios_is_independent_of_the_block_size(family, monkeypatch):
     for block in (7, 6 * 40 + 1):
         monkeypatch.setattr(inference, "BLOCK_ENTRIES", block)
         assert compute_statistic("pios", fit).value == whole
+
+
+@pytest.mark.parametrize("seed, message", [
+    (7, "leave-one-out optimum on the domain edge for gaussian at 1 of 14 rows"),
+    (20, "leave-one-out refit for gaussian did not converge in 100 iterations "
+         "for 14 of 14 rows")])
+def test_pios_errors_count_all_rows_whatever_the_block_size(seed, message, monkeypatch):
+    # heavily censored n = 14 samples whose delete-one refits fail: one
+    # on the edge (seed 7), all unconverged (seed 20)
+    sample = generate_scenario_dataset(Scenario(Family.GAUSSIAN, 0.2, 14, "c70"), seed)
+    fit = fit_pmle(Family.GAUSSIAN, pseudo_observations(sample))
+    for block in (inference.BLOCK_ENTRIES, 1, 6 * 14 + 1):
+        monkeypatch.setattr(inference, "BLOCK_ENTRIES", block)
+        with pytest.raises(InferenceError) as err:
+            compute_statistic("pios", fit)
+        assert str(err.value) == message
 
 
 def _edge_fit(family, obs):

@@ -129,8 +129,14 @@ def test_find_root_requires_sign_change():
         find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
+def _alone(f, x0, half, tol):
+    """maximize_1d of one objective of x, as a one-row call."""
+    (out,) = maximize_1d(lambda rows, xs: [f(xs[0])], np.array([x0]), half, tol=tol)
+    return out
+
+
 def test_maximize_1d_parabola():
-    x, fx = maximize_1d(lambda x: -(x - 0.7) ** 2, -5.0, 5.0, tol=1e-10)
+    x, fx = _alone(lambda x: -(x - 0.7) ** 2, 0.0, 5.0, tol=1e-10)
     assert x == pytest.approx(0.7, abs=1e-6)
     assert fx == pytest.approx(0.0, abs=1e-10)
 
@@ -172,29 +178,46 @@ def test_in_house_brent_equals_scipy_bit_for_bit():
 
 
 def test_maximize_1d_lockstep_rows_equal_their_own_searches():
-    # brackets searched together take the steps each takes alone, and
-    # one bracket's non-finite probes fail that bracket only
+    # searches run together take the steps each takes alone, also when
+    # their optima need different numbers of brackets, and one search's
+    # non-finite probes fail that search only
     tops = [0.7, -2.0, 3.3, 0.0]
 
     def value(j, x):
         return math.nan if j == 3 else -(x - tops[j]) ** 2 + math.cos(3.0 * x)
 
-    lo, hi = np.array([-5.0, -4.0, 1.0, -1.0]), np.array([5.0, 1.0, 9.0, 1.0])
+    x0 = np.array([0.0, -1.5, 0.5, 0.0])
     calls = []
 
     def batch(rows, xs):
         calls.append(len(rows))
         return [value(j, x) for j, x in zip(rows.tolist(), xs)]
 
-    out = maximize_1d(batch, lo, hi, tol=1e-9)
+    out = maximize_1d(batch, x0, 1.0, tol=1e-9)
     for j in range(3):
-        x, fx = maximize_1d(lambda x: value(j, x), lo[j], hi[j], tol=1e-9)
-        assert (x, fx) == out[j]
+        assert _alone(lambda x: value(j, x), x0[j], 1.0, tol=1e-9) == out[j]
     assert isinstance(out[3], OptimizationError)
-    with pytest.raises(OptimizationError, match="non-finite"):
-        maximize_1d(lambda x: value(3, x), lo[3], hi[3], tol=1e-9)
+    alone = _alone(lambda x: value(3, x), x0[3], 1.0, tol=1e-9)
+    assert isinstance(alone, OptimizationError) and "non-finite" in str(alone)
     # one call per round, over the searches still running
     assert calls[0] == 4 and calls == sorted(calls, reverse=True)
+
+
+def test_maximize_1d_bracket_gives_up_on_a_bounded_rising_objective(monkeypatch):
+    # atan rises toward its bound: the optimum sits on the upper edge of
+    # every bracket, and the search ends after the last of them
+    brackets = []
+    search = numerics._maximize
+
+    def counted(lo, hi, tol):
+        brackets.append((lo, hi))
+        return (yield from search(lo, hi, tol))
+
+    monkeypatch.setattr(numerics, "_maximize", counted)
+    (out,) = maximize_1d(lambda rows, xs: np.arctan(xs), np.array([0.0]), 1.0)
+    assert isinstance(out, BracketError)
+    assert len(brackets) == numerics._MAX_EXPANSIONS == 60
+    assert all(b[0] > a[0] for a, b in zip(brackets, brackets[1:]))
 
 
 # numpy functions that the likelihood kernels apply to gathered, padded
