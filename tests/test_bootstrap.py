@@ -463,6 +463,24 @@ def test_uncensored_original_stays_uncensored():
     assert all(p.d1 == 1 and p.d2 == 1 for p in data)
 
 
+# Joe and Gumbel ir reports at tau = 0.7, n = 80 and 1.5-mean exponential
+# censoring, recorded before their samplers moved from bisection to their
+# own inverses. The golden files cover only Clayton and Frank; these pin
+# that rank-based pseudo-observations hide the inverses' last-ulp changes.
+@pytest.mark.parametrize("family, seed, expected", [
+    (Family.JOE, 63,
+     (4.349113993705094, 1.1811600045702917, 0.25921772394248493, 0.484632038441855)),
+    (Family.GUMBEL, 64,
+     (3.9058815981623387, 1.342836958559892, 0.25637260577374366, 0.18113762023745195)),
+])
+def test_joe_and_gumbel_reports_are_pinned(family, seed, expected):
+    pairs = _make_pairs(family, 0.7, 80, seed=seed)
+    report = bootstrap_reports(pairs, family, BootstrapConfig(b=30, seed=7))["ir"]
+    got = (report.theta_hat, report.statistic.value, report.sigma_b, report.p_value)
+    assert got == expected
+    assert report.b_used == 30
+
+
 def test_select_prefers_true_family():
     # larger uncensored sample so the contrast is sharp
     pairs = _make_pairs(Family.CLAYTON, 0.6, 400, seed=14, censoring_mean=None)
