@@ -23,14 +23,17 @@ A family class declares its math and nothing else:
 - the log pieces ``log_pdf``, ``log_c1`` (the u1-partial) and
   ``log_cdf``, and their analytic first and second theta-derivatives
   ``dlog_*`` as (d1, d2) pairs;
-- the tau bijection ``theta_to_tau``/``tau_to_theta``, and a closed-form
-  ``inv_conditional`` sampler where one exists.
+- the tau bijection ``theta_to_tau``/``tau_to_theta``;
+- ``inv_conditional``, the sampler's inverse of u2 -> C(u2 | u1): in
+  closed form for Clayton, Frank, the Gaussian and Gumbel (by the Wright
+  omega function), and by a safeguarded Newton iteration on the
+  generator for Joe.
 
-The base ``_Family`` derives the rest: ``in_domain`` as lo < theta < hi;
-the u2-partial ``log_c2``/``dlog_c2`` as the u1-partial with (u1, u2)
-swapped, since every family here is exchangeable; and a bisection
-``inv_conditional``. The module functions derive the unconstrained
-search scale of ``fit_pmle`` from ``domain`` alone.
+The base ``_Family`` derives the rest: ``in_domain`` as lo < theta < hi,
+and the u2-partial ``log_c2``/``dlog_c2`` as the u1-partial with (u1, u2)
+swapped, since every family here is exchangeable. The module functions
+derive the unconstrained search scale of ``fit_pmle`` from ``domain``
+alone.
 
 The Gaussian copula function is C(u1, u2) = Phi2(Phi^-1(u1), Phi^-1(u2); rho).
 Its log comes from ``numerics.binorm_logcdf`` in one array pass over the
@@ -52,11 +55,21 @@ from .numerics import LOG_TINY
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _ew = numerics.elementwise
+# the Joe sampler's Newton iteration on s = log y: an entry stops once its
+# step is at most _NEWTON_STOP max(1, |s|), or after _NEWTON_MAX steps
+_NEWTON_STOP = 1e-11
+_NEWTON_MAX = 100
 
 
 def _pow(x, p):
     """x ** p for a theta-only base (see ``numerics.elementwise``)."""
     return _ew(pow, x, p)
+
+
+def _log1pexp(x):
+    """log(1 + e^x) without overflow: np.logaddexp(0, x), in a few times
+    less time."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def _apow(base, p):
@@ -144,21 +157,6 @@ class _Family:
     @classmethod
     def dlog_c2(cls, theta, u1, u2):
         return cls.dlog_c1(theta, u2, u1)
-
-    @classmethod
-    def inv_conditional(cls, theta, u1, w):
-        """Vectorized bisection inverse of u2 -> c1(u1, u2) at level w."""
-        u1 = np.asarray(u1, dtype=float)
-        w = np.asarray(w, dtype=float)
-        lo = np.full_like(w, 1e-12)
-        hi = np.full_like(w, 1.0 - 1e-12)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            f = np.exp(cls.log_c1(theta, u1, mid))
-            above = f >= w
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        return 0.5 * (lo + hi)
 
 
 class _Clayton(_Family):
@@ -366,11 +364,28 @@ class _Joe(_Family):
         _, _, _, _, gamma = cls._core(theta, u1, u2)
         return np.log1p(-np.exp(np.log(gamma) / theta))
 
+    @staticmethod
+    def _log_rho(theta, u1):
+        """log rho, rho = (1 - u1)^-theta - 1, finite where rho overflows:
+        with t = -theta log(1 - u1), log rho = t + log(1 - e^-t)."""
+        t = -theta * np.log1p(-u1)
+        return t + np.log(-np.expm1(-t))
+
     @classmethod
     def log_c1(cls, theta, u1, u2):
         v1, _, _, a2, gamma = cls._core(theta, u1, u2)
-        return ((1.0 / theta - 1.0) * np.log(gamma) + np.log1p(-a2)
-                + (theta - 1.0) * np.log(v1))
+        out = ((1.0 / theta - 1.0) * np.log(gamma) + np.log1p(-a2)
+               + (theta - 1.0) * np.log(v1))
+        bad = ~np.isfinite(out)
+        if bad.any():
+            # gamma underflows to 0 where both (1 - u)^theta do (large
+            # theta); there log c1 = log(1 - a2) - (1 - 1/theta) log(1 + rho a2)
+            # with log(rho a2) = log rho + theta log(1 - u2)
+            th, b1, b2 = (np.broadcast_to(a, out.shape)[bad] for a in (theta, u1, u2))
+            la2 = th * np.log1p(-b2)
+            out[bad] = (np.log1p(-np.exp(la2))
+                        - (1.0 - 1.0 / th) * _log1pexp(cls._log_rho(th, b1) + la2))
+        return out
 
     @classmethod
     def log_pdf(cls, theta, u1, u2):
@@ -443,6 +458,61 @@ class _Joe(_Family):
     def tau_to_theta(cls, tau):
         return numerics.find_root(lambda t: cls.theta_to_tau(t) - tau,
                                   1.0 + 1e-8, 500.0, tol=1e-12)
+
+    @classmethod
+    def inv_conditional(cls, theta, u1, w):
+        """u2 with C(u2 | u1) = w, by Newton's method on the generator
+        (Hofert, 2008, "Sampling Archimedean copulas").
+
+        In y = -log(1 - a), a = (1 - u2)^theta = 1 - e^-y, the equation is
+        g(y) = y + (1 - 1/theta) log(1 + rho a) = m, with
+        rho = (1 - u1)^-theta - 1 and m = -log w. g rises from g(0) = 0 and
+        log(1 + rho a) <= rho a <= rho y, so the root lies in
+        [m / (1 + (1 - 1/theta) rho), m]. A safeguarded Newton iteration
+        on s = log y starts at the middle of that bracket in s, halves it
+        where a step would leave it, and runs each entry until its own
+        step is below _NEWTON_STOP, so an entry's draw never depends on
+        the others. rho is kept as log rho, which stays finite where rho
+        overflows (theta = 200 from u1 ~ 0.97), and y as s, which stays
+        finite where y underflows.
+        """
+        shape = np.shape(w)
+        kappa = 1.0 - 1.0 / theta
+        log_rho = cls._log_rho(theta, np.ravel(u1))
+        m = -np.log(np.ravel(w))
+        hi = np.log(m)
+        lo = hi - _log1pexp(math.log(kappa) + log_rho)
+        s = 0.5 * (lo + hi)
+        run = np.arange(s.size)
+        rs, rlo, rhi, rrho, rm = s, lo, hi, log_rho, m
+        for _ in range(_NEWTON_MAX):
+            y = np.exp(rs)
+            big = _log1pexp(rrho + cls._log_a(rs, y))     # log(1 + rho a)
+            f = y + kappa * big - rm
+            # g'(y) y = y + kappa rho y e^-y / (1 + rho a), in logs
+            step = f / (y + kappa * np.exp(rs + rrho - y - big))
+            rhi = np.where(f > 0.0, rs, rhi)
+            rlo = np.where(f < 0.0, rs, rlo)
+            # a step that leaves the bracket halves it instead; a last step
+            # below the stop may land on the bracket's edge (rs itself)
+            tol = _NEWTON_STOP * np.maximum(1.0, np.abs(rs))
+            new = rs - step
+            new = np.where((np.abs(step) <= tol) | ((new > rlo) & (new < rhi)),
+                           new, 0.5 * (rlo + rhi))
+            keep = np.abs(new - rs) > tol
+            s[run] = new
+            if not keep.any():
+                break
+            run, rs, rlo, rhi, rrho, rm = (a[keep] for a in (run, new, rlo, rhi, rrho, rm))
+        # u2 = 1 - a^(1/theta)
+        return -np.expm1(cls._log_a(s, np.exp(s)) / theta).reshape(shape)
+
+    @staticmethod
+    def _log_a(s, y):
+        """log a = log(1 - e^-y) at y = e^s; below y = 1e-300, where y is
+        subnormal or 0, it is s - y/2 = s to double precision."""
+        with np.errstate(divide="ignore"):
+            return np.where(s < -690.0, s, np.log(-np.expm1(-y)))
 
 
 class _Gaussian(_Family):
@@ -548,8 +618,17 @@ class _Gumbel(_Family):
 
     @classmethod
     def log_c1(cls, theta, u1, u2):
-        x1, _, _, _, a, a1 = cls._core(theta, u1, u2)
-        return -a1 + (1.0 / theta - 1.0) * np.log(a) + (theta - 1.0) * np.log(x1) + x1
+        x1, x2, _, _, a, a1 = cls._core(theta, u1, u2)
+        out = -a1 + (1.0 / theta - 1.0) * np.log(a) + (theta - 1.0) * np.log(x1) + x1
+        bad = ~np.isfinite(out)
+        if bad.any():
+            # A = x1^theta + x2^theta under- or overflows at large theta;
+            # there, with r = log(A / x1^theta) = log(1 + (x2/x1)^theta),
+            # log c1 = x1 (1 - e^(r/theta)) + (1/theta - 1) r
+            th, b1, b2 = (np.broadcast_to(v, out.shape)[bad] for v in (theta, x1, x2))
+            r = _log1pexp(th * (np.log(b2) - np.log(b1)))
+            out[bad] = -b1 * np.expm1(r / th) + (1.0 / th - 1.0) * r
+        return out
 
     @classmethod
     def log_pdf(cls, theta, u1, u2):
@@ -598,6 +677,26 @@ class _Gumbel(_Family):
     @staticmethod
     def tau_to_theta(tau):
         return 1.0 / (1.0 - tau)
+
+    @staticmethod
+    def inv_conditional(theta, u1, w):
+        """u2 with C(u2 | u1) = w in closed form, by the Wright omega
+        function omega(a) = W(e^a), the root of omega + log omega = a
+        (Corless et al., 1996, "On the Lambert W function").
+
+        With x = -log u1, y = -log u2 and z = (x^theta + y^theta)^(1/theta),
+        C(u2 | u1) = w reads z + (theta - 1) log z = c, where
+        c = x + (theta - 1) log x - log w. So
+        z = (theta - 1) omega(c / (theta - 1) - log(theta - 1)), and
+        y = x (e^(theta log(z/x)) - 1)^(1/theta). The root has z >= x; where
+        w rounds it just below x, y is 0.
+        """
+        x = -np.log(u1)
+        tm1 = theta - 1.0
+        c = x + tm1 * np.log(x) - np.log(w)
+        z = tm1 * _special.wrightomega(c / tm1 - math.log(tm1))
+        y = x * np.maximum(np.expm1(theta * np.log(z / x)), 0.0) ** (1.0 / theta)
+        return np.exp(-y)
 
 
 _OPS = {

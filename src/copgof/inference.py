@@ -49,6 +49,7 @@ Newton step is at most _LOO_XTOL.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,8 @@ _HALFWIDTH = 1.0
 # an optimizer that stops unconverged this close to a finite domain edge
 # is on the edge: the likelihood rises toward the boundary of the family
 _EDGE_DISTANCE = 1e-6
+# math.exp(x) overflows for x above this
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 class InferenceError(Exception):
@@ -216,15 +219,13 @@ def _search(family: Family, obs: Observations, x0):
     def objective(rows, xs):
         nonlocal sub
         evaluations[rows] += 1
-        # far out on the search scale the transform overflows or rounds
-        # onto the domain's edge (tanh(x) == 1.0 from x ~ 19.1): score
-        # such points as invalid, as loglik_vec does for NaN pieces
-        theta = np.full(len(xs), np.nan)
-        for i, x in enumerate(xs):
-            try:
-                theta[i] = copulas.from_unconstrained(family, x)
-            except OverflowError:
-                pass
+        # far out on the search scale the transform overflows (exp past
+        # x = log(DBL_MAX), mapped to NaN here) or rounds onto the domain's
+        # edge (tanh(x) == 1.0 from x ~ 19.1): score such points as
+        # invalid, as loglik_vec does for NaN pieces
+        x = np.array(xs, dtype=float)
+        x[x > _LOG_DBL_MAX] = np.nan
+        theta = copulas.from_unconstrained(family, x)
         valid = (lo_theta < theta) & (theta < hi_theta)
         values = np.full(len(xs), -math.inf)
         if not valid.any():

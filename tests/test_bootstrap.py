@@ -373,8 +373,8 @@ def test_per_margin_dataset_is_an_explicit_redraw():
 
 @pytest.mark.parametrize("common", [True, False])
 def test_block_rows_equal_their_single_stream_calls(common):
-    # Joe draws through the bisection sampler; each block row is its own
-    # stream's sample, bit for bit
+    # Joe draws through the Newton sampler, which iterates each entry on
+    # its own; each block row is its own stream's sample, bit for bit
     fit = fit_pmle(Family.JOE, pseudo_observations(PAIRS))
     frame = _build_frame(PAIRS, fit, ("ir",),
                          BootstrapConfig(b=10, seed=7, common_censoring=common))

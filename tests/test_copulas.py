@@ -136,11 +136,14 @@ def test_score_hessian_match_fd(family):
 
 
 def test_every_family_declares_its_pieces_and_derivatives():
-    # no numerical fallback remains to stand in for a missing piece
+    # no numerical fallback remains to stand in for a missing piece, nor
+    # a bisection sampler for a missing inverse
     for family in Family:
         own = vars(copulas.family_ops(family))
-        for name in ("log_pdf", "log_c1", "log_cdf", "dlog_pdf", "dlog_c1", "dlog_cdf"):
+        for name in ("log_pdf", "log_c1", "log_cdf", "dlog_pdf", "dlog_c1", "dlog_cdf",
+                     "inv_conditional"):
             assert name in own, (family, name)
+    assert not hasattr(copulas._Family, "inv_conditional")
 
 
 def _four_case_sample(n=40, seed=5):
@@ -552,6 +555,75 @@ def test_clayton_sampler_at_large_theta():
         warnings.simplefilter("error")
         u1, u2 = sample_pairs(CopulaModel(Family.CLAYTON, 108.0), np.random.default_rng(3), 2000)
     assert (u2 > 1e-12).all()
+
+
+# (family, theta, u1, w, u2 with C(u2 | u1) = w) from an 80-digit mpmath
+# bisection of C(u2 | u1). The first three Joe rows are draws that
+# collapsed onto u2 = 0.975902955853001 under bisection, where
+# (1 - u1)^200 underflows; the first Gumbel row is a draw that bisection
+# put at 0.99942. The last four sit at the edge distance, theta = 1 + 1e-6.
+_LARGE_THETA_DRAWS = [
+    ("joe", 200.0, 0.997209935789211, 0.7144129789505205, 0.99722261576365549),
+    ("joe", 200.0, 0.9808353387762301, 0.7571675360416631, 0.98094345375508115),
+    ("joe", 200.0, 0.9950965052353241, 0.34286637343206705, 0.99508032844361793),
+    ("joe", 200.0, 0.5, 0.3, 0.49785559031860755),
+    ("joe", 200.0, 0.001, 0.9, 0.01234094065048298),
+    ("gumbel", 100.0, 0.9997911436030891, 0.33765578839335686, 0.99978969710187196),
+    ("gumbel", 100.0, 0.9998, 0.5, 0.99979997209789707),
+    ("gumbel", 100.0, 0.3, 0.05, 0.28942374068286514),
+    ("joe", 1.000001, 0.2, 0.7, 0.69999968943277333),
+    ("joe", 1.000001, 0.9, 0.1, 0.10000012600309841),
+    ("gumbel", 1.000001, 0.2, 0.7, 0.69999948841687834),
+    ("gumbel", 1.000001, 0.9, 0.1, 0.1000002696435639),
+]
+
+
+@pytest.mark.parametrize("family, theta, u1, w, u2", _LARGE_THETA_DRAWS)
+def test_joe_and_gumbel_draws_at_large_theta_and_the_edge(family, theta, u1, w, u2):
+    ops = copulas.family_ops(Family(family))
+    got = ops.inv_conditional(theta, np.array([u1]), np.array([w]))
+    np.testing.assert_allclose(got, [u2], rtol=1e-14)
+
+
+@pytest.mark.parametrize("family, theta", [
+    (Family.JOE, 200.0), (Family.GUMBEL, 100.0), (Family.JOE, 1.000001),
+    (Family.GUMBEL, 1.000001)])
+def test_joe_and_gumbel_samplers_stay_quiet_and_distinct(family, theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u1, u2 = sample_pairs(CopulaModel(family, theta), np.random.default_rng(0), 2000)
+    # bisection collapsed 49 of these Joe draws onto one value
+    assert np.unique(u2).size == 2000
+
+
+# (family, theta, u1, u2, log c1) where the direct form under- or
+# overflows: Joe's (1 - u)^theta and Gumbel's x^theta both underflow, or
+# Gumbel's overflow. References from mpmath at 500 digits, which the
+# cancellation of the direct form's terms needs.
+@pytest.mark.parametrize("family, theta, u1, u2, log_c1", [
+    ("joe", 200.0, 0.99, 0.995, -6.191900201471836e-61),
+    ("joe", 200.0, 0.98, 0.999, -6.191900201471836e-261),
+    ("joe", 200.0, 0.999, 0.98, -596.15072243724421),
+    ("gumbel", 100.0, 0.9998, 0.9999, -7.7707826485954599e-31),
+    ("gumbel", 100.0, 0.9999, 0.9998, -68.626621509273557),
+    ("gumbel", 300.0, 1e-06, 1e-05, -1.8356640802633912e-24),
+    ("gumbel", 300.0, 1e-05, 1e-06, -56.816730574386482),
+])
+def test_log_c1_finite_at_large_theta(family, theta, u1, u2, log_c1):
+    ops = copulas.family_ops(Family(family))
+    # next to an ordinary entry, whose bits the recomputation keeps; the
+    # direct form's under- and overflow is silenced as loglik_vec does
+    a1, a2 = np.array([u1, 0.4]), np.array([u2, 0.6])
+    with np.errstate(all="ignore"):
+        got = ops.log_c1(theta, a1, a2)
+        alone = ops.log_c1(theta, a1[1:], a2[1:])
+        # a theta column gives each row's float-theta values bit for bit
+        column = ops.log_c1(np.array([[theta], [2.0]]), a1, a2)
+        at_two = ops.log_c1(2.0, a1, a2)
+    np.testing.assert_allclose(got[0], log_c1, rtol=1e-12)
+    assert got[1] == alone[0]
+    assert column[0].tobytes() == got.tobytes()
+    assert column[1].tobytes() == at_two.tobytes()
 
 
 def test_sampler_deterministic():

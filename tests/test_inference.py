@@ -165,6 +165,28 @@ def test_block_fit_is_one_search_whatever_its_rows_brackets(monkeypatch):
     assert [fits.result(j) for j in range(3)] == refs
 
 
+def test_search_scores_points_past_the_exp_overflow_as_invalid(monkeypatch):
+    # math.exp overflows past x = log(DBL_MAX) = 709.78...; such points
+    # score -inf, and the other rows keep their log-likelihoods
+    obs = _simulate(Family.CLAYTON, 0.5, 40, seed=5)
+    block = copulas.Observations(*(np.array([getattr(obs, a)] * 3)
+                                   for a in ("u1", "u2", "d1", "d2")))
+    objectives = []
+
+    def capture(f, x0, half, tol):
+        objectives.append(f)
+        return [(0.0, 0.0)] * len(x0)
+
+    monkeypatch.setattr(numerics, "maximize_1d", capture)
+    inference._search(Family.CLAYTON, block, np.zeros(3))
+    objective, = objectives
+    edge = 709.782712893384
+    values = objective(np.arange(3), [np.log(2.0), np.nextafter(edge, np.inf), 1e300])
+    assert values[1:].tolist() == [-np.inf, -np.inf]
+    assert values[0] == copulas.loglik_vec(Family.CLAYTON, 2.0, obs, strict=False).sum()
+    assert objective(np.arange(2), [710.0, 1e300]).tolist() == [-np.inf, -np.inf]
+
+
 def test_bracket_failure_is_a_typed_error():
     # the Clayton optimum of this Frank sample keeps escaping every
     # bracket; a solver without the bracket search retires this case
