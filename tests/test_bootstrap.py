@@ -481,6 +481,31 @@ def test_joe_and_gumbel_reports_are_pinned(family, seed, expected):
     assert report.b_used == 30
 
 
+# one pios report per family at tau = 0.5, n = 60 and 1.5-mean exponential
+# censoring, recorded before the leave-one-out Newton iteration took its
+# log-likelihood, score and hessian from one kernel pass; every
+# replicate's n delete-one refits run through all four censoring pieces
+@pytest.mark.parametrize("family, seed, expected", [
+    (Family.CLAYTON, 90,
+     (2.3788517823243227, 1.310319222597331, 1.4024740582447193, 0.8248856563538924)),
+    (Family.FRANK, 91,
+     (5.31423189851501, 0.7724614616457387, 0.2531539861307579, 0.36875133880718236)),
+    (Family.JOE, 92,
+     (3.1543753975180144, 1.0122993288443622, 0.3313850003460771, 0.970393373217302)),
+    (Family.GAUSSIAN, 93,
+     (0.8458821773659168, 0.7571457406382225, 0.3748883720417706, 0.5171116030107634)),
+    (Family.GUMBEL, 94,
+     (2.0241404841110824, 0.7488230124620066, 0.2903069796688394, 0.3869226196949769)),
+])
+def test_pios_reports_are_pinned(family, seed, expected):
+    pairs = _make_pairs(family, 0.5, 60, seed=seed)
+    report = bootstrap_reports(pairs, family, BootstrapConfig(b=10, seed=11),
+                               kinds=("pios",))["pios"]
+    got = (report.theta_hat, report.statistic.value, report.sigma_b, report.p_value)
+    assert got == expected
+    assert report.b_used == 10
+
+
 def test_select_prefers_true_family():
     # larger uncensored sample so the contrast is sharp
     pairs = _make_pairs(Family.CLAYTON, 0.6, 400, seed=14, censoring_mean=None)
