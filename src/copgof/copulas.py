@@ -8,9 +8,10 @@ The split into these four cases belongs to the sample: an
 ``Observations`` validates (u1, u2, d1, d2) and gathers each case's rows
 once, when it is built, and a fit reuses it for every evaluation. Then
 ``loglik_vec`` evaluates each case's piece over its rows, and ``dlog_vec``
-each case's derivative piece, once for both the score and the hessian;
-each scatters the cases back in row order. A sample with a single case
-(any uncensored one) is evaluated whole, with no gather or scatter.
+each case's piece with its derivatives, giving the log-likelihood, score
+and hessian from one pass; each scatters the cases back in row order.
+A sample with a single case (any uncensored one) is evaluated whole,
+with no gather or scatter.
 An ``Observations`` may also be a (k, n) block of k samples, evaluated
 at a (k, 1) column of thetas, one per row; its case split pads each
 row's entries of a case to the longest row's count, and each row of the
@@ -21,8 +22,9 @@ A family class declares its math and nothing else:
 - ``domain``, the open interval of theta, and ``tau_domain`` where
   Kendall's tau may be negative (the default is (0, 1));
 - the log pieces ``log_pdf``, ``log_c1`` (the u1-partial) and
-  ``log_cdf``, and their analytic first and second theta-derivatives
-  ``dlog_*`` as (d1, d2) pairs;
+  ``log_cdf``. Each computes its family's core terms once and returns
+  the value or, asked for its derivatives, (value, d1, d2) with the
+  analytic first and second theta-derivatives;
 - the tau bijection ``theta_to_tau``/``tau_to_theta``;
 - ``inv_conditional``, the sampler's inverse of u2 -> C(u2 | u1): in
   closed form for Clayton, Frank, the Gaussian and Gumbel (by the Wright
@@ -30,10 +32,9 @@ A family class declares its math and nothing else:
   generator for Joe.
 
 The base ``_Family`` derives the rest: ``in_domain`` as lo < theta < hi,
-and the u2-partial ``log_c2``/``dlog_c2`` as the u1-partial with (u1, u2)
-swapped, since every family here is exchangeable. The module functions
-derive the unconstrained search scale of ``fit_pmle`` from ``domain``
-alone.
+and the u2-partial ``log_c2`` as the u1-partial with (u1, u2) swapped,
+since every family here is exchangeable. The module functions derive
+the unconstrained search scale of ``fit_pmle`` from ``domain`` alone.
 
 The Gaussian copula function is C(u1, u2) = Phi2(Phi^-1(u1), Phi^-1(u2); rho).
 Its log comes from ``numerics.binorm_logcdf`` in one array pass over the
@@ -54,6 +55,8 @@ from . import numerics
 from .numerics import LOG_TINY
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# the smallest normal float: a sum of powers below it has lost digits to underflow
+_TINY = np.finfo(float).tiny
 _ew = numerics.elementwise
 # the Joe sampler's Newton iteration on s = log y: an entry stops once its
 # step is at most _NEWTON_STOP max(1, |s|), or after _NEWTON_MAX steps
@@ -151,12 +154,8 @@ class _Family:
     # every family is exchangeable, C(u1, u2) = C(u2, u1), so the
     # u2-partial is the u1-partial with its arguments swapped
     @classmethod
-    def log_c2(cls, theta, u1, u2):
-        return cls.log_c1(theta, u2, u1)
-
-    @classmethod
-    def dlog_c2(cls, theta, u1, u2):
-        return cls.dlog_c1(theta, u2, u1)
+    def log_c2(cls, theta, u1, u2, derivs=False):
+        return cls.log_c1(theta, u2, u1, derivs)
 
 
 class _Clayton(_Family):
@@ -169,58 +168,48 @@ class _Clayton(_Family):
         s = t1 + t2 - 1.0
         return t1, t2, s, np.log(s)
 
-    @classmethod
-    def log_cdf(cls, theta, u1, u2):
-        _, _, _, psi = cls._core(theta, u1, u2)
-        return -psi / theta
-
-    @classmethod
-    def log_c1(cls, theta, u1, u2):
-        _, _, _, psi = cls._core(theta, u1, u2)
-        return -(1.0 + theta) * np.log(u1) - (1.0 / theta + 1.0) * psi
-
-    @classmethod
-    def log_pdf(cls, theta, u1, u2):
-        _, _, _, psi = cls._core(theta, u1, u2)
-        return (_ew(math.log1p, theta) - (1.0 + theta) * (np.log(u1) + np.log(u2))
-                - (1.0 / theta + 2.0) * psi)
-
-    @classmethod
-    def _psi_derivs(cls, theta, u1, u2):
-        lu1, lu2 = np.log(u1), np.log(u2)
-        t1, t2, s, psi = cls._core(theta, u1, u2)
+    @staticmethod
+    def _psi_derivs(theta, lu1, lu2, t1, t2, s):
+        """The first two theta-derivatives of psi = log s, then theta^2
+        and theta^3."""
         a = t1 * lu1 + t2 * lu2
         b = t1 * lu1 ** 2 + t2 * lu2 ** 2
-        psi_t = -a / s
-        psi_tt = b / s - (a / s) ** 2
-        return lu1, lu2, psi, psi_t, psi_tt
+        return -a / s, b / s - (a / s) ** 2, _pow(theta, 2), _pow(theta, 3)
 
     @classmethod
-    def dlog_cdf(cls, theta, u1, u2):
-        _, _, psi, psi_t, psi_tt = cls._psi_derivs(theta, u1, u2)
-        t2, t3 = _pow(theta, 2), _pow(theta, 3)
-        d1 = -psi_t / theta + psi / t2
-        d2 = -psi_tt / theta + 2.0 * psi_t / t2 - 2.0 * psi / t3
-        return d1, d2
+    def log_cdf(cls, theta, u1, u2, derivs=False):
+        *core, psi = cls._core(theta, u1, u2)
+        value = -psi / theta
+        if not derivs:
+            return value
+        psi_t, psi_tt, th2, th3 = cls._psi_derivs(theta, np.log(u1), np.log(u2), *core)
+        return (value, -psi_t / theta + psi / th2,
+                -psi_tt / theta + 2.0 * psi_t / th2 - 2.0 * psi / th3)
 
     @classmethod
-    def dlog_c1(cls, theta, u1, u2):
-        lu1, _, psi, psi_t, psi_tt = cls._psi_derivs(theta, u1, u2)
-        t2, t3 = _pow(theta, 2), _pow(theta, 3)
-        d1 = -lu1 + psi / t2 - (1.0 / theta + 1.0) * psi_t
-        d2 = (-2.0 * psi / t3 + 2.0 * psi_t / t2
-              - (1.0 / theta + 1.0) * psi_tt)
-        return d1, d2
+    def log_c1(cls, theta, u1, u2, derivs=False):
+        *core, psi = cls._core(theta, u1, u2)
+        lu1 = np.log(u1)
+        value = -(1.0 + theta) * lu1 - (1.0 / theta + 1.0) * psi
+        if not derivs:
+            return value
+        psi_t, psi_tt, th2, th3 = cls._psi_derivs(theta, lu1, np.log(u2), *core)
+        return (value, -lu1 + psi / th2 - (1.0 / theta + 1.0) * psi_t,
+                -2.0 * psi / th3 + 2.0 * psi_t / th2 - (1.0 / theta + 1.0) * psi_tt)
 
     @classmethod
-    def dlog_pdf(cls, theta, u1, u2):
-        lu1, lu2, psi, psi_t, psi_tt = cls._psi_derivs(theta, u1, u2)
-        t2, t3 = _pow(theta, 2), _pow(theta, 3)
-        d1 = (1.0 / (1.0 + theta) - lu1 - lu2 + psi / t2
-              - (1.0 / theta + 2.0) * psi_t)
-        d2 = (-1.0 / _pow(1.0 + theta, 2) + 2.0 * psi_t / t2
-              - 2.0 * psi / t3 - (1.0 / theta + 2.0) * psi_tt)
-        return d1, d2
+    def log_pdf(cls, theta, u1, u2, derivs=False):
+        *core, psi = cls._core(theta, u1, u2)
+        lu1, lu2 = np.log(u1), np.log(u2)
+        value = (_ew(math.log1p, theta) - (1.0 + theta) * (lu1 + lu2)
+                 - (1.0 / theta + 2.0) * psi)
+        if not derivs:
+            return value
+        psi_t, psi_tt, th2, th3 = cls._psi_derivs(theta, lu1, lu2, *core)
+        return (value, (1.0 / (1.0 + theta) - lu1 - lu2 + psi / th2
+                        - (1.0 / theta + 2.0) * psi_t),
+                (-1.0 / _pow(1.0 + theta, 2) + 2.0 * psi_t / th2
+                 - 2.0 * psi / th3 - (1.0 / theta + 2.0) * psi_tt))
 
     @staticmethod
     def theta_to_tau(theta):
@@ -250,16 +239,17 @@ class _Frank(_Family):
     @staticmethod
     def _core(theta, u1, u2):
         g = -_ew(math.expm1, -theta)     # 1 - e^{-theta}
+        em = _ew(math.exp, -theta)
         g1 = -np.expm1(-theta * u1)
         g2 = -np.expm1(-theta * u2)
+        e2 = np.exp(-theta * u2)
         zeta = g1 * g2 / g
         # 1 - zeta cancels as zeta -> 1 (u1, u2 -> 1 at large theta); there
         # it is taken from g (1 - zeta) = e2 g1 + e^{-theta} expm1(theta (1 - u1)),
         # a sum of positive terms
         omz = np.where(zeta < 0.5, 1.0 - zeta,
-                       (np.exp(-theta * u2) * g1
-                        + _ew(math.exp, -theta) * np.expm1(theta * (1.0 - u1))) / g)
-        return g, g1, g2, zeta, omz
+                       (e2 * g1 + em * np.expm1(theta * (1.0 - u1))) / g)
+        return g, em, g1, g2, e2, zeta, omz
 
     @staticmethod
     def _log_omz(zeta, omz):
@@ -268,60 +258,53 @@ class _Frank(_Family):
         return np.where(zeta < 0.5, np.log1p(-np.minimum(zeta, 0.5)), np.log(omz))
 
     @classmethod
-    def log_cdf(cls, theta, u1, u2):
-        _, _, _, zeta, omz = cls._core(theta, u1, u2)
-        return np.log(-cls._log_omz(zeta, omz) / theta)
-
-    @classmethod
-    def log_c1(cls, theta, u1, u2):
-        g, _, g2, _, omz = cls._core(theta, u1, u2)
-        return -theta * u1 + np.log(g2) - _ew(math.log, g) - np.log(omz)
-
-    @classmethod
-    def log_pdf(cls, theta, u1, u2):
-        g, _, _, _, omz = cls._core(theta, u1, u2)
-        return (_ew(math.log, theta) - theta * (u1 + u2) - _ew(math.log, g)
-                - 2.0 * np.log(omz))
-
-    @classmethod
-    def _zeta_derivs(cls, theta, u1, u2):
-        g, g1, g2, zeta, omz = cls._core(theta, u1, u2)
-        e1 = np.exp(-theta * u1)
-        e2 = np.exp(-theta * u2)
-        em = _ew(math.exp, -theta)
-        em_g2 = em / _pow(g, 2)
-        lz_t = u1 * e1 / g1 + u2 * e2 / g2 - em / g
-        lz_tt = -(u1 ** 2) * e1 / g1 ** 2 - (u2 ** 2) * e2 / g2 ** 2 + em_g2
-        z_t = zeta * lz_t
-        z_tt = zeta * (lz_tt + lz_t ** 2)
-        return g, e1, e2, em, em_g2, zeta, omz, z_t, z_tt
-
-    @classmethod
-    def dlog_cdf(cls, theta, u1, u2):
-        _, _, _, _, _, zeta, omz, z_t, z_tt = cls._zeta_derivs(theta, u1, u2)
-        t2 = _pow(theta, 2)
+    def log_cdf(cls, theta, u1, u2, derivs=False):
+        core = cls._core(theta, u1, u2)
+        zeta, omz = core[5:]
         logomz = cls._log_omz(zeta, omz)
         c = -logomz / theta
+        value = np.log(c)
+        if not derivs:
+            return value
+        _, z_t, z_tt = cls._zeta_derivs(theta, u1, u2, *core)
+        t2 = _pow(theta, 2)
         c_t = logomz / t2 + z_t / (theta * omz)
         c_tt = (-2.0 * logomz / _pow(theta, 3) - 2.0 * z_t / (t2 * omz)
                 + z_tt / (theta * omz) + z_t ** 2 / (theta * omz ** 2))
-        return c_t / c, c_tt / c - (c_t / c) ** 2
+        return value, c_t / c, c_tt / c - (c_t / c) ** 2
 
     @classmethod
-    def dlog_c1(cls, theta, u1, u2):
-        g, _, e2, em, em_g2, _, omz, z_t, z_tt = cls._zeta_derivs(theta, u1, u2)
-        g2 = -np.expm1(-theta * u2)
-        d1 = z_t / omz - u1 + u2 * e2 / g2 - em / g
-        d2 = z_tt / omz + z_t ** 2 / omz ** 2 - (u2 ** 2) * e2 / g2 ** 2 + em_g2
-        return d1, d2
+    def log_c1(cls, theta, u1, u2, derivs=False):
+        core = cls._core(theta, u1, u2)
+        g, em, _, g2, e2, _, omz = core
+        value = -theta * u1 + np.log(g2) - _ew(math.log, g) - np.log(omz)
+        if not derivs:
+            return value
+        em_g2, z_t, z_tt = cls._zeta_derivs(theta, u1, u2, *core)
+        return (value, z_t / omz - u1 + u2 * e2 / g2 - em / g,
+                z_tt / omz + z_t ** 2 / omz ** 2 - (u2 ** 2) * e2 / g2 ** 2 + em_g2)
 
     @classmethod
-    def dlog_pdf(cls, theta, u1, u2):
-        g, _, _, em, em_g2, _, omz, z_t, z_tt = cls._zeta_derivs(theta, u1, u2)
-        d1 = 2.0 * z_t / omz + 1.0 / theta - u1 - u2 - em / g
-        d2 = (2.0 * z_tt / omz + 2.0 * z_t ** 2 / omz ** 2 - 1.0 / _pow(theta, 2)
-              + em_g2)
-        return d1, d2
+    def log_pdf(cls, theta, u1, u2, derivs=False):
+        core = cls._core(theta, u1, u2)
+        g, em, *_, omz = core
+        value = (_ew(math.log, theta) - theta * (u1 + u2) - _ew(math.log, g)
+                 - 2.0 * np.log(omz))
+        if not derivs:
+            return value
+        em_g2, z_t, z_tt = cls._zeta_derivs(theta, u1, u2, *core)
+        return (value, 2.0 * z_t / omz + 1.0 / theta - u1 - u2 - em / g,
+                (2.0 * z_tt / omz + 2.0 * z_t ** 2 / omz ** 2 - 1.0 / _pow(theta, 2)
+                 + em_g2))
+
+    @staticmethod
+    def _zeta_derivs(theta, u1, u2, g, em, g1, g2, e2, zeta, omz):
+        """e^-theta / g^2, then the first two theta-derivatives of zeta."""
+        e1 = np.exp(-theta * u1)
+        em_g2 = em / _pow(g, 2)
+        lz_t = u1 * e1 / g1 + u2 * e2 / g2 - em / g
+        lz_tt = -(u1 ** 2) * e1 / g1 ** 2 - (u2 ** 2) * e2 / g2 ** 2 + em_g2
+        return em_g2, zeta * lz_t, zeta * (lz_tt + lz_t ** 2)
 
     @staticmethod
     def theta_to_tau(theta):
@@ -359,10 +342,39 @@ class _Joe(_Family):
         gamma = a1 + a2 - a1 * a2
         return v1, v2, a1, a2, gamma
 
+    @staticmethod
+    def _gamma_derivs(l1, l2, a1, a2):
+        """The first two theta-derivatives of gamma, from l = log(1 - u)."""
+        g_t = a1 * l1 + a2 * l2 - a1 * a2 * (l1 + l2)
+        g_tt = a1 * l1 ** 2 + a2 * l2 ** 2 - a1 * a2 * (l1 + l2) ** 2
+        return g_t, g_tt
+
     @classmethod
-    def log_cdf(cls, theta, u1, u2):
-        _, _, _, _, gamma = cls._core(theta, u1, u2)
-        return np.log1p(-np.exp(np.log(gamma) / theta))
+    def log_cdf(cls, theta, u1, u2, derivs=False):
+        v1, v2, a1, a2, gamma = cls._core(theta, u1, u2)
+        lg = np.log(gamma)
+        g1 = np.exp(lg / theta)                       # Gamma^{1/theta}
+        value = np.log1p(-g1)
+        low = gamma < _TINY
+        if low.any():
+            # gamma under- or gradually underflows where both (1 - u)^theta
+            # do (large theta, near (1, 1)); there
+            # log gamma = log(a1 + a2 (1 - a1)) is formed from theta log(1 - u)
+            th, b1, b2, c1 = (np.broadcast_to(a, value.shape)[low]
+                              for a in (theta, v1, v2, a1))
+            lg_low = np.logaddexp(th * np.log(b1), th * np.log(b2) + np.log1p(-c1))
+            value[low] = np.log1p(-np.exp(lg_low / th))
+        if not derivs:
+            return value
+        g_t, g_tt = cls._gamma_derivs(np.log(v1), np.log(v2), a1, a2)
+        t2 = _pow(theta, 2)
+        g1_t = g1 * (-lg / t2 + g_t / (theta * gamma))
+        g1_tt = (2.0 * g1 * lg / _pow(theta, 3)
+                 - (g1_t * lg + 2.0 * g1 / gamma * g_t) / t2
+                 + (g_tt * g1 / gamma + g_t * g1_t / gamma
+                    - g_t ** 2 * g1 / gamma ** 2) / theta)
+        omg = 1.0 - g1
+        return value, -g1_t / omg, -g1_tt / omg - (g1_t / omg) ** 2
 
     @staticmethod
     def _log_rho(theta, u1):
@@ -372,70 +384,45 @@ class _Joe(_Family):
         return t + np.log(-np.expm1(-t))
 
     @classmethod
-    def log_c1(cls, theta, u1, u2):
-        v1, _, _, a2, gamma = cls._core(theta, u1, u2)
-        out = ((1.0 / theta - 1.0) * np.log(gamma) + np.log1p(-a2)
-               + (theta - 1.0) * np.log(v1))
-        bad = ~np.isfinite(out)
+    def log_c1(cls, theta, u1, u2, derivs=False):
+        v1, v2, a1, a2, gamma = cls._core(theta, u1, u2)
+        lg, l1 = np.log(gamma), np.log(v1)
+        value = (1.0 / theta - 1.0) * lg + np.log1p(-a2) + (theta - 1.0) * l1
+        bad = ~np.isfinite(value)
         if bad.any():
             # gamma underflows to 0 where both (1 - u)^theta do (large
             # theta); there log c1 = log(1 - a2) - (1 - 1/theta) log(1 + rho a2)
             # with log(rho a2) = log rho + theta log(1 - u2)
-            th, b1, b2 = (np.broadcast_to(a, out.shape)[bad] for a in (theta, u1, u2))
+            th, b1, b2 = (np.broadcast_to(a, value.shape)[bad] for a in (theta, u1, u2))
             la2 = th * np.log1p(-b2)
-            out[bad] = (np.log1p(-np.exp(la2))
-                        - (1.0 - 1.0 / th) * _log1pexp(cls._log_rho(th, b1) + la2))
-        return out
-
-    @classmethod
-    def log_pdf(cls, theta, u1, u2):
-        v1, v2, a1, a2, gamma = cls._core(theta, u1, u2)
-        k = theta * gamma + (theta - 1.0) * (1.0 - a1) * (1.0 - a2)
-        return ((1.0 / theta - 2.0) * np.log(gamma)
-                + (theta - 1.0) * (np.log(v1) + np.log(v2)) + np.log(k))
-
-    @classmethod
-    def _gamma_derivs(cls, theta, u1, u2):
-        v1, v2, a1, a2, gamma = cls._core(theta, u1, u2)
-        l1, l2 = np.log(v1), np.log(v2)
-        g_t = a1 * l1 + a2 * l2 - a1 * a2 * (l1 + l2)
-        g_tt = a1 * l1 ** 2 + a2 * l2 ** 2 - a1 * a2 * (l1 + l2) ** 2
-        return v1, v2, a1, a2, l1, l2, gamma, g_t, g_tt
-
-    @classmethod
-    def dlog_cdf(cls, theta, u1, u2):
-        _, _, _, _, _, _, gamma, g_t, g_tt = cls._gamma_derivs(theta, u1, u2)
-        lg = np.log(gamma)
-        t2 = _pow(theta, 2)
-        g1 = np.exp(lg / theta)                       # Gamma^{1/theta}
-        g1_t = g1 * (-lg / t2 + g_t / (theta * gamma))
-        g1_tt = (2.0 * g1 * lg / _pow(theta, 3)
-                 - (g1_t * lg + 2.0 * g1 / gamma * g_t) / t2
-                 + (g_tt * g1 / gamma + g_t * g1_t / gamma
-                    - g_t ** 2 * g1 / gamma ** 2) / theta)
-        omg = 1.0 - g1
-        return -g1_t / omg, -g1_tt / omg - (g1_t / omg) ** 2
-
-    @classmethod
-    def dlog_c1(cls, theta, u1, u2):
-        _, _, _, a2, l1, l2, gamma, g_t, g_tt = cls._gamma_derivs(theta, u1, u2)
-        lg = np.log(gamma)
+            value[bad] = (np.log1p(-np.exp(la2))
+                          - (1.0 - 1.0 / th) * _log1pexp(cls._log_rho(th, b1) + la2))
+        if not derivs:
+            return value
+        l2 = np.log(v2)
+        g_t, g_tt = cls._gamma_derivs(l1, l2, a1, a2)
         t2 = _pow(theta, 2)
         d1 = -lg / t2 + (1.0 / theta - 1.0) * g_t / gamma - a2 * l2 / (1.0 - a2) + l1
         d2 = (2.0 * lg / _pow(theta, 3) - 2.0 * g_t / (gamma * t2)
               + (1.0 / theta - 1.0) * (g_tt / gamma - (g_t / gamma) ** 2)
               - a2 * l2 ** 2 / (1.0 - a2) ** 2)
-        return d1, d2
+        return value, d1, d2
 
     @classmethod
-    def dlog_pdf(cls, theta, u1, u2):
-        _, _, a1, a2, l1, l2, gamma, g_t, g_tt = cls._gamma_derivs(theta, u1, u2)
-        lg = np.log(gamma)
+    def log_pdf(cls, theta, u1, u2, derivs=False):
+        v1, v2, a1, a2, gamma = cls._core(theta, u1, u2)
+        lg, l1, l2 = np.log(gamma), np.log(v1), np.log(v2)
+        value = ((1.0 / theta - 2.0) * lg + (theta - 1.0) * (l1 + l2)
+                 + np.log(theta * gamma + (theta - 1.0) * (1.0 - a1) * (1.0 - a2)))
+        if not derivs:
+            return value
+        g_t, g_tt = cls._gamma_derivs(l1, l2, a1, a2)
+        # the value's k, whose derivatives take (theta - 1) p as one product
         p = (1.0 - a1) * (1.0 - a2)
+        k = theta * gamma + (theta - 1.0) * p
         p_t = -a1 * l1 * (1.0 - a2) - a2 * l2 * (1.0 - a1)
         p_tt = (-a1 * l1 ** 2 * (1.0 - a2) - a2 * l2 ** 2 * (1.0 - a1)
                 + 2.0 * a1 * a2 * l1 * l2)
-        k = theta * gamma + (theta - 1.0) * p
         k_t = gamma + theta * g_t + p + (theta - 1.0) * p_t
         k_tt = 2.0 * g_t + theta * g_tt + 2.0 * p_t + (theta - 1.0) * p_tt
         t2 = _pow(theta, 2)
@@ -443,7 +430,7 @@ class _Joe(_Family):
         d2 = (2.0 * lg / _pow(theta, 3) - 2.0 * g_t / (gamma * t2)
               + (1.0 / theta - 2.0) * (g_tt / gamma - (g_t / gamma) ** 2)
               + k_tt / k - (k_t / k) ** 2)
-        return d1, d2
+        return value, d1, d2
 
     @staticmethod
     def theta_to_tau(theta):
@@ -524,22 +511,43 @@ class _Gaussian(_Family):
         return _special.ndtri(u1), _special.ndtri(u2)
 
     @classmethod
-    def log_cdf(cls, theta, u1, u2):
-        return numerics.binorm_logcdf(*cls._z(u1, u2), theta)
-
-    @classmethod
-    def log_c1(cls, theta, u1, u2):
+    def log_cdf(cls, theta, u1, u2, derivs=False):
         z1, z2 = cls._z(u1, u2)
-        s = _ew(math.sqrt, 1.0 - theta * theta)
-        return _special.log_ndtr((z2 - theta * z1) / s)
+        value = numerics.binorm_logcdf(z1, z2, theta)
+        if not derivs:
+            return value
+        s2 = 1.0 - theta * theta
+        log_pdf2 = (-(np.square(z1) + np.square(z2) - 2.0 * theta * z1 * z2) / (2.0 * s2)
+                    - _ew(math.log, 2.0 * math.pi * _ew(math.sqrt, s2)))
+        # Plackett: dC/dtheta = phi2; phi2/Phi2 in log space, where both underflow
+        ratio = np.exp(log_pdf2 - value)
+        lt, _ = cls._phi2_tilde(theta, z1, z2)
+        return value, ratio, ratio * (lt - ratio)
 
     @classmethod
-    def log_pdf(cls, theta, u1, u2):
+    def log_c1(cls, theta, u1, u2, derivs=False):
         z1, z2 = cls._z(u1, u2)
         s2 = 1.0 - theta * theta
-        return (-0.5 * _ew(math.log, s2)
-                - (np.square(z1) + np.square(z2) - 2.0 * theta * z1 * z2) / (2.0 * s2)
-                + 0.5 * (np.square(z1) + np.square(z2)))
+        a = (z2 - theta * z1) / _ew(math.sqrt, s2)
+        value = _special.log_ndtr(a)
+        if not derivs:
+            return value
+        s2_15 = _pow(s2, 1.5)
+        a_t = (theta * z2 - z1) / s2_15
+        a_tt = z2 / s2_15 + (theta * z2 - z1) * 3.0 * theta / _pow(s2, 2.5)
+        # phi(a)/Phi(a), computed in log space for deep-tail stability
+        r = np.exp(-0.5 * np.square(a) - math.log(_SQRT2PI) - value)
+        d1 = r * a_t
+        return value, d1, r * (a_tt - a * a_t ** 2) - d1 ** 2
+
+    @classmethod
+    def log_pdf(cls, theta, u1, u2, derivs=False):
+        z1, z2 = cls._z(u1, u2)
+        s2 = 1.0 - theta * theta
+        value = (-0.5 * _ew(math.log, s2)
+                 - (np.square(z1) + np.square(z2) - 2.0 * theta * z1 * z2) / (2.0 * s2)
+                 + 0.5 * (np.square(z1) + np.square(z2)))
+        return (value, *cls._phi2_tilde(theta, z1, z2)) if derivs else value
 
     @classmethod
     def _phi2_tilde(cls, theta, z1, z2):
@@ -552,37 +560,6 @@ class _Gaussian(_Family):
               + ((6.0 * theta + 2.0 * _pow(theta, 3)) * zz - (1.0 + 3.0 * t2) * zsq)
               / _pow(s2, 3))
         return d1, d2
-
-    @classmethod
-    def dlog_cdf(cls, theta, u1, u2):
-        z1, z2 = cls._z(u1, u2)
-        s2 = 1.0 - theta * theta
-        log_pdf2 = (-(np.square(z1) + np.square(z2) - 2.0 * theta * z1 * z2) / (2.0 * s2)
-                    - _ew(math.log, 2.0 * math.pi * _ew(math.sqrt, s2)))
-        # Plackett: dC/dtheta = phi2; phi2/Phi2 in log space, where both underflow
-        ratio = np.exp(log_pdf2 - numerics.binorm_logcdf(z1, z2, theta))
-        lt, _ = cls._phi2_tilde(theta, z1, z2)
-        return ratio, ratio * (lt - ratio)
-
-    @classmethod
-    def dlog_c1(cls, theta, u1, u2):
-        z1, z2 = cls._z(u1, u2)
-        s2 = 1.0 - theta * theta
-        s = _ew(math.sqrt, s2)
-        s2_15 = _pow(s2, 1.5)
-        a = (z2 - theta * z1) / s
-        a_t = (theta * z2 - z1) / s2_15
-        a_tt = z2 / s2_15 + (theta * z2 - z1) * 3.0 * theta / _pow(s2, 2.5)
-        # phi(a)/Phi(a), computed in log space for deep-tail stability
-        r = np.exp(-0.5 * np.square(a) - math.log(_SQRT2PI) - _special.log_ndtr(a))
-        d1 = r * a_t
-        d2 = r * (a_tt - a * a_t ** 2) - d1 ** 2
-        return d1, d2
-
-    @classmethod
-    def dlog_pdf(cls, theta, u1, u2):
-        z1, z2 = cls._z(u1, u2)
-        return cls._phi2_tilde(theta, z1, z2)
 
     @staticmethod
     def theta_to_tau(theta):
@@ -612,63 +589,66 @@ class _Gumbel(_Family):
         a1 = _apow(a, 1.0 / theta)
         return x1, x2, p1, p2, a, a1
 
-    @classmethod
-    def log_cdf(cls, theta, u1, u2):
-        return -cls._core(theta, u1, u2)[5]
-
-    @classmethod
-    def log_c1(cls, theta, u1, u2):
-        x1, x2, _, _, a, a1 = cls._core(theta, u1, u2)
-        out = -a1 + (1.0 / theta - 1.0) * np.log(a) + (theta - 1.0) * np.log(x1) + x1
-        bad = ~np.isfinite(out)
-        if bad.any():
-            # A = x1^theta + x2^theta under- or overflows at large theta;
-            # there, with r = log(A / x1^theta) = log(1 + (x2/x1)^theta),
-            # log c1 = x1 (1 - e^(r/theta)) + (1/theta - 1) r
-            th, b1, b2 = (np.broadcast_to(v, out.shape)[bad] for v in (theta, x1, x2))
-            r = _log1pexp(th * (np.log(b2) - np.log(b1)))
-            out[bad] = -b1 * np.expm1(r / th) + (1.0 / th - 1.0) * r
-        return out
-
-    @classmethod
-    def log_pdf(cls, theta, u1, u2):
-        x1, x2, _, _, a, a1 = cls._core(theta, u1, u2)
-        return (-a1 + (theta - 1.0) * (np.log(x1) + np.log(x2)) + x1 + x2
-                + (1.0 / theta - 2.0) * np.log(a) + np.log(a1 + theta - 1.0))
-
-    @classmethod
-    def _a_derivs(cls, theta, u1, u2):
-        """A = x1^theta + x2^theta and A1 = A^(1/theta) with theta-derivatives
-        m = (log A)', m_t = m', q = (log A1)' and q_t = q'."""
-        x1, x2, p1, p2, a, a1 = cls._core(theta, u1, u2)
-        l1, l2 = np.log(x1), np.log(x2)
+    @staticmethod
+    def _a_derivs(theta, l1, l2, p1, p2, a, la):
+        """With l = log x and la = log A: m = (log A)', m_t = m',
+        q = (log A1)' and q_t = q', for A1 = A^(1/theta)."""
         w1, w2 = p1 / a, p2 / a
         m = w1 * l1 + w2 * l2
         # A''/A - m^2, written without its cancellation
         m_t = w1 * w2 * (l1 - l2) ** 2
-        q = (m - np.log(a) / theta) / theta
+        q = (m - la / theta) / theta
         q_t = (m_t - 2.0 * q) / theta
-        return l1, l2, a1, m, m_t, q, q_t
+        return m, m_t, q, q_t
 
     @classmethod
-    def dlog_cdf(cls, theta, u1, u2):
-        _, _, a1, _, _, q, q_t = cls._a_derivs(theta, u1, u2)
-        return -a1 * q, -a1 * (q_t + q ** 2)
+    def log_cdf(cls, theta, u1, u2, derivs=False):
+        x1, x2, p1, p2, a, a1 = cls._core(theta, u1, u2)
+        value = -a1
+        bad = (a < _TINY) | (a == math.inf)
+        if bad.any():
+            # A under- or overflows at large theta; there
+            # A1 = x1 e^(r/theta), with r = log(1 + (x2/x1)^theta)
+            th, b1, b2 = (np.broadcast_to(v, value.shape)[bad] for v in (theta, x1, x2))
+            value[bad] = -b1 * np.exp(_log1pexp(th * (np.log(b2) - np.log(b1))) / th)
+        if not derivs:
+            return value
+        _, _, q, q_t = cls._a_derivs(theta, np.log(x1), np.log(x2), p1, p2, a, np.log(a))
+        return value, -a1 * q, -a1 * (q_t + q ** 2)
 
     @classmethod
-    def dlog_c1(cls, theta, u1, u2):
-        l1, _, a1, m, m_t, q, q_t = cls._a_derivs(theta, u1, u2)
-        return -a1 * q + q - m + l1, -a1 * (q_t + q ** 2) + q_t - m_t
+    def log_c1(cls, theta, u1, u2, derivs=False):
+        x1, x2, p1, p2, a, a1 = cls._core(theta, u1, u2)
+        la, l1 = np.log(a), np.log(x1)
+        value = -a1 + (1.0 / theta - 1.0) * la + (theta - 1.0) * l1 + x1
+        bad = ~np.isfinite(value)
+        if bad.any():
+            # A = x1^theta + x2^theta under- or overflows at large theta;
+            # there, with r = log(A / x1^theta) = log(1 + (x2/x1)^theta),
+            # log c1 = x1 (1 - e^(r/theta)) + (1/theta - 1) r
+            th, b1, b2 = (np.broadcast_to(v, value.shape)[bad] for v in (theta, x1, x2))
+            r = _log1pexp(th * (np.log(b2) - np.log(b1)))
+            value[bad] = -b1 * np.expm1(r / th) + (1.0 / th - 1.0) * r
+        if not derivs:
+            return value
+        m, m_t, q, q_t = cls._a_derivs(theta, l1, np.log(x2), p1, p2, a, la)
+        return value, -a1 * q + q - m + l1, -a1 * (q_t + q ** 2) + q_t - m_t
 
     @classmethod
-    def dlog_pdf(cls, theta, u1, u2):
-        l1, l2, a1, m, m_t, q, q_t = cls._a_derivs(theta, u1, u2)
+    def log_pdf(cls, theta, u1, u2, derivs=False):
+        x1, x2, p1, p2, a, a1 = cls._core(theta, u1, u2)
+        la, l1, l2 = np.log(a), np.log(x1), np.log(x2)
         k = a1 + theta - 1.0
+        value = (-a1 + (theta - 1.0) * (l1 + l2) + x1 + x2
+                 + (1.0 / theta - 2.0) * la + np.log(k))
+        if not derivs:
+            return value
+        m, m_t, q, q_t = cls._a_derivs(theta, l1, l2, p1, p2, a, la)
         k_t = a1 * q + 1.0
         k_tt = a1 * (q_t + q ** 2)
         d1 = -a1 * q + l1 + l2 + q - 2.0 * m + k_t / k
         d2 = -k_tt + q_t - 2.0 * m_t + k_tt / k - (k_t / k) ** 2
-        return d1, d2
+        return value, d1, d2
 
     @staticmethod
     def theta_to_tau(theta):
@@ -743,7 +723,6 @@ def density(m: CopulaModel, u1, u2):
 # 2 (1 - d1) + (1 - d2): both margins observed, only the second censored,
 # only the first, both
 _PIECES = ("log_pdf", "log_c1", "log_c2", "log_cdf")
-_DPIECES = ("dlog_pdf", "dlog_c1", "dlog_c2", "dlog_cdf")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -905,33 +884,33 @@ def _full(a, shape):
     return a if np.shape(a) == shape else np.broadcast_to(a, shape).copy()
 
 
-def _by_case(family: Family, pieces, theta, obs: Observations):
-    """Evaluate each entry's censoring-case piece from ``pieces``, once per
-    case present in ``obs``. A (k, 1) theta column gives a (k, n) result:
-    over a sample, one row per theta; over a (k, n) block, row j at
-    theta j. Each case's entries are scattered back to their places, so
-    sums over the result do not depend on the split. The (d1, d2) pairs
-    of the derivative pieces stack on a leading axis of length 2. The
-    result is always a fresh array: it never shares memory with
-    ``obs``."""
+def _by_case(family: Family, theta, obs: Observations, derivs: bool = False):
+    """Evaluate each entry's censoring-case piece, once per case present
+    in ``obs``. A (k, 1) theta column gives a (k, n) result: over a
+    sample, one row per theta; over a (k, n) block, row j at theta j.
+    Each case's entries are scattered back to their places, so sums over
+    the result do not depend on the split. With ``derivs``, each piece
+    also gives its two theta-derivatives, and (value, d1, d2) stack on a
+    leading axis of length 3. The result is always a fresh array: it
+    never shares memory with ``obs``."""
     ops = _OPS[family]
     shape = obs.u1.shape if np.ndim(theta) == 0 else (len(theta), obs.n)
-    lead = (2,) if pieces is _DPIECES else ()
+    lead = (3,) if derivs else ()
     with np.errstate(all="ignore"):
         if obs.cases and obs.cases[0][1] is None:    # one case, every entry
             (case, _, u1, u2), = obs.cases
-            out = getattr(ops, pieces[case])(theta, u1, u2)
-            return tuple(_full(a, shape) for a in out) if lead else _full(out, shape)
+            out = getattr(ops, _PIECES[case])(theta, u1, u2, derivs)
+            return tuple(_full(a, shape) for a in out) if derivs else _full(out, shape)
         if obs.u1.ndim == 1:
             out = np.empty(lead + shape, dtype=float)
             for case, rows, u1, u2 in obs.cases:
-                out[..., rows] = getattr(ops, pieces[case])(theta, u1, u2)
+                out[..., rows] = getattr(ops, _PIECES[case])(theta, u1, u2, derivs)
             return out
         # a block scatters its flat entries; the pads land in one spare slot
         out = np.empty(lead + (obs.size + 1,), dtype=float)
         for case, positions, u1, u2 in obs.cases:
-            out[..., positions] = np.reshape(getattr(ops, pieces[case])(theta, u1, u2),
-                                             lead + (-1,))
+            out[..., positions] = np.reshape(
+                getattr(ops, _PIECES[case])(theta, u1, u2, derivs), lead + (-1,))
     return out[..., :-1].reshape(lead + shape)
 
 
@@ -946,6 +925,19 @@ def _nonfinite_error(what: str, family: Family, theta, out) -> LikelihoodError:
                            index=idx)
 
 
+def _floored(family: Family, theta, out, strict: bool):
+    """``out`` with its -inf entries raised to LOG_TINY, in place; a NaN
+    raises LikelihoodError when strict, else becomes -inf."""
+    if not np.isfinite(out).all():
+        out[np.isneginf(out)] = LOG_TINY
+        still_bad = ~np.isfinite(out)
+        if still_bad.any():
+            if strict:
+                raise _nonfinite_error("log-likelihood", family, theta, out)
+            out[still_bad] = -np.inf
+    return out
+
+
 def loglik_vec(family: Family, theta, obs: Observations, strict: bool = True):
     """Per-observation censored log-likelihood of ``obs``, vectorized over
     the rows and, for a (k, 1) theta column, over the k thetas as a (k, n)
@@ -957,36 +949,39 @@ def loglik_vec(family: Family, theta, obs: Observations, strict: bool = True):
     derivatives of this function. NaNs raise LikelihoodError when strict,
     otherwise map to -inf (optimizers treat the point as invalid).
     """
-    out = _by_case(family, _PIECES, theta, obs)
-    if not np.isfinite(out).all():
-        neginf = np.isneginf(out)
-        out[neginf] = LOG_TINY
-        still_bad = ~np.isfinite(out)
-        if still_bad.any():
-            if strict:
-                raise _nonfinite_error("log-likelihood", family, theta, out)
-            out[still_bad] = -np.inf
-    return out
+    return _floored(family, theta, _by_case(family, theta, obs), strict)
 
 
-def dlog_vec(family: Family, theta, obs: Observations):
-    """Per-observation score and hessian of ``obs``, the first and second
-    theta-derivatives of ``loglik_vec``, each shaped as its result. One
-    pass evaluates each censoring case's derivative piece once for both;
-    a non-finite entry in either raises LikelihoodError."""
-    score, hessian = _by_case(family, _DPIECES, theta, obs)
+def require_finite(family: Family, theta, score, hessian) -> None:
+    """LikelihoodError for the first non-finite entry of ``score``, or
+    else of ``hessian``, at theta (a float, or the (k, 1) column of
+    their k rows)."""
     for what, out in (("score", score), ("hessian", hessian)):
         if not np.isfinite(out).all():
             raise _nonfinite_error(what, family, theta, out)
-    return score, hessian
+
+
+def dlog_vec(family: Family, theta, obs: Observations, strict: bool = True):
+    """Per-observation log-likelihood, score and hessian of ``obs``, each
+    shaped as ``loglik_vec``'s result, from one pass that evaluates each
+    censoring case's piece once for all three. The log-likelihood is
+    ``loglik_vec(..., strict=False)`` bit for bit, and the score and
+    hessian are its first and second theta-derivatives. When strict, a
+    non-finite score or hessian entry raises LikelihoodError; otherwise
+    they are returned as they are, for the caller to check the rows it
+    reads with ``require_finite``."""
+    loglik, score, hessian = _by_case(family, theta, obs, derivs=True)
+    if strict:
+        require_finite(family, theta, score, hessian)
+    return _floored(family, theta, loglik, False), score, hessian
 
 
 def score_vec(family: Family, theta, obs: Observations):
-    return dlog_vec(family, theta, obs)[0]
+    return dlog_vec(family, theta, obs)[1]
 
 
 def hessian_vec(family: Family, theta, obs: Observations):
-    return dlog_vec(family, theta, obs)[1]
+    return dlog_vec(family, theta, obs)[2]
 
 
 def theta_to_tau(family: Family, theta: float) -> float:

@@ -14,19 +14,19 @@ InferenceError.
 as a bootstrap's replicates, with one ``maximize_1d`` call: each row's
 search is its own, but the rows step in lockstep, so each round
 evaluates all their thetas in one kernel call on a (k, 1) column, and
-one derivative pass at the column of estimates ends the fit. A row
-equals its own ``fit_pmle`` bit for bit, and a row whose fit fails
-holds its typed error instead of raising. ``fit_pmle`` is the same
-search with one row.
+one pass of log-likelihood, score and hessian at the column of
+estimates ends the fit. A row equals its own ``fit_pmle`` bit for bit,
+and a row whose fit fails holds its typed error instead of raising.
+``fit_pmle`` is the same search with one row.
 
 ``fit_pmle`` takes the pseudo-sample as the ``copulas.Observations``
 that ``survival.pseudo_observations`` returns, validated and split into
 its censoring cases once, and checks only that it has enough rows and
 that every pseudo-observation lies strictly in (0, 1). Its
 ``FitResult`` is the fitted model on that sample: it carries the
-sample and the per-observation score and hessian at theta_hat from the
-one ``copulas.dlog_vec`` pass that the convergence check makes. Every
-statistic is a function of the fit alone.
+sample and the per-observation log-likelihood, score and hessian at
+theta_hat from the one ``copulas.dlog_vec`` pass that the convergence
+check makes. Every statistic is a function of the fit alone.
 
 Under a correctly specified copula the negative mean hessian S and the
 mean squared score V of the pseudo-likelihood estimate the same
@@ -41,8 +41,9 @@ A fourth, the cross-validated likelihood contrast T (PIOS), compares
 in-sample and leave-one-out log-likelihoods. Its n delete-one
 re-maximizations are solved together: a safeguarded Newton iteration on
 the unconstrained scale, warm-started at the full-sample estimate and
-its score and hessian, runs over blocks of rows with the family kernels
-evaluated at a column of thetas at once, and a row converges when its
+its log-likelihood, score and hessian, runs over blocks of rows. Each
+iteration makes one ``copulas.dlog_vec`` pass at the column of the
+rows' trial thetas, which gives all three, and a row converges when its
 Newton step is at most _LOO_XTOL.
 """
 
@@ -85,18 +86,20 @@ class InferenceError(Exception):
 class FitResult:
     """A fitted family on its sample ``obs``: theta_hat, the
     pseudo-log-likelihood there, and the read-only per-observation
-    ``score`` and ``hessian`` at theta_hat."""
+    log-likelihood ``loglik_obs``, ``score`` and ``hessian`` at
+    theta_hat."""
     family: Family
     theta_hat: float
     loglik: float
     converged: bool
     n_evaluations: int
     obs: Observations = field(compare=False, repr=False)
+    loglik_obs: np.ndarray = field(compare=False, repr=False)
     score: np.ndarray = field(compare=False, repr=False)
     hessian: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("score", "hessian"):
+        for name in ("loglik_obs", "score", "hessian"):
             a = np.array(getattr(self, name), dtype=float)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -104,7 +107,8 @@ class FitResult:
     def __reduce__(self):
         # rebuilt through the constructor, so read-only again when unpickled
         return FitResult, (self.family, self.theta_hat, self.loglik, self.converged,
-                           self.n_evaluations, self.obs, self.score, self.hessian)
+                           self.n_evaluations, self.obs, self.loglik_obs, self.score,
+                           self.hessian)
 
     @property
     def n(self) -> int:
@@ -171,16 +175,17 @@ def _edge_error(family: Family, theta_hat: float) -> InferenceError:
 class BlockFit:
     """Fits of one family to each row of ``obs``, a sample (one row) or a
     (k, n) block: per row theta_hat, the pseudo-log-likelihood there,
-    the convergence flag, the objective evaluations, and the score and
-    hessian rows, (k, n), at theta_hat. ``errors[j]`` is the typed error
-    that ended row j's fit, or None; a failed row's other entries are
-    undefined."""
+    the convergence flag, the objective evaluations, and the read-only
+    per-observation log-likelihood, score and hessian rows, (k, n), at
+    theta_hat. ``errors[j]`` is the typed error that ended row j's fit,
+    or None; a failed row's other entries are undefined."""
     family: Family
     obs: Observations
     theta_hat: np.ndarray
     loglik: np.ndarray
     converged: np.ndarray
     n_evaluations: np.ndarray
+    loglik_obs: np.ndarray
     score: np.ndarray
     hessian: np.ndarray
     errors: tuple
@@ -192,7 +197,8 @@ class BlockFit:
         return FitResult(family=self.family, theta_hat=float(self.theta_hat[j]),
                          loglik=float(self.loglik[j]), converged=bool(self.converged[j]),
                          n_evaluations=int(self.n_evaluations[j]), obs=self.obs.row(j),
-                         score=self.score[j], hessian=self.hessian[j])
+                         loglik_obs=self.loglik_obs[j], score=self.score[j],
+                         hessian=self.hessian[j])
 
     def statistics(self, kinds, j: int) -> dict[str, StatisticValue]:
         """``compute_statistics(kinds, self.result(j))``. ir, white and logim
@@ -259,27 +265,26 @@ def _search(family: Family, obs: Observations, x0):
 
 
 def _dlog_rows(family: Family, obs: Observations, rows, thetas):
-    """Score and hessian of ``obs``'s ``rows`` at their thetas, as (len(rows),
-    n) arrays, from one ``copulas.dlog_vec`` pass, and each row's
-    LikelihoodError or None. Only when that pass fails is each row
-    evaluated alone, to find which rows fail with which error."""
+    """Log-likelihood, score and hessian of ``obs``'s ``rows`` at their
+    thetas, each a (len(rows), n) array, from one ``copulas.dlog_vec``
+    pass, and each row's LikelihoodError or None. Only when that pass
+    fails is each row evaluated alone, to find which rows fail with
+    which error."""
     try:
         if obs.u1.ndim == 1:
-            score, hessian = copulas.dlog_vec(family, thetas[0], obs)
-            return score[None], hessian[None], [None]
+            return [a[None] for a in copulas.dlog_vec(family, thetas[0], obs)], [None]
         sub = obs if len(rows) == obs.k else obs.take(rows)
-        score, hessian = copulas.dlog_vec(family, np.array(thetas)[:, None], sub)
-        return score, hessian, [None] * len(rows)
+        return copulas.dlog_vec(family, np.array(thetas)[:, None], sub), [None] * len(rows)
     except LikelihoodError:
         pass
-    score, hessian = np.full((2, len(rows), obs.n), np.nan)
+    out = np.full((3, len(rows), obs.n), np.nan)
     errors = [None] * len(rows)
     for i, (j, theta) in enumerate(zip(rows, thetas)):
         try:
-            score[i], hessian[i] = copulas.dlog_vec(family, theta, obs.row(j))
+            out[:, i] = copulas.dlog_vec(family, theta, obs.row(j))
         except LikelihoodError as exc:
             errors[i] = exc
-    return score, hessian, errors
+    return out, errors
 
 
 def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
@@ -288,11 +293,11 @@ def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
     lockstep ``numerics.maximize_1d`` call: each round takes one step of
     each running row's own bracketed search and evaluates all their
     thetas in one ``copulas.loglik_vec`` call, and one
-    ``copulas.dlog_vec`` pass gives every row's score and hessian. Row j
-    equals ``fit_pmle`` of ``obs.row(j)`` bit for bit; a row whose fit
-    fails holds its typed error in ``errors``. Raises InferenceError for
-    the whole block if its rows are too short or a pseudo-observation
-    lies outside (0, 1)."""
+    ``copulas.dlog_vec`` pass gives every row's log-likelihood, score and
+    hessian at its estimate. Row j equals ``fit_pmle`` of ``obs.row(j)``
+    bit for bit; a row whose fit fails holds its typed error in
+    ``errors``. Raises InferenceError for the whole block if its rows are
+    too short or a pseudo-observation lies outside (0, 1)."""
     _check(obs)
     k = obs.k
     x0 = np.broadcast_to(copulas.to_unconstrained(family, initial_theta), (k,))
@@ -300,12 +305,14 @@ def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
     rows = [j for j in range(k) if errors[j] is None]
     theta_hat = np.full(k, np.nan)
     converged = np.zeros(k, dtype=bool)
-    score, hessian = np.full((2, k, obs.n), np.nan)
+    at_hat = np.full((3, k, obs.n), np.nan)
     if rows:
         thetas = [copulas.from_unconstrained(family, x_star[j]) for j in rows]
         theta_hat[rows] = thetas
-        s, h, dlog_errors = _dlog_rows(family, obs, rows, thetas)
-        score[rows], hessian[rows] = s, h
+        passes, dlog_errors = _dlog_rows(family, obs, rows, thetas)
+        for a, p in zip(at_hat, passes):
+            a[rows] = p
+        s = passes[1]
         for i, j in enumerate(rows):
             theta = thetas[i]
             if dlog_errors[i] is not None:
@@ -317,9 +324,11 @@ def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
                 errors[j] = _edge_error(family, theta)
     # maximize_1d returns a finite f_star, so every piece at theta_hat was
     # finite and f_star is the strict pseudo-log-likelihood there
+    at_hat.flags.writeable = False
+    loglik_obs, score, hessian = at_hat
     return BlockFit(family=family, obs=obs, theta_hat=theta_hat, loglik=f_star,
-                    converged=converged, n_evaluations=evaluations, score=score,
-                    hessian=hessian, errors=tuple(errors))
+                    converged=converged, n_evaluations=evaluations, loglik_obs=loglik_obs,
+                    score=score, hessian=hessian, errors=tuple(errors))
 
 
 def fit_pmle(family: Family, obs: Observations, *,
@@ -336,8 +345,9 @@ def fit_pmle(family: Family, obs: Observations, *,
     used (then InferenceError). A fit that ends unconverged on a finite
     edge of the domain, as on independent data for a family whose
     independence point is that edge, raises InferenceError. The score
-    and hessian at theta_hat come from one ``copulas.dlog_vec`` pass; if
-    an entry is non-finite off the edge, its LikelihoodError propagates.
+    and hessian at theta_hat come from one ``copulas.dlog_vec`` pass, with
+    the per-observation log-likelihood; if a score or hessian entry is
+    non-finite off the edge, its LikelihoodError propagates.
     This is ``fit_block``'s search with one row.
     """
     _check(obs)
@@ -359,7 +369,7 @@ def information(family: Family, theta, obs: Observations) -> tuple[float, float]
     log-likelihood. At a fit's theta_hat, the statistics read them from
     the fit instead."""
     _check_type(obs)
-    return _moments(*copulas.dlog_vec(family, theta, obs))
+    return _moments(*copulas.dlog_vec(family, theta, obs)[1:])
 
 
 def _ir(s: float, v: float) -> StatisticValue:
@@ -443,10 +453,16 @@ def _loo_block(fit: FitResult, rows, at_hat):
         f_trial = np.full(act.size, -np.inf)
         own_trial, g, h = np.zeros((3, act.size))
         ok = (lo < theta) & (theta < hi)
-        ll = copulas.loglik_vec(family, theta[ok][:, None], obs, strict=False)
+        column = theta[ok][:, None]
+        ll, score, hessian = copulas.dlog_vec(family, column, obs, strict=False)
         f_trial[ok], own_trial[ok] = _drop_own(ll, rows[act[ok]])
+        # only the rows whose trial is finite read their derivatives, so
+        # only theirs must be finite
+        fin = np.isfinite(f_trial[ok])
+        if not fin.all():
+            column, score, hessian = column[fin], score[fin], hessian[fin]
+        copulas.require_finite(family, column, score, hessian)
         ok = np.isfinite(f_trial)
-        score, hessian = copulas.dlog_vec(family, theta[ok][:, None], obs)
         g[ok], h[ok] = _search_slopes(family, theta[ok], rows[act[ok]], score, hessian)
         up = ok & ((f_trial >= f[act]) | (np.abs(g) <= np.abs(grad[act])))
         step[act[~up]] *= 0.5
@@ -460,12 +476,17 @@ def _loo_block(fit: FitResult, rows, at_hat):
 def _loo_fits(fit: FitResult):
     """The leave-one-out maximizers x_i on the search scale, each deleted
     observation's log-likelihood at its own x_i, and the per-observation
-    log-likelihood at the full-sample estimate. Raises InferenceError if
-    a refit did not converge, counting over all n rows those whose
-    optimum is on the domain edge, or else those unconverged."""
+    log-likelihood at the full-sample estimate, which the fit carries.
+    Raises LikelihoodError where that is not finite (a fit built at a
+    theta where a piece is NaN), and InferenceError if a refit did not
+    converge, counting over all n rows those whose optimum is on the
+    domain edge, or else those unconverged."""
     family = fit.family
-    at_hat = (copulas.loglik_vec(family, fit.theta_hat, fit.obs),
-              fit.score, fit.hessian)
+    at_hat = (fit.loglik_obs, fit.score, fit.hessian)
+    if not np.isfinite(at_hat[0]).all():
+        raise LikelihoodError(f"non-finite log-likelihood for {family.value} at "
+                              f"theta={fit.theta_hat}",
+                              index=int(np.argmax(~np.isfinite(at_hat[0]))))
     n = fit.n
     x = np.empty(n)
     own = np.empty(n)

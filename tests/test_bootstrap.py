@@ -134,10 +134,10 @@ def test_one_observations_per_sample(kinds, monkeypatch):
         builds.append(self)
         init(self)
 
-    def counted_dlog(family, theta, obs):
+    def counted_dlog(family, theta, obs, **options):
         if np.ndim(theta) == 0:
             passes.append(theta)
-        return dlog_vec(family, theta, obs)
+        return dlog_vec(family, theta, obs, **options)
 
     monkeypatch.setenv("COPULA_GOF_THREADS", "1")
     monkeypatch.setattr(copulas.Observations, "__post_init__", counted)
@@ -322,9 +322,10 @@ def test_pios_at_domain_edge_fails_typed(monkeypatch):
         bootstrap_reports(sample, Family.CLAYTON, config, kinds=("pios",))
     obs = pseudo_observations(sample)
     loglik = float(copulas.loglik_vec(Family.CLAYTON, 1e-8, obs).sum())
-    score, hessian = copulas.dlog_vec(Family.CLAYTON, 1e-8, obs)
+    loglik_obs, score, hessian = copulas.dlog_vec(Family.CLAYTON, 1e-8, obs)
     edge = inference.FitResult(Family.CLAYTON, 1e-8, loglik, converged=False,
-                               n_evaluations=0, obs=obs, score=score, hessian=hessian)
+                               n_evaluations=0, obs=obs, loglik_obs=loglik_obs,
+                               score=score, hessian=hessian)
     with pytest.raises(inference.InferenceError, match="leave-one-out"):
         bootstrap_reports(sample, Family.CLAYTON, config, kinds=("pios",), fit=edge)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -137,12 +138,18 @@ def test_score_hessian_match_fd(family):
 
 def test_every_family_declares_its_pieces_and_derivatives():
     # no numerical fallback remains to stand in for a missing piece, nor
-    # a bisection sampler for a missing inverse
+    # a bisection sampler for a missing inverse; each piece, asked for its
+    # derivatives, gives them with its value, bit for bit the value alone
+    u1, u2 = np.array([0.2, 0.7, 0.95]), np.array([0.6, 0.3, 0.9])
     for family in Family:
-        own = vars(copulas.family_ops(family))
-        for name in ("log_pdf", "log_c1", "log_cdf", "dlog_pdf", "dlog_c1", "dlog_cdf",
-                     "inv_conditional"):
-            assert name in own, (family, name)
+        ops = copulas.family_ops(family)
+        for name in ("log_pdf", "log_c1", "log_cdf", "inv_conditional"):
+            assert name in vars(ops), (family, name)
+        for name in copulas._PIECES:
+            value, d1, d2 = getattr(ops, name)(THETAS[family], u1, u2, derivs=True)
+            assert value.tobytes() == getattr(ops, name)(THETAS[family], u1, u2).tobytes()
+            assert d1.shape == d2.shape == u1.shape
+        assert not [name for name in dir(ops) if name.startswith("dlog")]
     assert not hasattr(copulas._Family, "inv_conditional")
 
 
@@ -154,30 +161,35 @@ def _four_case_sample(n=40, seed=5):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_dlog_vec_evaluates_each_case_piece_once(family, monkeypatch):
+    # one pass: each case's piece runs once, asked for its derivatives,
+    # and gives the log-likelihood, score and hessian together
     ops = copulas.family_ops(family)
     calls = {}
-    for name in ("dlog_pdf", "dlog_c1", "dlog_c2", "dlog_cdf"):
+    for name in copulas._PIECES:
         def counted(*args, _name=name, _piece=getattr(ops, name)):
             calls[_name] = calls.get(_name, 0) + 1
+            assert args[-1] is True
             return _piece(*args)
         monkeypatch.setattr(ops, name, counted)
     u1, u2, d1, d2 = _four_case_sample()
     copulas.dlog_vec(family, THETAS[family], copulas.Observations(u1, u2, d1, d2))
-    # dlog_c2 is dlog_c1 with its pairs swapped, so dlog_c1 runs for two cases
-    assert calls == {"dlog_pdf": 1, "dlog_c1": 2, "dlog_c2": 1, "dlog_cdf": 1}
+    # log_c2 is log_c1 with its pairs swapped, so log_c1 runs for two cases
+    assert calls == {"log_pdf": 1, "log_c1": 2, "log_c2": 1, "log_cdf": 1}
     calls.clear()
     copulas.dlog_vec(family, THETAS[family],
                      copulas.Observations(u1, u2, np.ones_like(d1), np.ones_like(d2)))
-    assert calls == {"dlog_pdf": 1}
+    assert calls == {"log_pdf": 1}
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_dlog_vec_halves_are_score_and_hessian(family):
+    # the pass gives the log-likelihood first, then the score and hessian
     u1, u2, d1, d2 = _four_case_sample()
     obs = copulas.Observations(u1, u2, d1, d2)
     column = np.array(COLUMN_THETAS[family])[:, None]
     for theta in (THETAS[family], column):
-        score, hessian = copulas.dlog_vec(family, theta, obs)
+        loglik, score, hessian = copulas.dlog_vec(family, theta, obs)
+        assert loglik.tobytes() == loglik_vec(family, theta, obs, strict=False).tobytes()
         assert score.tobytes() == score_vec(family, theta, obs).tobytes()
         assert hessian.tobytes() == hessian_vec(family, theta, obs).tobytes()
 
@@ -218,9 +230,10 @@ def test_frank_log_pieces_near_one_one(theta, u1, u2, log_pdf, log_c1, log_cdf):
     (5.0, 1e-6, 1e-3, 0.19271626669051212, -0.03317024276897294),
 ])
 def test_frank_dlog_cdf_in_the_lower_corner(theta, u1, u2, d1, d2):
-    got = copulas.family_ops(Family.FRANK).dlog_cdf(theta, np.array([u1]), np.array([u2]))
-    assert got[0][0] == pytest.approx(d1, rel=1e-12, abs=0.0)
-    assert got[1][0] == pytest.approx(d2, rel=1e-12, abs=0.0)
+    got = copulas.family_ops(Family.FRANK).log_cdf(theta, np.array([u1]), np.array([u2]),
+                                                   derivs=True)
+    assert got[1][0] == pytest.approx(d1, rel=1e-12, abs=0.0)
+    assert got[2][0] == pytest.approx(d2, rel=1e-12, abs=0.0)
 
 
 def test_gaussian_cdf_theta_derivative_is_density():
@@ -243,7 +256,7 @@ def test_gaussian_dlog_cdf_matches_central_differences(rho, u):
     # the doubly censored piece, including the negative-rho tail rows
     ops = copulas.family_ops(Family.GAUSSIAN)
     u1, u2 = np.array([u[0]]), np.array([u[1]])
-    d1, d2 = ops.dlog_cdf(rho, u1, u2)
+    _, d1, d2 = ops.log_cdf(rho, u1, u2, derivs=True)
 
     def f(r):
         return ops.log_cdf(r, u1, u2)
@@ -308,21 +321,22 @@ def test_theta_column_rows_equal_scalar_calls(family, d1, d2):
             assert row.tobytes() == fn(family, theta, obs).tobytes(), (fn, theta)
 
 
-def _per_mask(family, pieces, theta, u1, u2, d1, d2):
+def _per_mask(family, theta, u1, u2, d1, d2, derivs=False):
     """Reference evaluation of each row's censoring-case piece: four
     boolean masks formed from the indicators on every call, each case's
-    rows gathered and its piece's values assigned back through the mask."""
+    rows gathered and its piece's values (with ``derivs``, its value and
+    derivatives, stacked) assigned back through the mask."""
     ops = copulas.family_ops(family)
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     d1 = np.asarray(d1).astype(bool)
     d2 = np.asarray(d2).astype(bool)
-    lead = (2,) if pieces == copulas._DPIECES else ()
+    lead = (3,) if derivs else ()
     out = np.empty(lead + np.shape(theta)[:1] + u1.shape, dtype=float)
     with np.errstate(all="ignore"):
-        for mask, piece in zip((d1 & d2, d1 & ~d2, ~d1 & d2, ~d1 & ~d2), pieces):
+        for mask, piece in zip((d1 & d2, d1 & ~d2, ~d1 & d2, ~d1 & ~d2), copulas._PIECES):
             if mask.any():
-                out[..., mask] = getattr(ops, piece)(theta, u1[mask], u2[mask])
+                out[..., mask] = getattr(ops, piece)(theta, u1[mask], u2[mask], derivs)
     return out
 
 
@@ -366,22 +380,28 @@ def test_case_split_equals_per_mask_evaluation(case):
               *(a for _, rows, v1, v2 in obs.cases for a in (rows, v1, v2) if a is not None)):
         assert not a.flags.writeable
 
-    raw = _per_mask(family, copulas._PIECES, theta, u1, u2, d1, d2)
+    raw = _per_mask(family, theta, u1, u2, d1, d2)
     expect = np.where(np.isneginf(raw), numerics.LOG_TINY, raw)
     expect[~np.isfinite(expect)] = -np.inf
     ll = loglik_vec(family, theta, obs, strict=False)
     assert ll.tobytes() == expect.tobytes()
     outputs = [ll]
 
-    raw = _per_mask(family, copulas._DPIECES, theta, u1, u2, d1, d2)
+    raw = _per_mask(family, theta, u1, u2, d1, d2, derivs=True)
+    # the one pass's log-likelihood is loglik_vec's, whether or not its
+    # derivatives are checked
+    loose = copulas.dlog_vec(family, theta, obs, strict=False)
+    assert loose[0].tobytes() == ll.tobytes()
+    assert loose[1].tobytes() == raw[1].tobytes() and loose[2].tobytes() == raw[2].tobytes()
     try:
-        score, hessian = copulas.dlog_vec(family, theta, obs)
+        loglik, score, hessian = copulas.dlog_vec(family, theta, obs)
     except copulas.LikelihoodError:
-        assert not np.isfinite(raw).all()
+        assert not np.isfinite(raw[1:]).all()
     else:
-        assert score.tobytes() == raw[0].tobytes()
-        assert hessian.tobytes() == raw[1].tobytes()
-        outputs += [score, hessian]
+        assert loglik.tobytes() == ll.tobytes()
+        assert score.tobytes() == raw[1].tobytes()
+        assert hessian.tobytes() == raw[2].tobytes()
+        outputs += [loglik, score, hessian]
     for out in outputs:
         assert not np.shares_memory(out, obs.u1) and not np.shares_memory(out, obs.u2)
 
@@ -429,7 +449,8 @@ def test_block_rows_equal_their_one_sample_calls(case):
     column = thetas[:, None]
     calls = [lambda th, o: loglik_vec(family, th, o, strict=False),
              lambda th, o: loglik_vec(family, th, o),
-             lambda th, o: np.array(copulas.dlog_vec(family, th, o))]
+             lambda th, o: np.array(copulas.dlog_vec(family, th, o)),
+             lambda th, o: np.array(copulas.dlog_vec(family, th, o, strict=False))]
     for call in calls:
         whole = _outcome(lambda: call(column, block))
         alone = [_outcome(lambda: call(float(t), r)) for t, r in zip(thetas, rows)]
@@ -442,6 +463,36 @@ def test_block_rows_equal_their_one_sample_calls(case):
         for j, a in enumerate(alone):
             assert whole[..., j, :].tobytes() == a.tobytes(), (call, j)
         assert _same(_outcome(lambda: call(column[order], taken)), whole[..., order, :])
+    # the one pass's log-likelihood is loglik_vec's over the block too
+    loose = copulas.dlog_vec(family, column, block, strict=False)
+    assert loose[0].tobytes() == loglik_vec(family, column, block, strict=False).tobytes()
+
+
+# sha256 prefixes of the score and hessian bytes over a four-case sample
+# at each family's theta column, recorded (numpy 2.4.6, x86-64) when the
+# derivatives came from derivative pieces of their own; the one pass that
+# also gives the value keeps every bit
+SCORE_HESSIAN_DIGESTS = {
+    Family.CLAYTON: "6667491b27394fe1",
+    Family.FRANK: "94ee5a192a8581f2",
+    Family.JOE: "051ef80ff5659d30",
+    Family.GAUSSIAN: "cc7bf6f64f7239e8",
+    Family.GUMBEL: "048912b4317e4eb5",
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_score_and_hessian_bytes_are_pinned(family):
+    rng = np.random.default_rng(21)
+    u1 = np.concatenate([rng.uniform(0.001, 0.999, 400),
+                         [0.003, 0.5, 0.97, 0.003, 0.999, 0.9999]])
+    u2 = np.concatenate([rng.uniform(0.001, 0.999, 400),
+                         [0.003, 0.5, 0.002, 0.9, 0.998, 0.9995]])
+    d1, d2 = [np.resize(d, u1.size) for d in ([1, 1, 0, 0], [1, 0, 1, 0])]
+    obs = copulas.Observations(u1, u2, d1, d2)
+    _, score, hessian = copulas.dlog_vec(family, np.array(COLUMN_THETAS[family])[:, None], obs)
+    digest = hashlib.sha256(score.tobytes() + hessian.tobytes()).hexdigest()[:16]
+    assert digest == SCORE_HESSIAN_DIGESTS[family]
 
 
 def _same(a, b):
@@ -624,6 +675,33 @@ def test_log_c1_finite_at_large_theta(family, theta, u1, u2, log_c1):
     assert got[1] == alone[0]
     assert column[0].tobytes() == got.tobytes()
     assert column[1].tobytes() == at_two.tobytes()
+
+
+# (family, theta, u1, u2, log C) where gamma (Joe) or A (Gumbel)
+# underflows, or A overflows, so the direct form gave -0.0 or -inf.
+# References from mpmath at 100 digits.
+@pytest.mark.parametrize("family, theta, u1, u2, log_cdf", [
+    ("joe", 200.0, 0.99, 0.995, -0.01005033585350145),
+    ("joe", 200.0, 0.999, 0.98, -0.020202707317519467),
+    ("gumbel", 100.0, 0.9998, 0.9999, -0.0002000200026670447),
+    ("gumbel", 100.0, 0.9999, 0.9998, -0.0002000200026670447),
+    ("gumbel", 300.0, 1e-06, 1e-05, -13.815510557964274),
+])
+def test_log_cdf_at_large_theta(family, theta, u1, u2, log_cdf):
+    ops = copulas.family_ops(Family(family))
+    a1, a2 = np.array([u1, 0.4]), np.array([u2, 0.6])
+    with np.errstate(all="ignore"):
+        got = ops.log_cdf(theta, a1, a2)
+        alone = ops.log_cdf(theta, a1[1:], a2[1:])
+        column = ops.log_cdf(np.array([[theta], [2.0]]), a1, a2)
+        at_two = ops.log_cdf(2.0, a1, a2)
+        # asked for its derivatives too, the piece gives the same value
+        with_derivs = ops.log_cdf(theta, a1, a2, derivs=True)[0]
+    np.testing.assert_allclose(got[0], log_cdf, rtol=1e-14)
+    assert got[1] == alone[0]
+    assert column[0].tobytes() == got.tobytes()
+    assert column[1].tobytes() == at_two.tobytes()
+    assert with_derivs.tobytes() == got.tobytes()
 
 
 def test_sampler_deterministic():

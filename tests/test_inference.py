@@ -305,9 +305,9 @@ def _edge_fit(family, obs):
     """An unconverged fit 1e-8 inside the lower edge of the domain."""
     theta = copulas.family_ops(family).domain[0] + 1e-8
     loglik = float(copulas.loglik_vec(family, theta, obs).sum())
-    score, hessian = copulas.dlog_vec(family, theta, obs)
+    loglik_obs, score, hessian = copulas.dlog_vec(family, theta, obs)
     return FitResult(family, theta, loglik, converged=False, n_evaluations=0,
-                     obs=obs, score=score, hessian=hessian)
+                     obs=obs, loglik_obs=loglik_obs, score=score, hessian=hessian)
 
 
 @pytest.mark.parametrize("family", [Family.CLAYTON, Family.FRANK, Family.JOE, Family.GUMBEL])
@@ -346,9 +346,9 @@ def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
     thetas = []
     dlog_vec = copulas.dlog_vec
 
-    def counted(family, theta, *data):
+    def counted(family, theta, *data, **options):
         thetas.append(theta)
-        return dlog_vec(family, theta, *data)
+        return dlog_vec(family, theta, *data, **options)
 
     def unused(*args):
         raise AssertionError("score and hessian come from dlog_vec")
@@ -360,10 +360,12 @@ def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
     # the fit's convergence check is the one pass at theta_hat, and the
     # fit keeps it, read-only
     assert thetas == [fit.theta_hat]
-    score, hessian = dlog_vec(Family.GUMBEL, fit.theta_hat, obs)
+    loglik_obs, score, hessian = dlog_vec(Family.GUMBEL, fit.theta_hat, obs)
+    assert fit.loglik_obs.tobytes() == loglik_obs.tobytes()
     assert fit.score.tobytes() == score.tobytes()
     assert fit.hessian.tobytes() == hessian.tobytes()
-    assert not (fit.score.flags.writeable or fit.hessian.flags.writeable)
+    assert not (fit.loglik_obs.flags.writeable or fit.score.flags.writeable
+                or fit.hessian.flags.writeable)
     thetas.clear()
     inference.compute_statistics(("ir", "white", "logim"), fit)
     assert thetas == []
@@ -373,19 +375,71 @@ def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
     assert all(t.ndim == 2 and t.shape[1] == 1 for t in thetas)
 
 
+@pytest.mark.parametrize("family", [Family.CLAYTON, Family.GAUSSIAN])
+def test_loo_newton_makes_one_kernel_pass_per_iteration(family, monkeypatch):
+    # each Newton iteration of the leave-one-out solve takes its
+    # log-likelihood, score and hessian from one kernel pass at its theta
+    # column; it never calls loglik_vec, and nothing is evaluated at
+    # theta_hat, whose values the fit carries
+    obs = _simulate(family, 0.5, 40, seed=13, censoring_mean=1.5)
+    fit = fit_pmle(family, obs)
+    whole = compute_statistic("pios", fit).value
+    passes, steps = [], []
+    by_case, newton_step = copulas._by_case, inference._newton_step
+
+    def counted_pass(family, theta, obs, derivs=False):
+        passes.append((np.shape(theta), derivs))
+        return by_case(family, theta, obs, derivs)
+
+    def counted_step(g, h):
+        steps.append(g.size)
+        return newton_step(g, h)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the leave-one-out solve called loglik_vec")
+
+    monkeypatch.setattr(copulas, "_by_case", counted_pass)
+    monkeypatch.setattr(copulas, "loglik_vec", unused)
+    monkeypatch.setattr(inference, "_newton_step", counted_step)
+    # blocks of 13, 13, 13 and 1 rows
+    monkeypatch.setattr(inference, "BLOCK_ENTRIES", 13 * 40)
+    assert compute_statistic("pios", fit).value == whole
+    # _newton_step runs once to start each block and once per iteration
+    assert len(passes) == len(steps) - 4 > 4
+    assert all(len(shape) == 2 and shape[1] == 1 and derivs for shape, derivs in passes)
+
+
+def test_pios_of_a_fit_whose_loglik_is_not_finite_is_a_typed_error():
+    # the statistic reads the fit's own per-observation log-likelihood; a
+    # fit built where a piece is NaN fails as loglik_vec would have
+    obs = _simulate(Family.CLAYTON, 0.5, 40, seed=6, censoring_mean=1.5)
+    fit = fit_pmle(Family.CLAYTON, obs)
+    loglik_obs = fit.loglik_obs.copy()
+    loglik_obs[3] = -np.inf
+    built = FitResult(fit.family, fit.theta_hat, fit.loglik, fit.converged,
+                      fit.n_evaluations, obs=obs, loglik_obs=loglik_obs, score=fit.score,
+                      hessian=fit.hessian)
+    with pytest.raises(copulas.LikelihoodError,
+                       match="non-finite log-likelihood for clayton") as err:
+        compute_statistic("pios", built)
+    assert err.value.index == 3
+
+
 def test_fit_arrays_are_read_only_through_the_type():
     # a fit built directly or unpickled holds read-only copies of its score
     # and hessian, as the one fit_pmle returns does
     obs = _simulate(Family.CLAYTON, 0.5, 40, seed=6, censoring_mean=1.5)
     fit = fit_pmle(Family.CLAYTON, obs)
-    score, hessian = copulas.dlog_vec(Family.CLAYTON, 2.0, obs)
+    loglik_obs, score, hessian = copulas.dlog_vec(Family.CLAYTON, 2.0, obs)
     built = FitResult(Family.CLAYTON, 2.0, 0.0, converged=False, n_evaluations=0,
-                      obs=obs, score=score, hessian=hessian)
-    assert score.flags.writeable and hessian.flags.writeable
+                      obs=obs, loglik_obs=loglik_obs, score=score, hessian=hessian)
+    assert loglik_obs.flags.writeable and score.flags.writeable and hessian.flags.writeable
     again = pickle.loads(pickle.dumps(fit))
     assert again == fit and again.obs == obs
     for f in (fit, built, again):
-        assert not (f.score.flags.writeable or f.hessian.flags.writeable)
+        assert not (f.loglik_obs.flags.writeable or f.score.flags.writeable
+                    or f.hessian.flags.writeable)
+    assert again.loglik_obs.tobytes() == fit.loglik_obs.tobytes()
     assert again.score.tobytes() == fit.score.tobytes()
     assert again.hessian.tobytes() == fit.hessian.tobytes()
     assert compute_statistic("pios", again) == compute_statistic("pios", fit)
