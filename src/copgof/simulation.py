@@ -44,10 +44,14 @@ class SimulationError(Exception):
 
 @dataclass(frozen=True)
 class Scenario:
+    """A study design: the true family at Kendall's tau, n rows and a
+    censoring level. ``theta`` is the family's parameter at tau, computed
+    once here, where it also validates tau."""
     true_family: Family
     tau: float
     n: int
     censoring: str = "none"
+    theta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.censoring not in CENSORING_LEVELS:
@@ -55,8 +59,8 @@ class Scenario:
             raise ValueError(f"censoring must be one of {valid}, got {self.censoring!r}")
         if self.n < inference.MIN_OBSERVATIONS:
             raise ValueError(f"scenario size n={self.n} too small")
-        # validates tau against the family's admissible range
-        copulas.tau_to_theta(self.true_family, self.tau)
+        # raises ValueError for a tau outside the family's admissible range
+        object.__setattr__(self, "theta", copulas.tau_to_theta(self.true_family, self.tau))
 
     @property
     def censoring_mean(self) -> float:
@@ -74,8 +78,7 @@ def generate_scenario_dataset(scenario: Scenario, seed: int,
     data namespace derived from the master seed."""
     data_seed = derive_seed(seed, _DATA_TAG)
     gen = RngStream(data_seed, replicate).generator()
-    theta = copulas.tau_to_theta(scenario.true_family, scenario.tau)
-    model = CopulaModel(scenario.true_family, theta)
+    model = CopulaModel(scenario.true_family, scenario.theta)
     u1, u2 = copulas.sample_pairs(model, gen, scenario.n)
     t1 = -np.log(u1)
     t2 = -np.log(u2)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from copgof import bootstrap
+from copgof import bootstrap, copulas
 from copgof.copulas import Family
 from copgof.simulation import (CENSORING_LEVELS, Scenario, StudyConfig,
                                generate_scenario_dataset,
@@ -20,6 +20,21 @@ def test_study_config_validation():
             StudyConfig(**bad)
     # kinds are case-insensitive, as on the command line
     assert StudyConfig(kinds=("IR", "White")).kinds == ("ir", "white")
+
+
+def test_scenario_dataset_reads_the_scenario_theta(monkeypatch):
+    # theta is computed once, with the scenario; generating its datasets
+    # inverts no tau (a Frank tau takes a root-find over a quadrature)
+    scenario = Scenario(Family.FRANK, 0.5, 60, "c20")
+    assert scenario.theta == copulas.tau_to_theta(Family.FRANK, 0.5)
+    assert replace(scenario, tau=0.7).theta == copulas.tau_to_theta(Family.FRANK, 0.7)
+    expect = generate_scenario_dataset(scenario, seed=3, replicate=2)
+
+    def unused(*args):
+        raise AssertionError("generation inverted tau")
+
+    monkeypatch.setattr(copulas, "tau_to_theta", unused)
+    assert generate_scenario_dataset(scenario, seed=3, replicate=2) == expect
 
 
 def test_scenario_validation():
