@@ -305,13 +305,17 @@ def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
     rows = [j for j in range(k) if errors[j] is None]
     theta_hat = np.full(k, np.nan)
     converged = np.zeros(k, dtype=bool)
-    at_hat = np.full((3, k, obs.n), np.nan)
+    # the log-likelihood, score and hessian rows; a failed fit's stay NaN
+    at_hat = np.full((3, k, obs.n), np.nan) if len(rows) < k else None
     if rows:
         thetas = [copulas.from_unconstrained(family, x_star[j]) for j in rows]
         theta_hat[rows] = thetas
         passes, dlog_errors = _dlog_rows(family, obs, rows, thetas)
-        for a, p in zip(at_hat, passes):
-            a[rows] = p
+        if at_hat is None:
+            at_hat = passes
+        else:
+            for a, p in zip(at_hat, passes):
+                a[rows] = p
         s = passes[1]
         for i, j in enumerate(rows):
             theta = thetas[i]
@@ -324,8 +328,9 @@ def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
                 errors[j] = _edge_error(family, theta)
     # maximize_1d returns a finite f_star, so every piece at theta_hat was
     # finite and f_star is the strict pseudo-log-likelihood there
-    at_hat.flags.writeable = False
     loglik_obs, score, hessian = at_hat
+    for a in at_hat:
+        a.flags.writeable = False
     return BlockFit(family=family, obs=obs, theta_hat=theta_hat, loglik=f_star,
                     converged=converged, n_evaluations=evaluations, loglik_obs=loglik_obs,
                     score=score, hessian=hessian, errors=tuple(errors))

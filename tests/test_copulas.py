@@ -469,9 +469,10 @@ def test_block_rows_equal_their_one_sample_calls(case):
 
 
 # sha256 prefixes of the score and hessian bytes over a four-case sample
-# at each family's theta column, recorded (numpy 2.4.6, x86-64) when the
-# derivatives came from derivative pieces of their own; the one pass that
-# also gives the value keeps every bit
+# at each family's theta column, recorded (numpy 2.4.6 on x86-64 with
+# AVX-512; numpy picks its exp and log kernels by the CPU's SIMD level)
+# when the derivatives came from derivative pieces of their own; the one
+# pass that also gives the value keeps every bit
 SCORE_HESSIAN_DIGESTS = {
     Family.CLAYTON: "6667491b27394fe1",
     Family.FRANK: "94ee5a192a8581f2",
