@@ -267,11 +267,12 @@ class _Frank(_Family):
         if not derivs:
             return value
         _, z_t, z_tt = cls._zeta_derivs(theta, u1, u2, *core)
-        t2 = _pow(theta, 2)
-        c_t = logomz / t2 + z_t / (theta * omz)
+        t2, t_omz = _pow(theta, 2), theta * omz
+        c_t = logomz / t2 + z_t / t_omz
         c_tt = (-2.0 * logomz / _pow(theta, 3) - 2.0 * z_t / (t2 * omz)
-                + z_tt / (theta * omz) + z_t ** 2 / (theta * omz ** 2))
-        return value, c_t / c, c_tt / c - (c_t / c) ** 2
+                + z_tt / t_omz + z_t ** 2 / (theta * omz ** 2))
+        r = c_t / c
+        return value, r, c_tt / c - r ** 2
 
     @classmethod
     def log_c1(cls, theta, u1, u2, derivs=False):
@@ -399,37 +400,37 @@ class _Joe(_Family):
                           - (1.0 - 1.0 / th) * _log1pexp(cls._log_rho(th, b1) + la2))
         if not derivs:
             return value
-        l2 = np.log(v2)
+        l2, o2 = np.log(v2), 1.0 - a2
         g_t, g_tt = cls._gamma_derivs(l1, l2, a1, a2)
         t2 = _pow(theta, 2)
-        d1 = -lg / t2 + (1.0 / theta - 1.0) * g_t / gamma - a2 * l2 / (1.0 - a2) + l1
+        d1 = -lg / t2 + (1.0 / theta - 1.0) * g_t / gamma - a2 * l2 / o2 + l1
         d2 = (2.0 * lg / _pow(theta, 3) - 2.0 * g_t / (gamma * t2)
               + (1.0 / theta - 1.0) * (g_tt / gamma - (g_t / gamma) ** 2)
-              - a2 * l2 ** 2 / (1.0 - a2) ** 2)
+              - a2 * l2 ** 2 / o2 ** 2)
         return value, d1, d2
 
     @classmethod
     def log_pdf(cls, theta, u1, u2, derivs=False):
         v1, v2, a1, a2, gamma = cls._core(theta, u1, u2)
         lg, l1, l2 = np.log(gamma), np.log(v1), np.log(v2)
+        o1, o2 = 1.0 - a1, 1.0 - a2
         value = ((1.0 / theta - 2.0) * lg + (theta - 1.0) * (l1 + l2)
-                 + np.log(theta * gamma + (theta - 1.0) * (1.0 - a1) * (1.0 - a2)))
+                 + np.log(theta * gamma + (theta - 1.0) * o1 * o2))
         if not derivs:
             return value
         g_t, g_tt = cls._gamma_derivs(l1, l2, a1, a2)
         # the value's k, whose derivatives take (theta - 1) p as one product
-        p = (1.0 - a1) * (1.0 - a2)
+        p = o1 * o2
         k = theta * gamma + (theta - 1.0) * p
-        p_t = -a1 * l1 * (1.0 - a2) - a2 * l2 * (1.0 - a1)
-        p_tt = (-a1 * l1 ** 2 * (1.0 - a2) - a2 * l2 ** 2 * (1.0 - a1)
-                + 2.0 * a1 * a2 * l1 * l2)
+        p_t = -a1 * l1 * o2 - a2 * l2 * o1
+        p_tt = -a1 * l1 ** 2 * o2 - a2 * l2 ** 2 * o1 + 2.0 * a1 * a2 * l1 * l2
         k_t = gamma + theta * g_t + p + (theta - 1.0) * p_t
         k_tt = 2.0 * g_t + theta * g_tt + 2.0 * p_t + (theta - 1.0) * p_tt
-        t2 = _pow(theta, 2)
-        d1 = -lg / t2 + (1.0 / theta - 2.0) * g_t / gamma + l1 + l2 + k_t / k
+        t2, r = _pow(theta, 2), k_t / k
+        d1 = -lg / t2 + (1.0 / theta - 2.0) * g_t / gamma + l1 + l2 + r
         d2 = (2.0 * lg / _pow(theta, 3) - 2.0 * g_t / (gamma * t2)
               + (1.0 / theta - 2.0) * (g_tt / gamma - (g_t / gamma) ** 2)
-              + k_tt / k - (k_t / k) ** 2)
+              + k_tt / k - r ** 2)
         return value, d1, d2
 
     @staticmethod
@@ -646,8 +647,9 @@ class _Gumbel(_Family):
         m, m_t, q, q_t = cls._a_derivs(theta, l1, l2, p1, p2, a, la)
         k_t = a1 * q + 1.0
         k_tt = a1 * (q_t + q ** 2)
-        d1 = -a1 * q + l1 + l2 + q - 2.0 * m + k_t / k
-        d2 = -k_tt + q_t - 2.0 * m_t + k_tt / k - (k_t / k) ** 2
+        r = k_t / k
+        d1 = -a1 * q + l1 + l2 + q - 2.0 * m + r
+        d2 = -k_tt + q_t - 2.0 * m_t + k_tt / k - r ** 2
         return value, d1, d2
 
     @staticmethod
