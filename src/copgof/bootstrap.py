@@ -190,7 +190,8 @@ def _pvalue(observed: float, null_value: float, sigma_b: float) -> tuple[float, 
     if sigma_b == 0.0:
         return (1.0 if observed == null_value else 0.0), True
     z = abs(observed - null_value) / sigma_b
-    return float(2.0 * (1.0 - ndtr(z))), False
+    # the lower tail, which stays positive where 1 - ndtr(z) rounds to 0
+    return float(2.0 * ndtr(-z)), False
 
 
 def _build_frame(sample: CensoredSample, fit: FitResult, kinds,

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from copgof import bootstrap, copulas, inference, numerics
 from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_reports,
@@ -468,9 +469,10 @@ def test_uncensored_original_stays_uncensored():
 # censoring, recorded before their samplers moved from bisection to their
 # own inverses. The golden files cover only Clayton and Frank; these pin
 # that rank-based pseudo-observations hide the inverses' last-ulp changes.
+# The p-values were re-pinned when they moved to the lower tail 2 Phi(-z).
 @pytest.mark.parametrize("family, seed, expected", [
     (Family.JOE, 63,
-     (4.349113993705094, 1.1811600045702917, 0.25921772394248493, 0.484632038441855)),
+     (4.349113993705094, 1.1811600045702917, 0.25921772394248493, 0.4846320384418549)),
     (Family.GUMBEL, 64,
      (3.9058815981623387, 1.342836958559892, 0.25637260577374366, 0.18113762023745195)),
 ])
@@ -485,18 +487,19 @@ def test_joe_and_gumbel_reports_are_pinned(family, seed, expected):
 # one pios report per family at tau = 0.5, n = 60 and 1.5-mean exponential
 # censoring, recorded before the leave-one-out Newton iteration took its
 # log-likelihood, score and hessian from one kernel pass; every
-# replicate's n delete-one refits run through all four censoring pieces
+# replicate's n delete-one refits run through all four censoring pieces.
+# The p-values were re-pinned when they moved to the lower tail 2 Phi(-z).
 @pytest.mark.parametrize("family, seed, expected", [
     (Family.CLAYTON, 90,
-     (2.3788517823243227, 1.310319222597331, 1.4024740582447193, 0.8248856563538924)),
+     (2.3788517823243227, 1.310319222597331, 1.4024740582447193, 0.8248856563538923)),
     (Family.FRANK, 91,
-     (5.31423189851501, 0.7724614616457387, 0.2531539861307579, 0.36875133880718236)),
+     (5.31423189851501, 0.7724614616457387, 0.2531539861307579, 0.36875133880718225)),
     (Family.JOE, 92,
-     (3.1543753975180144, 1.0122993288443622, 0.3313850003460771, 0.970393373217302)),
+     (3.1543753975180144, 1.0122993288443622, 0.3313850003460771, 0.9703933732173019)),
     (Family.GAUSSIAN, 93,
-     (0.8458821773659168, 0.7571457406382225, 0.3748883720417706, 0.5171116030107634)),
+     (0.8458821773659168, 0.7571457406382225, 0.3748883720417706, 0.5171116030107633)),
     (Family.GUMBEL, 94,
-     (2.0241404841110824, 0.7488230124620066, 0.2903069796688394, 0.3869226196949769)),
+     (2.0241404841110824, 0.7488230124620066, 0.2903069796688394, 0.38692261969497677)),
 ])
 def test_pios_reports_are_pinned(family, seed, expected):
     pairs = _make_pairs(family, 0.5, 60, seed=seed)
@@ -544,3 +547,10 @@ def test_pvalue_degenerate_rule():
     assert bootstrap._pvalue(1.3, 1.0, 0.0) == (0.0, True)
     p, deg = bootstrap._pvalue(1.0, 1.0, 0.5)
     assert p == 1.0 and not deg
+
+
+@pytest.mark.parametrize("z", [8.0, 9.0])
+def test_pvalue_far_tail_stays_positive(z):
+    # 2 (1 - Phi(z)) rounds to 0 from z ~ 8.3; the lower tail keeps its digits
+    p, deg = bootstrap._pvalue(1.0 + z, 1.0, 1.0)
+    assert p == 2.0 * ndtr(-z) and p > 0.0 and not deg
