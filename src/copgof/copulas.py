@@ -16,6 +16,12 @@ An ``Observations`` may also be a (k, n) block of k samples, evaluated
 at a (k, 1) column of thetas, one per row; its case split pads each
 row's entries of a case to the longest row's count, and each row of the
 result equals that row's own one-sample call bit for bit.
+A float theta is evaluated as a (1, 1) column, so the pieces see only
+array thetas, and each theta-only term is a numpy ufunc, the same loop
+at every shape: powers of theta are ``np.power``, since Python's float
+``**`` is the C library's pow, which differs from numpy's in the last
+ulp. ``_apow`` redoes the column rows whose exponent numpy would take by
+a shortcut at some array sizes only.
 
 A family class declares its math and nothing else:
 
@@ -57,16 +63,10 @@ from .numerics import LOG_TINY
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 # the smallest normal float: a sum of powers below it has lost digits to underflow
 _TINY = np.finfo(float).tiny
-_ew = numerics.elementwise
 # the Joe sampler's Newton iteration on s = log y: an entry stops once its
 # step is at most _NEWTON_STOP max(1, |s|), or after _NEWTON_MAX steps
 _NEWTON_STOP = 1e-11
 _NEWTON_MAX = 100
-
-
-def _pow(x, p):
-    """x ** p for a theta-only base (see ``numerics.elementwise``)."""
-    return _ew(pow, x, p)
 
 
 def _log1pexp(x):
@@ -174,7 +174,7 @@ class _Clayton(_Family):
         and theta^3."""
         a = t1 * lu1 + t2 * lu2
         b = t1 * lu1 ** 2 + t2 * lu2 ** 2
-        return -a / s, b / s - (a / s) ** 2, _pow(theta, 2), _pow(theta, 3)
+        return -a / s, b / s - (a / s) ** 2, np.power(theta, 2), np.power(theta, 3)
 
     @classmethod
     def log_cdf(cls, theta, u1, u2, derivs=False):
@@ -201,14 +201,14 @@ class _Clayton(_Family):
     def log_pdf(cls, theta, u1, u2, derivs=False):
         *core, psi = cls._core(theta, u1, u2)
         lu1, lu2 = np.log(u1), np.log(u2)
-        value = (_ew(math.log1p, theta) - (1.0 + theta) * (lu1 + lu2)
+        value = (np.log1p(theta) - (1.0 + theta) * (lu1 + lu2)
                  - (1.0 / theta + 2.0) * psi)
         if not derivs:
             return value
         psi_t, psi_tt, th2, th3 = cls._psi_derivs(theta, lu1, lu2, *core)
         return (value, (1.0 / (1.0 + theta) - lu1 - lu2 + psi / th2
                         - (1.0 / theta + 2.0) * psi_t),
-                (-1.0 / _pow(1.0 + theta, 2) + 2.0 * psi_t / th2
+                (-1.0 / np.power(1.0 + theta, 2) + 2.0 * psi_t / th2
                  - 2.0 * psi / th3 - (1.0 / theta + 2.0) * psi_tt))
 
     @staticmethod
@@ -238,8 +238,8 @@ class _Frank(_Family):
 
     @staticmethod
     def _core(theta, u1, u2):
-        g = -_ew(math.expm1, -theta)     # 1 - e^{-theta}
-        em = _ew(math.exp, -theta)
+        g = -np.expm1(-theta)     # 1 - e^{-theta}
+        em = np.exp(-theta)
         g1 = -np.expm1(-theta * u1)
         g2 = -np.expm1(-theta * u2)
         e2 = np.exp(-theta * u2)
@@ -267,9 +267,9 @@ class _Frank(_Family):
         if not derivs:
             return value
         _, z_t, z_tt = cls._zeta_derivs(theta, u1, u2, *core)
-        t2, t_omz = _pow(theta, 2), theta * omz
+        t2, t_omz = np.power(theta, 2), theta * omz
         c_t = logomz / t2 + z_t / t_omz
-        c_tt = (-2.0 * logomz / _pow(theta, 3) - 2.0 * z_t / (t2 * omz)
+        c_tt = (-2.0 * logomz / np.power(theta, 3) - 2.0 * z_t / (t2 * omz)
                 + z_tt / t_omz + z_t ** 2 / (theta * omz ** 2))
         r = c_t / c
         return value, r, c_tt / c - r ** 2
@@ -278,7 +278,7 @@ class _Frank(_Family):
     def log_c1(cls, theta, u1, u2, derivs=False):
         core = cls._core(theta, u1, u2)
         g, em, _, g2, e2, _, omz = core
-        value = -theta * u1 + np.log(g2) - _ew(math.log, g) - np.log(omz)
+        value = -theta * u1 + np.log(g2) - np.log(g) - np.log(omz)
         if not derivs:
             return value
         em_g2, z_t, z_tt = cls._zeta_derivs(theta, u1, u2, *core)
@@ -289,20 +289,20 @@ class _Frank(_Family):
     def log_pdf(cls, theta, u1, u2, derivs=False):
         core = cls._core(theta, u1, u2)
         g, em, *_, omz = core
-        value = (_ew(math.log, theta) - theta * (u1 + u2) - _ew(math.log, g)
+        value = (np.log(theta) - theta * (u1 + u2) - np.log(g)
                  - 2.0 * np.log(omz))
         if not derivs:
             return value
         em_g2, z_t, z_tt = cls._zeta_derivs(theta, u1, u2, *core)
         return (value, 2.0 * z_t / omz + 1.0 / theta - u1 - u2 - em / g,
-                (2.0 * z_tt / omz + 2.0 * z_t ** 2 / omz ** 2 - 1.0 / _pow(theta, 2)
+                (2.0 * z_tt / omz + 2.0 * z_t ** 2 / omz ** 2 - 1.0 / np.power(theta, 2)
                  + em_g2))
 
     @staticmethod
     def _zeta_derivs(theta, u1, u2, g, em, g1, g2, e2, zeta, omz):
         """e^-theta / g^2, then the first two theta-derivatives of zeta."""
         e1 = np.exp(-theta * u1)
-        em_g2 = em / _pow(g, 2)
+        em_g2 = em / np.power(g, 2)
         lz_t = u1 * e1 / g1 + u2 * e2 / g2 - em / g
         lz_tt = -(u1 ** 2) * e1 / g1 ** 2 - (u2 ** 2) * e2 / g2 ** 2 + em_g2
         return em_g2, zeta * lz_t, zeta * (lz_tt + lz_t ** 2)
@@ -368,9 +368,9 @@ class _Joe(_Family):
         if not derivs:
             return value
         g_t, g_tt = cls._gamma_derivs(np.log(v1), np.log(v2), a1, a2)
-        t2 = _pow(theta, 2)
+        t2 = np.power(theta, 2)
         g1_t = g1 * (-lg / t2 + g_t / (theta * gamma))
-        g1_tt = (2.0 * g1 * lg / _pow(theta, 3)
+        g1_tt = (2.0 * g1 * lg / np.power(theta, 3)
                  - (g1_t * lg + 2.0 * g1 / gamma * g_t) / t2
                  + (g_tt * g1 / gamma + g_t * g1_t / gamma
                     - g_t ** 2 * g1 / gamma ** 2) / theta)
@@ -402,9 +402,9 @@ class _Joe(_Family):
             return value
         l2, o2 = np.log(v2), 1.0 - a2
         g_t, g_tt = cls._gamma_derivs(l1, l2, a1, a2)
-        t2 = _pow(theta, 2)
+        t2 = np.power(theta, 2)
         d1 = -lg / t2 + (1.0 / theta - 1.0) * g_t / gamma - a2 * l2 / o2 + l1
-        d2 = (2.0 * lg / _pow(theta, 3) - 2.0 * g_t / (gamma * t2)
+        d2 = (2.0 * lg / np.power(theta, 3) - 2.0 * g_t / (gamma * t2)
               + (1.0 / theta - 1.0) * (g_tt / gamma - (g_t / gamma) ** 2)
               - a2 * l2 ** 2 / o2 ** 2)
         return value, d1, d2
@@ -426,9 +426,9 @@ class _Joe(_Family):
         p_tt = -a1 * l1 ** 2 * o2 - a2 * l2 ** 2 * o1 + 2.0 * a1 * a2 * l1 * l2
         k_t = gamma + theta * g_t + p + (theta - 1.0) * p_t
         k_tt = 2.0 * g_t + theta * g_tt + 2.0 * p_t + (theta - 1.0) * p_tt
-        t2, r = _pow(theta, 2), k_t / k
+        t2, r = np.power(theta, 2), k_t / k
         d1 = -lg / t2 + (1.0 / theta - 2.0) * g_t / gamma + l1 + l2 + r
-        d2 = (2.0 * lg / _pow(theta, 3) - 2.0 * g_t / (gamma * t2)
+        d2 = (2.0 * lg / np.power(theta, 3) - 2.0 * g_t / (gamma * t2)
               + (1.0 / theta - 2.0) * (g_tt / gamma - (g_t / gamma) ** 2)
               + k_tt / k - r ** 2)
         return value, d1, d2
@@ -519,7 +519,7 @@ class _Gaussian(_Family):
             return value
         s2 = 1.0 - theta * theta
         log_pdf2 = (-(np.square(z1) + np.square(z2) - 2.0 * theta * z1 * z2) / (2.0 * s2)
-                    - _ew(math.log, 2.0 * math.pi * _ew(math.sqrt, s2)))
+                    - np.log(2.0 * math.pi * np.sqrt(s2)))
         # Plackett: dC/dtheta = phi2; phi2/Phi2 in log space, where both underflow
         ratio = np.exp(log_pdf2 - value)
         lt, _ = cls._phi2_tilde(theta, z1, z2)
@@ -529,13 +529,13 @@ class _Gaussian(_Family):
     def log_c1(cls, theta, u1, u2, derivs=False):
         z1, z2 = cls._z(u1, u2)
         s2 = 1.0 - theta * theta
-        a = (z2 - theta * z1) / _ew(math.sqrt, s2)
+        a = (z2 - theta * z1) / np.sqrt(s2)
         value = _special.log_ndtr(a)
         if not derivs:
             return value
-        s2_15 = _pow(s2, 1.5)
+        s2_15 = np.power(s2, 1.5)
         a_t = (theta * z2 - z1) / s2_15
-        a_tt = z2 / s2_15 + (theta * z2 - z1) * 3.0 * theta / _pow(s2, 2.5)
+        a_tt = z2 / s2_15 + (theta * z2 - z1) * 3.0 * theta / np.power(s2, 2.5)
         # phi(a)/Phi(a), computed in log space for deep-tail stability
         r = np.exp(-0.5 * np.square(a) - math.log(_SQRT2PI) - value)
         d1 = r * a_t
@@ -545,7 +545,7 @@ class _Gaussian(_Family):
     def log_pdf(cls, theta, u1, u2, derivs=False):
         z1, z2 = cls._z(u1, u2)
         s2 = 1.0 - theta * theta
-        value = (-0.5 * _ew(math.log, s2)
+        value = (-0.5 * np.log(s2)
                  - (np.square(z1) + np.square(z2) - 2.0 * theta * z1 * z2) / (2.0 * s2)
                  + 0.5 * (np.square(z1) + np.square(z2)))
         return (value, *cls._phi2_tilde(theta, z1, z2)) if derivs else value
@@ -553,13 +553,13 @@ class _Gaussian(_Family):
     @classmethod
     def _phi2_tilde(cls, theta, z1, z2):
         s2 = 1.0 - theta * theta
-        t2, s2_2 = _pow(theta, 2), _pow(s2, 2)
+        t2, s2_2 = np.power(theta, 2), np.power(s2, 2)
         zz = z1 * z2
         zsq = np.square(z1) + np.square(z2)
         d1 = (theta * s2 - theta * zsq + (1.0 + t2) * zz) / s2_2
         d2 = ((1.0 + t2) / s2_2
-              + ((6.0 * theta + 2.0 * _pow(theta, 3)) * zz - (1.0 + 3.0 * t2) * zsq)
-              / _pow(s2, 3))
+              + ((6.0 * theta + 2.0 * np.power(theta, 3)) * zz - (1.0 + 3.0 * t2) * zsq)
+              / np.power(s2, 3))
         return d1, d2
 
     @staticmethod
@@ -890,30 +890,39 @@ def _by_case(family: Family, theta, obs: Observations, derivs: bool = False):
     """Evaluate each entry's censoring-case piece, once per case present
     in ``obs``. A (k, 1) theta column gives a (k, n) result: over a
     sample, one row per theta; over a (k, n) block, row j at theta j.
-    Each case's entries are scattered back to their places, so sums over
-    the result do not depend on the split. With ``derivs``, each piece
-    also gives its two theta-derivatives, and (value, d1, d2) stack on a
-    leading axis of length 3. The result is always a fresh array: it
-    never shares memory with ``obs``."""
+    A float theta is evaluated as a (1, 1) column, so every piece sees an
+    array theta and a float's row is a column row bit for bit; over a
+    sample its result comes back as (n,). Each case's entries are
+    scattered back to their places, so sums over the result do not
+    depend on the split. With ``derivs``, each piece also gives its two
+    theta-derivatives, and (value, d1, d2) stack on a leading axis of
+    length 3. The result is always a fresh array: it never shares memory
+    with ``obs``."""
     ops = _OPS[family]
-    shape = obs.u1.shape if np.ndim(theta) == 0 else (len(theta), obs.n)
+    column = np.reshape(np.asarray(theta, dtype=float), (-1, 1))
+    if obs.u1.ndim == 2:
+        column = np.broadcast_to(column, (obs.k, 1))
+    shape = (len(column), obs.n)
     lead = (3,) if derivs else ()
     with np.errstate(all="ignore"):
         if obs.cases and obs.cases[0][1] is None:    # one case, every entry
             (case, _, u1, u2), = obs.cases
-            out = getattr(ops, _PIECES[case])(theta, u1, u2, derivs)
-            return tuple(_full(a, shape) for a in out) if derivs else _full(out, shape)
-        if obs.u1.ndim == 1:
+            out = getattr(ops, _PIECES[case])(column, u1, u2, derivs)
+            out = tuple(_full(a, shape) for a in out) if derivs else _full(out, shape)
+        elif obs.u1.ndim == 1:
             out = np.empty(lead + shape, dtype=float)
             for case, rows, u1, u2 in obs.cases:
-                out[..., rows] = getattr(ops, _PIECES[case])(theta, u1, u2, derivs)
-            return out
-        # a block scatters its flat entries; the pads land in one spare slot
-        out = np.empty(lead + (obs.size + 1,), dtype=float)
-        for case, positions, u1, u2 in obs.cases:
-            out[..., positions] = np.reshape(
-                getattr(ops, _PIECES[case])(theta, u1, u2, derivs), lead + (-1,))
-    return out[..., :-1].reshape(lead + shape)
+                out[..., rows] = getattr(ops, _PIECES[case])(column, u1, u2, derivs)
+        else:
+            # a block scatters its flat entries; the pads land in one spare slot
+            out = np.empty(lead + (obs.size + 1,), dtype=float)
+            for case, positions, u1, u2 in obs.cases:
+                out[..., positions] = np.reshape(
+                    getattr(ops, _PIECES[case])(column, u1, u2, derivs), lead + (-1,))
+            out = out[..., :-1].reshape(lead + shape)
+    if np.ndim(theta) or obs.u1.ndim == 2:
+        return out
+    return tuple(a[0] for a in out) if derivs else out[0]
 
 
 def _nonfinite_error(what: str, family: Family, theta, out) -> LikelihoodError:
@@ -1030,12 +1039,12 @@ def sample_pairs(m: CopulaModel, gen, n: int) -> tuple[np.ndarray, np.ndarray]:
 # domain, (-1, 1), takes atanh. Each takes a float or an array.
 def to_unconstrained(family: Family, theta):
     lo, hi = _OPS[family].domain
-    return _ew(math.log, theta - lo) if hi == math.inf else _ew(math.atanh, theta)
+    return np.log(theta - lo) if hi == math.inf else np.arctanh(theta)
 
 
 def from_unconstrained(family: Family, x):
     lo, hi = _OPS[family].domain
-    return lo + _ew(math.exp, x) if hi == math.inf else _ew(math.tanh, x)
+    return lo + np.exp(x) if hi == math.inf else np.tanh(x)
 
 
 def unconstrained_derivs(family: Family, theta):

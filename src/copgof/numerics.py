@@ -108,20 +108,6 @@ _TAIL_DROP = 45.0               # the tail window ends where the integrand is do
 _TAIL_SWITCH = math.log(1e-3)   # Owen value below 1e-3 of its terms: use the tail branch
 
 
-def elementwise(fn, x, *more):
-    """``fn(x, *more)`` for a scalar x, or at each entry of an array x.
-
-    The likelihood's theta-only terms (log1p(theta), theta ** 2, ...) go
-    through here with a ``math`` function or ``pow``. numpy's own versions
-    differ from the C library's in the last ulp on a few percent of
-    inputs, so evaluating them entry by entry keeps an array theta's
-    results equal, bit for bit, to those of each float theta.
-    """
-    if not isinstance(x, np.ndarray) or x.ndim == 0:
-        return fn(x, *more)
-    return np.frompyfunc(fn, 1 + len(more), 1)(x, *more).astype(float)
-
-
 def _owen_share(h, k, rho, s):
     """h's share 0.5 Phi(h) - T(h, (k/h - rho)/s) of Owen's identity.
 
@@ -135,7 +121,7 @@ def _owen_share(h, k, rho, s):
     share = np.where(on_axis, 0.0, share)
     origin = on_axis & (k == 0.0)
     if origin.any():
-        share[origin] = 0.125 + elementwise(math.asin, rho[origin]) / (4.0 * math.pi)
+        share[origin] = 0.125 + np.arcsin(rho[origin]) / (4.0 * math.pi)
     return share
 
 
@@ -171,7 +157,7 @@ def _binorm_logcdf_tail(lo, hi, rho):
 
 def binorm_logcdf(z1, z2, rho):
     """log P(Z1 <= z1, Z2 <= z2) for the standard bivariate normal,
-    elementwise over z1, z2 and rho (scalars or arrays, broadcast together).
+    entry by entry over z1, z2 and rho (scalars or arrays, broadcast together).
 
     Owen's (1956) T-function identity gives Phi2 in closed form, exactly
     on the axes z = 0. Where min z < 0 and the identity's value is below
