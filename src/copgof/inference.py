@@ -214,10 +214,10 @@ def _search(family: Family, obs: Observations, x0):
     """One ``numerics.maximize_1d`` call on the unconstrained scale for
     every row of ``obs``, from x0[j] +- _HALFWIDTH: (x_star, f_star,
     evaluations, errors), errors[j] being the typed error that ended row
-    j. Each round evaluates the running rows in one kernel call: a
-    sample's one row at its float theta, a block's rows at a (k, 1)
-    column of their sub-block. A point whose theta overflows, or rounds
-    onto the domain's edge, scores -inf."""
+    j. Each round evaluates the running rows in one kernel call at the
+    (k, 1) column of their thetas; a sample is a block of one row. A
+    point whose theta overflows, or rounds onto the domain's edge,
+    scores -inf."""
     lo_theta, hi_theta = copulas.family_ops(family).domain
     evaluations = np.zeros(obs.k, dtype=np.int64)
     sub = obs
@@ -239,14 +239,11 @@ def _search(family: Family, obs: Observations, x0):
         # an invalid point's row is evaluated at a valid theta and
         # dropped, so the rows evaluated are those still running
         theta[~valid] = theta[valid][0]
-        if obs.u1.ndim == 1:
-            ll = copulas.loglik_vec(family, float(theta[0]), obs, strict=False).sum()
-        else:
-            # the running rows only shrink, so a change of count is a change of rows
-            if rows.size != sub.k:
-                sub = obs.take(rows)
-            ll = copulas.loglik_vec(family, theta[:, None], sub, strict=False).sum(axis=1)
-        values[valid] = np.atleast_1d(ll)[valid]
+        # the running rows only shrink, so a change of count is a change of rows
+        if rows.size != sub.k:
+            sub = obs.take(rows)
+        ll = copulas.loglik_vec(family, theta[:, None], sub, strict=False)
+        values[valid] = ll.sum(axis=1)[valid]
         return values
 
     results = numerics.maximize_1d(objective, x0, _HALFWIDTH, tol=_XATOL)
@@ -265,26 +262,22 @@ def _search(family: Family, obs: Observations, x0):
 
 
 def _dlog_rows(family: Family, obs: Observations, rows, thetas):
-    """Log-likelihood, score and hessian of ``obs``'s ``rows`` at their
-    thetas, each a (len(rows), n) array, from one ``copulas.dlog_vec``
-    pass, and each row's LikelihoodError or None. Only when that pass
-    fails is each row evaluated alone, to find which rows fail with
-    which error."""
-    try:
-        if obs.u1.ndim == 1:
-            return [a[None] for a in copulas.dlog_vec(family, thetas[0], obs)], [None]
-        sub = obs if len(rows) == obs.k else obs.take(rows)
-        return copulas.dlog_vec(family, np.array(thetas)[:, None], sub), [None] * len(rows)
-    except LikelihoodError:
-        pass
-    out = np.full((3, len(rows), obs.n), np.nan)
+    """Log-likelihood, score and hessian of ``obs``'s ``rows`` (a sample
+    is a block of one row) at the array of their thetas, each a
+    (len(rows), n) array, from one ``copulas.dlog_vec`` pass, and each
+    row's LikelihoodError, for its first non-finite score or else hessian
+    entry, or None."""
+    sub = obs if len(rows) == obs.k else obs.take(rows)
+    passes = copulas.dlog_vec(family, thetas[:, None], sub, strict=False)
     errors = [None] * len(rows)
-    for i, (j, theta) in enumerate(zip(rows, thetas)):
+    _, score, hessian = passes
+    bad = ~(np.isfinite(score).all(axis=1) & np.isfinite(hessian).all(axis=1))
+    for i in np.flatnonzero(bad):
         try:
-            out[:, i] = copulas.dlog_vec(family, theta, obs.row(j))
+            copulas.require_finite(family, float(thetas[i]), score[i], hessian[i])
         except LikelihoodError as exc:
             errors[i] = exc
-    return out, errors
+    return passes, errors
 
 
 def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
@@ -305,10 +298,10 @@ def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
     rows = [j for j in range(k) if errors[j] is None]
     theta_hat = np.full(k, np.nan)
     converged = np.zeros(k, dtype=bool)
-    # the log-likelihood, score and hessian rows; a failed fit's stay NaN
+    # the log-likelihood, score and hessian rows; a failed search's stay NaN
     at_hat = np.full((3, k, obs.n), np.nan) if len(rows) < k else None
     if rows:
-        thetas = [copulas.from_unconstrained(family, x_star[j]) for j in rows]
+        thetas = copulas.from_unconstrained(family, x_star[rows])
         theta_hat[rows] = thetas
         passes, dlog_errors = _dlog_rows(family, obs, rows, thetas)
         if at_hat is None:
@@ -318,7 +311,7 @@ def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
                 a[rows] = p
         s = passes[1]
         for i, j in enumerate(rows):
-            theta = thetas[i]
+            theta = float(thetas[i])
             if dlog_errors[i] is not None:
                 errors[j] = (_edge_error(family, theta) if _on_edge(family, theta)
                              else dlog_errors[i])

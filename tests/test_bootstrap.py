@@ -123,32 +123,43 @@ def test_one_observations_per_sample(kinds, monkeypatch):
     # the observed pseudo-sample and the one block of the b replicates are
     # built once, and the fits and every statistic reuse them, pios's
     # one-row samples included: 2 builds. The observed fit makes one
-    # scalar-theta dlog_vec pass, the block fit one pass at its theta
-    # column, and every statistic reads them: 1 scalar pass (pios's
-    # leave-one-out iterations take theta columns too)
+    # dlog_vec pass over its sample, at the (1, 1) column of its estimate,
+    # the block fit one pass at its theta column, and every statistic
+    # reads them: outside pios's leave-one-out iterations, 1 pass over a
+    # sample
     builds = []
     passes = []
+    in_loo = []
     init = copulas.Observations.__post_init__
     dlog_vec = copulas.dlog_vec
+    loo_block = inference._loo_block
 
     def counted(self):
         builds.append(self)
         init(self)
 
     def counted_dlog(family, theta, obs, **options):
-        if np.ndim(theta) == 0:
+        if obs.u1.ndim == 1 and not in_loo:
             passes.append(theta)
         return dlog_vec(family, theta, obs, **options)
+
+    def marked_loo(*args):
+        in_loo.append(True)
+        try:
+            return loo_block(*args)
+        finally:
+            in_loo.pop()
 
     monkeypatch.setenv("COPULA_GOF_THREADS", "1")
     monkeypatch.setattr(copulas.Observations, "__post_init__", counted)
     monkeypatch.setattr(copulas, "dlog_vec", counted_dlog)
+    monkeypatch.setattr(inference, "_loo_block", marked_loo)
     sample = generate_scenario_dataset(Scenario(Family.CLAYTON, 0.5, 100, "c20"), seed=1)
     reports = bootstrap_reports(sample, Family.CLAYTON, BootstrapConfig(b=20, seed=1),
                                 kinds=kinds)
     assert reports[kinds[0]].b_used == 20
     assert len(builds) == 2
-    assert len(passes) == 1
+    assert len(passes) == 1 and np.shape(passes[0]) == (1, 1)
 
 
 def test_replicate_value_error_is_not_a_drop(monkeypatch):
