@@ -416,6 +416,17 @@ class _Joe(_Family):
         o1, o2 = 1.0 - a1, 1.0 - a2
         value = ((1.0 / theta - 2.0) * lg + (theta - 1.0) * (l1 + l2)
                  + np.log(theta * gamma + (theta - 1.0) * o1 * o2))
+        bad = ~np.isfinite(value)
+        if bad.any():
+            # gamma underflows to 0 where both (1 - u)^theta do (large
+            # theta, near (1, 1)); there log gamma = log(a1 + a2 (1 - a1))
+            # is formed from theta log(1 - u), and the last term's
+            # theta gamma + (theta - 1)(1 - a1)(1 - a2) is gamma + theta - 1
+            th, b1, b2, c1 = (np.broadcast_to(a, value.shape)[bad] for a in (theta, v1, v2, a1))
+            m1, m2 = np.log(b1), np.log(b2)
+            lg_bad = np.logaddexp(th * m1, th * m2 + np.log1p(-c1))
+            value[bad] = ((1.0 / th - 2.0) * lg_bad + (th - 1.0) * (m1 + m2)
+                          + np.log(np.exp(lg_bad) + th - 1.0))
         if not derivs:
             return value
         g_t, g_tt = cls._gamma_derivs(l1, l2, a1, a2)
@@ -642,6 +653,16 @@ class _Gumbel(_Family):
         k = a1 + theta - 1.0
         value = (-a1 + (theta - 1.0) * (l1 + l2) + x1 + x2
                  + (1.0 / theta - 2.0) * la + np.log(k))
+        bad = ~np.isfinite(value)
+        if bad.any():
+            # A = x1^theta + x2^theta under- or overflows at large theta;
+            # there log A = theta log x1 + log(1 + (x2/x1)^theta)
+            th, b1, b2 = (np.broadcast_to(v, value.shape)[bad] for v in (theta, x1, x2))
+            m1, m2 = np.log(b1), np.log(b2)
+            la_bad = th * m1 + _log1pexp(th * (m2 - m1))
+            a1_bad = np.exp(la_bad / th)
+            value[bad] = (-a1_bad + (th - 1.0) * (m1 + m2) + b1 + b2
+                          + (1.0 / th - 2.0) * la_bad + np.log(a1_bad + th - 1.0))
         if not derivs:
             return value
         m, m_t, q, q_t = cls._a_derivs(theta, l1, l2, p1, p2, a, la)

@@ -727,6 +727,33 @@ def test_log_cdf_at_large_theta(family, theta, u1, u2, log_cdf):
     assert with_derivs.tobytes() == got.tobytes()
 
 
+# (family, theta, u1, u2, log c) where gamma (Joe) or A (Gumbel)
+# underflows, or A overflows, so the direct form gave +inf or NaN.
+# References from mpmath at 600 digits, which agree with its numerical
+# second derivative of C.
+@pytest.mark.parametrize("family, theta, u1, u2, log_pdf", [
+    ("joe", 200.0, 0.99, 0.995, -128.03781392071653),
+    ("joe", 200.0, 0.999, 0.98, -586.9453946070915),
+    ("gumbel", 100.0, 0.9998, 0.9999, -55.51420643565226),
+    ("gumbel", 100.0, 0.9999, 0.9998, -55.51420643565226),
+    ("gumbel", 300.0, 1e-06, 1e-05, -39.881398337273666),
+])
+def test_log_pdf_at_large_theta(family, theta, u1, u2, log_pdf):
+    ops = copulas.family_ops(Family(family))
+    a1, a2 = np.array([u1, 0.4]), np.array([u2, 0.6])
+    with np.errstate(all="ignore"):
+        got = ops.log_pdf(theta, a1, a2)
+        alone = ops.log_pdf(theta, a1[1:], a2[1:])
+        column = ops.log_pdf(np.array([[theta], [2.0]]), a1, a2)
+        at_two = ops.log_pdf(2.0, a1, a2)
+        with_derivs = ops.log_pdf(theta, a1, a2, derivs=True)[0]
+    np.testing.assert_allclose(got[0], log_pdf, rtol=1e-14)
+    assert got[1] == alone[0]
+    assert column[0].tobytes() == got.tobytes()
+    assert column[1].tobytes() == at_two.tobytes()
+    assert with_derivs.tobytes() == got.tobytes()
+
+
 def test_sampler_deterministic():
     m = CopulaModel(Family.JOE, 2.5)
     a = sample_pairs(m, np.random.default_rng(5), 100)
