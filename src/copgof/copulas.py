@@ -85,10 +85,12 @@ def _apow(base, p):
     with the float so that each row equals base ** p_j bit for bit.
     """
     out = base ** p
-    if isinstance(p, np.ndarray) and p.ndim:
-        flat = p.ravel()
-        for j in np.flatnonzero((flat == -1.0) | (flat == 0.5) | (flat == 2.0)):
-            out[j] = (base if base.ndim < 2 else base[j]) ** float(flat[j])
+    if np.ndim(p):
+        # a scan of the exponents' list costs a few of numpy's calls on
+        # a (1, 1) column
+        for j, e in enumerate(p.ravel().tolist()):
+            if e == -1.0 or e == 0.5 or e == 2.0:
+                out[j] = (base if base.ndim < 2 else base[j]) ** e
     return out
 
 
@@ -920,8 +922,8 @@ def _by_case(family: Family, theta, obs: Observations, derivs: bool = False):
     length 3. The result is always a fresh array: it never shares memory
     with ``obs``."""
     ops = _OPS[family]
-    column = np.reshape(np.asarray(theta, dtype=float), (-1, 1))
-    if obs.u1.ndim == 2:
+    column = np.asarray(theta, dtype=float).reshape(-1, 1)
+    if len(column) == 1 and obs.k > 1:      # a float over a block: on every row
         column = np.broadcast_to(column, (obs.k, 1))
     shape = (len(column), obs.n)
     lead = (3,) if derivs else ()
