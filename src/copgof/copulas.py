@@ -86,8 +86,8 @@ def _apow(base, p):
     """
     out = base ** p
     if np.ndim(p):
-        # a scan of the exponents' list costs a few of numpy's calls on
-        # a (1, 1) column
+        # scanning the list is cheaper than numpy's tests at the (1, 1)
+        # column of every float theta
         for j, e in enumerate(p.ravel().tolist()):
             if e == -1.0 or e == 0.5 or e == 2.0:
                 out[j] = (base if base.ndim < 2 else base[j]) ** e
@@ -954,7 +954,8 @@ def _nonfinite_error(what: str, family: Family, theta, out) -> LikelihoodError:
     idx = int(np.argmax(~np.isfinite(out)))
     if out.ndim == 2:
         row, idx = divmod(idx, out.shape[1])
-        theta = np.ravel(theta)[row]
+        if np.ndim(theta):      # a float over a block is every row's theta
+            theta = np.ravel(theta)[row]
     return LikelihoodError(f"non-finite {what} for {family.value} at theta={theta}",
                            index=idx)
 

@@ -74,7 +74,7 @@ _HALFWIDTH = 1.0
 # an optimizer that stops unconverged this close to a finite domain edge
 # is on the edge: the likelihood rises toward the boundary of the family
 _EDGE_DISTANCE = 1e-6
-# math.exp(x) overflows for x above this
+# exp(x) overflows for x above this
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 

@@ -524,6 +524,18 @@ def _same(a, b):
     return a.tobytes() == b.tobytes()
 
 
+def test_float_theta_over_a_block_names_the_failing_row():
+    # the Joe score at theta = 200 is NaN at (0.99, 0.995) with u2 censored,
+    # here in row 1 of a block evaluated at one float theta
+    u1, u2 = np.array([[0.3, 0.4], [0.6, 0.99]]), np.array([[0.3, 0.4], [0.6, 0.995]])
+    d1, d2 = np.ones((2, 2), dtype=int), np.array([[1, 1], [1, 0]])
+    block = copulas.Observations(u1, u2, d1, d2)
+    with pytest.raises(copulas.LikelihoodError,
+                       match="non-finite score for joe at theta=200.0") as err:
+        copulas.dlog_vec(Family.JOE, 200.0, block)
+    assert err.value.index == 1
+
+
 def test_observations_copy_their_input():
     u1, u2 = np.array([0.2, 0.7]), np.array([0.4, 0.9])
     d = np.array([1, 1])
