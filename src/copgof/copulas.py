@@ -5,17 +5,19 @@ single piece: the copula density for a doubly observed pair, a partial
 derivative when exactly one margin is censored, and the copula function
 itself when both are censored. Only the formulas differ by family.
 The split into these four cases belongs to the sample: an
-``Observations`` validates (u1, u2, d1, d2) and gathers each case's rows
-once, when it is built, and a fit reuses it for every evaluation. Then
-``loglik_vec`` evaluates each case's piece over its rows, and ``dlog_vec``
-each case's piece with its derivatives, giving the log-likelihood, score
-and hessian from one pass; each scatters the cases back in row order.
+``Observations`` validates (u1, u2, d1, d2) and gathers each case's
+entries once, when it is built, with the column of each, and a fit
+reuses it for every evaluation. Then ``loglik_vec`` evaluates each
+case's piece over its entries, and ``dlog_vec`` each case's piece with
+its derivatives, giving the log-likelihood, score and hessian from one
+pass; each scatters every entry back to its row and column.
 A sample with a single case (any uncensored one) is evaluated whole,
 with no gather or scatter.
 An ``Observations`` may also be a (k, n) block of k samples, evaluated
 at a (k, 1) column of thetas, one per row; its case split pads each
-row's entries of a case to the longest row's count, and each row of the
-result equals that row's own one-sample call bit for bit.
+row's entries of a case to the longest row's count, with column n for
+a pad, and each row of the result equals that row's own one-sample call
+bit for bit.
 A float theta is evaluated as a (1, 1) column, so the pieces see only
 array thetas, and each theta-only term is a numpy ufunc, the same loop
 at every shape: powers of theta are ``np.power``, since Python's float
@@ -770,17 +772,19 @@ class Observations:
     sample is rebuilt from its four arrays, so it is validated, split
     and read-only again on the other side.
 
-    ``cases`` holds one (case, positions, u1 entries, u2 entries) entry
-    per censoring case present, in case order, where ``case`` indexes
-    ``_PIECES``. A sample gathers the case's rows, and ``positions`` are
-    their indices. A block gathers each row's entries of the case in row
-    order into a (k, m) array, m the longest row's count, padded with
-    u = 0.5 (z = 0 on the Gaussian scale, so a pad never enters
-    ``binorm_logcdf``'s tail branch); ``positions`` are the flat indices
-    of the k*m entries in the (k, n) result, k*n for a pad. When one case
-    covers every entry, its entry holds the whole arrays and
-    ``positions`` is None, so the kernels neither gather nor scatter.
-    ``take`` and ``row`` reuse this split for some of a block's rows.
+    ``cases`` holds one (case, cols, u1 entries, u2 entries) entry per
+    censoring case present, in case order, where ``case`` indexes
+    ``_PIECES`` and ``cols`` holds each entry's column. A sample gathers
+    the case's entries into (m,) arrays. A block gathers each row's
+    entries of the case in row order into a (k, m) array, m the longest
+    row's count, padded with u = 0.5 (z = 0 on the Gaussian scale, so a
+    pad never enters ``binorm_logcdf``'s tail branch) and column n. The
+    padding lets a (k, 1) theta column broadcast over a case, and lets
+    ``take`` and ``row`` reuse this split by slicing rows: ``take(rows)``
+    holds ``cols[rows]`` and ``row(j)`` the first ``cols[j]`` entries
+    below n. When one case covers every entry, its entry holds the whole
+    arrays and ``cols`` is None, so the kernels neither gather nor
+    scatter.
     """
     u1: np.ndarray
     u2: np.ndarray
@@ -814,29 +818,24 @@ class Observations:
         object.__setattr__(self, "cases", self._split())
 
     def _split(self) -> tuple:
-        case = (2 * (1 - self.d1) + (1 - self.d2)).ravel()
-        size = case.size
-        counts = np.bincount(case, minlength=4).tolist()
-        if size and size in counts:
-            return ((counts.index(size), None, self.u1, self.u2),)
+        case = 2 * (1 - self.d1) + (1 - self.d2)
+        counts = np.bincount(case.ravel(), minlength=4).tolist()
+        if self.size and self.size in counts:
+            return ((counts.index(self.size), None, self.u1, self.u2),)
         k, n = self.k, self.n
-        u1, u2 = self.u1.ravel(), self.u2.ravel()
+        u1, u2 = self.u1.reshape(k, n), self.u2.reshape(k, n)
         cases = []
         for c in range(4):
             if not counts[c]:
                 continue
-            flat = np.flatnonzero(case == c)
-            row = flat // n
+            row, col = np.nonzero(case.reshape(k, n) == c)
             per_row = np.bincount(row, minlength=k)
-            m = int(per_row.max())
-            slot = row * m + (np.arange(flat.size) - (np.cumsum(per_row) - per_row)[row])
-            positions = np.full(k * m, size)
-            positions[slot] = flat
-            v1, v2 = np.full(k * m, 0.5), np.full(k * m, 0.5)
-            v1[slot], v2[slot] = u1[flat], u2[flat]
-            shape = (k, m) if self.u1.ndim == 2 else (m,)
-            cases.append((c, _read_only(positions), _read_only(v1.reshape(shape)),
-                          _read_only(v2.reshape(shape))))
+            slot = np.arange(row.size) - (np.cumsum(per_row) - per_row)[row]
+            shape = (k, int(per_row.max()))
+            cols, v1, v2 = np.full(shape, n), np.full(shape, 0.5), np.full(shape, 0.5)
+            cols[row, slot], v1[row, slot], v2[row, slot] = col, u1[row, col], u2[row, col]
+            cases.append((c, *(_read_only(a.reshape(self.u1.shape[:-1] + (-1,)))
+                               for a in (cols, v1, v2))))
         return tuple(cases)
 
     @classmethod
@@ -862,14 +861,8 @@ class Observations:
         """The block of this block's ``rows`` (indices, in that order)."""
         rows = np.asarray(rows, dtype=np.intp)
         arrays = [_read_only(a[rows]) for a in (self.u1, self.u2, self.d1, self.d2)]
-        pad, new_pad = self.size, rows.size * self.n
-        shift = ((np.arange(rows.size) - rows) * self.n)[:, None]
-        cases = []
-        for c, positions, v1, v2 in self.cases:
-            if positions is not None:
-                p = positions.reshape(v1.shape)[rows]
-                positions = _read_only(np.where(p < pad, p + shift, new_pad).ravel())
-            cases.append((c, positions, _read_only(v1[rows]), _read_only(v2[rows])))
+        cases = [(c, *(a if a is None else _read_only(a[rows]) for a in parts))
+                 for c, *parts in self.cases]
         return Observations._assemble(*arrays, cases)
 
     def row(self, j: int) -> "Observations":
@@ -880,15 +873,12 @@ class Observations:
             return self
         arrays = (self.u1[j], self.u2[j], self.d1[j], self.d2[j])
         cases = []
-        for c, positions, v1, v2 in self.cases:
-            if positions is None:
-                return Observations._assemble(*arrays, [(c, None, *arrays[:2])])
-            count = int(np.count_nonzero(positions.reshape(v1.shape)[j] < self.size))
+        for c, cols, v1, v2 in self.cases:
+            count = self.n if cols is None else int(np.count_nonzero(cols[j] < self.n))
             if count == self.n:
                 return Observations._assemble(*arrays, [(c, None, *arrays[:2])])
             if count:
-                rows = positions[j * v1.shape[1]:j * v1.shape[1] + count] - j * self.n
-                cases.append((c, _read_only(rows), v1[j, :count], v2[j, :count]))
+                cases.append((c, cols[j, :count], v1[j, :count], v2[j, :count]))
         return Observations._assemble(*arrays, cases)
 
     def __eq__(self, other):
@@ -916,34 +906,31 @@ def _by_case(family: Family, theta, obs: Observations, derivs: bool = False):
     A float theta is evaluated as a (1, 1) column, so every piece sees an
     array theta and a float's row is a column row bit for bit; over a
     sample its result comes back as (n,). Each case's entries are
-    scattered back to their places, so sums over the result do not
+    scattered back to their row and column of a (k, n + 1) buffer, whose
+    spare column takes a block's pads, so sums over the result do not
     depend on the split. With ``derivs``, each piece also gives its two
     theta-derivatives, and (value, d1, d2) stack on a leading axis of
     length 3. The result is always a fresh array: it never shares memory
     with ``obs``."""
     ops = _OPS[family]
     column = np.asarray(theta, dtype=float).reshape(-1, 1)
-    if len(column) == 1 and obs.k > 1:      # a float over a block: on every row
-        column = np.broadcast_to(column, (obs.k, 1))
-    shape = (len(column), obs.n)
-    lead = (3,) if derivs else ()
+    block = obs.u1.ndim == 2
+    k = obs.k if block else len(column)
     with np.errstate(all="ignore"):
         if obs.cases and obs.cases[0][1] is None:    # one case, every entry
             (case, _, u1, u2), = obs.cases
             out = getattr(ops, _PIECES[case])(column, u1, u2, derivs)
+            shape = (k, obs.n)
             out = tuple(_full(a, shape) for a in out) if derivs else _full(out, shape)
-        elif obs.u1.ndim == 1:
-            out = np.empty(lead + shape, dtype=float)
-            for case, rows, u1, u2 in obs.cases:
-                out[..., rows] = getattr(ops, _PIECES[case])(column, u1, u2, derivs)
         else:
-            # a block scatters its flat entries; the pads land in one spare slot
-            out = np.empty(lead + (obs.size + 1,), dtype=float)
-            for case, positions, u1, u2 in obs.cases:
-                out[..., positions] = np.reshape(
-                    getattr(ops, _PIECES[case])(column, u1, u2, derivs), lead + (-1,))
-            out = out[..., :-1].reshape(lead + shape)
-    if np.ndim(theta) or obs.u1.ndim == 2:
+            # entry (j, cols[j, i]) of each case; a block's pads land in the
+            # spare column n
+            rows = (np.arange(k)[:, None],) if block else ()
+            out = np.empty(((3,) if derivs else ()) + (k, obs.n + 1))
+            for case, cols, u1, u2 in obs.cases:
+                out[(..., *rows, cols)] = getattr(ops, _PIECES[case])(column, u1, u2, derivs)
+            out = out[..., :-1]
+    if np.ndim(theta) or block:
         return out
     return tuple(a[0] for a in out) if derivs else out[0]
 
