@@ -127,7 +127,7 @@ def _owen_share(h, k, rho, s):
 
 def _binorm_logcdf_tail(lo, hi, rho):
     """log of the integral of phi(t) Phi((hi - rho t)/s) over t < lo, on one
-    64-node Gauss-Legendre rule for all rows.
+    64-node Gauss-Legendre rule for all entries.
 
     The log integrand g is concave with g'' <= -1. With d = g'(lo) that
     gives g(lo - L) <= g(lo) - d L - L^2 / 2, so below lo - L for
@@ -152,7 +152,7 @@ def _binorm_logcdf_tail(lo, hi, rho):
         width -= (g_lo - g_edge - _TAIL_DROP) / slope_edge
     t = lo[:, None] - 0.5 * width[:, None] * (1.0 + _GL_NODES)
     rel = np.exp(g(t, *(a[:, None] for a in (hi, rho, s, b)))[0] - g_lo[:, None])
-    return g_lo + np.log(0.5 * width * (rel @ _GL_WEIGHTS))
+    return g_lo + np.log(0.5 * width * (rel * _GL_WEIGHTS).sum(axis=-1))
 
 
 def binorm_logcdf(z1, z2, rho):
@@ -161,13 +161,12 @@ def binorm_logcdf(z1, z2, rho):
 
     Owen's (1956) T-function identity gives Phi2 in closed form, exactly
     on the axes z = 0. Where min z < 0 and the identity's value is below
-    1e-3 of Phi(max z), the size of its terms, it cancels; those rows take
+    1e-3 of Phi(max z), the size of its terms, it cancels; those entries take
     the log of the 1-D reduction that ``binorm_cdf`` integrates
     (``_binorm_logcdf_tail``). Against ``binorm_cdf`` on z in [-4, 4]^2 and
     |rho| <= 0.999 the log differs by at most about 3e-11.
 
-    The result is evaluated by rows (its last axis), so each row equals,
-    bit for bit, the call with that row's z and rho alone.
+    Each entry equals, bit for bit, its own scalar call.
     """
     rho = np.asarray(rho, dtype=float)
     if not (np.abs(rho) < 1).all():
@@ -175,10 +174,9 @@ def binorm_logcdf(z1, z2, rho):
     z1, z2, rho = np.broadcast_arrays(np.asarray(z1, dtype=float),
                                       np.asarray(z2, dtype=float), rho)
     shape = z1.shape
-    rows = (-1, shape[-1] if shape else 1)
-    rho = rho.reshape(rows)
-    lo = np.minimum(z1, z2).reshape(rows)
-    hi = np.maximum(z1, z2).reshape(rows)
+    rho = rho.ravel()
+    lo = np.minimum(z1, z2).ravel()
+    hi = np.maximum(z1, z2).ravel()
     edge = np.isinf(lo) | np.isinf(hi)      # Phi2 = Phi(lo) there, 0 at lo = -inf
     lo_edge = lo[edge]
     lo, hi = np.where(edge, 0.0, lo), np.where(edge, 0.0, hi)
@@ -188,11 +186,8 @@ def binorm_logcdf(z1, z2, rho):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(owen)
     tail = (lo < 0.0) & ~(out >= _TAIL_SWITCH + _special.log_ndtr(hi))
-    # the tail rule's node sum is a BLAS product, whose rounding of an
-    # entry depends on the other entries in it: one product per row
-    for r in np.flatnonzero(tail.any(axis=1)):
-        t = tail[r]
-        out[r, t] = _binorm_logcdf_tail(lo[r, t], hi[r, t], rho[r, t])
+    if tail.any():
+        out[tail] = _binorm_logcdf_tail(lo[tail], hi[tail], rho[tail])
     out[edge] = _special.log_ndtr(lo_edge)
     return out.reshape(shape)[()]
 

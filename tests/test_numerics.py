@@ -103,6 +103,17 @@ def test_binorm_logcdf_rho_column_rows_equal_scalar_calls():
         numerics.binorm_logcdf(h, k, np.array([[0.5], [1.0]]))
 
 
+def test_binorm_logcdf_entries_equal_their_scalar_calls():
+    # the tail rule's node sum must not round an entry by its neighbours,
+    # as a BLAS product over the tail entries would
+    z = np.array(_GRID_Z + [-6.0, -8.0, 0.0])
+    h, k = (a.ravel() for a in np.meshgrid(z, z))
+    for rho in [-0.999, -0.9, -0.3, 0.0, 0.4, 0.99]:
+        row = numerics.binorm_logcdf(h, k, rho)
+        alone = np.array([numerics.binorm_logcdf(a, b, rho) for a, b in zip(h, k)])
+        assert row.tobytes() == alone.tobytes(), rho
+
+
 def test_binorm_pdf_peak():
     val = numerics.binorm_pdf(0.0, 0.0, 0.5)
     expect = 1.0 / (2.0 * math.pi * math.sqrt(0.75))
