@@ -467,6 +467,7 @@ def test_block_rows_equal_their_one_sample_calls(case):
     order = np.arange(k)[::-1]
     taken = block.take(order)
     assert taken == copulas.Observations(u1[order], u2[order], d1[order], d2[order])
+    assert all(taken.row(i) == block.row(j) for i, j in enumerate(order))
     column = thetas[:, None]
     calls = [lambda th, o: loglik_vec(family, th, o, strict=False),
              lambda th, o: loglik_vec(family, th, o),
@@ -478,6 +479,9 @@ def test_block_rows_equal_their_one_sample_calls(case):
         # a row rebuilt from the block's split evaluates as its own sample
         assert all(_same(_outcome(lambda: call(float(t), block.row(j))), a)
                    for j, (t, a) in enumerate(zip(thetas, alone)))
+        # and so does a row of a taken block
+        assert all(_same(_outcome(lambda: call(float(thetas[j]), taken.row(i))), alone[j])
+                   for i, j in enumerate(order))
         if isinstance(whole, Exception):
             assert any(isinstance(a, Exception) for a in alone)
             continue
@@ -487,6 +491,11 @@ def test_block_rows_equal_their_one_sample_calls(case):
     # the one pass's log-likelihood is loglik_vec's over the block too
     loose = copulas.dlog_vec(family, column, block, strict=False)
     assert loose[0].tobytes() == loglik_vec(family, column, block, strict=False).tobytes()
+    # an empty column over a sample, as the leave-one-out refits pass when
+    # no trial is inside the domain, gives no rows
+    empty, n = np.empty((0, 1)), u1.shape[1]
+    assert loglik_vec(family, empty, block.row(0)).shape == (0, n)
+    assert all(a.shape == (0, n) for a in copulas.dlog_vec(family, empty, block.row(0)))
 
 
 # sha256 prefixes of the score and hessian bytes over a four-case sample
