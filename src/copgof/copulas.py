@@ -781,10 +781,10 @@ class Observations:
     pad never enters ``binorm_logcdf``'s tail branch) and column n. The
     padding lets a (k, 1) theta column broadcast over a case, and lets
     ``take`` and ``row`` reuse this split by slicing rows: ``take(rows)``
-    holds ``cols[rows]`` and ``row(j)`` the first ``cols[j]`` entries
-    below n. When one case covers every entry, its entry holds the whole
-    arrays and ``cols`` is None, so the kernels neither gather nor
-    scatter.
+    holds ``cols[rows]`` and ``row(j)`` holds ``cols[j, :count]``, the
+    row's own entries. When one case covers every entry, its entry
+    holds the whole arrays and ``cols`` is None, so the kernels neither
+    gather nor scatter.
     """
     u1: np.ndarray
     u2: np.ndarray
