@@ -21,7 +21,9 @@ margin cover the block, while each row keeps its own stream, so results
 are independent of the block size too. The rows of a block are then
 refit together (``inference.fit_block``): the Brent searches of all rows
 step in lockstep, one kernel call per round, and one derivative pass
-gives every row's statistics. Each row equals its own one-sample fit bit
+gives every row's score and hessian, from which the statistics come as
+one array per kind with a mask of the rows that succeeded
+(``inference.block_statistics``). Each row equals its own one-sample fit bit
 for bit, so the reports do not depend on the block size or on the
 worker count, over which the pool spreads the blocks.
 
@@ -37,10 +39,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from . import copulas, inference, numerics, survival
+from . import copulas, inference, survival
 from ._parallel import ordered_map
-from .copulas import CopulaModel, Family, FAMILY_ORDER, LikelihoodError
-from .inference import FitResult, InferenceError, StatisticValue
+from .copulas import CopulaModel, Family, FAMILY_ORDER
+from .inference import FitResult, StatisticValue
 from .numerics import RngStream
 from .survival import CensoredSample, StepSurvival
 
@@ -55,8 +57,7 @@ class BootstrapError(Exception):
 
 # the typed failures of a fit, a statistic or its calibration: a test that
 # raises one of these failed on its data and is reported or dropped
-_STAT_ERRORS = (InferenceError, LikelihoodError, BootstrapError,
-                numerics.NumericsError, survival.SurvivalError)
+_STAT_ERRORS = (*inference._STAT_ERRORS, BootstrapError, survival.SurvivalError)
 
 
 @dataclass(frozen=True)
@@ -131,49 +132,45 @@ def generate_bootstrap_dataset(frame: _Frame, stream_indices) -> tuple[np.ndarra
     return x1, x2, (t1 <= c1).astype(np.int8), (t2 <= c2).astype(np.int8)
 
 
-def _block_stats(frame: _Frame, stream_indices) -> list[dict[str, float] | None]:
+def _block_stats(frame: _Frame, stream_indices) -> tuple[np.ndarray, np.ndarray]:
     """Generate the replicates on these streams as one block, refit every
     row in one ``inference.fit_block`` call warm-started at the model's
-    theta, and recompute the statistics from each row's score and
-    hessian: per row, the statistic values, or None where the row failed
-    with a typed error."""
+    theta, and recompute the statistics from the rows' scores and
+    hessians (``inference.block_statistics``): a (len(kinds), k) array of
+    values, row i for frame.kinds[i], and the (k,) mask of the replicates
+    that succeeded; the others failed with a typed error."""
     x1, x2, d1, d2 = generate_bootstrap_dataset(frame, stream_indices)
     u1, u2, errors = survival._pseudo_rows(x1, x2, d1, d2)
-    rows = [j for j, err in enumerate(errors) if err is None]
-    stats = [None] * len(errors)
-    if not rows:
-        return stats
-    if len(rows) < len(errors):
-        u1, u2, d1, d2 = (a[rows] for a in (u1, u2, d1, d2))
+    ok = np.array([err is None for err in errors])
+    values = np.full((len(frame.kinds), ok.size), np.nan)
+    if not ok.any():
+        return values, ok
     try:
-        fits = inference.fit_block(frame.model.family, copulas.Observations(u1, u2, d1, d2),
-                                   initial_theta=frame.model.theta)
+        fits = inference.fit_block(frame.model.family, copulas.Observations(
+            *(a[ok] for a in (u1, u2, d1, d2))), initial_theta=frame.model.theta)
     except _STAT_ERRORS:
-        return stats
-    for i, j in enumerate(rows):
-        try:
-            stats[j] = {k: v.value for k, v in fits.statistics(frame.kinds, i).items()}
-        except _STAT_ERRORS:
-            pass
-    return stats
+        return values, np.zeros_like(ok)
+    values[:, ok], ok[ok] = inference.block_statistics(frame.kinds, fits)
+    return values, ok
 
 
-def _block_task(args) -> list[dict[str, float] | None]:
-    """Worker body: the statistics of the replicates ``idx`` (one block),
-    each failed one replaced by its retry, all retries as one more block."""
+def _block_task(args) -> tuple[np.ndarray, np.ndarray]:
+    """Worker body: the statistics of the replicates ``idx`` (one block)
+    and the mask of those that succeeded, each failed one replaced by its
+    retry, all retries as one more block."""
     frame, idx = args
     base = frame.family_index * B_CAP
-    stats = _block_stats(frame, [base + i for i in idx])
-    failed = [j for j, s in enumerate(stats) if s is None]
-    if failed:
-        retried = _block_stats(frame, [base + _RETRY_OFFSET + idx[j] for j in failed])
-        for j, s in zip(failed, retried):
-            stats[j] = s
-    return stats
+    values, ok = _block_stats(frame, [base + i for i in idx])
+    failed = np.flatnonzero(~ok)
+    if failed.size:
+        values[:, failed], ok[failed] = _block_stats(
+            frame, [base + _RETRY_OFFSET + idx[j] for j in failed])
+    return values, ok
 
 
-def _replicates(frame: _Frame, b: int) -> list[dict[str, float]]:
-    """Statistics of the b replicates that succeed, in replicate order.
+def _replicates(frame: _Frame, b: int) -> np.ndarray:
+    """Statistics of the b replicates that succeed, in replicate order: a
+    (len(kinds), b_used) array, row i for frame.kinds[i].
 
     Replicate i draws from stream base + i, in blocks of about
     inference.BLOCK_ENTRIES entries, and the pool maps the blocks. A
@@ -183,7 +180,8 @@ def _replicates(frame: _Frame, b: int) -> list[dict[str, float]]:
     """
     size = -(-inference.BLOCK_ENTRIES // frame.n)
     blocks = [(frame, range(start, min(start + size, b))) for start in range(0, b, size)]
-    return [s for stats in ordered_map(_block_task, blocks) for s in stats if s is not None]
+    return np.concatenate([values[:, ok] for values, ok in ordered_map(_block_task, blocks)],
+                          axis=1)
 
 
 def _pvalue(observed: float, null_value: float, sigma_b: float) -> tuple[float, bool]:
@@ -210,11 +208,11 @@ def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
 
     ``pairs`` is a CensoredSample or a sequence of CensoredPair rows.
     ``kinds`` is a non-empty sequence of statistic kinds (see
-    ``inference.statistic_kinds``); the reports are keyed by lower-case
-    kind.
+    ``inference.statistic_kinds``), a kind named twice counting once; the
+    reports are keyed by lower-case kind.
     ``fit``, if given, must be a fit of ``family`` to this sample's
     pseudo-observations (ValueError otherwise). Replicate fits and the
-    (S, V) pass of each fit are shared across kinds, so asking for ir,
+    derivative pass of each fit are shared across kinds, so asking for ir,
     white and logim together costs the same as any one of them.
     """
     sample = survival.as_sample(pairs)
@@ -229,22 +227,22 @@ def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
             f"{family.value} fit to this sample")
     observed = inference.compute_statistics(kinds, fit)
 
-    kept = _replicates(_build_frame(sample, fit, kinds, config), config.b)
+    draws = _replicates(_build_frame(sample, fit, kinds, config), config.b)
+    b_used = draws.shape[1]
     floor = math.ceil(MIN_REPLICATE_FRACTION * config.b)
-    if len(kept) < floor:
+    if b_used < floor:
         raise BootstrapError(
-            f"only {len(kept)} of {config.b} bootstrap replicates succeeded "
+            f"only {b_used} of {config.b} bootstrap replicates succeeded "
             f"for {family.value}; at least {floor} are required")
 
     rates = (float(1.0 - obs.d1.mean()), float(1.0 - obs.d2.mean()))
     reports = {}
-    for k in kinds:
-        draws = np.array([s[k] for s in kept])
-        sigma_b = float(draws.std(ddof=1))
+    for k, kind_draws in zip(kinds, draws):
+        sigma_b = float(kind_draws.std(ddof=1))
         p, degenerate = _pvalue(observed[k].value, observed[k].null_value, sigma_b)
         reports[k] = GofReport(
             family=family, theta_hat=fit.theta_hat, statistic=observed[k],
-            sigma_b=sigma_b, p_value=p, b_requested=config.b, b_used=len(kept),
+            sigma_b=sigma_b, p_value=p, b_requested=config.b, b_used=b_used,
             seed=config.seed, n=len(sample), censoring_rates=rates,
             degenerate=degenerate, loglik=fit.loglik, converged=fit.converged)
     return reports

@@ -33,10 +33,11 @@ mean squared score V of the pseudo-likelihood estimate the same
 information matrix, so the ratio R = V/S hovers near 1. Three statistics
 quantify the discrepancy: the information ratio R (null value 1), the
 White difference V - S (null value 0), and log S - log V (null value 0).
-All three read (S, V) from the fit's score and hessian, so they make no
-derivative pass of their own; ``information`` gives (S, V) at any other
-theta. ``compute_statistic`` is the entry point for one kind, and
-``compute_statistics`` for several at one fit.
+All three read (S, V) from the fit's score and hessian, as arrays: one
+reduction gives every row's (S, V) of a block fit, or a fit's as a
+block of one row. ``compute_statistic`` and ``compute_statistics`` give
+one or several kinds at one fit, and ``block_statistics`` each kind over
+a block's rows, with a mask of those that succeeded.
 A fourth, the cross-validated likelihood contrast T (PIOS), compares
 in-sample and leave-one-out log-likelihoods. Its n delete-one
 re-maximizations are solved together: a safeguarded Newton iteration on
@@ -200,15 +201,6 @@ class BlockFit:
                          loglik_obs=self.loglik_obs[j], score=self.score[j],
                          hessian=self.hessian[j])
 
-    def statistics(self, kinds, j: int) -> dict[str, StatisticValue]:
-        """``compute_statistics(kinds, self.result(j))``. ir, white and logim
-        read row j's score and hessian; only pios builds the row's
-        FitResult, for its leave-one-out refits."""
-        if self.errors[j] is not None:
-            raise self.errors[j]
-        return _statistics(statistic_kinds(kinds), self.score[j], self.hessian[j],
-                           lambda: self.result(j))
-
 
 def _search(family: Family, obs: Observations, x0):
     """One ``numerics.maximize_1d`` call on the unconstrained scale for
@@ -261,25 +253,6 @@ def _search(family: Family, obs: Observations, x0):
     return x_star, f_star, evaluations, errors
 
 
-def _dlog_rows(family: Family, obs: Observations, rows, thetas):
-    """Log-likelihood, score and hessian of ``obs``'s ``rows`` (a sample
-    is a block of one row) at the array of their thetas, each a
-    (len(rows), n) array, from one ``copulas.dlog_vec`` pass, and each
-    row's LikelihoodError, for its first non-finite score or else hessian
-    entry, or None."""
-    sub = obs if len(rows) == obs.k else obs.take(rows)
-    passes = copulas.dlog_vec(family, thetas[:, None], sub, strict=False)
-    errors = [None] * len(rows)
-    _, score, hessian = passes
-    bad = ~(np.isfinite(score).all(axis=1) & np.isfinite(hessian).all(axis=1))
-    for i in np.flatnonzero(bad):
-        try:
-            copulas.require_finite(family, float(thetas[i]), score[i], hessian[i])
-        except LikelihoodError as exc:
-            errors[i] = exc
-    return passes, errors
-
-
 def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
     """``fit_pmle`` of every row of ``obs``, a sample or a (k, n) block,
     started at ``initial_theta`` (a float, or one per row), as one
@@ -295,35 +268,34 @@ def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
     k = obs.k
     x0 = np.broadcast_to(copulas.to_unconstrained(family, initial_theta), (k,))
     x_star, f_star, evaluations, errors = _search(family, obs, x0)
-    rows = [j for j in range(k) if errors[j] is None]
+    fitted = np.array([err is None for err in errors])
     theta_hat = np.full(k, np.nan)
-    converged = np.zeros(k, dtype=bool)
+    theta_hat[fitted] = copulas.from_unconstrained(family, x_star[fitted])
     # the log-likelihood, score and hessian rows; a failed search's stay NaN
-    at_hat = np.full((3, k, obs.n), np.nan) if len(rows) < k else None
-    if rows:
-        thetas = copulas.from_unconstrained(family, x_star[rows])
-        theta_hat[rows] = thetas
-        passes, dlog_errors = _dlog_rows(family, obs, rows, thetas)
-        if at_hat is None:
-            at_hat = passes
-        else:
-            for a, p in zip(at_hat, passes):
-                a[rows] = p
-        s = passes[1]
-        for i, j in enumerate(rows):
-            theta = float(thetas[i])
-            if dlog_errors[i] is not None:
-                errors[j] = (_edge_error(family, theta) if _on_edge(family, theta)
-                             else dlog_errors[i])
-                continue
-            converged[j] = abs(float(s[i].sum())) <= 1e-6 * obs.n
-            if not converged[j] and _on_edge(family, theta):
-                errors[j] = _edge_error(family, theta)
+    at_hat = np.full((3, k, obs.n), np.nan)
+    if fitted.any():
+        sub = obs if fitted.all() else obs.take(np.flatnonzero(fitted))
+        at_hat[:, fitted] = copulas.dlog_vec(family, theta_hat[fitted][:, None], sub,
+                                             strict=False)
+    at_hat.flags.writeable = False
+    loglik_obs, score, hessian = at_hat
+    finite = np.isfinite(score).all(axis=1) & np.isfinite(hessian).all(axis=1)
+    converged = np.zeros(k, dtype=bool)
+    converged[finite] = np.abs(score[finite].sum(axis=1)) <= 1e-6 * obs.n
+    edge = _on_edge(family, theta_hat)
+    # a non-finite score or hessian entry fails its row with the first
+    # one's LikelihoodError, and an unconverged fit on the edge with the
+    # edge's InferenceError
+    for j in np.flatnonzero(fitted & ~converged & (edge | ~finite)):
+        theta = float(theta_hat[j])
+        try:
+            copulas.require_finite(family, theta, score[j], hessian[j])
+        except LikelihoodError as exc:
+            errors[j] = exc
+        if edge[j]:
+            errors[j] = _edge_error(family, theta)
     # maximize_1d returns a finite f_star, so every piece at theta_hat was
     # finite and f_star is the strict pseudo-log-likelihood there
-    loglik_obs, score, hessian = at_hat
-    for a in at_hat:
-        a.flags.writeable = False
     return BlockFit(family=family, obs=obs, theta_hat=theta_hat, loglik=f_star,
                     converged=converged, n_evaluations=evaluations, loglik_obs=loglik_obs,
                     score=score, hessian=hessian, errors=tuple(errors))
@@ -356,9 +328,10 @@ def fit_pmle(family: Family, obs: Observations, *,
     return fit_block(family, obs, initial_theta=initial_theta).result(0)
 
 
-def _moments(score, hessian) -> tuple[float, float]:
-    """(S, V): the negative mean hessian and the mean squared score."""
-    return float(-hessian.mean()), float(np.square(score).mean())
+def _moments(score, hessian):
+    """(S, V) per row: the negative mean hessian and the mean squared score
+    over the last axis, each row's mean equal to its own ``mean()``."""
+    return -hessian.mean(axis=-1), np.square(score).mean(axis=-1)
 
 
 def information(family: Family, theta, obs: Observations) -> tuple[float, float]:
@@ -367,26 +340,8 @@ def information(family: Family, theta, obs: Observations) -> tuple[float, float]
     log-likelihood. At a fit's theta_hat, the statistics read them from
     the fit instead."""
     _check_type(obs)
-    return _moments(*copulas.dlog_vec(family, theta, obs)[1:])
-
-
-def _ir(s: float, v: float) -> StatisticValue:
-    if s <= 0.0:
-        raise InferenceError(
-            f"hessian estimate is not positive definite (S = {s:.6g}); "
-            f"the information ratio is undefined at this fit")
-    return StatisticValue(kind="ir", value=v / s, null_value=1.0)
-
-
-def _white(s: float, v: float) -> StatisticValue:
-    return StatisticValue(kind="white", value=v - s, null_value=0.0)
-
-
-def _logim(s: float, v: float) -> StatisticValue:
-    if s <= 0.0 or v <= 0.0:
-        raise InferenceError(
-            f"non-positive information estimates (S = {s:.6g}, V = {v:.6g})")
-    return StatisticValue(kind="logim", value=math.log(s) - math.log(v), null_value=0.0)
+    s, v = _moments(*copulas.dlog_vec(family, theta, obs)[1:])
+    return float(s), float(v)
 
 
 def _drop_own(a, rows):
@@ -511,16 +466,18 @@ def _loo_fits(fit: FitResult):
     return x, own, at_hat[0]
 
 
-# statistics that are functions of (S, V) alone; pios needs its own refits
-_FROM_INFORMATION = {"ir": _ir, "white": _white, "logim": _logim}
-STATISTIC_KINDS = tuple(sorted([*_FROM_INFORMATION, "pios"]))
+_NULL_VALUES = {"ir": 1.0, "logim": 0.0, "pios": 1.0, "white": 0.0}
+STATISTIC_KINDS = tuple(sorted(_NULL_VALUES))
+# the typed failures of a fit or a statistic
+_STAT_ERRORS = (InferenceError, LikelihoodError, numerics.NumericsError)
 
 
 def statistic_kinds(kinds) -> tuple[str, ...]:
-    """``kinds``, a non-empty sequence of kind names, in lower case and
-    checked against STATISTIC_KINDS. A bare string is a TypeError: it
-    would be read as a sequence of one-letter kinds. So is an entry that
-    is not a string, naming that entry."""
+    """``kinds``, a non-empty sequence of kind names, in lower case,
+    checked against STATISTIC_KINDS, with duplicates collapsed in
+    first-seen order. A bare string is a TypeError: it would be read as
+    a sequence of one-letter kinds. So is an entry that is not a string,
+    naming that entry."""
     if isinstance(kinds, str):
         raise TypeError(f"expected a sequence of statistic kinds, got the string "
                         f"{kinds!r}; pass ({kinds!r},)")
@@ -529,7 +486,7 @@ def statistic_kinds(kinds) -> tuple[str, ...]:
         if not isinstance(k, str):
             raise TypeError(f"expected a sequence of statistic kinds, got the entry "
                             f"{k!r}; each kind is a string such as 'ir'")
-    kinds = tuple(k.lower() for k in kinds)
+    kinds = tuple(dict.fromkeys(k.lower() for k in kinds))
     if not kinds:
         raise ValueError("no statistic kinds given")
     for k in kinds:
@@ -539,25 +496,57 @@ def statistic_kinds(kinds) -> tuple[str, ...]:
     return kinds
 
 
+def _from_information(kind: str, s, v):
+    """ir = V/S (where S > 0), white = V - S or logim = log S - log V
+    (where S > 0 and V > 0) at each row's (S, V), and the mask of the rows
+    where it is defined. logim takes ``math.log`` per row, as np.log's
+    last bit can differ."""
+    if kind == "white":
+        return v - s, np.ones(s.shape, dtype=bool)
+    if kind == "ir":
+        with np.errstate(all="ignore"):
+            return v / s, ~(s <= 0.0)
+    defined = ~((s <= 0.0) | (v <= 0.0))
+    values = np.full(s.shape, np.nan)
+    values[defined] = [math.log(a) - math.log(b)
+                       for a, b in zip(s[defined].tolist(), v[defined].tolist())]
+    return values, defined
+
+
 def compute_statistics(kinds, fit: FitResult) -> dict[str, StatisticValue]:
-    """Every kind in ``kinds`` at one fit, keyed by lower-case kind.
-    ir, white and logim share the fit's (S, V)."""
-    return _statistics(statistic_kinds(kinds), fit.score, fit.hessian, lambda: fit)
+    """Every kind in ``kinds`` at one fit, keyed by lower-case kind; the
+    first kind, in order, that is undefined or fails raises."""
+    return {kind: compute_statistic(kind, fit) for kind in statistic_kinds(kinds)}
 
 
-def _statistics(kinds, score, hessian, fit) -> dict[str, StatisticValue]:
-    """The checked ``kinds`` from a fit's score and hessian; ``fit()`` gives
-    the FitResult that pios needs."""
-    info = _moments(score, hessian)
-    # pios goes through compute_statistic so that its leave-one-out refits
-    # stay nested under it, where perfbench's traced run attributes them
-    return {k: _FROM_INFORMATION[k](*info) if k in _FROM_INFORMATION
-            else compute_statistic(k, fit()) for k in kinds}
+def block_statistics(kinds, fits: BlockFit) -> tuple[np.ndarray, np.ndarray]:
+    """``compute_statistics`` at every row of a block fit: a (len(kinds), k)
+    array, row i for kinds[i], and the (k,) mask of the rows whose fit and
+    every kind succeeded. ir, white and logim come from one (S, V)
+    reduction over the fitted rows; pios refits each row still ok."""
+    kinds = statistic_kinds(kinds)
+    ok = np.array([err is None for err in fits.errors])
+    values = np.full((len(kinds), ok.size), np.nan)
+    rows = np.flatnonzero(ok)  # a failed fit's rows need not be finite
+    s, v = _moments(fits.score[rows], fits.hessian[rows])
+    for i, kind in enumerate(kinds):
+        if kind != "pios":
+            values[i, rows], defined = _from_information(kind, s, v)
+            ok[rows] &= defined
+    if "pios" in kinds:
+        i = kinds.index("pios")
+        for j in np.flatnonzero(ok):
+            try:
+                values[i, j] = compute_statistic("pios", fits.result(j)).value
+            except _STAT_ERRORS:
+                ok[j] = False
+    return values, ok
 
 
 def compute_statistic(kind: str, fit: FitResult) -> StatisticValue:
     """The statistic ``kind`` (ir, white, logim or pios, any case) at one fit.
 
+    ir, white and logim read the fit's (S, V) as a block of one row.
     pios is the in-sample minus leave-one-out log-likelihood contrast,
     sum_i l_i(theta_hat) - l_i(theta_hat_(-i)). Each theta_hat_(-i) is an
     exact re-maximization without observation i. All n are solved
@@ -568,8 +557,15 @@ def compute_statistic(kind: str, fit: FitResult) -> StatisticValue:
     leave-one-out optimum is on the domain edge.
     """
     kind, = statistic_kinds((kind,))
-    if kind in _FROM_INFORMATION:
-        return _FROM_INFORMATION[kind](*_moments(fit.score, fit.hessian))
-    _check(fit.obs, MIN_OBSERVATIONS + 1)
-    _, own, at_hat = _loo_fits(fit)
-    return StatisticValue(kind="pios", value=float(np.sum(at_hat - own)), null_value=1.0)
+    if kind == "pios":
+        _check(fit.obs, MIN_OBSERVATIONS + 1)
+        _, own, at_hat = _loo_fits(fit)
+        return StatisticValue("pios", float(np.sum(at_hat - own)), _NULL_VALUES["pios"])
+    s, v = _moments(fit.score[None], fit.hessian[None])
+    value, defined = _from_information(kind, s, v)
+    if defined[0]:
+        return StatisticValue(kind, float(value[0]), _NULL_VALUES[kind])
+    if kind == "ir":
+        raise InferenceError(f"hessian estimate is not positive definite (S = {s[0]:.6g}); "
+                             f"the information ratio is undefined at this fit")
+    raise InferenceError(f"non-positive information estimates (S = {s[0]:.6g}, V = {v[0]:.6g})")

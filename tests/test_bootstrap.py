@@ -10,7 +10,7 @@ from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_reports,
                               generate_bootstrap_dataset, select_copula,
                               _build_frame)
 from copgof.copulas import FAMILY_ORDER, CopulaModel, Family
-from copgof.inference import compute_statistics, fit_pmle
+from copgof.inference import compute_statistic, compute_statistics, fit_pmle
 from copgof.numerics import RngStream
 from copgof.simulation import Scenario, StudyConfig, generate_scenario_dataset
 from copgof.survival import (CensoredSample, censoring_curves, kaplan_meier,
@@ -89,6 +89,24 @@ def test_reports_share_replicates_and_kinds_agree():
         assert rep.b_used == reps["ir"].b_used
 
 
+def test_duplicate_kinds_are_computed_once(monkeypatch):
+    # a kind named twice, in any case, is one report whose replicates are
+    # computed once
+    monkeypatch.setenv("COPULA_GOF_THREADS", "1")
+    cfg = BootstrapConfig(b=4, seed=2)
+    kinds = []
+    block_statistics = inference.block_statistics
+
+    def recorded(block_kinds, fits):
+        kinds.append(block_kinds)
+        return block_statistics(block_kinds, fits)
+
+    monkeypatch.setattr(inference, "block_statistics", recorded)
+    reps = bootstrap_reports(PAIRS, Family.CLAYTON, cfg, kinds=("ir", "IR"))
+    assert list(reps) == ["ir"] and kinds == [("ir",)]
+    assert reps == bootstrap_reports(PAIRS, Family.CLAYTON, cfg, kinds=("ir",))
+
+
 def test_pair_list_and_sample_give_the_same_reports():
     cfg = BootstrapConfig(b=20, seed=4)
     kinds = ("ir", "white", "logim")
@@ -160,6 +178,26 @@ def test_one_observations_per_sample(kinds, monkeypatch):
     assert reports[kinds[0]].b_used == 20
     assert len(builds) == 2
     assert len(passes) == 1 and np.shape(passes[0]) == (1, 1)
+
+
+def test_no_statistic_objects_per_replicate(monkeypatch):
+    # a block's ir, white and logim come back as arrays: the only
+    # StatisticValues built are the observed sample's three
+    builds = []
+    init = inference.StatisticValue.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        builds.append(self.kind)
+
+    monkeypatch.setenv("COPULA_GOF_THREADS", "1")
+    monkeypatch.setattr(inference.StatisticValue, "__init__", counted)
+    sample = generate_scenario_dataset(Scenario(Family.CLAYTON, 0.5, 100, "c20"), seed=1)
+    kinds = ("ir", "white", "logim")
+    reports = bootstrap_reports(sample, Family.CLAYTON, BootstrapConfig(b=20, seed=1),
+                                kinds=kinds)
+    assert reports["ir"].b_used == 20
+    assert builds == list(kinds)
 
 
 def test_replicate_value_error_is_not_a_drop(monkeypatch):
@@ -247,6 +285,11 @@ def test_block_fit_rows_equal_their_own_fits(family, halfwidth, monkeypatch):
     theta0 = copulas.tau_to_theta(family, 0.5)
     monkeypatch.setattr(inference, "_HALFWIDTH", halfwidth)
     fits = inference.fit_block(family, block, initial_theta=theta0)
+    # the block's per-observation rows are read-only, as a FitResult's are
+    assert not (fits.loglik_obs.flags.writeable or fits.score.flags.writeable
+                or fits.hessian.flags.writeable)
+    kinds = ("ir", "white", "logim")
+    values, ok = inference.block_statistics(kinds, fits)
     outcomes = set()
     for j, obs in enumerate(rows):
         try:
@@ -256,6 +299,7 @@ def test_block_fit_rows_equal_their_own_fits(family, halfwidth, monkeypatch):
             assert (type(err), str(err)) == (type(exc), str(exc)), j
             with pytest.raises(type(exc)):
                 fits.result(j)
+            assert not ok[j], j
             outcomes.add(type(exc).__name__)
             continue
         got = fits.result(j)
@@ -263,11 +307,63 @@ def test_block_fit_rows_equal_their_own_fits(family, halfwidth, monkeypatch):
         assert got.score.tobytes() == ref.score.tobytes(), j
         assert got.hessian.tobytes() == ref.hessian.tobytes(), j
         assert got.obs == obs
-        kinds = ("ir", "white", "logim")
-        assert _stats_outcome(lambda: fits.statistics(kinds, j)) == _stats_outcome(
-            lambda: compute_statistics(kinds, ref))
+        # the block's statistics of row j are those of its own fit, as bytes
+        expected = _stats_outcome(lambda: compute_statistics(kinds, ref))
+        assert ok[j] == isinstance(expected, dict), j
+        if ok[j]:
+            assert values[:, j].tobytes() == np.array(
+                [expected[k].value for k in kinds]).tobytes(), j
         outcomes.add("fit")
     assert "fit" in outcomes
+
+
+def test_block_statistics_rows_equal_their_own_statistics():
+    # a hand-built block fit of four rows: a failed fit whose score and
+    # hessian are not finite, a positive mean hessian (S < 0: ir and logim
+    # undefined), an all-zero score (V = 0: logim undefined) and a normal
+    # row. The block's mask and values are each row's own compute_statistic
+    # outcomes: the same value bytes, or a failure where it raises
+    n = 12
+    gen = np.random.default_rng(5)
+    u = gen.uniform(0.05, 0.95, (2, 4, n))
+    obs = copulas.Observations(u[0], u[1], np.ones((4, n)), np.ones((4, n)))
+    score = gen.normal(0.0, 1.0, (4, n))
+    hessian = -gen.uniform(0.5, 2.0, (4, n))
+    score[0, :2] = hessian[0, :2] = [np.inf, -np.inf]
+    score[0, 2:] = hessian[0, 2:] = np.nan
+    hessian[1] = 0.5
+    score[2] = 0.0
+    hessian[2] = -2.0
+    failed = inference.InferenceError("fit failed")
+    fits = inference.BlockFit(
+        family=Family.CLAYTON, obs=obs, theta_hat=np.array([np.nan, 2.0, 2.0, 2.0]),
+        loglik=np.zeros(4), converged=np.ones(4, dtype=bool), n_evaluations=np.ones(4),
+        loglik_obs=np.zeros((4, n)), score=score, hessian=hessian,
+        errors=(failed, None, None, None))
+    kinds = ("ir", "white", "logim")
+    values, ok = inference.block_statistics(kinds, fits)
+
+    def outcome(kind, j):
+        try:
+            return np.float64(compute_statistic(kind, fits.result(j)).value).tobytes()
+        except bootstrap._STAT_ERRORS as exc:
+            return type(exc), str(exc)
+
+    expected = [[outcome(k, j) for k in kinds] for j in range(4)]
+    assert expected[0] == [(inference.InferenceError, "fit failed")] * 3
+    assert expected[1][0] == (inference.InferenceError,
+                              "hessian estimate is not positive definite (S = -0.5); "
+                              "the information ratio is undefined at this fit")
+    assert expected[1][2][0] is inference.InferenceError
+    assert expected[1][2][1].startswith("non-positive information estimates (S = -0.5, V = ")
+    assert expected[2][2] == (inference.InferenceError,
+                              "non-positive information estimates (S = 2, V = 0)")
+    assert ok.tolist() == [all(isinstance(o, bytes) for o in e) for e in expected]
+    assert ok.tolist() == [False, False, False, True]
+    for j, row in enumerate(expected):
+        for i, o in enumerate(row):
+            if isinstance(o, bytes):
+                assert values[i, j].tobytes() == o, (i, j)
 
 
 @pytest.mark.parametrize("tau", [0.5, -0.3])

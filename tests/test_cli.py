@@ -163,6 +163,17 @@ def test_cmd_simulate_rejection(capsys):
     assert lines[1].startswith("clayton,clayton,ir,0.5,60,none,")
 
 
+def test_cmd_simulate_duplicate_tests_give_one_row_each(capsys):
+    # a kind named twice, in any case, is computed and written once per
+    # null family
+    rc = main(["simulate", "--true-family", "clayton", "--n", "30",
+               "--replications", "2", "--b", "4", "--tests", "ir,IR",
+               "--null-families", "clayton,frank"])
+    assert rc == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))[1:]
+    assert [(r[1], r[2]) for r in rows] == [("clayton", "ir"), ("frank", "ir")]
+
+
 def test_cmd_simulate_null_mode(capsys, tmp_path):
     out = tmp_path / "qq.csv"
     rc = main(["simulate", "--mode", "null", "--true-family", "gaussian",

@@ -22,6 +22,12 @@ def test_study_config_validation():
     assert StudyConfig(kinds=("IR", "White")).kinds == ("ir", "white")
 
 
+def test_study_config_collapses_duplicate_kinds():
+    # a kind named twice is computed once, in first-seen order
+    assert StudyConfig(kinds=("ir", "IR")).kinds == ("ir",)
+    assert StudyConfig(kinds=("white", "ir", "White")).kinds == ("white", "ir")
+
+
 def test_scenario_dataset_reads_the_scenario_theta(monkeypatch):
     # theta is computed once, with the scenario; generating its datasets
     # inverts no tau (a Frank tau takes a root-find over a quadrature)
