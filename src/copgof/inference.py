@@ -504,7 +504,7 @@ def _from_information(kind: str, s, v):
     if kind == "white":
         return v - s, np.ones(s.shape, dtype=bool)
     if kind == "ir":
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # the rows where S <= 0 are masked
             return v / s, ~(s <= 0.0)
     defined = ~((s <= 0.0) | (v <= 0.0))
     values = np.full(s.shape, np.nan)
