@@ -5,7 +5,8 @@ The main entry points are :func:`fit_pmle` for two-stage pseudo-maximum-
 likelihood estimation, :func:`compute_statistic` for one statistic at a
 fit, :func:`bootstrap_reports` for a calibrated test of one null family
 on one or more statistics, and :func:`select_copula` for ranking
-candidates.
+candidates. Every typed failure on the data derives from
+:class:`StatisticalError`.
 """
 
 from .bootstrap import (BootstrapConfig, BootstrapError, GofReport,
@@ -15,6 +16,7 @@ from .copulas import (CopulaModel, CopulaError, Family, LikelihoodError,
                       tau_to_theta, theta_to_tau)
 from .inference import (FitResult, InferenceError, StatisticValue,
                         compute_statistic, fit_pmle)
+from .numerics import StatisticalError
 from .simulation import (Scenario, StudyConfig, generate_scenario_dataset,
                          run_null_distribution, run_rejection_study)
 from .survival import (CensoredPair, CensoredSample, StepSurvival,
@@ -31,7 +33,7 @@ __all__ = [
     "cdf", "density", "partial_u1", "partial_u2",
     "sample_pairs", "tau_to_theta", "theta_to_tau",
     "FitResult", "InferenceError", "StatisticValue", "compute_statistic",
-    "fit_pmle",
+    "fit_pmle", "StatisticalError",
     "Scenario", "StudyConfig", "generate_scenario_dataset",
     "run_null_distribution", "run_rejection_study",
     "CensoredPair", "CensoredSample", "StepSurvival", "SurvivalError",

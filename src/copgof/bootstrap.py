@@ -29,6 +29,7 @@ worker count, over which the pool spreads the blocks.
 
 ``bootstrap_reports`` is the one test entry point: its ``kinds`` names
 the statistics a test computes, and ``select_copula`` ranks on one kind.
+A replicate that raises a ``StatisticalError`` is retried, then dropped.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from . import copulas, inference, survival
 from ._parallel import ordered_map
 from .copulas import CopulaModel, Family, FAMILY_ORDER
 from .inference import FitResult, StatisticValue
-from .numerics import RngStream
+from .numerics import RngStream, StatisticalError
 from .survival import CensoredSample, StepSurvival
 
 B_CAP = 1 << 20
@@ -51,13 +52,8 @@ _RETRY_OFFSET = B_CAP >> 1
 MIN_REPLICATE_FRACTION = 0.8
 
 
-class BootstrapError(Exception):
+class BootstrapError(StatisticalError):
     pass
-
-
-# the typed failures of a fit, a statistic or its calibration: a test that
-# raises one of these failed on its data and is reported or dropped
-_STAT_ERRORS = (*inference._STAT_ERRORS, BootstrapError, survival.SurvivalError)
 
 
 @dataclass(frozen=True)
@@ -140,15 +136,14 @@ def _block_stats(frame: _Frame, stream_indices) -> tuple[np.ndarray, np.ndarray]
     values, row i for frame.kinds[i], and the (k,) mask of the replicates
     that succeeded; the others failed with a typed error."""
     x1, x2, d1, d2 = generate_bootstrap_dataset(frame, stream_indices)
-    u1, u2, errors = survival._pseudo_rows(x1, x2, d1, d2)
-    ok = np.array([err is None for err in errors])
+    u1, u2, ok = survival._pseudo_rows(x1, x2, d1, d2)
     values = np.full((len(frame.kinds), ok.size), np.nan)
     if not ok.any():
         return values, ok
     try:
         fits = inference.fit_block(frame.model.family, copulas.Observations(
             *(a[ok] for a in (u1, u2, d1, d2))), initial_theta=frame.model.theta)
-    except _STAT_ERRORS:
+    except StatisticalError:
         return values, np.zeros_like(ok)
     values[:, ok], ok[ok] = inference.block_statistics(frame.kinds, fits)
     return values, ok
@@ -289,7 +284,7 @@ def select_copula(pairs, families, config: BootstrapConfig,
         try:
             rep, = bootstrap_reports(sample, fam, config, (kind,)).values()
             entries.append(SelectionEntry(family=fam, report=rep))
-        except _STAT_ERRORS as exc:
+        except StatisticalError as exc:
             entries.append(SelectionEntry(family=fam, report=None, error=str(exc)))
 
     def sort_key(e: SelectionEntry):

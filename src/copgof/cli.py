@@ -6,7 +6,8 @@ curve), simulate (Monte Carlo study). JSON goes to stdout with floats at
 12 significant digits; CSV schemas are fixed.
 
 Exit codes: 0 success, 1 input, parse or output failure (an unreadable
---input or an unwritable --output), 2 statistical failure, 64 usage error.
+--input or an unwritable --output), 2 statistical failure (any
+``StatisticalError``), 64 usage error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 from . import bootstrap, copulas, inference, simulation, survival
 from .bootstrap import BootstrapConfig
 from .copulas import Family
+from .numerics import StatisticalError
 from .survival import CensoredPair, CensoredSample
 
 EXIT_OK = 0
@@ -30,8 +32,6 @@ EXIT_USAGE = 64
 
 DATA_HEADER = ["x1", "x2", "d1", "d2"]
 KM_CSV_HEADER = ["time", "survival", "n_at_risk"]
-
-_STAT_ERRORS = (*bootstrap._STAT_ERRORS, simulation.SimulationError)
 
 
 class UsageError(Exception):
@@ -283,16 +283,16 @@ def cmd_km(args) -> int:
 
 def cmd_simulate(args) -> int:
     true_family = _parse_family(args.true_family)
+    tests = args.tests or {"rejection": "ir,white,logim", "null": "ir"}[args.mode]
+    kinds = tuple(k.strip() for k in tests.split(",") if k.strip())
     try:
         scenario = simulation.Scenario(true_family, args.tau, args.n, args.censoring)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    kinds = tuple(k.strip() for k in args.tests.split(",") if k.strip())
-    try:
         cfg = simulation.StudyConfig(replications=args.replications, b=args.b,
                                      alpha=args.alpha, seed=args.seed, kinds=kinds)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if args.mode == "null" and len(cfg.kinds) > 1:
+        raise UsageError(f"null mode takes one statistic kind, got {','.join(cfg.kinds)}")
     null_families = (_parse_families(args.null_families)
                      if args.mode == "rejection" and args.null_families else [true_family])
     _check_output(args.output)
@@ -301,7 +301,7 @@ def cmd_simulate(args) -> int:
         with _output(args.output) as fh:
             simulation.write_rejection_csv(rows, fh)
     else:
-        dist = simulation.run_null_distribution(scenario, cfg)[cfg.kinds[0]]
+        dist, = simulation.run_null_distribution(scenario, cfg).values()
         with _output(args.output) as fh:
             simulation.write_qq_csv(dist, fh)
     return EXIT_OK
@@ -356,8 +356,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--censoring", default="none",
                        choices=tuple(simulation.CENSORING_LEVELS))
     p_sim.add_argument("--null-families", default=None)
-    p_sim.add_argument("--tests", default="ir,white,logim",
-                       help="comma-separated statistic kinds")
+    p_sim.add_argument("--tests", help="comma-separated statistic kinds (default "
+                       "ir,white,logim); null mode takes one (default ir)")
     p_sim.add_argument("--replications", type=int, default=100)
     p_sim.add_argument("--b", type=int, default=200)
     p_sim.add_argument("--seed", type=int, default=0)
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _STAT_ERRORS as exc:
+    except StatisticalError as exc:
         print(f"statistical failure: {exc}", file=sys.stderr)
         return EXIT_STATISTICAL
 

@@ -96,7 +96,7 @@ def _apow(base, p):
     return out
 
 
-class CopulaError(Exception):
+class CopulaError(numerics.StatisticalError):
     pass
 
 

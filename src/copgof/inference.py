@@ -79,7 +79,7 @@ _EDGE_DISTANCE = 1e-6
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
-class InferenceError(Exception):
+class InferenceError(numerics.StatisticalError):
     pass
 
 
@@ -468,8 +468,6 @@ def _loo_fits(fit: FitResult):
 
 _NULL_VALUES = {"ir": 1.0, "logim": 0.0, "pios": 1.0, "white": 0.0}
 STATISTIC_KINDS = tuple(sorted(_NULL_VALUES))
-# the typed failures of a fit or a statistic
-_STAT_ERRORS = (InferenceError, LikelihoodError, numerics.NumericsError)
 
 
 def statistic_kinds(kinds) -> tuple[str, ...]:
@@ -538,7 +536,7 @@ def block_statistics(kinds, fits: BlockFit) -> tuple[np.ndarray, np.ndarray]:
         for j in np.flatnonzero(ok):
             try:
                 values[i, j] = compute_statistic("pios", fits.result(j)).value
-            except _STAT_ERRORS:
+            except numerics.StatisticalError:
                 ok[j] = False
     return values, ok
 

@@ -11,7 +11,9 @@ lockstep (``maximize_1d``) and share one objective call per round.
 Univariate normal functions and adaptive quadrature are scipy's
 (``scipy.special.ndtr``, ``ndtri``, ``log_ndtr``,
 ``scipy.integrate.quad``), called directly where they are needed; a
-quadrature that misses its tolerance raises NumericsError.
+quadrature that misses its tolerance raises NumericsError. It and every
+other typed failure on the data, up to the bootstrap and the studies,
+derive from ``StatisticalError``; ValueError and TypeError mark misuse.
 
 The bivariate normal CDF used by the library is ``binorm_logcdf``, an
 array function (Owen's T identity, with a log-space Gauss-Legendre
@@ -33,7 +35,11 @@ from scipy import special as _special
 LOG_TINY = math.log(1e-300)
 
 
-class NumericsError(Exception):
+class StatisticalError(Exception):
+    """Base class for the typed failures of a test on its data."""
+
+
+class NumericsError(StatisticalError):
     """Base class for numeric-kernel failures."""
 
 

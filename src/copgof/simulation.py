@@ -21,9 +21,9 @@ from scipy.special import ndtri
 
 from . import bootstrap, copulas, inference
 from ._parallel import ordered_map
-from .bootstrap import _STAT_ERRORS, BootstrapConfig, _rank_key
+from .bootstrap import BootstrapConfig, _rank_key
 from .copulas import CopulaModel, Family, FAMILY_ORDER
-from .numerics import RngStream, derive_seed
+from .numerics import RngStream, StatisticalError, derive_seed
 from .survival import CensoredSample
 
 # namespace tags for derived seeds: scenario data vs bootstrap masters
@@ -38,7 +38,7 @@ CENSORING_LEVELS = {
 }
 
 
-class SimulationError(Exception):
+class SimulationError(StatisticalError):
     pass
 
 
@@ -136,7 +136,7 @@ def _study_replicate(args):
             reps = bootstrap.bootstrap_reports(sample, fam, bcfg, kinds=cfg.kinds)
             out[fam] = {k: (reps[k].statistic.value, reps[k].p_value, reps[k].loglik)
                         for k in cfg.kinds}
-        except _STAT_ERRORS:
+        except StatisticalError:
             out[fam] = None
     return out
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import copulas
+from . import copulas, numerics
 
 
-class SurvivalError(Exception):
+class SurvivalError(numerics.StatisticalError):
     pass
 
 
@@ -235,18 +235,12 @@ def censoring_curves(data, common: bool) -> tuple[StepSurvival, ...]:
 
 def _pseudo_rows(x1, x2, d1, d2):
     """``pseudo_observations`` of each row of (k, n) blocks, from one
-    product-limit pass per margin: (u1, u2, errors), where errors[j] is
-    the SurvivalError of row j if a margin of it has no observed events,
-    else None."""
+    product-limit pass per margin: (u1, u2, ok), where ok[j] says whether
+    both margins of row j have observed events, as its own call needs."""
     eps = 1.0 / (2.0 * x1.shape[1])
     u1 = np.clip(_km_rows(x1, d1), eps, 1.0 - eps)
     u2 = np.clip(_km_rows(x2, d2), eps, 1.0 - eps)
-    errors = [None] * x1.shape[0]
-    # margin 1 last: its error wins when neither margin has events
-    for margin, d in ((2, d2), (1, d1)):
-        for j in np.flatnonzero(~d.any(axis=1)):
-            errors[j] = SurvivalError(f"margin {margin} has no observed events")
-    return u1, u2, errors
+    return u1, u2, d1.any(axis=1) & d2.any(axis=1)
 
 
 def pseudo_observations(data) -> copulas.Observations:
@@ -258,9 +252,10 @@ def pseudo_observations(data) -> copulas.Observations:
     with no observed events, whose pseudo-observations would all be equal.
     """
     s = as_sample(data)
-    u1, u2, errors = _pseudo_rows(s.x1[None], s.x2[None], s.d1[None], s.d2[None])
-    if errors[0] is not None:
-        raise errors[0]
+    for margin, d in ((1, s.d1), (2, s.d2)):
+        if not d.any():
+            raise SurvivalError(f"margin {margin} has no observed events")
+    u1, u2, _ = _pseudo_rows(s.x1[None], s.x2[None], s.d1[None], s.d2[None])
     return copulas.Observations(u1[0], u2[0], s.d1, s.d2)
 
 

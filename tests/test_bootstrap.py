@@ -11,7 +11,7 @@ from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_reports,
                               _build_frame)
 from copgof.copulas import FAMILY_ORDER, CopulaModel, Family
 from copgof.inference import compute_statistic, compute_statistics, fit_pmle
-from copgof.numerics import RngStream
+from copgof.numerics import RngStream, StatisticalError
 from copgof.simulation import Scenario, StudyConfig, generate_scenario_dataset
 from copgof.survival import (CensoredSample, censoring_curves, kaplan_meier,
                              pseudo_observations)
@@ -260,7 +260,7 @@ def _comonotone_pairs(n, seed):
 def _stats_outcome(call):
     try:
         return call()
-    except bootstrap._STAT_ERRORS as exc:
+    except StatisticalError as exc:
         return type(exc), str(exc)
 
 
@@ -294,7 +294,7 @@ def test_block_fit_rows_equal_their_own_fits(family, halfwidth, monkeypatch):
     for j, obs in enumerate(rows):
         try:
             ref = fit_pmle(family, obs, initial_theta=theta0)
-        except bootstrap._STAT_ERRORS as exc:
+        except StatisticalError as exc:
             err = fits.errors[j]
             assert (type(err), str(err)) == (type(exc), str(exc)), j
             with pytest.raises(type(exc)):
@@ -346,7 +346,7 @@ def test_block_statistics_rows_equal_their_own_statistics():
     def outcome(kind, j):
         try:
             return np.float64(compute_statistic(kind, fits.result(j)).value).tobytes()
-        except bootstrap._STAT_ERRORS as exc:
+        except StatisticalError as exc:
             return type(exc), str(exc)
 
     expected = [[outcome(k, j) for k in kinds] for j in range(4)]
@@ -545,7 +545,7 @@ def test_rows_without_events_are_retried_as_an_explicit_loop(monkeypatch):
                 refit = fit_pmle(family, obs, initial_theta=fit.theta_hat)
                 draws.append(compute_statistics(kinds, refit))
                 break
-            except bootstrap._STAT_ERRORS:
+            except StatisticalError:
                 continue
     assert len(draws) == cfg.b - 1
     for k in kinds:

@@ -185,6 +185,20 @@ def test_cmd_simulate_null_mode(capsys, tmp_path):
     assert len(lines) == 4
 
 
+def test_cmd_simulate_null_mode_takes_one_kind(capsys):
+    # the QQ CSV holds one kind's statistics and does not name it: more
+    # than one kind is a usage error that names them, and the default is ir
+    args = ["simulate", "--mode", "null", "--true-family", "clayton", "--n", "20",
+            "--replications", "2", "--b", "4"]
+    assert main(args + ["--tests", "white,ir"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "white,ir" in captured.err
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    assert main(args + ["--tests", "ir"]) == 0
+    assert capsys.readouterr().out == default
+
+
 # --- error paths ---------------------------------------------------------
 
 def test_usage_unknown_family(data_csv, capsys):

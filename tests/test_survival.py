@@ -234,18 +234,21 @@ def test_product_limit_rows_equal_per_row_kaplan_meier(n, k, decimals, data):
     for j in range(k):
         assert s_rows[j].tobytes() == kaplan_meier(x[j], d[j]).evaluate(x[j]).tobytes()
 
-    # the pseudo-observations of a row fail alone when a margin of that
-    # row has no events, and otherwise equal its own call
+    # the pseudo-observations of a row are masked alone when its own call
+    # fails, naming the first margin without events, and otherwise equal
+    # that call
     x2, d2 = x[::-1], d[::-1]
-    u1, u2, errors = survival._pseudo_rows(x, x2, d, d2)
+    u1, u2, ok = survival._pseudo_rows(x, x2, d, d2)
+    assert ok.dtype == bool and ok.shape == (k,)
     for j in range(k):
         sample = CensoredSample(x[j], x2[j], d[j], d2[j])
         if not (d[j].any() and d2[j].any()):
             with pytest.raises(SurvivalError) as exc:
                 pseudo_observations(sample)
-            assert isinstance(errors[j], SurvivalError)
-            assert str(errors[j]) == str(exc.value)
+            margin = 1 if not d[j].any() else 2
+            assert str(exc.value) == f"margin {margin} has no observed events"
+            assert not ok[j]
             continue
-        assert errors[j] is None
+        assert ok[j]
         obs = pseudo_observations(sample)
         assert u1[j].tobytes() == obs.u1.tobytes() and u2[j].tobytes() == obs.u2.tobytes()
