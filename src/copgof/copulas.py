@@ -881,6 +881,25 @@ class Observations:
                 cases.append((c, cols[j, :count], v1[j, :count], v2[j, :count]))
         return Observations._assemble(*arrays, cases)
 
+    def entries(self) -> "Observations":
+        """A sample's n entries as an (n, 1) block, one entry per row, equal
+        to ``Observations(u1[:, None], u2[:, None], d1[:, None], d2[:, None])``
+        and assembled from this split, so an (n, 1) theta column evaluates
+        each entry at its own theta."""
+        n = self.n
+        arrays = [a[:, None] for a in (self.u1, self.u2, self.d1, self.d2)]
+        cases = []
+        for c, cols, v1, v2 in self.cases:
+            if cols is None:
+                cases.append((c, None, *arrays[:2]))
+                continue
+            # a row outside the case holds one pad, at the spare column 1
+            block = np.full((n, 1), 1), np.full((n, 1), 0.5), np.full((n, 1), 0.5)
+            for a, v in zip(block, (0, v1, v2)):
+                a[cols, 0] = v
+            cases.append((c, *map(_read_only, block)))
+        return Observations._assemble(*arrays, cases)
+
     def __eq__(self, other):
         if not isinstance(other, Observations):
             return NotImplemented

@@ -40,12 +40,18 @@ one or several kinds at one fit, and ``block_statistics`` each kind over
 a block's rows, with a mask of those that succeeded.
 A fourth, the cross-validated likelihood contrast T (PIOS), compares
 in-sample and leave-one-out log-likelihoods. Its n delete-one
-re-maximizations are solved together: a safeguarded Newton iteration on
-the unconstrained scale, warm-started at the full-sample estimate and
-its log-likelihood, score and hessian, runs over blocks of rows. Each
-iteration makes one ``copulas.dlog_vec`` pass at the column of the
-rows' trial thetas, which gives all three, and a row converges when its
-Newton step is at most _LOO_XTOL.
+re-maximizations are solved together: one safeguarded Newton iteration
+over all n rows on the unconstrained scale, warm-started at the
+full-sample estimate and its log-likelihood, score and hessian, and a
+row converges when its Newton step is at most _LOO_XTOL. The sums it
+reads are smooth in theta, so one ``copulas.dlog_vec`` pass at 12
+Chebyshev points, over an interval that the first steps bound, gives
+their interpolants, and an iteration whose trials stay inside that
+interval makes no kernel call. The interpolants are used only when the
+tails of their Chebyshev coefficients certify them; a trial outside the
+interval, or every trial on a sample they do not fit, is evaluated
+exactly by a pass over blocks of rows. One more pass gives each deleted
+observation's own log-likelihood at its refit.
 """
 
 from __future__ import annotations
@@ -61,9 +67,9 @@ from .copulas import CopulaModel, Family, LikelihoodError, Observations
 
 MIN_OBSERVATIONS = 10
 
-# leave-one-out refits and bootstrap replicates run in blocks of about
-# this many entries, (rows in block) x n, so each (k, n) array stays near
-# 1 MB; both read it at call time
+# exact leave-one-out passes and bootstrap replicates run in blocks of
+# about this many entries, (rows in block) x n, so each (k, n) array stays
+# near 1 MB; both read it at call time
 BLOCK_ENTRIES = 2 ** 17
 _LOO_MAX_ITER = 100
 # a row converges when its Newton step |g/h| is at most _LOO_XTOL
@@ -345,12 +351,10 @@ def information(family: Family, theta, obs: Observations) -> tuple[float, float]
 
 
 def _drop_own(a, rows):
-    """Row sums of a (k, n) array without entry (j, rows[j]) of each row j,
-    and those entries. Overwrites them in ``a``."""
-    j = np.arange(rows.size)
-    own = a[j, rows]
-    a[j, rows] = 0.0
-    return a.sum(axis=1), own
+    """Row sums of a (k, n) array without entry (j, rows[j]) of each row j.
+    Overwrites those entries in ``a``."""
+    a[np.arange(rows.size), rows] = 0.0
+    return a.sum(axis=1)
 
 
 def _newton_step(g, h):
@@ -362,40 +366,136 @@ def _newton_step(g, h):
     return np.clip(step, -1.0, 1.0)
 
 
-def _search_slopes(family: Family, theta, rows, score, hessian):
-    """Search-scale gradient and hessian of each leave-one-out objective,
-    from the (k, n) per-observation score and hessian at its theta."""
-    g, _ = _drop_own(score, rows)
-    h, _ = _drop_own(hessian, rows)
+def _search_slopes(family: Family, theta, score, hessian):
+    """Search-scale gradient and hessian from the score and hessian in
+    theta, summed or per observation."""
     t1, t2 = copulas.unconstrained_derivs(family, theta)
-    return g * t1, h * t1 * t1 + g * t2
+    return score * t1, hessian * t1 * t1 + score * t2
 
 
-def _loo_block(fit: FitResult, rows, at_hat):
-    """Leave-one-out maximizers on the search scale for the deleted
-    observations ``rows``, each one's log-likelihood at its own fit, and
-    which rows did not converge in _LOO_MAX_ITER iterations.
+def _exact_loo(family: Family, obs: Observations, theta, rows):
+    """Each deleted row's leave-one-out objective, search-scale gradient
+    and hessian at its own theta, as (3, k): exact sums over every
+    observation but rows[j], from ``copulas.dlog_vec`` passes over blocks
+    of about BLOCK_ENTRIES entries. A row whose objective is not finite
+    keeps 0 for its slopes; for the other rows a non-finite score or
+    hessian entry raises LikelihoodError."""
+    out = np.zeros((3, rows.size))
+    size = -(-BLOCK_ENTRIES // obs.n)
+    for start in range(0, rows.size, size):
+        part = np.arange(start, min(start + size, rows.size))
+        column = theta[part][:, None]
+        ll, score, hessian = copulas.dlog_vec(family, column, obs, strict=False)
+        out[0, part] = _drop_own(ll, rows[part])
+        # only the rows whose objective is finite read their derivatives, so
+        # only theirs must be finite
+        fin = np.isfinite(out[0, part])
+        if not fin.all():
+            column, score, hessian = column[fin], score[fin], hessian[fin]
+        copulas.require_finite(family, column, score, hessian)
+        part = part[fin]
+        out[1:, part] = _search_slopes(family, column[:, 0], _drop_own(score, rows[part]),
+                                       _drop_own(hessian, rows[part]))
+    return out
 
-    Row j maximizes the log-likelihood summed over every observation but
-    rows[j], from the full-sample estimate, where ``at_hat`` holds the
-    per-observation log-likelihood, score and hessian. Each iteration
-    tries the current step on the rows still active. A trial is accepted
-    when its theta is inside the domain, its objective is finite, and
-    either the objective did not decrease or the gradient, which Newton's
-    method drives to zero, shrank. The gradient test is needed near the
-    optimum: a Newton step s gains |h| s^2 / 2 there, which can be below
-    the rounding of the objective's sum, so the sum alone would reject
-    every halving of it. A rejected step is halved. A row converges when
-    its Newton step |g/h| is at most _LOO_XTOL.
+
+# the leave-one-out sums are interpolated in x on _CHEB_NODES Chebyshev
+# points of the first kind; _CHEB_COEF maps values at the points to
+# Chebyshev coefficients, by the points' discrete orthogonality
+_CHEB_NODES = 12
+_CHEB_POINTS = np.cos(np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES)
+_CHEB_COEF = 2.0 / _CHEB_NODES * np.polynomial.chebyshev.chebvander(
+    _CHEB_POINTS, _CHEB_NODES - 1).T
+_CHEB_COEF[0] /= 2.0
+# an interpolant is used only when the last three coefficients of its
+# gradient and hessian sums are each at most this share of the largest
+_CHEB_TAIL = 1e-10
+
+
+@dataclass(frozen=True, eq=False)
+class _Interpolant:
+    """Chebyshev interpolants in x over [lo, hi] of each observation's
+    log-likelihood, search-scale gradient and hessian: ``coef`` is
+    (3, _CHEB_NODES, n), and ``total`` its sum over the observations, the
+    interpolants of the full-sample sums."""
+    lo: float
+    hi: float
+    coef: np.ndarray
+    total: np.ndarray
+
+    @classmethod
+    def build(cls, family: Family, obs: Observations, lo: float, hi: float):
+        """The interpolants from one ``copulas.dlog_vec`` pass at the
+        (_CHEB_NODES, 1) column of the points' thetas, or None unless
+        every point is inside the domain, every value there is finite and
+        the tails of the gradient and hessian sums certify them."""
+        theta = copulas.from_unconstrained(
+            family, 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_POINTS)
+        lo_theta, hi_theta = copulas.family_ops(family).domain
+        if not ((lo_theta < theta) & (theta < hi_theta)).all():
+            return None
+        ll, score, hessian = copulas.dlog_vec(family, theta[:, None], obs, strict=False)
+        values = np.stack([ll, *_search_slopes(family, theta[:, None], score, hessian)])
+        if not np.isfinite(values).all():
+            return None
+        coef = _CHEB_COEF @ values
+        total = coef.sum(axis=2)
+        scale = np.abs(total[1:]).max(axis=1)
+        if (np.abs(total[1:, -3:]).max(axis=1) > _CHEB_TAIL * scale).any():
+            return None
+        return cls(lo, hi, coef, total)
+
+    def covers(self, x):
+        return (self.lo <= x) & (x <= self.hi)
+
+    def loo(self, x, rows):
+        """Each deleted row's leave-one-out objective, search-scale
+        gradient and hessian at its own x, as (3, k): the interpolated
+        full-sample sum less row rows[j]'s own interpolated term."""
+        u = (2.0 * x - (self.lo + self.hi)) / (self.hi - self.lo)
+        t = np.polynomial.chebyshev.chebvander(u, _CHEB_NODES - 1)
+        return np.einsum("jm,qmj->qj", t, self.total[:, :, None] - self.coef[:, :, rows])
+
+
+def _loo_block(fit: FitResult, at_hat):
+    """Leave-one-out maximizers on the search scale for every observation
+    of the fit's sample, and which rows did not converge in
+    _LOO_MAX_ITER iterations.
+
+    Row i maximizes the log-likelihood summed over every observation but
+    i, from the full-sample estimate, where ``at_hat`` holds the
+    per-observation log-likelihood, score and hessian; so every row's
+    first Newton step comes from the fit alone. Those steps bound an
+    interval in x, x_hat and each x_hat + step padded by a quarter of the
+    largest step, on which one kernel pass builds the Chebyshev
+    interpolants of the sums (``_Interpolant``). A row's objective is the
+    interpolated sum less its own interpolated term, so an iteration
+    whose trials stay inside the interval makes no kernel call. A trial
+    outside it, or every trial when the interpolants are not certified,
+    is evaluated exactly (``_exact_loo``).
+
+    Each iteration tries the current step on the rows still active. A
+    trial is accepted when its theta is inside the domain, its objective
+    is finite, and either the objective did not decrease or the
+    gradient, which Newton's method drives to zero, shrank. The gradient
+    test is needed near the optimum: a Newton step s gains |h| s^2 / 2
+    there, which can be below the rounding of the objective's sum, so the
+    sum alone would reject every halving of it. A rejected step is
+    halved. A row converges when its Newton step |g/h| is at most
+    _LOO_XTOL.
     """
     family, obs = fit.family, fit.obs
-    k = rows.size
-    f, own = _drop_own(np.tile(at_hat[0], (k, 1)), rows)
-    grad, h = _search_slopes(family, fit.theta_hat, rows,
-                             *(np.tile(a, (k, 1)) for a in at_hat[1:]))
-    x = np.full(k, copulas.to_unconstrained(family, fit.theta_hat))
+    f = at_hat[0].sum() - at_hat[0]
+    grad, h = _search_slopes(family, fit.theta_hat, at_hat[1].sum() - at_hat[1],
+                             at_hat[2].sum() - at_hat[2])
+    x = np.full(obs.n, copulas.to_unconstrained(family, fit.theta_hat))
     step = _newton_step(grad, h)
     active = ~((h < 0.0) & (np.abs(step) <= _LOO_XTOL))
+    pad = 0.25 * np.abs(step).max()
+    interpolant = None
+    if active.any() and pad > 0.0:
+        interpolant = _Interpolant.build(family, obs, min(x[0], (x + step).min()) - pad,
+                                         max(x[0], (x + step).max()) + pad)
     lo, hi = copulas.family_ops(family).domain
     for _ in range(_LOO_MAX_ITER):
         act = np.flatnonzero(active)
@@ -403,27 +503,27 @@ def _loo_block(fit: FitResult, rows, at_hat):
             break
         trial = x[act] + step[act]
         theta = copulas.from_unconstrained(family, trial)
-        f_trial = np.full(act.size, -np.inf)
-        own_trial, g, h = np.zeros((3, act.size))
+        # objective, gradient and hessian of each trial; one outside the
+        # domain scores -inf
+        values = np.zeros((3, act.size))
+        values[0] = -np.inf
         ok = (lo < theta) & (theta < hi)
-        column = theta[ok][:, None]
-        ll, score, hessian = copulas.dlog_vec(family, column, obs, strict=False)
-        f_trial[ok], own_trial[ok] = _drop_own(ll, rows[act[ok]])
-        # only the rows whose trial is finite read their derivatives, so
-        # only theirs must be finite
-        fin = np.isfinite(f_trial[ok])
-        if not fin.all():
-            column, score, hessian = column[fin], score[fin], hessian[fin]
-        copulas.require_finite(family, column, score, hessian)
+        near = np.zeros(act.size, dtype=bool)
+        if interpolant is not None:
+            near = ok & interpolant.covers(trial)
+            values[:, near] = interpolant.loo(trial[near], act[near])
+        far = ok & ~near
+        if far.any():
+            values[:, far] = _exact_loo(family, obs, theta[far], act[far])
+        f_trial, g, h = values
         ok = np.isfinite(f_trial)
-        g[ok], h[ok] = _search_slopes(family, theta[ok], rows[act[ok]], score, hessian)
         up = ok & ((f_trial >= f[act]) | (np.abs(g) <= np.abs(grad[act])))
         step[act[~up]] *= 0.5
         acc = act[up]
-        x[acc], f[acc], own[acc], grad[acc] = trial[up], f_trial[up], own_trial[up], g[up]
+        x[acc], f[acc], grad[acc] = trial[up], f_trial[up], g[up]
         step[acc] = _newton_step(g[up], h[up])
         active[acc[(h[up] < 0.0) & (np.abs(step[acc]) <= _LOO_XTOL)]] = False
-    return x, own, active
+    return x, active
 
 
 def _loo_fits(fit: FitResult):
@@ -433,24 +533,19 @@ def _loo_fits(fit: FitResult):
     Raises LikelihoodError where that is not finite (a fit built at a
     theta where a piece is NaN), and InferenceError if a refit did not
     converge, counting over all n rows those whose optimum is on the
-    domain edge, or else those unconverged."""
-    family = fit.family
+    domain edge, or else those unconverged. The own terms come from one
+    ``copulas.loglik_vec`` pass over the sample's entries as an (n, 1)
+    block, each at its own row's theta."""
+    family, n = fit.family, fit.n
     at_hat = (fit.loglik_obs, fit.score, fit.hessian)
     if not np.isfinite(at_hat[0]).all():
         raise LikelihoodError(f"non-finite log-likelihood for {family.value} at "
                               f"theta={fit.theta_hat}",
                               index=int(np.argmax(~np.isfinite(at_hat[0]))))
-    n = fit.n
-    x = np.empty(n)
-    own = np.empty(n)
-    unconverged = np.empty(n, dtype=bool)
-    size = -(-BLOCK_ENTRIES // n)
-    for start in range(0, n, size):
-        rows = np.arange(start, min(start + size, n))
-        x[rows], own[rows], unconverged[rows] = _loo_block(fit, rows, at_hat)
+    x, unconverged = _loo_block(fit, at_hat)
+    theta = copulas.from_unconstrained(family, x)
     if unconverged.any():
-        theta = copulas.from_unconstrained(family, x[unconverged])
-        edge = np.count_nonzero(_on_edge(family, theta))
+        edge = np.count_nonzero(_on_edge(family, theta[unconverged]))
         if edge:
             raise InferenceError(
                 f"leave-one-out optimum on the domain edge for {family.value} "
@@ -458,6 +553,7 @@ def _loo_fits(fit: FitResult):
         raise InferenceError(
             f"leave-one-out refit for {family.value} did not converge in "
             f"{_LOO_MAX_ITER} iterations for {np.count_nonzero(unconverged)} of {n} rows")
+    own = copulas.loglik_vec(family, theta[:, None], fit.obs.entries(), strict=False)[:, 0]
     if not np.isfinite(own).all():
         idx = int(np.argmax(~np.isfinite(own)))
         raise LikelihoodError(
@@ -546,11 +642,14 @@ def compute_statistic(kind: str, fit: FitResult) -> StatisticValue:
 
     ir, white and logim read the fit's (S, V) as a block of one row.
     pios is the in-sample minus leave-one-out log-likelihood contrast,
-    sum_i l_i(theta_hat) - l_i(theta_hat_(-i)). Each theta_hat_(-i) is an
-    exact re-maximization without observation i. All n are solved
-    together, in blocks of about BLOCK_ENTRIES / n rows, by a safeguarded
-    Newton iteration on the unconstrained scale warm-started at theta_hat
-    and the fit's score and hessian there (see ``_loo_block``). It raises
+    sum_i l_i(theta_hat) - l_i(theta_hat_(-i)). Each theta_hat_(-i) is a
+    re-maximization without observation i, solved to a Newton step of at
+    most _LOO_XTOL. All n are solved together by one safeguarded Newton
+    iteration on the unconstrained scale, warm-started at theta_hat and
+    the fit's score and hessian there, on certified Chebyshev
+    interpolants of the sums where they hold and on exact sums elsewhere
+    (see ``_loo_block``): one kernel pass at the interpolation points and
+    one for the own terms, whatever the iteration count. It raises
     InferenceError if a refit does not converge, naming the rows whose
     leave-one-out optimum is on the domain edge.
     """

@@ -559,6 +559,32 @@ def test_observations_copy_their_input():
         obs.u1 = u1
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_entries_are_the_sample_as_a_one_column_block(family):
+    # a sample's entries as an (n, 1) block, assembled from its split,
+    # equal the validated (n, 1) block, split and all, and an (n, 1) theta
+    # column evaluates each entry at its own theta, as its own sample would
+    u1, u2, d1, d2 = _four_case_sample()
+    thetas = np.resize(COLUMN_THETAS[family], 40)[:, None]
+    for sample in (copulas.Observations(u1, u2, d1, d2),
+                   copulas.Observations(u1, u2, np.ones(40), np.ones(40))):
+        arrays = (sample.u1, sample.u2, sample.d1, sample.d2)
+        entries = sample.entries()
+        ref = copulas.Observations(*(a[:, None] for a in arrays))
+        assert entries == ref and (entries.k, entries.n) == (40, 1)
+        assert len(entries.cases) == len(ref.cases)
+        for got, want in zip(entries.cases, ref.cases):
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                assert (a is None and b is None) or (
+                    a.shape == b.shape and np.array_equal(a, b) and not a.flags.writeable)
+        ll = loglik_vec(family, thetas, entries, strict=False)
+        assert ll.tobytes() == loglik_vec(family, thetas, ref, strict=False).tobytes()
+        for i in range(40):
+            one = copulas.Observations(*(a[i:i + 1] for a in arrays))
+            assert ll[i, 0] == loglik_vec(family, thetas[i, 0], one, strict=False)[0]
+
+
 def test_unconstrained_transforms_take_arrays():
     for family in Family:
         x = np.array([-3.0, -0.4, 0.0, 1.7])

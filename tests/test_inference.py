@@ -376,11 +376,13 @@ def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("family", [Family.CLAYTON, Family.GAUSSIAN])
-def test_loo_newton_makes_one_kernel_pass_per_iteration(family, monkeypatch):
-    # each Newton iteration of the leave-one-out solve takes its
-    # log-likelihood, score and hessian from one kernel pass at its theta
-    # column; it never calls loglik_vec, and nothing is evaluated at
-    # theta_hat, whose values the fit carries
+def test_certified_pios_makes_two_kernel_passes(family, monkeypatch):
+    # a certified leave-one-out solve makes one kernel pass over the
+    # sample at the (12, 1) column of the Chebyshev points' thetas, whose
+    # interpolants every Newton iteration reads, and one log-likelihood
+    # pass over the sample's entries as an (n, 1) block at the converged
+    # thetas, whatever its iteration count and block size; nothing is
+    # evaluated at theta_hat, whose values the fit carries
     obs = _simulate(family, 0.5, 40, seed=13, censoring_mean=1.5)
     fit = fit_pmle(family, obs)
     whole = compute_statistic("pios", fit).value
@@ -388,25 +390,113 @@ def test_loo_newton_makes_one_kernel_pass_per_iteration(family, monkeypatch):
     by_case, newton_step = copulas._by_case, inference._newton_step
 
     def counted_pass(family, theta, obs, derivs=False):
-        passes.append((np.shape(theta), derivs))
+        passes.append((np.shape(theta), obs.u1.shape, derivs))
         return by_case(family, theta, obs, derivs)
 
     def counted_step(g, h):
         steps.append(g.size)
         return newton_step(g, h)
 
-    def unused(*args, **kwargs):
-        raise AssertionError("the leave-one-out solve called loglik_vec")
-
     monkeypatch.setattr(copulas, "_by_case", counted_pass)
-    monkeypatch.setattr(copulas, "loglik_vec", unused)
     monkeypatch.setattr(inference, "_newton_step", counted_step)
-    # blocks of 13, 13, 13 and 1 rows
-    monkeypatch.setattr(inference, "BLOCK_ENTRIES", 13 * 40)
-    assert compute_statistic("pios", fit).value == whole
-    # _newton_step runs once to start each block and once per iteration
-    assert len(passes) == len(steps) - 4 > 4
-    assert all(len(shape) == 2 and shape[1] == 1 and derivs for shape, derivs in passes)
+    for block in (inference.BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(inference, "BLOCK_ENTRIES", block)
+        passes.clear()
+        steps.clear()
+        assert compute_statistic("pios", fit).value == whole
+        assert passes == [((12, 1), (40,), True), ((40, 1), (40, 1), False)]
+        # _newton_step runs once to start and once per iteration
+        assert len(steps) > 3 and steps[0] == 40
+
+
+# T from the exact delete-one solve, recorded before the refits moved to
+# Chebyshev interpolants, and whether the interpolants' coefficient tails
+# certify the sample: every family at tau = 0.5 with c40 at seed 1, and a
+# heavily censored n = 11 Gaussian sample whose tails are far too large
+# (used without the tail check, its interpolants put T off by 9e-7)
+EXACT_PIOS = [
+    (Family.CLAYTON, 40, "c40", 1, 1.0286836585971328, False),
+    (Family.FRANK, 40, "c40", 1, 1.2913736635799886, False),
+    (Family.JOE, 40, "c40", 1, 1.2820573237048414, True),
+    (Family.GAUSSIAN, 40, "c40", 1, 1.1670943855633213, True),
+    (Family.GUMBEL, 40, "c40", 1, 1.4013767211483268, True),
+    (Family.CLAYTON, 300, "c40", 1, 1.0138151159177984, True),
+    (Family.FRANK, 300, "c40", 1, 0.9218249434341713, True),
+    (Family.JOE, 300, "c40", 1, 0.8932340092610846, True),
+    (Family.GAUSSIAN, 300, "c40", 1, 0.9605258884498836, True),
+    (Family.GUMBEL, 300, "c40", 1, 0.9238074075013325, True),
+    (Family.GAUSSIAN, 11, "c70", 3, 2.6942894400647965, False),
+]
+
+
+def _record_builds(monkeypatch):
+    """The interpolants that the leave-one-out solves build, None where
+    their tails did not certify them."""
+    built = []
+    build = inference._Interpolant.build.__func__
+
+    def recorded(cls, *args):
+        built.append(build(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(inference._Interpolant, "build", classmethod(recorded))
+    return built
+
+
+@pytest.mark.parametrize("family, n, censoring, seed, expected, certified", EXACT_PIOS)
+def test_pios_matches_the_exact_solve(family, n, censoring, seed, expected, certified,
+                                      monkeypatch):
+    built = _record_builds(monkeypatch)
+    sample = generate_scenario_dataset(Scenario(family, 0.5, n, censoring), seed)
+    fit = fit_pmle(family, pseudo_observations(sample))
+    assert compute_statistic("pios", fit).value == pytest.approx(expected, rel=1e-11, abs=0)
+    assert [b is not None for b in built] == [certified]
+
+
+@pytest.mark.parametrize("family", [Family.CLAYTON, Family.GUMBEL])
+def test_trials_outside_the_interval_are_evaluated_exactly(family, monkeypatch):
+    # interpolants built over the lower half of the interval only: the
+    # trials past it are evaluated exactly, in the same Newton iterations
+    # as the interpolated ones, and T agrees with the all-exact solve
+    obs = _simulate(family, 0.5, 60, seed=13, censoring_mean=1.5)
+    fit = fit_pmle(family, obs)
+    build, exact = inference._Interpolant.build.__func__, inference._exact_loo
+    exact_rows = []
+
+    def counted(family, obs, theta, rows):
+        exact_rows.append(rows.size)
+        return exact(family, obs, theta, rows)
+
+    def lower_half(cls, family, obs, lo, hi):
+        return build(cls, family, obs, lo, 0.5 * (lo + hi))
+
+    monkeypatch.setattr(inference, "_exact_loo", counted)
+    monkeypatch.setattr(inference._Interpolant, "build", classmethod(lambda cls, *args: None))
+    reference = compute_statistic("pios", fit).value
+    assert exact_rows[0] == obs.n
+    exact_rows.clear()
+    monkeypatch.setattr(inference._Interpolant, "build", classmethod(lower_half))
+    assert compute_statistic("pios", fit).value == pytest.approx(reference, rel=1e-11, abs=0)
+    assert 0 < max(exact_rows) < obs.n
+
+
+def test_pios_on_a_flat_gaussian_likelihood_keeps_its_message():
+    # one event per margin: the Gaussian fit sits on a flat likelihood near
+    # rho = -1, and 13 delete-one refits creep toward the edge. The
+    # interpolants' tails do not certify this sample, so the exact solve
+    # ends as it did before them; used without the tail check, they made
+    # it 14 of 14 rows
+    gen = np.random.default_rng(100)
+    t1, t2, c = gen.exponential(1.0, 14), gen.exponential(1.0, 14), gen.exponential(0.15, 14)
+    d1, d2 = t1 <= c, t2 <= c
+    d1[0] = d2[1] = True
+    obs = pseudo_observations(CensoredSample(np.minimum(t1, c), np.minimum(t2, c), d1, d2))
+    fit = fit_pmle(Family.GAUSSIAN, obs)
+    assert fit.converged and fit.theta_hat < -0.99
+    with pytest.raises(InferenceError) as err:
+        compute_statistic("pios", fit)
+    assert str(err.value) == ("leave-one-out refit for gaussian did not converge in 100 "
+                              "iterations for 13 of 14 rows")
 
 
 def test_pios_of_a_fit_whose_loglik_is_not_finite_is_a_typed_error():
