@@ -269,9 +269,17 @@ def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
     hessian at its estimate. Row j equals ``fit_pmle`` of ``obs.row(j)``
     bit for bit; a row whose fit fails holds its typed error in
     ``errors``. Raises InferenceError for the whole block if its rows are
-    too short or a pseudo-observation lies outside (0, 1)."""
+    too short or a pseudo-observation lies outside (0, 1), and ValueError
+    if a start lies outside the family's open domain."""
     _check(obs)
     k = obs.k
+    lo, hi = copulas.family_ops(family).domain
+    start = np.asarray(initial_theta, dtype=float)
+    outside = np.flatnonzero(~((lo < start) & (start < hi)))
+    if outside.size:
+        row = f" (row {outside[0]})" if start.ndim else ""
+        raise ValueError(f"initial_theta{row} = {float(start.flat[outside[0]])!r} is outside "
+                         f"the open domain ({lo:g}, {hi:g}) of {family.value}")
     x0 = np.broadcast_to(copulas.to_unconstrained(family, initial_theta), (k,))
     x_star, f_star, evaluations, errors = _search(family, obs, x0)
     fitted = np.array([err is None for err in errors])
@@ -323,7 +331,8 @@ def fit_pmle(family: Family, obs: Observations, *,
     independence point is that edge, raises InferenceError. The score
     and hessian at theta_hat come from one ``copulas.dlog_vec`` pass, with
     the per-observation log-likelihood; if a score or hessian entry is
-    non-finite off the edge, its LikelihoodError propagates.
+    non-finite off the edge, its LikelihoodError propagates. An
+    ``initial_theta`` outside the family's open domain raises ValueError.
     This is ``fit_block``'s search with one row.
     """
     _check(obs)

@@ -3,11 +3,11 @@
 The Debye-1 integral, bivariate normal distribution functions,
 bracketed root finding, 1-D maximization, and splittable deterministic
 RNG streams. Everything here is a pure function of its inputs. The
-maximization is scipy's bounded Brent method, copied as a generator
-that yields each point to evaluate. One generator per row runs that
-row's whole search, the Brent steps in a bracket that moves toward
-the optimum while it sits on an edge, so that many rows can step in
-lockstep (``maximize_1d``) and share one objective call per round.
+maximization runs one generator per row (``_bracketed``) that yields
+each point to evaluate: scipy's bounded Brent steps, inlined, in a
+bracket that moves toward the optimum while it sits on an edge. So
+many rows can step in lockstep (``maximize_1d``) and share one
+objective call per round.
 Univariate normal functions and adaptive quadrature are scipy's
 (``scipy.special.ndtr``, ``ndtri``, ``log_ndtr``,
 ``scipy.integrate.quad``), called directly where they are needed; a
@@ -210,183 +210,122 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return float(_optimize.brentq(f, lo, hi, xtol=tol))
 
 
-def _sign(v):
-    """np.sign of a finite float, as an int."""
-    return (v > 0.0) - (v < 0.0)
-
-
-def _minimize_bounded(x1, x2, xatol=1e-5, maxiter=500):
-    """scipy.optimize's bounded Brent minimizer, ``_minimize_scalar_bounded``
-    (scipy 1.17), copied line for line as a generator: it yields each point
-    x to evaluate and is sent f(x). Returns (x, fun, nfev, status), the
-    fields of scipy's result, without its printing options.
-
-    numpy's scalar abs, sign and maximum are the builtins here, which is
-    several times faster per step. The points, brackets and steps they
-    take are always finite (a non-finite f(x) only fails the parabola
-    test), and there the builtins give the same values, so every step
-    equals scipy's bit for bit."""
-    maxfun = maxiter
-    # Test bounds are of correct form
-    if not (np.size(x1) == 1 and np.isfinite(x1) and np.size(x2) == 1 and np.isfinite(x2)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-
-    if x1 > x2:
-        raise ValueError("The lower bound exceeds the upper bound.")
-
-    flag = 0
-
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = yield x
-    num = 1
-    fu = math.inf
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while (abs(xf - xm) > (tol2 - 0.5 * (b - a))):
-        golden = 1
-        # Check for parabolic fit
-        if abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-
-            # Check for acceptability of parabola
-            if ((abs(p) < abs(0.5*q*r)) and (p > q*(a - xf)) and
-                    (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = _sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:      # do a golden-section step
-                golden = 1
-
-        if golden:  # do a golden-section step
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean*e
-
-        si = _sign(rat) + (rat == 0)
-        x = xf + si * max(abs(rat), tol1)
-        fu = yield x
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxfun:
-            flag = 1
-            break
-
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        flag = 2
-
-    return xf, fx, num, flag
-
-
-def _maximize(lo, hi, tol):
-    """One bounded maximization as a generator: yields each point x and is
-    sent f(x). The minimizer sees -f(x), and 1e300 where f(x) is not
-    finite. Returns (argmax, max); raises OptimizationError if more than
-    20% of the probed points evaluate non-finite."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    probes = nonfinite = 0
-    search = _minimize_bounded(float(lo), float(hi), xatol=tol)
-    x = next(search)
-    while True:
-        probes += 1
-        v = float((yield x))
-        if not math.isfinite(v):
-            nonfinite += 1
-        try:
-            x = search.send(-v if math.isfinite(v) else 1e300)
-        except StopIteration as stop:
-            x_best, f_best, _, _ = stop.value
-            break
-    if nonfinite > 0.2 * probes:
-        raise OptimizationError(
-            f"objective non-finite at {nonfinite}/{probes} probes on [{lo}, {hi}]")
-    # f_best is the best probe's -f, which is finite when any probe is
-    return float(x_best), float(-f_best)
-
-
 _MAX_EXPANSIONS = 60
+# Brent's golden ratio, square-root epsilon and probes per bracket, as in
+# scipy's bounded method
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MAX_PROBES = 500
 
 
 def _bracketed(x0, half, tol):
-    """One row's whole search as a generator: ``_maximize`` on x0 +- half,
-    and while its optimum lies within a margin (1% of the width plus
-    2 tol) of an edge, again on a bracket from the optimum less that
-    margin to one width past that edge. Returns
-    (argmax, max); raises OptimizationError from a bracket with too many
-    non-finite probes, and BracketError when the optimum still sits on
-    an edge after _MAX_EXPANSIONS brackets."""
-    lo, hi = x0 - half, x0 + half
+    """One row's whole search as a generator: yields each point x to
+    evaluate and is sent f(x). Returns (argmax, max).
+
+    Each bracket, the first x0 +- half, runs Brent's bounded minimization
+    of -f, with 1e300 where f(x) is not finite: scipy.optimize's
+    ``_minimize_scalar_bounded`` (scipy 1.17) with xatol = tol, step for
+    step. While the optimum lies within a margin (1% of the width plus
+    2 tol) of an edge, the next bracket runs from the optimum less that
+    margin to one width past that edge. Raises OptimizationError when
+    more than 20% of a bracket's probes are non-finite, and BracketError
+    when the optimum still sits on an edge after _MAX_EXPANSIONS
+    brackets.
+
+    The builtin abs and max, and comparisons in place of numpy's sign,
+    are several times faster per step than numpy's scalars. The points,
+    brackets and steps are always finite (a non-finite f(x) only fails
+    the parabola test), and there they give the same values, so every
+    step equals scipy's bit for bit."""
+    lo, hi = float(x0 - half), float(x0 + half)
     for _ in range(_MAX_EXPANSIONS):
-        x, fx = yield from _maximize(lo, hi, tol)
+        a, b = lo, hi
+        x = xf = nfc = fulc = a + _GOLDEN * (b - a)
+        rat = e = 0.0
+        probes = nonfinite = 0
+        while True:
+            v = float((yield x))
+            probes += 1
+            if math.isfinite(v):
+                fu = -v
+            else:
+                fu = 1e300
+                nonfinite += 1
+            # xf holds the best probe, nfc the second best and fulc the third
+            if probes == 1:
+                fx = fnfc = ffulc = fu
+            elif fu <= fx:
+                if x >= xf:
+                    a = xf
+                else:
+                    b = xf
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = xf, fx
+                xf, fx = x, fu
+            else:
+                if x < xf:
+                    a = x
+                else:
+                    b = x
+                if fu <= fnfc or nfc == xf:
+                    fulc, ffulc = nfc, fnfc
+                    nfc, fnfc = x, fu
+                elif fu <= ffulc or fulc == xf or fulc == nfc:
+                    fulc, ffulc = x, fu
+            xm = 0.5 * (a + b)
+            tol1 = _SQRT_EPS * abs(xf) + tol / 3.0
+            tol2 = 2.0 * tol1
+            if probes >= _MAX_PROBES or not abs(xf - xm) > tol2 - 0.5 * (b - a):
+                break
+            parabolic = False
+            if abs(e) > tol1:
+                r = (xf - nfc) * (fx - ffulc)
+                q = (xf - fulc) * (fx - fnfc)
+                p = (xf - fulc) * q - (xf - nfc) * r
+                q = 2.0 * (q - r)
+                if q > 0.0:
+                    p = -p
+                q = abs(q)
+                r = e
+                e = rat
+                parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+            if parabolic:
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:   # a golden-section step into the larger part
+                e = (a if xf >= xm else b) - xf
+                rat = _GOLDEN * e
+            step = max(abs(rat), tol1)
+            x = xf + step if rat >= 0.0 else xf - step
+        if nonfinite > 0.2 * probes:
+            raise OptimizationError(
+                f"objective non-finite at {nonfinite}/{probes} probes on [{lo}, {hi}]")
         # the bounded search can stall a little short of an edge when
         # the objective is nearly flat there, so use a generous edge margin
         width = hi - lo
         margin = 0.01 * width + 2.0 * tol
-        if x - lo <= margin:
-            lo, hi = lo - width, x + margin
-        elif hi - x <= margin:
-            lo, hi = x - margin, hi + width
+        if xf - lo <= margin:
+            lo, hi = lo - width, xf + margin
+        elif hi - xf <= margin:
+            lo, hi = xf - margin, hi + width
         else:
-            return x, fx
+            # fx is the best probe's -f, which is finite when any probe is
+            return xf, -fx
     raise BracketError(f"optimum still on an edge of [{lo}, {hi}] after "
                        f"{_MAX_EXPANSIONS} brackets from {x0}")
 
 
 def maximize_1d(f, x0, half: float, tol: float = 1e-8):
     """Maximization of k objectives of one variable by Brent's method
-    (golden-section/parabolic hybrid, scipy's bounded ``minimize_scalar``
-    on -f), each from its start x0[j] in a bracket of x0[j] +- half that
-    moves toward the optimum while it sits on an edge (``_bracketed``).
+    (golden-section/parabolic hybrid, the steps of scipy's bounded
+    ``minimize_scalar`` on -f). Search j is one ``_bracketed`` generator
+    from x0[j]: its first bracket is x0[j] +- half, and the bracket moves
+    toward the optimum while the optimum sits on an edge.
 
-    The k searches step in lockstep: each round, every search still
-    running asks for one point, and one call f(rows, x) evaluates them
+    The k generators step in lockstep: each round, every search still
+    running yields one point, and one call f(rows, x) evaluates them
     all, where ``rows`` indexes the running searches and ``x`` lists
     their points. Each search takes the steps it would take alone.
     Returns one entry per start: (argmax, max), or the NumericsError

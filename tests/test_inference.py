@@ -133,36 +133,61 @@ def test_fit_at_domain_edge_is_a_typed_error(monkeypatch):
 
 def test_block_fit_is_one_search_whatever_its_rows_brackets(monkeypatch):
     # Clayton rows started at tau = 0.5 whose optima, near tau = 0.1, 0.5
-    # and 0.85, take 3, 1 and 2 brackets when each is fitted alone: the
-    # block runs every row's whole search in one maximize_1d call
+    # and 0.85, need different numbers of brackets: on the search scale
+    # the first bracket is x0 +- _HALFWIDTH, and the second reaches one
+    # width past its edge, to x0 +- 3 _HALFWIDTH. The block runs every
+    # row's whole search in one maximize_1d call
     theta0 = copulas.tau_to_theta(Family.CLAYTON, 0.5)
     rows = [pseudo_observations(generate_scenario_dataset(
         Scenario(Family.CLAYTON, tau, 100, "c40"), 2)) for tau in (0.1, 0.5, 0.85)]
-    brackets, calls = [], []
-    bracket, maximize = numerics._maximize, numerics.maximize_1d
-
-    def counted_bracket(lo, hi, tol):
-        brackets.append((lo, hi))
-        return (yield from bracket(lo, hi, tol))
+    calls = []
+    maximize = numerics.maximize_1d
 
     def counted_maximize(*args, **kwargs):
         calls.append(args)
         return maximize(*args, **kwargs)
 
-    monkeypatch.setattr(numerics, "_maximize", counted_bracket)
     monkeypatch.setattr(numerics, "maximize_1d", counted_maximize)
-    refs, per_row = [], []
-    for obs in rows:
-        brackets.clear()
-        refs.append(fit_pmle(Family.CLAYTON, obs, initial_theta=theta0))
-        per_row.append(len(brackets))
-    assert per_row == [3, 1, 2]
+    refs = [fit_pmle(Family.CLAYTON, obs, initial_theta=theta0) for obs in rows]
+    half = inference._HALFWIDTH
+    low, mid, high = (copulas.to_unconstrained(Family.CLAYTON, ref.theta_hat)
+                      - copulas.to_unconstrained(Family.CLAYTON, theta0) for ref in refs)
+    # one bracket, at least two, and at least three
+    assert abs(mid) < 0.5 * half
+    assert high > half
+    assert low < -3.0 * half
     calls.clear()
     block = copulas.Observations(*(np.array([getattr(r, a) for r in rows])
                                    for a in ("u1", "u2", "d1", "d2")))
     fits = inference.fit_block(Family.CLAYTON, block, initial_theta=theta0)
     assert len(calls) == 1
     assert [fits.result(j) for j in range(3)] == refs
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family, start, domain", [
+    (Family.CLAYTON, -1.0, "(0, inf)"), (Family.CLAYTON, 0.0, "(0, inf)"),
+    (Family.CLAYTON, np.inf, "(0, inf)"), (Family.CLAYTON, np.nan, "(0, inf)"),
+    (Family.GAUSSIAN, 1.0, "(-1, 1)")])
+def test_start_outside_the_domain_is_a_value_error(family, start, domain):
+    # checked before the start is transformed, so no log or arctanh
+    # warning comes first
+    obs = _simulate(Family.CLAYTON, 0.5, 40, seed=5)
+    with pytest.raises(ValueError) as err:
+        fit_pmle(family, obs, initial_theta=start)
+    assert str(err.value) == (f"initial_theta = {start!r} is outside the open domain "
+                              f"{domain} of {family.value}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_block_start_with_a_row_outside_the_domain_is_a_value_error():
+    obs = _simulate(Family.GUMBEL, 0.5, 40, seed=5)
+    block = copulas.Observations(*(np.array([getattr(obs, a)] * 3)
+                                   for a in ("u1", "u2", "d1", "d2")))
+    with pytest.raises(ValueError) as err:
+        inference.fit_block(Family.GUMBEL, block, initial_theta=np.array([1.5, 1.0, 2.0]))
+    assert str(err.value) == ("initial_theta (row 1) = 1.0 is outside the open domain "
+                              "(1, inf) of gumbel")
 
 
 def test_search_scores_points_past_the_exp_overflow_as_invalid(monkeypatch):

@@ -142,14 +142,48 @@ def test_maximize_1d_parabola():
     assert fx == pytest.approx(0.0, abs=1e-10)
 
 
-def _in_house_brent(f, lo, hi, xatol):
-    search = numerics._minimize_bounded(lo, hi, xatol=xatol)
-    x = next(search)
+class _Stop(Exception):
+    pass
+
+
+def _probed(f, x0, half, tol, max_probes=math.inf):
+    """maximize_1d of f from x0 as a one-row call, and the points it
+    probed; a search that asks for more than max_probes points is stopped
+    there, and its result is None."""
+    probes = []
+
+    def row(rows, xs):
+        probes.extend(xs)
+        if len(probes) > max_probes:
+            raise _Stop
+        return [f(x) for x in xs]
+
     try:
-        while True:
-            x = search.send(f(x))
-    except StopIteration as stop:
-        return stop.value
+        (out,) = maximize_1d(row, np.array([x0]), half, tol=tol)
+    except _Stop:
+        out = None
+    return out, probes
+
+
+def _scipy_bracket(f, lo, hi, xatol):
+    """scipy's bounded minimize_scalar of -f on [lo, hi], with 1e300 where
+    f(x) is not finite, and the points it probed."""
+    probes = []
+
+    def negated(x):
+        probes.append(x)
+        v = f(x)
+        return -v if math.isfinite(v) else 1e300
+
+    with np.errstate(all="ignore"):
+        ref = minimize_scalar(negated, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol})
+    assert ref.nfev == len(probes)
+    return ref, probes
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
 
 
 def _objectives(rng):
@@ -166,16 +200,30 @@ def _objectives(rng):
 
 
 def test_in_house_brent_equals_scipy_bit_for_bit():
+    # a row's first bracket, x0 +- half, takes scipy's bounded Brent steps
+    # on -f: the same probes, bit for bit, and the same optimum where the
+    # row ends there. A row that probes on has that optimum within the
+    # edge margin; one with more than 20% non-finite probes fails there
     rng = np.random.default_rng(8)
     for name, f, lo, hi in _objectives(rng):
-        for xatol in (1e-10, 1e-8, 1e-5, 1e-2):
-            with np.errstate(all="ignore"):
-                ref = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                      options={"xatol": xatol})
-                x, fun, nfev, status = _in_house_brent(f, lo, hi, xatol)
-            assert np.float64(x).tobytes() == np.float64(ref.x).tobytes(), name
-            assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes(), name
-            assert (nfev, status) == (ref.nfev, ref.status), name
+        x0, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for sign in (1.0, -1.0):
+            def g(x, f=f, sign=sign):
+                return sign * f(x)
+
+            for xatol in (1e-10, 1e-8, 1e-5, 1e-2):
+                ref, ref_probes = _scipy_bracket(g, x0 - half, x0 + half, xatol)
+                out, probes = _probed(g, x0, half, xatol, max_probes=ref.nfev)
+                assert _bits(probes[:ref.nfev]) == _bits(ref_probes), name
+                nonfinite = sum(not math.isfinite(g(x)) for x in ref_probes)
+                if nonfinite > 0.2 * ref.nfev:
+                    assert str(out) == (f"objective non-finite at {nonfinite}/{ref.nfev} "
+                                        f"probes on [{x0 - half}, {x0 + half}]"), name
+                elif out is not None:
+                    assert _bits(out) == _bits((ref.x, -ref.fun)), name
+                else:
+                    margin = 0.01 * (2.0 * half) + 2.0 * xatol
+                    assert min(ref.x - (x0 - half), x0 + half - ref.x) <= margin, name
 
 
 def test_maximize_1d_lockstep_rows_equal_their_own_searches():
@@ -204,21 +252,28 @@ def test_maximize_1d_lockstep_rows_equal_their_own_searches():
     assert calls[0] == 4 and calls == sorted(calls, reverse=True)
 
 
-def test_maximize_1d_bracket_gives_up_on_a_bounded_rising_objective(monkeypatch):
+def test_maximize_1d_bracket_gives_up_on_a_bounded_rising_objective():
     # atan rises toward its bound: the optimum sits on the upper edge of
-    # every bracket, and the search ends after the last of them
-    brackets = []
-    search = numerics._maximize
-
-    def counted(lo, hi, tol):
-        brackets.append((lo, hi))
-        return (yield from search(lo, hi, tol))
-
-    monkeypatch.setattr(numerics, "_maximize", counted)
-    (out,) = maximize_1d(lambda rows, xs: np.arctan(xs), np.array([0.0]), 1.0)
+    # every bracket, and the search ends after the last of them. Each
+    # bracket's probes are scipy's on that bracket, and the next runs
+    # from its optimum less the edge margin to one width past its upper
+    # edge, so the lower ends rise
+    tol = 1e-8
+    out, probes = _probed(math.atan, 0.0, 1.0, tol)
     assert isinstance(out, BracketError)
-    assert len(brackets) == numerics._MAX_EXPANSIONS == 60
-    assert all(b[0] > a[0] for a, b in zip(brackets, brackets[1:]))
+    lo, hi, lower_ends = -1.0, 1.0, []
+    for _ in range(numerics._MAX_EXPANSIONS):
+        ref, ref_probes = _scipy_bracket(math.atan, lo, hi, tol)
+        assert _bits(probes[:ref.nfev]) == _bits(ref_probes)
+        del probes[:ref.nfev]
+        width = hi - lo
+        margin = 0.01 * width + 2.0 * tol
+        assert ref.x - lo > margin and hi - ref.x <= margin
+        lower_ends.append(lo)
+        lo, hi = ref.x - margin, hi + width
+    assert probes == []
+    assert str(out) == f"optimum still on an edge of [{lo}, {hi}] after 60 brackets from 0.0"
+    assert all(b > a for a, b in zip(lower_ends, lower_ends[1:]))
 
 
 # numpy functions that the likelihood kernels apply to gathered, padded
