@@ -35,7 +35,7 @@ A replicate that raises a ``StatisticalError`` is retried, then dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -173,7 +173,7 @@ def _replicates(frame: _Frame, b: int) -> np.ndarray:
     and the retries of a block are generated as one more block; a
     replicate that fails twice is dropped.
     """
-    size = -(-inference.BLOCK_ENTRIES // frame.n)
+    size = inference.block_rows(frame.n)
     blocks = [(frame, range(start, min(start + size, b))) for start in range(0, b, size)]
     return np.concatenate([values[:, ok] for values, ok in ordered_map(_block_task, blocks)],
                           axis=1)

@@ -2,8 +2,11 @@
 
 Subcommands: test (one-family goodness-of-fit), select (rank candidate
 families), fit (parameter estimate only), km (marginal Kaplan-Meier
-curve), simulate (Monte Carlo study). JSON goes to stdout with floats at
-12 significant digits; CSV schemas are fixed.
+curve), simulate (Monte Carlo study: rejection rates over a grid of true
+families and censoring levels, or one scenario's null distribution).
+JSON goes to stdout with floats at 12 significant digits; CSV schemas
+are fixed. Diagnostics, such as the null distribution's summary, go to
+stderr.
 
 Exit codes: 0 success, 1 input, parse or output failure (an unreadable
 --input or an unwritable --output), 2 statistical failure (any
@@ -90,17 +93,25 @@ def _parse_family(name: str) -> Family:
         raise UsageError(str(exc)) from None
 
 
-def _parse_families(raw: str) -> list[Family]:
-    fams = [_parse_family(tok) for tok in raw.split(",") if tok.strip()]
-    if not fams:
-        raise UsageError("no families given")
-    deduped = []
-    for f in fams:
-        if f in deduped:
-            print(f"warning: duplicate family {f.value} ignored", file=sys.stderr)
+def _parse_list(raw: str, parse, noun: str) -> list:
+    """The entries of a comma list, each through ``parse``, in first-seen
+    order; a repeated entry is dropped with a warning."""
+    items = []
+    for tok in raw.split(","):
+        if not tok.strip():
+            continue
+        item = parse(tok)
+        if item in items:
+            print(f"warning: duplicate {noun} {tok.strip()} ignored", file=sys.stderr)
         else:
-            deduped.append(f)
-    return deduped
+            items.append(item)
+    if not items:
+        raise UsageError(f"no {noun} given")
+    return items
+
+
+def _parse_families(raw: str) -> list[Family]:
+    return _parse_list(raw, _parse_family, "family")
 
 
 # --config keys per subcommand: a tuple of allowed words, or None for a number
@@ -282,29 +293,59 @@ def cmd_km(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    true_family = _parse_family(args.true_family)
+    true_families = _parse_families(args.true_family)
+    levels = _parse_list(args.censoring, str.strip, "censoring level")
     tests = args.tests or {"rejection": "ir,white,logim", "null": "ir"}[args.mode]
     kinds = tuple(k.strip() for k in tests.split(",") if k.strip())
     try:
-        scenario = simulation.Scenario(true_family, args.tau, args.n, args.censoring)
+        # the grid in the order of its CSV rows: family outer, level inner
+        scenarios = [simulation.Scenario(fam, args.tau, args.n, level)
+                     for fam in true_families for level in levels]
         cfg = simulation.StudyConfig(replications=args.replications, b=args.b,
                                      alpha=args.alpha, seed=args.seed, kinds=kinds)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.mode == "null" and len(cfg.kinds) > 1:
-        raise UsageError(f"null mode takes one statistic kind, got {','.join(cfg.kinds)}")
+    if args.mode == "null":
+        # the QQ CSV names none of these, so it holds one of each
+        for noun, given in (("true family", [f.value for f in true_families]),
+                            ("censoring level", levels), ("statistic kind", cfg.kinds)):
+            if len(given) > 1:
+                raise UsageError(f"null mode takes one {noun}, got {','.join(given)}")
     null_families = (_parse_families(args.null_families)
-                     if args.mode == "rejection" and args.null_families else [true_family])
+                     if args.mode == "rejection" and args.null_families else None)
     _check_output(args.output)
     if args.mode == "rejection":
-        rows = simulation.run_rejection_study(scenario, null_families, cfg)
+        rows = [row for scenario in scenarios
+                for row in simulation.run_rejection_study(
+                    scenario, null_families or [scenario.true_family], cfg)]
         with _output(args.output) as fh:
             simulation.write_rejection_csv(rows, fh)
-    else:
-        dist, = simulation.run_null_distribution(scenario, cfg).values()
-        with _output(args.output) as fh:
-            simulation.write_qq_csv(dist, fh)
+        return EXIT_OK
+    dist, = simulation.run_null_distribution(scenarios[0], cfg).values()
+    with _output(args.output) as fh:
+        simulation.write_qq_csv(dist, fh)
+    _print_null_summary(dist)
     return EXIT_OK
+
+
+def _print_null_summary(dist: simulation.NullDistribution) -> None:
+    """Print to stderr the statistic's mean and sd over the kept
+    replicates, and the KS test of their p-values against uniformity."""
+    # imported here only: at module level, scipy.stats would take every
+    # process that imports this module from 82 to 101 MB resident
+    # (CPython 3.11, scipy 1.17)
+    from scipy import stats
+
+    m = dist.statistics.size
+    line = (f"{dist.kind}: {m} replicate{'s' if m > 1 else ''}, "
+            f"statistic mean {dist.statistics.mean():.4f}")
+    # the sample sd needs two values; numpy warns and gives NaN at one
+    if m > 1:
+        line += f", sd {dist.statistics.std(ddof=1):.4f}"
+    ks = stats.kstest(dist.p_values, "uniform")
+    print(line, file=sys.stderr)
+    print(f"KS uniformity of p-values: D={ks.statistic:.4f}, p={ks.pvalue:.4f}",
+          file=sys.stderr)
 
 
 def build_parser() -> _Parser:
@@ -348,14 +389,25 @@ def build_parser() -> _Parser:
     p_km.add_argument("--margin", type=int, choices=(1, 2), default=1)
     p_km.set_defaults(fn=cmd_km)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo size/power study")
+    p_sim = sub.add_parser(
+        "simulate", help="Monte Carlo size/power study",
+        description="Rejection mode tests every null family on the data of each "
+                    "(true family, censoring level) pair, family outer, and writes "
+                    "one rejection-rate CSV. Null mode takes one true family, one "
+                    "level and one kind, writes the statistic's QQ CSV, and prints "
+                    "its mean and sd and a KS uniformity test of its p-values to "
+                    "stderr.")
     p_sim.add_argument("--mode", choices=("rejection", "null"), default="rejection")
-    p_sim.add_argument("--true-family", required=True)
+    p_sim.add_argument("--true-family", required=True,
+                       help="comma-separated true families; null mode takes one")
     p_sim.add_argument("--tau", type=float, default=0.5)
     p_sim.add_argument("--n", type=int, default=100)
+    levels = ",".join(simulation.CENSORING_LEVELS)
     p_sim.add_argument("--censoring", default="none",
-                       choices=tuple(simulation.CENSORING_LEVELS))
-    p_sim.add_argument("--null-families", default=None)
+                       help=f"comma-separated levels from {levels} (default none); "
+                            "null mode takes one")
+    p_sim.add_argument("--null-families", default=None,
+                       help="comma-separated null families (default: each true family)")
     p_sim.add_argument("--tests", help="comma-separated statistic kinds (default "
                        "ir,white,logim); null mode takes one (default ir)")
     p_sim.add_argument("--replications", type=int, default=100)

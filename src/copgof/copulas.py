@@ -39,10 +39,11 @@ A family class declares its math and nothing else:
   omega function), and by a safeguarded Newton iteration on the
   generator for Joe.
 
-The base ``_Family`` derives the rest: ``in_domain`` as lo < theta < hi,
-and the u2-partial ``log_c2`` as the u1-partial with (u1, u2) swapped,
-since every family here is exchangeable. The module functions derive
-the unconstrained search scale of ``fit_pmle`` from ``domain`` alone.
+The base ``_Family`` derives the rest: ``in_domain`` as
+(lo < theta) & (theta < hi), elementwise over an array theta, and the
+u2-partial ``log_c2`` as the u1-partial with (u1, u2) swapped, since
+every family here is exchangeable. The module functions derive the
+unconstrained search scale of ``fit_pmle`` from ``domain`` alone.
 
 The Gaussian copula function is C(u1, u2) = Phi2(Phi^-1(u1), Phi^-1(u2); rho).
 Its log comes from ``numerics.binorm_logcdf`` in one array pass over the
@@ -153,7 +154,7 @@ class _Family:
     @classmethod
     def in_domain(cls, theta):
         lo, hi = cls.domain
-        return lo < theta < hi
+        return (lo < theta) & (theta < hi)
 
     # every family is exchangeable, C(u1, u2) = C(u2, u1), so the
     # u2-partial is the u1-partial with its arguments swapped

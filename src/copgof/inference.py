@@ -69,7 +69,7 @@ MIN_OBSERVATIONS = 10
 
 # exact leave-one-out passes and bootstrap replicates run in blocks of
 # about this many entries, (rows in block) x n, so each (k, n) array stays
-# near 1 MB; both read it at call time
+# near 1 MB; block_rows reads it at call time
 BLOCK_ENTRIES = 2 ** 17
 _LOO_MAX_ITER = 100
 # a row converges when its Newton step |g/h| is at most _LOO_XTOL
@@ -147,6 +147,12 @@ def _tau_start(family: Family, obs: Observations) -> float:
     return copulas.tau_to_theta(family, tau)
 
 
+def block_rows(n: int) -> int:
+    """Rows per block of rows of n entries: about BLOCK_ENTRIES entries,
+    and at least one row."""
+    return -(-BLOCK_ENTRIES // n)
+
+
 def _check_type(obs) -> None:
     if not isinstance(obs, Observations):
         raise TypeError(f"expected the pseudo-sample as a copulas.Observations, "
@@ -216,7 +222,7 @@ def _search(family: Family, obs: Observations, x0):
     (k, 1) column of their thetas; a sample is a block of one row. A
     point whose theta overflows, or rounds onto the domain's edge,
     scores -inf."""
-    lo_theta, hi_theta = copulas.family_ops(family).domain
+    in_domain = copulas.family_ops(family).in_domain
     evaluations = np.zeros(obs.k, dtype=np.int64)
     sub = obs
 
@@ -230,7 +236,7 @@ def _search(family: Family, obs: Observations, x0):
         x = np.array(xs, dtype=float)
         x[x > _LOG_DBL_MAX] = np.nan
         theta = copulas.from_unconstrained(family, x)
-        valid = (lo_theta < theta) & (theta < hi_theta)
+        valid = in_domain(theta)
         values = np.full(len(xs), -math.inf)
         if not valid.any():
             return values
@@ -273,10 +279,11 @@ def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
     if a start lies outside the family's open domain."""
     _check(obs)
     k = obs.k
-    lo, hi = copulas.family_ops(family).domain
+    ops = copulas.family_ops(family)
     start = np.asarray(initial_theta, dtype=float)
-    outside = np.flatnonzero(~((lo < start) & (start < hi)))
+    outside = np.flatnonzero(~ops.in_domain(start))
     if outside.size:
+        lo, hi = ops.domain
         row = f" (row {outside[0]})" if start.ndim else ""
         raise ValueError(f"initial_theta{row} = {float(start.flat[outside[0]])!r} is outside "
                          f"the open domain ({lo:g}, {hi:g}) of {family.value}")
@@ -390,7 +397,7 @@ def _exact_loo(family: Family, obs: Observations, theta, rows):
     keeps 0 for its slopes; for the other rows a non-finite score or
     hessian entry raises LikelihoodError."""
     out = np.zeros((3, rows.size))
-    size = -(-BLOCK_ENTRIES // obs.n)
+    size = block_rows(obs.n)
     for start in range(0, rows.size, size):
         part = np.arange(start, min(start + size, rows.size))
         column = theta[part][:, None]
@@ -440,8 +447,7 @@ class _Interpolant:
         the tails of the gradient and hessian sums certify them."""
         theta = copulas.from_unconstrained(
             family, 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_POINTS)
-        lo_theta, hi_theta = copulas.family_ops(family).domain
-        if not ((lo_theta < theta) & (theta < hi_theta)).all():
+        if not copulas.family_ops(family).in_domain(theta).all():
             return None
         ll, score, hessian = copulas.dlog_vec(family, theta[:, None], obs, strict=False)
         values = np.stack([ll, *_search_slopes(family, theta[:, None], score, hessian)])
@@ -505,7 +511,7 @@ def _loo_block(fit: FitResult, at_hat):
     if active.any() and pad > 0.0:
         interpolant = _Interpolant.build(family, obs, min(x[0], (x + step).min()) - pad,
                                          max(x[0], (x + step).max()) + pad)
-    lo, hi = copulas.family_ops(family).domain
+    in_domain = copulas.family_ops(family).in_domain
     for _ in range(_LOO_MAX_ITER):
         act = np.flatnonzero(active)
         if act.size == 0:
@@ -516,7 +522,7 @@ def _loo_block(fit: FitResult, at_hat):
         # domain scores -inf
         values = np.zeros((3, act.size))
         values[0] = -np.inf
-        ok = (lo < theta) & (theta < hi)
+        ok = in_domain(theta)
         near = np.zeros(act.size, dtype=bool)
         if interpolant is not None:
             near = ok & interpolant.covers(trial)

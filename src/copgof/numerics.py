@@ -1,13 +1,12 @@
 """Shared numeric kernel.
 
-The Debye-1 integral, bivariate normal distribution functions,
-bracketed root finding, 1-D maximization, and splittable deterministic
-RNG streams. Everything here is a pure function of its inputs. The
-maximization runs one generator per row (``_bracketed``) that yields
-each point to evaluate: scipy's bounded Brent steps, inlined, in a
-bracket that moves toward the optimum while it sits on an edge. So
-many rows can step in lockstep (``maximize_1d``) and share one
-objective call per round.
+The Debye-1 integral, the bivariate normal CDF, bracketed root
+finding, 1-D maximization, and splittable deterministic RNG streams.
+Everything here is a pure function of its inputs. The maximization
+runs one generator per row (``_bracketed``) that yields each point to
+evaluate: scipy's bounded Brent steps, inlined, in a bracket that moves
+toward the optimum while it sits on an edge. So many rows can step in
+lockstep (``maximize_1d``) and share one objective call per round.
 Univariate normal functions and adaptive quadrature are scipy's
 (``scipy.special.ndtr``, ``ndtri``, ``log_ndtr``,
 ``scipy.integrate.quad``), called directly where they are needed; a
@@ -65,15 +64,6 @@ def debye1(theta: float) -> float:
     if warning[1:]:
         raise NumericsError(f"debye1({theta!r}): {warning[1]} (bound {bound!r})")
     return value / theta
-
-
-def binorm_pdf(z1, z2, rho: float):
-    """Standard bivariate normal density with correlation rho."""
-    if not abs(rho) < 1:
-        raise ValueError(f"binorm_pdf requires |rho| < 1, got {rho}")
-    s2 = 1.0 - rho * rho
-    q = (np.square(z1) + np.square(z2) - 2.0 * rho * np.asarray(z1) * np.asarray(z2)) / (2.0 * s2)
-    return np.exp(-q) / (2.0 * math.pi * math.sqrt(s2))
 
 
 def binorm_cdf(z1: float, z2: float, rho: float) -> float:

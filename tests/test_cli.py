@@ -1,11 +1,16 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from copgof import bootstrap, copulas, inference, simulation
+from copgof import bootstrap, cli, copulas, inference, simulation
 from copgof.cli import main
 from copgof.copulas import CopulaModel, Family
 
@@ -199,6 +204,74 @@ def test_cmd_simulate_null_mode_takes_one_kind(capsys):
     assert capsys.readouterr().out == default
 
 
+@pytest.mark.parametrize("nulls", [[], ["--null-families", "clayton,joe"]],
+                         ids=["own-null", "nulls"])
+def test_cmd_simulate_grid_is_its_scenarios_concatenated(nulls, capsys):
+    # true families outer, censoring levels inner, under one header; with
+    # no --null-families each true family is its own null
+    args = ["simulate", "--n", "30", "--replications", "2", "--b", "4",
+            "--tests", "ir,white", "--seed", "3", *nulls]
+    assert main(args + ["--true-family", "clayton,frank", "--censoring", "none,c20"]) == 0
+    grid = capsys.readouterr().out
+    parts = []
+    for family in ("clayton", "frank"):
+        for level in ("none", "c20"):
+            assert main(args + ["--true-family", family, "--censoring", level]) == 0
+            parts.append(capsys.readouterr().out.splitlines(keepends=True))
+    header = parts[0][0]
+    assert all(part[0] == header for part in parts)
+    assert grid == header + "".join(line for part in parts for line in part[1:])
+
+
+@pytest.mark.parametrize("option, value", [("--true-family", "clayton,joe"),
+                                           ("--censoring", "none,c20")])
+def test_cmd_simulate_null_mode_takes_one_scenario(option, value, capsys):
+    # the QQ CSV names neither the family nor the level
+    rc = main(["simulate", "--mode", "null", "--true-family", "clayton", "--n", "20",
+               "--replications", "2", "--b", "4", option, value])
+    assert rc == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: null mode takes one ")
+    assert value in captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("replications", [1, 3])
+def test_cmd_simulate_null_mode_summary(replications, capsys):
+    # stderr carries the statistic's mean, its sd from two replicates up
+    # (one value has no sample sd), and the KS uniformity test of the
+    # p-values; stdout is the QQ CSV alone
+    rc = main(["simulate", "--mode", "null", "--true-family", "gumbel", "--n", "40",
+               "--replications", str(replications), "--b", "4"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    dist = simulation.run_null_distribution(
+        simulation.Scenario(Family.GUMBEL, 0.5, 40),
+        simulation.StudyConfig(replications=replications, b=4, kinds=("ir",)))["ir"]
+    qq = io.StringIO()
+    simulation.write_qq_csv(dist, qq)
+    assert captured.out == qq.getvalue()
+    summary, uniformity = captured.err.splitlines()
+    m = dist.statistics.size
+    assert summary.startswith(f"ir: {m} replicate")
+    assert f"mean {dist.statistics.mean():.4f}" in summary
+    assert ("sd" in summary) == (m > 1)
+    ks = stats.kstest(dist.p_values, "uniform")
+    assert uniformity == f"KS uniformity of p-values: D={ks.statistic:.4f}, p={ks.pvalue:.4f}"
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    # only the null summary needs scipy.stats, and it imports it itself:
+    # a process that imports the CLI, such as the benchmark harness, does
+    # not load it
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, copgof.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 # --- error paths ---------------------------------------------------------
 
 def test_usage_unknown_family(data_csv, capsys):
@@ -225,6 +298,13 @@ def test_usage_b_too_small(data_csv, capsys):
     ["fit", "--input", "DATA", "--family", "clayton", "--config", "initial_theta=inf"],
     ["simulate", "--mode", "null", "--true-family", "clayton", "--n", "20",
      "--replications", "1", "--b", "10", "--tests", ","],
+    # every entry of a list is checked before --output and before any work
+    ["simulate", "--true-family", "clayton", "--censoring", "none,c30", "--n", "20",
+     "--replications", "1", "--b", "10", "--output", "/nonexistent/x.csv"],
+    ["simulate", "--true-family", "clayton,vine", "--n", "20", "--replications", "1",
+     "--b", "10", "--output", "/nonexistent/x.csv"],
+    ["simulate", "--true-family", "gaussian,clayton", "--tau", "-0.3", "--n", "20",
+     "--replications", "1", "--b", "10", "--output", "/nonexistent/x.csv"],
 ])
 def test_usage_out_of_range_values(argv, data_csv, capsys):
     rc = main([data_csv if a == "DATA" else a for a in argv])

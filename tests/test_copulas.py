@@ -12,6 +12,7 @@ from copgof import copulas, numerics
 from copgof.copulas import (CopulaModel, Family, cdf, density, loglik_vec,
                             partial_u1, partial_u2, sample_pairs, score_vec,
                             hessian_vec, tau_to_theta, theta_to_tau)
+from oracles import binorm_pdf
 
 THETAS = {
     Family.CLAYTON: 2.0,
@@ -244,9 +245,8 @@ def test_gaussian_cdf_theta_derivative_is_density():
     ma = CopulaModel(Family.GAUSSIAN, theta + eps)
     mb = CopulaModel(Family.GAUSSIAN, theta - eps)
     fd = (cdf(ma, u1, u2) - cdf(mb, u1, u2)) / (2 * eps)
-    from copgof import numerics
     from scipy.special import ndtri
-    pdf2 = numerics.binorm_pdf(ndtri(u1), ndtri(u2), theta)
+    pdf2 = binorm_pdf(ndtri(u1), ndtri(u2), theta)
     assert fd == pytest.approx(pdf2, rel=1e-5)
 
 
@@ -837,6 +837,17 @@ def test_model_domain_validation():
     for family in (Family.CLAYTON, Family.FRANK, Family.JOE, Family.GUMBEL):
         with pytest.raises(ValueError):
             CopulaModel(family, math.inf)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_in_domain_is_elementwise(family):
+    # an array theta gets one answer per entry, each its scalar call's
+    ops = copulas.family_ops(family)
+    lo, hi = ops.domain
+    theta = np.array([lo, THETAS[family], hi, np.nan, -np.inf, np.inf])
+    inside = ops.in_domain(theta)
+    assert inside.tolist() == [False, True, False, False, False, False]
+    assert inside.tolist() == [bool(ops.in_domain(float(t))) for t in theta]
 
 
 def test_family_parse():

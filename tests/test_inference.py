@@ -298,6 +298,13 @@ def test_loo_refits_are_exact_optima(family, monkeypatch):
         assert own[i] == pytest.approx(own_ref, rel=1e-12)
 
 
+def test_block_rows_reads_block_entries_at_call_time(monkeypatch):
+    # about BLOCK_ENTRIES entries per block, rounded up to whole rows, and
+    # at least one row
+    monkeypatch.setattr(inference, "BLOCK_ENTRIES", 7)
+    assert [inference.block_rows(n) for n in (1, 3, 7, 40)] == [7, 3, 1, 1]
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_pios_is_independent_of_the_block_size(family, monkeypatch):
     obs = _simulate(family, 0.5, 40, seed=13, censoring_mean=1.5)
