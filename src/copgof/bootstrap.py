@@ -198,29 +198,24 @@ def _build_frame(sample: CensoredSample, fit: FitResult, kinds,
 
 
 def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
-                      kinds=("ir",), fit: FitResult | None = None) -> dict[str, GofReport]:
+                      kinds=("ir",)) -> dict[str, GofReport]:
     """Full test for one null family, one report per statistic kind.
 
     ``pairs`` is a CensoredSample or a sequence of CensoredPair rows.
     ``kinds`` is a non-empty sequence of statistic kinds (see
     ``inference.statistic_kinds``), a kind named twice counting once; the
-    reports are keyed by lower-case kind.
-    ``fit``, if given, must be a fit of ``family`` to this sample's
-    pseudo-observations (ValueError otherwise). Replicate fits and the
-    derivative pass of each fit are shared across kinds, so asking for ir,
-    white and logim together costs the same as any one of them.
+    reports are keyed by lower-case kind. The family is fitted to the
+    sample's pseudo-observations once, and the observed statistics come
+    from that fit, the first kind in order that fails raising. Replicate
+    fits and the derivative pass of each fit are shared across kinds, so
+    asking for ir, white and logim together costs the same as any one of
+    them.
     """
     sample = survival.as_sample(pairs)
     kinds = inference.statistic_kinds(kinds)
     obs = survival.pseudo_observations(sample)
-    if fit is None:
-        fit = inference.fit_pmle(family, obs)
-    elif fit.family is not family or fit.obs != obs:
-        raise ValueError(
-            f"fit of {fit.family.value} to {fit.n} rows given for a "
-            f"{family.value} test of {len(sample)} rows; it must be the "
-            f"{family.value} fit to this sample")
-    observed = inference.compute_statistics(kinds, fit)
+    fit = inference.fit_pmle(family, obs)
+    observed = {kind: inference.compute_statistic(kind, fit) for kind in kinds}
 
     draws = _replicates(_build_frame(sample, fit, kinds, config), config.b)
     b_used = draws.shape[1]

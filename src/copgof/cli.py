@@ -9,8 +9,8 @@ are fixed. Diagnostics, such as the null distribution's summary, go to
 stderr.
 
 Exit codes: 0 success, 1 input, parse or output failure (an unreadable
---input or an unwritable --output), 2 statistical failure (any
-``StatisticalError``), 64 usage error.
+--input, one that is not UTF-8 text, or an unwritable --output), 2
+statistical failure (any ``StatisticalError``), 64 usage error.
 """
 
 from __future__ import annotations
@@ -55,35 +55,49 @@ def _fmt(x: float) -> float:
 
 
 def read_data_csv(path) -> CensoredSample:
+    """The sample in the UTF-8 CSV file ``path``. A file that cannot be
+    read, is not UTF-8 text or does not hold the data table is an
+    InputError naming it."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from None
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != DATA_HEADER:
-            raise InputError(
-                f"{path}: line 1: expected header {','.join(DATA_HEADER)}, "
-                f"got {','.join(header)}")
-        pairs = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise InputError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
-            try:
-                x1, x2 = float(row[0]), float(row[1])
-                d1, d2 = int(row[2]), int(row[3])
-                pairs.append(CensoredPair(x1, x2, d1, d2))
-            except ValueError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from None
+            pairs = _read_rows(path, reader)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc.reason} "
+                             f"(byte 0x{exc.object[exc.start]:02x})") from None
+        except csv.Error as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     if not pairs:
         raise InputError(f"{path}: no data rows")
     return survival.as_sample(pairs)
+
+
+def _read_rows(path, reader) -> list[CensoredPair]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    if [h.strip().lower() for h in header] != DATA_HEADER:
+        raise InputError(
+            f"{path}: line 1: expected header {','.join(DATA_HEADER)}, "
+            f"got {','.join(header)}")
+    pairs = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 4:
+            raise InputError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
+        try:
+            x1, x2 = float(row[0]), float(row[1])
+            d1, d2 = int(row[2]), int(row[3])
+            pairs.append(CensoredPair(x1, x2, d1, d2))
+        except ValueError as exc:
+            raise InputError(f"{path}: line {lineno}: {exc}") from None
+    return pairs
 
 
 def _parse_family(name: str) -> Family:
@@ -306,13 +320,15 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.mode == "null":
+        if args.null_families is not None:
+            raise UsageError("--null-families applies to rejection mode only; "
+                             "null mode fits the true family")
         # the QQ CSV names none of these, so it holds one of each
         for noun, given in (("true family", [f.value for f in true_families]),
                             ("censoring level", levels), ("statistic kind", cfg.kinds)):
             if len(given) > 1:
                 raise UsageError(f"null mode takes one {noun}, got {','.join(given)}")
-    null_families = (_parse_families(args.null_families)
-                     if args.mode == "rejection" and args.null_families else None)
+    null_families = _parse_families(args.null_families) if args.null_families else None
     _check_output(args.output)
     if args.mode == "rejection":
         rows = [row for scenario in scenarios
@@ -394,7 +410,8 @@ def build_parser() -> _Parser:
         description="Rejection mode tests every null family on the data of each "
                     "(true family, censoring level) pair, family outer, and writes "
                     "one rejection-rate CSV. Null mode takes one true family, one "
-                    "level and one kind, writes the statistic's QQ CSV, and prints "
+                    "level and one kind and no null families, writes the "
+                    "statistic's QQ CSV, and prints "
                     "its mean and sd and a KS uniformity test of its p-values to "
                     "stderr.")
     p_sim.add_argument("--mode", choices=("rejection", "null"), default="rejection")
@@ -407,7 +424,8 @@ def build_parser() -> _Parser:
                        help=f"comma-separated levels from {levels} (default none); "
                             "null mode takes one")
     p_sim.add_argument("--null-families", default=None,
-                       help="comma-separated null families (default: each true family)")
+                       help="comma-separated null families (default: each true family); "
+                            "rejection mode only")
     p_sim.add_argument("--tests", help="comma-separated statistic kinds (default "
                        "ir,white,logim); null mode takes one (default ir)")
     p_sim.add_argument("--replications", type=int, default=100)

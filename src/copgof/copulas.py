@@ -11,6 +11,11 @@ reuses it for every evaluation. Then ``loglik_vec`` evaluates each
 case's piece over its entries, and ``dlog_vec`` each case's piece with
 its derivatives, giving the log-likelihood, score and hessian from one
 pass; each scatters every entry back to its row and column.
+Neither raises on a non-finite value. A -inf log-likelihood piece is
+raised to LOG_TINY and a NaN or +inf one becomes -inf, an invalid point
+for the search; the score and hessian come back as they are, and
+``require_finite`` is the one check that raises on them, for the rows a
+caller reads.
 A sample with a single case (any uncensored one) is evaluated whole,
 with no gather or scatter.
 An ``Observations`` may also be a (k, n) block of k samples, evaluated
@@ -955,32 +960,16 @@ def _by_case(family: Family, theta, obs: Observations, derivs: bool = False):
     return tuple(a[0] for a in out) if derivs else out[0]
 
 
-def _nonfinite_error(what: str, family: Family, theta, out) -> LikelihoodError:
-    """The error for the first non-finite entry of ``out``, naming its
-    observation and, for a theta column, its row's theta."""
-    idx = int(np.argmax(~np.isfinite(out)))
-    if out.ndim == 2:
-        row, idx = divmod(idx, out.shape[1])
-        if np.ndim(theta):      # a float over a block is every row's theta
-            theta = np.ravel(theta)[row]
-    return LikelihoodError(f"non-finite {what} for {family.value} at theta={theta}",
-                           index=idx)
-
-
-def _floored(family: Family, theta, out, strict: bool):
-    """``out`` with its -inf entries raised to LOG_TINY, in place; a NaN
-    raises LikelihoodError when strict, else becomes -inf."""
+def _floored(out):
+    """``out`` with its -inf entries raised to LOG_TINY and its NaN and
+    +inf entries set to -inf, in place."""
     if not np.isfinite(out).all():
         out[np.isneginf(out)] = LOG_TINY
-        still_bad = ~np.isfinite(out)
-        if still_bad.any():
-            if strict:
-                raise _nonfinite_error("log-likelihood", family, theta, out)
-            out[still_bad] = -np.inf
+        out[~np.isfinite(out)] = -np.inf
     return out
 
 
-def loglik_vec(family: Family, theta, obs: Observations, strict: bool = True):
+def loglik_vec(family: Family, theta, obs: Observations):
     """Per-observation censored log-likelihood of ``obs``, vectorized over
     the rows and, for a (k, 1) theta column, over the k thetas as a (k, n)
     array.
@@ -988,34 +977,38 @@ def loglik_vec(family: Family, theta, obs: Observations, strict: bool = True):
     A piece that is -inf (its probability underflowed) is raised to
     log(1e-300) so optimization near parameter boundaries stays finite;
     finite pieces are kept as they are, so the score and hessian are the
-    derivatives of this function. NaNs raise LikelihoodError when strict,
-    otherwise map to -inf (optimizers treat the point as invalid).
+    derivatives of this function. A NaN or +inf piece becomes -inf, which
+    optimizers treat as an invalid point; callers that need every entry
+    finite check for themselves.
     """
-    return _floored(family, theta, _by_case(family, theta, obs), strict)
+    return _floored(_by_case(family, theta, obs))
 
 
 def require_finite(family: Family, theta, score, hessian) -> None:
     """LikelihoodError for the first non-finite entry of ``score``, or
     else of ``hessian``, at theta (a float, or the (k, 1) column of
-    their k rows)."""
+    their k rows), naming its observation and, for a theta column, its
+    row's theta."""
     for what, out in (("score", score), ("hessian", hessian)):
         if not np.isfinite(out).all():
-            raise _nonfinite_error(what, family, theta, out)
+            idx = int(np.argmax(~np.isfinite(out)))
+            if out.ndim == 2:
+                row, idx = divmod(idx, out.shape[1])
+                if np.ndim(theta):      # a float over a block is every row's theta
+                    theta = np.ravel(theta)[row]
+            raise LikelihoodError(f"non-finite {what} for {family.value} at theta={theta}",
+                                  index=idx)
 
 
-def dlog_vec(family: Family, theta, obs: Observations, strict: bool = True):
+def dlog_vec(family: Family, theta, obs: Observations):
     """Per-observation log-likelihood, score and hessian of ``obs``, each
     shaped as ``loglik_vec``'s result, from one pass that evaluates each
     censoring case's piece once for all three. The log-likelihood is
-    ``loglik_vec(..., strict=False)`` bit for bit, and the score and
-    hessian are its first and second theta-derivatives. When strict, a
-    non-finite score or hessian entry raises LikelihoodError; otherwise
-    they are returned as they are, for the caller to check the rows it
-    reads with ``require_finite``."""
+    ``loglik_vec``'s bit for bit, and the score and hessian are its first
+    and second theta-derivatives, returned unchecked: the caller checks
+    the rows it reads with ``require_finite``."""
     loglik, score, hessian = _by_case(family, theta, obs, derivs=True)
-    if strict:
-        require_finite(family, theta, score, hessian)
-    return _floored(family, theta, loglik, False), score, hessian
+    return _floored(loglik), score, hessian
 
 
 def score_vec(family: Family, theta, obs: Observations):

@@ -35,9 +35,9 @@ quantify the discrepancy: the information ratio R (null value 1), the
 White difference V - S (null value 0), and log S - log V (null value 0).
 All three read (S, V) from the fit's score and hessian, as arrays: one
 reduction gives every row's (S, V) of a block fit, or a fit's as a
-block of one row. ``compute_statistic`` and ``compute_statistics`` give
-one or several kinds at one fit, and ``block_statistics`` each kind over
-a block's rows, with a mask of those that succeeded.
+block of one row. ``compute_statistic`` gives one kind at one fit, and
+``block_statistics`` each kind over a block's rows, with a mask of those
+that succeeded.
 A fourth, the cross-validated likelihood contrast T (PIOS), compares
 in-sample and leave-one-out log-likelihoods. Its n delete-one
 re-maximizations are solved together: one safeguarded Newton iteration
@@ -153,16 +153,13 @@ def block_rows(n: int) -> int:
     return -(-BLOCK_ENTRIES // n)
 
 
-def _check_type(obs) -> None:
+def _check(obs: Observations, min_n: int = MIN_OBSERVATIONS) -> None:
+    """InferenceError unless ``obs`` has at least ``min_n`` rows and its
+    pseudo-observations lie strictly inside (0, 1); TypeError unless it
+    is a ``copulas.Observations``."""
     if not isinstance(obs, Observations):
         raise TypeError(f"expected the pseudo-sample as a copulas.Observations, "
                         f"got {type(obs).__name__}")
-
-
-def _check(obs: Observations, min_n: int = MIN_OBSERVATIONS) -> None:
-    """InferenceError unless ``obs`` has at least ``min_n`` rows and its
-    pseudo-observations lie strictly inside (0, 1)."""
-    _check_type(obs)
     if obs.n < min_n:
         raise InferenceError(f"need at least {min_n} observations, got {obs.n}")
     u1, u2 = obs.u1, obs.u2
@@ -246,7 +243,7 @@ def _search(family: Family, obs: Observations, x0):
         # the running rows only shrink, so a change of count is a change of rows
         if rows.size != sub.k:
             sub = obs.take(rows)
-        ll = copulas.loglik_vec(family, theta[:, None], sub, strict=False)
+        ll = copulas.loglik_vec(family, theta[:, None], sub)
         values[valid] = ll.sum(axis=1)[valid]
         return values
 
@@ -296,8 +293,7 @@ def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
     at_hat = np.full((3, k, obs.n), np.nan)
     if fitted.any():
         sub = obs if fitted.all() else obs.take(np.flatnonzero(fitted))
-        at_hat[:, fitted] = copulas.dlog_vec(family, theta_hat[fitted][:, None], sub,
-                                             strict=False)
+        at_hat[:, fitted] = copulas.dlog_vec(family, theta_hat[fitted][:, None], sub)
     at_hat.flags.writeable = False
     loglik_obs, score, hessian = at_hat
     finite = np.isfinite(score).all(axis=1) & np.isfinite(hessian).all(axis=1)
@@ -315,8 +311,8 @@ def fit_block(family: Family, obs: Observations, *, initial_theta) -> BlockFit:
             errors[j] = exc
         if edge[j]:
             errors[j] = _edge_error(family, theta)
-    # maximize_1d returns a finite f_star, so every piece at theta_hat was
-    # finite and f_star is the strict pseudo-log-likelihood there
+    # maximize_1d returns a finite f_star, so no piece at theta_hat was NaN
+    # or +inf, and f_star is the pseudo-log-likelihood there
     return BlockFit(family=family, obs=obs, theta_hat=theta_hat, loglik=f_star,
                     converged=converged, n_evaluations=evaluations, loglik_obs=loglik_obs,
                     score=score, hessian=hessian, errors=tuple(errors))
@@ -356,16 +352,6 @@ def _moments(score, hessian):
     return -hessian.mean(axis=-1), np.square(score).mean(axis=-1)
 
 
-def information(family: Family, theta, obs: Observations) -> tuple[float, float]:
-    """(S, V) at theta from one derivative pass: the negative mean
-    hessian and the mean squared score of the per-observation
-    log-likelihood. At a fit's theta_hat, the statistics read them from
-    the fit instead."""
-    _check_type(obs)
-    s, v = _moments(*copulas.dlog_vec(family, theta, obs)[1:])
-    return float(s), float(v)
-
-
 def _drop_own(a, rows):
     """Row sums of a (k, n) array without entry (j, rows[j]) of each row j.
     Overwrites those entries in ``a``."""
@@ -401,7 +387,7 @@ def _exact_loo(family: Family, obs: Observations, theta, rows):
     for start in range(0, rows.size, size):
         part = np.arange(start, min(start + size, rows.size))
         column = theta[part][:, None]
-        ll, score, hessian = copulas.dlog_vec(family, column, obs, strict=False)
+        ll, score, hessian = copulas.dlog_vec(family, column, obs)
         out[0, part] = _drop_own(ll, rows[part])
         # only the rows whose objective is finite read their derivatives, so
         # only theirs must be finite
@@ -449,7 +435,7 @@ class _Interpolant:
             family, 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_POINTS)
         if not copulas.family_ops(family).in_domain(theta).all():
             return None
-        ll, score, hessian = copulas.dlog_vec(family, theta[:, None], obs, strict=False)
+        ll, score, hessian = copulas.dlog_vec(family, theta[:, None], obs)
         values = np.stack([ll, *_search_slopes(family, theta[:, None], score, hessian)])
         if not np.isfinite(values).all():
             return None
@@ -542,9 +528,9 @@ def _loo_block(fit: FitResult, at_hat):
 
 
 def _loo_fits(fit: FitResult):
-    """The leave-one-out maximizers x_i on the search scale, each deleted
-    observation's log-likelihood at its own x_i, and the per-observation
-    log-likelihood at the full-sample estimate, which the fit carries.
+    """Each deleted observation's log-likelihood at its own leave-one-out
+    maximizer, and the per-observation log-likelihood at the full-sample
+    estimate, which the fit carries.
     Raises LikelihoodError where that is not finite (a fit built at a
     theta where a piece is NaN), and InferenceError if a refit did not
     converge, counting over all n rows those whose optimum is on the
@@ -568,13 +554,13 @@ def _loo_fits(fit: FitResult):
         raise InferenceError(
             f"leave-one-out refit for {family.value} did not converge in "
             f"{_LOO_MAX_ITER} iterations for {np.count_nonzero(unconverged)} of {n} rows")
-    own = copulas.loglik_vec(family, theta[:, None], fit.obs.entries(), strict=False)[:, 0]
+    own = copulas.loglik_vec(family, theta[:, None], fit.obs.entries())[:, 0]
     if not np.isfinite(own).all():
         idx = int(np.argmax(~np.isfinite(own)))
         raise LikelihoodError(
             f"non-finite log-likelihood for {fit.family.value} at its "
             f"leave-one-out fit", index=idx)
-    return x, own, at_hat[0]
+    return own, at_hat[0]
 
 
 _NULL_VALUES = {"ir": 1.0, "logim": 0.0, "pios": 1.0, "white": 0.0}
@@ -605,7 +591,7 @@ def statistic_kinds(kinds) -> tuple[str, ...]:
     return kinds
 
 
-def _from_information(kind: str, s, v):
+def _from_moments(kind: str, s, v):
     """ir = V/S (where S > 0), white = V - S or logim = log S - log V
     (where S > 0 and V > 0) at each row's (S, V), and the mask of the rows
     where it is defined. logim takes ``math.log`` per row, as np.log's
@@ -622,17 +608,12 @@ def _from_information(kind: str, s, v):
     return values, defined
 
 
-def compute_statistics(kinds, fit: FitResult) -> dict[str, StatisticValue]:
-    """Every kind in ``kinds`` at one fit, keyed by lower-case kind; the
-    first kind, in order, that is undefined or fails raises."""
-    return {kind: compute_statistic(kind, fit) for kind in statistic_kinds(kinds)}
-
-
 def block_statistics(kinds, fits: BlockFit) -> tuple[np.ndarray, np.ndarray]:
-    """``compute_statistics`` at every row of a block fit: a (len(kinds), k)
-    array, row i for kinds[i], and the (k,) mask of the rows whose fit and
-    every kind succeeded. ir, white and logim come from one (S, V)
-    reduction over the fitted rows; pios refits each row still ok."""
+    """``compute_statistic`` of each kind at every row of a block fit: a
+    (len(kinds), k) array, row i for kinds[i], and the (k,) mask of the
+    rows whose fit and every kind succeeded. ir, white and logim come
+    from one (S, V) reduction over the fitted rows; pios refits each row
+    still ok."""
     kinds = statistic_kinds(kinds)
     ok = np.array([err is None for err in fits.errors])
     values = np.full((len(kinds), ok.size), np.nan)
@@ -640,7 +621,7 @@ def block_statistics(kinds, fits: BlockFit) -> tuple[np.ndarray, np.ndarray]:
     s, v = _moments(fits.score[rows], fits.hessian[rows])
     for i, kind in enumerate(kinds):
         if kind != "pios":
-            values[i, rows], defined = _from_information(kind, s, v)
+            values[i, rows], defined = _from_moments(kind, s, v)
             ok[rows] &= defined
     if "pios" in kinds:
         i = kinds.index("pios")
@@ -671,10 +652,10 @@ def compute_statistic(kind: str, fit: FitResult) -> StatisticValue:
     kind, = statistic_kinds((kind,))
     if kind == "pios":
         _check(fit.obs, MIN_OBSERVATIONS + 1)
-        _, own, at_hat = _loo_fits(fit)
+        own, at_hat = _loo_fits(fit)
         return StatisticValue("pios", float(np.sum(at_hat - own)), _NULL_VALUES["pios"])
     s, v = _moments(fit.score[None], fit.hessian[None])
-    value, defined = _from_information(kind, s, v)
+    value, defined = _from_moments(kind, s, v)
     if defined[0]:
         return StatisticValue(kind, float(value[0]), _NULL_VALUES[kind])
     if kind == "ir":

@@ -10,7 +10,7 @@ from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_reports,
                               generate_bootstrap_dataset, select_copula,
                               _build_frame)
 from copgof.copulas import FAMILY_ORDER, CopulaModel, Family
-from copgof.inference import compute_statistic, compute_statistics, fit_pmle
+from copgof.inference import compute_statistic, fit_pmle
 from copgof.numerics import RngStream, StatisticalError
 from copgof.simulation import Scenario, StudyConfig, generate_scenario_dataset
 from copgof.survival import (CensoredSample, censoring_curves, kaplan_meier,
@@ -114,28 +114,6 @@ def test_pair_list_and_sample_give_the_same_reports():
             == bootstrap_reports(PAIRS, Family.FRANK, cfg, kinds=kinds))
 
 
-def test_fit_of_another_family_or_sample_is_rejected():
-    # a given fit must be the null family's fit to this sample: a Frank
-    # fit would otherwise be reported and bootstrapped as Clayton
-    config = BootstrapConfig(b=4, seed=1)
-    frank = fit_pmle(Family.FRANK, pseudo_observations(PAIRS))
-    with pytest.raises(ValueError, match="fit of frank to 150 rows"):
-        bootstrap_reports(PAIRS, Family.CLAYTON, config, fit=frank)
-    smaller = _make_pairs(Family.CLAYTON, 0.5, 100, seed=61)
-    other = fit_pmle(Family.CLAYTON, pseudo_observations(smaller))
-    with pytest.raises(ValueError, match="fit of clayton to 100 rows"):
-        bootstrap_reports(PAIRS, Family.CLAYTON, config, fit=other)
-    # equal n is not enough: the fit must be to this sample's
-    # pseudo-observations, whose score and hessian its statistics read
-    same_size = _make_pairs(Family.CLAYTON, 0.5, len(PAIRS), seed=62)
-    other = fit_pmle(Family.CLAYTON, pseudo_observations(same_size))
-    with pytest.raises(ValueError, match="fit of clayton to 150 rows"):
-        bootstrap_reports(PAIRS, Family.CLAYTON, config, fit=other)
-    own = fit_pmle(Family.CLAYTON, pseudo_observations(PAIRS))
-    assert (bootstrap_reports(PAIRS, Family.CLAYTON, config, fit=own)
-            == bootstrap_reports(PAIRS, Family.CLAYTON, config))
-
-
 @pytest.mark.parametrize("kinds", [("ir", "white", "logim"), ("pios",), ("ir", "pios")])
 def test_one_observations_per_sample(kinds, monkeypatch):
     # the observed pseudo-sample and the one block of the b replicates are
@@ -156,10 +134,10 @@ def test_one_observations_per_sample(kinds, monkeypatch):
         builds.append(self)
         init(self)
 
-    def counted_dlog(family, theta, obs, **options):
+    def counted_dlog(family, theta, obs):
         if obs.u1.ndim == 1 and not in_loo:
             passes.append(theta)
-        return dlog_vec(family, theta, obs, **options)
+        return dlog_vec(family, theta, obs)
 
     def marked_loo(*args):
         in_loo.append(True)
@@ -207,10 +185,9 @@ def test_replicate_value_error_is_not_a_drop(monkeypatch):
         raise ValueError("bug inside a replicate")
 
     monkeypatch.setenv("COPULA_GOF_THREADS", "1")
-    fit = fit_pmle(Family.CLAYTON, pseudo_observations(PAIRS))
     monkeypatch.setattr(copulas, "sample_pairs", broken)
     with pytest.raises(ValueError, match="bug inside a replicate"):
-        bootstrap_reports(PAIRS, Family.CLAYTON, BootstrapConfig(b=10, seed=1), fit=fit)
+        bootstrap_reports(PAIRS, Family.CLAYTON, BootstrapConfig(b=10, seed=1))
 
 
 def test_replicate_fit_at_domain_edge_is_a_drop(monkeypatch):
@@ -224,7 +201,9 @@ def test_replicate_fit_at_domain_edge_is_a_drop(monkeypatch):
 
     monkeypatch.setenv("COPULA_GOF_THREADS", "1")
     sample = _make_pairs(Family.GAUSSIAN, 0.3, 40, seed=4, censoring_mean=None)
+    # the observed fit is made before the wide bracket is set
     fit = fit_pmle(Family.GAUSSIAN, pseudo_observations(sample))
+    monkeypatch.setattr(inference, "fit_pmle", lambda family, obs: fit)
     monkeypatch.setattr(copulas, "sample_pairs", comonotone)
     monkeypatch.setattr(inference, "_HALFWIDTH", 15.0)
     fit_block = inference.fit_block
@@ -238,7 +217,7 @@ def test_replicate_fit_at_domain_edge_is_a_drop(monkeypatch):
     monkeypatch.setattr(inference, "fit_block", recorded)
     with pytest.raises(bootstrap.BootstrapError, match="only 0 of 4"):
         bootstrap_reports(sample, Family.GAUSSIAN, BootstrapConfig(b=4, seed=1),
-                          kinds=("white",), fit=fit)
+                          kinds=("white",))
     # the wide bracket reached the replicate fits: the block and its retry
     # block, every row ending in a typed error
     assert [fits.obs.k for fits in blocks] == [4, 4]
@@ -308,7 +287,7 @@ def test_block_fit_rows_equal_their_own_fits(family, halfwidth, monkeypatch):
         assert got.hessian.tobytes() == ref.hessian.tobytes(), j
         assert got.obs == obs
         # the block's statistics of row j are those of its own fit, as bytes
-        expected = _stats_outcome(lambda: compute_statistics(kinds, ref))
+        expected = _stats_outcome(lambda: {k: compute_statistic(k, ref) for k in kinds})
         assert ok[j] == isinstance(expected, dict), j
         if ok[j]:
             assert values[:, j].tobytes() == np.array(
@@ -434,8 +413,9 @@ def test_pios_at_domain_edge_fails_typed(monkeypatch):
     edge = inference.FitResult(Family.CLAYTON, 1e-8, loglik, converged=False,
                                n_evaluations=0, obs=obs, loglik_obs=loglik_obs,
                                score=score, hessian=hessian)
+    monkeypatch.setattr(inference, "fit_pmle", lambda family, obs: edge)
     with pytest.raises(inference.InferenceError, match="leave-one-out"):
-        bootstrap_reports(sample, Family.CLAYTON, config, kinds=("pios",), fit=edge)
+        bootstrap_reports(sample, Family.CLAYTON, config, kinds=("pios",))
 
 
 def test_seed_changes_sigma():
@@ -543,7 +523,7 @@ def test_rows_without_events_are_retried_as_an_explicit_loop(monkeypatch):
             try:
                 obs = pseudo_observations(_row(censor_chosen(frame, [stream])))
                 refit = fit_pmle(family, obs, initial_theta=fit.theta_hat)
-                draws.append(compute_statistics(kinds, refit))
+                draws.append({k: compute_statistic(k, refit) for k in kinds})
                 break
             except StatisticalError:
                 continue

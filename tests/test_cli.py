@@ -236,6 +236,18 @@ def test_cmd_simulate_null_mode_takes_one_scenario(option, value, capsys):
     assert value in captured.err
 
 
+def test_cmd_simulate_null_mode_refuses_null_families(tmp_path, capsys):
+    # null mode fits the true family, so a null family list would be
+    # ignored; it is refused before the unwritable output is checked
+    rc = main(["simulate", "--mode", "null", "--true-family", "clayton", "--n", "20",
+               "--replications", "2", "--b", "4", "--null-families", "joe",
+               "--output", str(tmp_path / "missing" / "qq.csv")])
+    assert rc == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --null-families")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("replications", [1, 3])
 def test_cmd_simulate_null_mode_summary(replications, capsys):
@@ -422,6 +434,21 @@ def test_input_bad_row_reports_line(tmp_path, capsys):
     rc = main(["fit", "--input", str(p), "--family", "clayton"])
     assert rc == 1
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"x1,x2,d1,d2\n1.0,2.0,1,1\n1.0,2\xff,1,1\n", "not UTF-8 text"),
+    (b"x1,x2,d1,d2\n1.0,2.0,1,1\n" + b"9" * 200_000 + b",2.0,1,1\n",
+     "line 3: field larger than field limit"),
+], ids=["not-utf8", "oversized-field"])
+def test_unreadable_input_text_is_an_input_error(content, message, tmp_path, capsys):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(content)
+    rc = main(["fit", "--input", str(p), "--family", "clayton"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: {message}")
+    assert "Traceback" not in err
 
 
 def test_statistical_failure_exit_code(tmp_path, capsys):

@@ -33,6 +33,7 @@ def _degenerate_cases(n=60):
     gen = np.random.default_rng(17)
     (i1, i2), c = gen.exponential(1.0, (2, n)), gen.exponential(3.0, n)
     small = generate_scenario_dataset(Scenario(Family.CLAYTON, 0.5, 10), seed=5)
+    at_min = generate_scenario_dataset(Scenario(Family.CLAYTON, 0.5, MIN_N), seed=5)
     return {
         "comonotone": (CensoredSample(t, t.copy(), ones, ones), "ir"),
         # u2 = 1 - u1 exactly: Kendall's tau is -1
@@ -41,9 +42,14 @@ def _degenerate_cases(n=60):
                                        i1 <= c, i2 <= c), "ir"),
         "no events on margin 1": (CensoredSample(t, t2, np.zeros(n), ones), "ir"),
         "n = 10 with pios": (small, "pios"),
+        f"n = {MIN_N} with ir": (at_min, "ir"),
+        # one row short of the minimum, which the scenario generator refuses
+        f"n = {MIN_N - 1}": (CensoredSample(*(a[:-1] for a in (
+            at_min.x1, at_min.x2, at_min.d1, at_min.d2))), "ir"),
     }
 
 
+MIN_N = inference.MIN_OBSERVATIONS
 ARCHIMEDEAN = (Family.CLAYTON, Family.FRANK, Family.JOE, Family.GUMBEL)
 # how each case ends today, per family: the class of its typed error, or a
 # report. The Archimedean fits to comonotone data run to theta = 148 to
@@ -60,7 +66,11 @@ OUTCOMES = {
                     Family.GUMBEL: "InferenceError"},
     "no events on margin 1": {f: "SurvivalError" for f in Family},
     "n = 10 with pios": {f: "InferenceError" for f in Family},
+    f"n = {MIN_N} with ir": {f: "report" for f in Family},
+    f"n = {MIN_N - 1}": {f: "InferenceError" for f in Family},
 }
+# the message each case's typed errors start with, where one is pinned
+MESSAGES = {f"n = {MIN_N - 1}": f"need at least {MIN_N} observations, got {MIN_N - 1}"}
 
 
 @pytest.mark.parametrize("case", list(OUTCOMES))
@@ -84,6 +94,8 @@ def test_degenerate_input_ends_as_the_contract_says(case, tmp_path, capsys):
             error = None
             assert math.isfinite(report.statistic.value) and 0.0 <= report.p_value <= 1.0
         assert OUTCOMES[case][family] == (type(error).__name__ if error else "report"), family
+        if case in MESSAGES:
+            assert str(error).startswith(MESSAGES[case]), family
         rc = cli.main(["test", "--input", str(path), "--family", family.value,
                        "--statistic", kind, "--b", "4", "--seed", "1"])
         captured = capsys.readouterr()

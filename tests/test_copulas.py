@@ -190,7 +190,7 @@ def test_dlog_vec_halves_are_score_and_hessian(family):
     column = np.array(COLUMN_THETAS[family])[:, None]
     for theta in (THETAS[family], column):
         loglik, score, hessian = copulas.dlog_vec(family, theta, obs)
-        assert loglik.tobytes() == loglik_vec(family, theta, obs, strict=False).tobytes()
+        assert loglik.tobytes() == loglik_vec(family, theta, obs).tobytes()
         assert score.tobytes() == score_vec(family, theta, obs).tobytes()
         assert hessian.tobytes() == hessian_vec(family, theta, obs).tobytes()
 
@@ -404,26 +404,23 @@ def test_case_split_equals_per_mask_evaluation(case):
     raw = _per_mask(family, theta, u1, u2, d1, d2)
     expect = np.where(np.isneginf(raw), numerics.LOG_TINY, raw)
     expect[~np.isfinite(expect)] = -np.inf
-    ll = loglik_vec(family, theta, obs, strict=False)
+    ll = loglik_vec(family, theta, obs)
     assert ll.tobytes() == expect.tobytes()
-    outputs = [ll]
 
     raw = _per_mask(family, theta, u1, u2, d1, d2, derivs=True)
-    # the one pass's log-likelihood is loglik_vec's, whether or not its
-    # derivatives are checked
-    loose = copulas.dlog_vec(family, theta, obs, strict=False)
-    assert loose[0].tobytes() == ll.tobytes()
-    assert loose[1].tobytes() == raw[1].tobytes() and loose[2].tobytes() == raw[2].tobytes()
+    # the one pass's log-likelihood is loglik_vec's, and its score and
+    # hessian are the pieces' derivatives, unchecked
+    loglik, score, hessian = copulas.dlog_vec(family, theta, obs)
+    assert loglik.tobytes() == ll.tobytes()
+    assert score.tobytes() == raw[1].tobytes() and hessian.tobytes() == raw[2].tobytes()
+    # the check raises exactly when a derivative entry is not finite
     try:
-        loglik, score, hessian = copulas.dlog_vec(family, theta, obs)
+        copulas.require_finite(family, theta, score, hessian)
     except copulas.LikelihoodError:
         assert not np.isfinite(raw[1:]).all()
     else:
-        assert loglik.tobytes() == ll.tobytes()
-        assert score.tobytes() == raw[1].tobytes()
-        assert hessian.tobytes() == raw[2].tobytes()
-        outputs += [loglik, score, hessian]
-    for out in outputs:
+        assert np.isfinite(raw[1:]).all()
+    for out in (ll, loglik, score, hessian):
         assert not np.shares_memory(out, obs.u1) and not np.shares_memory(out, obs.u2)
 
 
@@ -448,13 +445,6 @@ def _blocks(draw):
     return family, np.array(thetas), u1, u2, d1, d2
 
 
-def _outcome(call):
-    try:
-        return call()
-    except copulas.LikelihoodError as exc:
-        return exc
-
-
 @given(_blocks())
 @settings(max_examples=300, deadline=None)
 def test_block_rows_equal_their_one_sample_calls(case):
@@ -469,28 +459,23 @@ def test_block_rows_equal_their_one_sample_calls(case):
     assert taken == copulas.Observations(u1[order], u2[order], d1[order], d2[order])
     assert all(taken.row(i) == block.row(j) for i, j in enumerate(order))
     column = thetas[:, None]
-    calls = [lambda th, o: loglik_vec(family, th, o, strict=False),
-             lambda th, o: loglik_vec(family, th, o),
-             lambda th, o: np.array(copulas.dlog_vec(family, th, o)),
-             lambda th, o: np.array(copulas.dlog_vec(family, th, o, strict=False))]
+    calls = [lambda th, o: loglik_vec(family, th, o),
+             lambda th, o: np.array(copulas.dlog_vec(family, th, o))]
     for call in calls:
-        whole = _outcome(lambda: call(column, block))
-        alone = [_outcome(lambda: call(float(t), r)) for t, r in zip(thetas, rows)]
+        whole = call(column, block)
+        alone = [call(float(t), r) for t, r in zip(thetas, rows)]
         # a row rebuilt from the block's split evaluates as its own sample
-        assert all(_same(_outcome(lambda: call(float(t), block.row(j))), a)
+        assert all(call(float(t), block.row(j)).tobytes() == a.tobytes()
                    for j, (t, a) in enumerate(zip(thetas, alone)))
         # and so does a row of a taken block
-        assert all(_same(_outcome(lambda: call(float(thetas[j]), taken.row(i))), alone[j])
+        assert all(call(float(thetas[j]), taken.row(i)).tobytes() == alone[j].tobytes()
                    for i, j in enumerate(order))
-        if isinstance(whole, Exception):
-            assert any(isinstance(a, Exception) for a in alone)
-            continue
         for j, a in enumerate(alone):
             assert whole[..., j, :].tobytes() == a.tobytes(), (call, j)
-        assert _same(_outcome(lambda: call(column[order], taken)), whole[..., order, :])
+        assert call(column[order], taken).tobytes() == whole[..., order, :].tobytes()
     # the one pass's log-likelihood is loglik_vec's over the block too
-    loose = copulas.dlog_vec(family, column, block, strict=False)
-    assert loose[0].tobytes() == loglik_vec(family, column, block, strict=False).tobytes()
+    assert (copulas.dlog_vec(family, column, block)[0].tobytes()
+            == loglik_vec(family, column, block).tobytes())
     # an empty column over a sample, as the leave-one-out refits pass when
     # no trial is inside the domain, gives no rows
     empty, n = np.empty((0, 1)), u1.shape[1]
@@ -529,21 +514,16 @@ def test_score_and_hessian_bytes_are_pinned(family):
     assert digest == SCORE_HESSIAN_DIGESTS[family]
 
 
-def _same(a, b):
-    if isinstance(a, Exception) or isinstance(b, Exception):
-        return type(a) is type(b) and str(a) == str(b)
-    return a.tobytes() == b.tobytes()
-
-
 def test_float_theta_over_a_block_names_the_failing_row():
     # the Joe score at theta = 200 is NaN at (0.99, 0.995) with u2 censored,
     # here in row 1 of a block evaluated at one float theta
     u1, u2 = np.array([[0.3, 0.4], [0.6, 0.99]]), np.array([[0.3, 0.4], [0.6, 0.995]])
     d1, d2 = np.ones((2, 2), dtype=int), np.array([[1, 1], [1, 0]])
     block = copulas.Observations(u1, u2, d1, d2)
+    _, score, hessian = copulas.dlog_vec(Family.JOE, 200.0, block)
     with pytest.raises(copulas.LikelihoodError,
                        match="non-finite score for joe at theta=200.0") as err:
-        copulas.dlog_vec(Family.JOE, 200.0, block)
+        copulas.require_finite(Family.JOE, 200.0, score, hessian)
     assert err.value.index == 1
 
 
@@ -578,11 +558,11 @@ def test_entries_are_the_sample_as_a_one_column_block(family):
             for a, b in zip(got[1:], want[1:]):
                 assert (a is None and b is None) or (
                     a.shape == b.shape and np.array_equal(a, b) and not a.flags.writeable)
-        ll = loglik_vec(family, thetas, entries, strict=False)
-        assert ll.tobytes() == loglik_vec(family, thetas, ref, strict=False).tobytes()
+        ll = loglik_vec(family, thetas, entries)
+        assert ll.tobytes() == loglik_vec(family, thetas, ref).tobytes()
         for i in range(40):
             one = copulas.Observations(*(a[i:i + 1] for a in arrays))
-            assert ll[i, 0] == loglik_vec(family, thetas[i, 0], one, strict=False)[0]
+            assert ll[i, 0] == loglik_vec(family, thetas[i, 0], one)[0]
 
 
 def test_unconstrained_transforms_take_arrays():

@@ -5,8 +5,7 @@ import pytest
 
 from copgof import copulas, inference, numerics
 from copgof.copulas import CopulaModel, Family
-from copgof.inference import (FitResult, InferenceError, compute_statistic,
-                              fit_pmle, information)
+from copgof.inference import FitResult, InferenceError, compute_statistic, fit_pmle
 from copgof.simulation import Scenario, generate_scenario_dataset
 from copgof.survival import CensoredPair, CensoredSample, pseudo_observations
 
@@ -86,8 +85,9 @@ MALFORMED = {
 @pytest.mark.parametrize("entry", ["fit_pmle", "information"])
 @pytest.mark.parametrize("defect", list(MALFORMED))
 def test_malformed_samples_fail_typed(defect, entry):
-    # the entry points take an Observations, so malformed arrays fail
-    # typed where that sample is built, before they can reach the entry
+    # the fit and the kernel pass that gives the information estimates
+    # (S, V) take an Observations, so malformed arrays fail typed where
+    # that sample is built, before they can reach either
     make, name = MALFORMED[defect]
     obs = _simulate(Family.CLAYTON, 0.5, 60, seed=2, censoring_mean=1.5)
     sample = make(obs.u1, obs.u2, obs.d1, obs.d2)
@@ -95,29 +95,26 @@ def test_malformed_samples_fail_typed(defect, entry):
         if entry == "fit_pmle":
             fit_pmle(Family.CLAYTON, copulas.Observations(*sample))
         else:
-            information(Family.CLAYTON, 2.0, copulas.Observations(*sample))
+            inference._moments(*copulas.dlog_vec(Family.CLAYTON, 2.0,
+                                                 copulas.Observations(*sample))[1:])
 
 
 def test_four_array_calls_raise_type_error():
-    # the fit and information take one Observations, and the statistics
+    # the fit and the kernel take one Observations, and the statistics
     # take the fit alone; the four-array form, the arrays as one tuple and
     # a sample next to the fit have no fallback
     obs = _simulate(Family.CLAYTON, 0.5, 30, seed=2)
     fit = fit_pmle(Family.CLAYTON, obs)
     arrays = (obs.u1, obs.u2, obs.d1, obs.d2)
     calls = [lambda: fit_pmle(Family.CLAYTON, *arrays),
-             lambda: information(Family.CLAYTON, 2.0, *arrays),
+             lambda: copulas.dlog_vec(Family.CLAYTON, 2.0, *arrays),
              lambda: compute_statistic("ir", fit, *arrays),
-             lambda: inference.compute_statistics(("ir",), fit, *arrays),
-             lambda: compute_statistic("ir", fit, obs),
-             lambda: inference.compute_statistics(("ir",), fit, obs)]
+             lambda: compute_statistic("ir", fit, obs)]
     for call in calls:
         with pytest.raises(TypeError):
             call()
-    for call in (lambda: fit_pmle(Family.CLAYTON, arrays),
-                 lambda: information(Family.CLAYTON, 2.0, arrays)):
-        with pytest.raises(TypeError, match="copulas.Observations, got tuple"):
-            call()
+    with pytest.raises(TypeError, match="copulas.Observations, got tuple"):
+        fit_pmle(Family.CLAYTON, arrays)
 
 
 def test_fit_at_domain_edge_is_a_typed_error(monkeypatch):
@@ -208,7 +205,7 @@ def test_search_scores_points_past_the_exp_overflow_as_invalid(monkeypatch):
     edge = 709.782712893384
     values = objective(np.arange(3), [np.log(2.0), np.nextafter(edge, np.inf), 1e300])
     assert values[1:].tolist() == [-np.inf, -np.inf]
-    assert values[0] == copulas.loglik_vec(Family.CLAYTON, 2.0, obs, strict=False).sum()
+    assert values[0] == copulas.loglik_vec(Family.CLAYTON, 2.0, obs).sum()
     assert objective(np.arange(2), [710.0, 1e300]).tolist() == [-np.inf, -np.inf]
 
 
@@ -235,7 +232,7 @@ def test_information_equality_under_null():
     # S and V estimate the same quantity when the model is correct
     obs = _simulate(Family.GAUSSIAN, 0.5, 8000, seed=17)
     fit = fit_pmle(Family.GAUSSIAN, obs)
-    s, v = information(Family.GAUSSIAN, fit.theta_hat, obs)
+    s, v = inference._moments(*copulas.dlog_vec(Family.GAUSSIAN, fit.theta_hat, obs)[1:])
     assert s > 0.0 and v > 0.0
     assert v / s == pytest.approx(1.0, abs=0.08)
 
@@ -254,7 +251,7 @@ def test_ir_statistic_null_and_misspecified():
 def test_white_and_logim_consistent_with_ir():
     obs = _simulate(Family.FRANK, 0.5, 500, seed=5)
     fit = fit_pmle(Family.FRANK, obs)
-    s, v = information(Family.FRANK, fit.theta_hat, obs)
+    s, v = inference._moments(*copulas.dlog_vec(Family.FRANK, fit.theta_hat, obs)[1:])
     w = compute_statistic("white", fit)
     lg = compute_statistic("logim", fit)
     ir = compute_statistic("ir", fit)
@@ -277,7 +274,8 @@ def test_loo_refits_are_exact_optima(family, monkeypatch):
     fit = fit_pmle(family, obs)
     # the reference refits below search from a narrow first bracket
     monkeypatch.setattr(inference, "_HALFWIDTH", 0.25)
-    x, own, at_hat = inference._loo_fits(fit)
+    own, at_hat = inference._loo_fits(fit)
+    x, _ = inference._loo_block(fit, (fit.loglik_obs, fit.score, fit.hessian))
     assert at_hat.tobytes() == copulas.loglik_vec(family, fit.theta_hat, obs).tobytes()
     n = obs.n
     for i in range(n):
@@ -378,9 +376,9 @@ def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
     thetas = []
     dlog_vec = copulas.dlog_vec
 
-    def counted(family, theta, *data, **options):
+    def counted(family, theta, obs):
         thetas.append(theta)
-        return dlog_vec(family, theta, *data, **options)
+        return dlog_vec(family, theta, obs)
 
     def unused(*args):
         raise AssertionError("score and hessian come from dlog_vec")
@@ -399,7 +397,8 @@ def test_statistics_take_score_and_hessian_from_one_pass(monkeypatch):
     assert not (fit.loglik_obs.flags.writeable or fit.score.flags.writeable
                 or fit.hessian.flags.writeable)
     thetas.clear()
-    inference.compute_statistics(("ir", "white", "logim"), fit)
+    for kind in ("ir", "white", "logim"):
+        compute_statistic(kind, fit)
     assert thetas == []
     compute_statistic("pios", fit)
     # one theta column per Newton iteration, and no pass at theta_hat

@@ -41,7 +41,7 @@ def test_traced_rows_count_the_observations():
     u1, u2 = copulas.sample_pairs(copulas.CopulaModel(Family.CLAYTON, 2.0), rng, 37)
     obs = copulas.Observations(u1, u2, rng.integers(0, 2, 37), rng.integers(0, 2, 37))
     counters = Counter()
-    spans._count_rows(counters, (Family.CLAYTON, 2.0, obs), {"strict": False}, None)
+    spans._count_rows(counters, (Family.CLAYTON, 2.0, obs), {}, None)
     assert counters["copulas.loglik_vec.rows"] == 37
     # through a fit: every traced loglik_vec call adds the n rows of its sample
     tracer = spans.Tracer()
