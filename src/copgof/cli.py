@@ -55,11 +55,11 @@ def _fmt(x: float) -> float:
 
 
 def read_data_csv(path) -> CensoredSample:
-    """The sample in the UTF-8 CSV file ``path``. A file that cannot be
-    read, is not UTF-8 text or does not hold the data table is an
-    InputError naming it."""
+    """The sample in the UTF-8 CSV file ``path``, with or without a
+    byte-order mark. A file that cannot be read, is not UTF-8 text or
+    does not hold the data table is an InputError naming it."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from None
     with fh:

@@ -38,15 +38,18 @@ A family class declares its math and nothing else:
   ``log_cdf``. Each computes its family's core terms once and returns
   the value or, asked for its derivatives, (value, d1, d2) with the
   analytic first and second theta-derivatives;
-- the tau bijection ``theta_to_tau``/``tau_to_theta``;
+- the tau bijection ``theta_to_tau`` and its closed-form inverse
+  ``tau_to_theta``, or, for Frank and Joe, which have none, a
+  ``theta_bracket``;
 - ``inv_conditional``, the sampler's inverse of u2 -> C(u2 | u1): in
   closed form for Clayton, Frank, the Gaussian and Gumbel (by the Wright
   omega function), and by a safeguarded Newton iteration on the
   generator for Joe.
 
 The base ``_Family`` derives the rest: ``in_domain`` as
-(lo < theta) & (theta < hi), elementwise over an array theta, and the
-u2-partial ``log_c2`` as the u1-partial with (u1, u2) swapped, since
+(lo < theta) & (theta < hi), elementwise over an array theta;
+``tau_to_theta`` as Brent's root of ``theta_to_tau`` on ``theta_bracket``;
+and the u2-partial ``log_c2`` as the u1-partial with (u1, u2) swapped, since
 every family here is exchangeable. The module functions derive the
 unconstrained search scale of ``fit_pmle`` from ``domain`` alone.
 
@@ -161,6 +164,20 @@ class _Family:
         lo, hi = cls.domain
         return (lo < theta) & (theta < hi)
 
+    @classmethod
+    def tau_to_theta(cls, tau):
+        """theta at Kendall's tau by Brent's root search of ``theta_to_tau``
+        on ``theta_bracket``. Raises ValueError for a tau that the bracket
+        does not reach."""
+        from scipy.optimize import brentq
+
+        lo, hi = cls.theta_bracket
+        tau_lo, tau_hi = cls.theta_to_tau(lo), cls.theta_to_tau(hi)
+        if not tau_lo <= tau <= tau_hi:
+            raise ValueError(f"theta in [{lo}, {hi}] reaches tau in "
+                             f"[{tau_lo:.6g}, {tau_hi:.6g}] only")
+        return brentq(lambda t: cls.theta_to_tau(t) - tau, lo, hi, xtol=1e-12)
+
     # every family is exchangeable, C(u1, u2) = C(u2, u1), so the
     # u2-partial is the u1-partial with its arguments swapped
     @classmethod
@@ -245,6 +262,7 @@ class _Clayton(_Family):
 class _Frank(_Family):
     # positive-dependence branch only
     domain = (0.0, math.inf)
+    theta_bracket = (1e-8, 700.0)
 
     @staticmethod
     def _core(theta, u1, u2):
@@ -321,10 +339,6 @@ class _Frank(_Family):
     def theta_to_tau(theta):
         return 1.0 - 4.0 * (1.0 - numerics.debye1(theta)) / theta
 
-    @classmethod
-    def tau_to_theta(cls, tau):
-        return numerics.find_root(lambda t: cls.theta_to_tau(t) - tau, 1e-8, 700.0, tol=1e-12)
-
     @staticmethod
     def inv_conditional(theta, u1, w):
         # u2 = -log(1 - g2) / theta with g2 = w g / (e1 + w g1). Since
@@ -343,6 +357,7 @@ _UNIT_NODES, _UNIT_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 
 class _Joe(_Family):
     domain = (1.0, math.inf)
+    theta_bracket = (1.0 + 1e-8, 500.0)
 
     @staticmethod
     def _core(theta, u1, u2):
@@ -462,11 +477,6 @@ class _Joe(_Family):
         # there), which is finite everywhere
         x = 2.0 + _UNIT_NODES * (2.0 / theta - 1.0)
         return 1.0 - 2.0 / theta * float(_UNIT_WEIGHTS @ _special.polygamma(1, x))
-
-    @classmethod
-    def tau_to_theta(cls, tau):
-        return numerics.find_root(lambda t: cls.theta_to_tau(t) - tau,
-                                  1.0 + 1e-8, 500.0, tol=1e-12)
 
     @classmethod
     def inv_conditional(cls, theta, u1, w):
@@ -1031,9 +1041,13 @@ def tau_to_theta(family: Family, tau: float) -> float:
     lo, hi = ops.tau_domain
     # independence, tau = 0, is refused for every family; only a tau range
     # straddling zero (the Gaussian's) needs the explicit check
+    message = f"tau={tau} outside the admissible range for {family.value}"
     if not (lo < tau < hi) or tau == 0.0:
-        raise ValueError(f"tau={tau} outside the admissible range for {family.value}")
-    return float(ops.tau_to_theta(tau))
+        raise ValueError(message)
+    try:
+        return float(ops.tau_to_theta(tau))
+    except ValueError as exc:
+        raise ValueError(f"{message}: {exc}") from None
 
 
 def sample_pairs(m: CopulaModel, gen, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,18 +1,19 @@
 """Shared numeric kernel.
 
-The Debye-1 integral, the bivariate normal CDF, bracketed root
-finding, 1-D maximization, and splittable deterministic RNG streams.
-Everything here is a pure function of its inputs. The maximization
-runs one generator per row (``_bracketed``) that yields each point to
-evaluate: scipy's bounded Brent steps, inlined, in a bracket that moves
-toward the optimum while it sits on an edge. So many rows can step in
-lockstep (``maximize_1d``) and share one objective call per round.
+The Debye-1 integral, the bivariate normal CDF, 1-D maximization, and
+splittable deterministic RNG streams. Everything here is a pure
+function of its inputs. The maximization runs one generator per row
+(``_bracketed``) that yields each point to evaluate: scipy's bounded
+Brent steps, inlined, in a bracket that moves toward the optimum while
+it sits on an edge. So many rows can step in lockstep (``maximize_1d``)
+and share one objective call per round.
 Univariate normal functions and adaptive quadrature are scipy's
 (``scipy.special.ndtr``, ``ndtri``, ``log_ndtr``,
-``scipy.integrate.quad``), called directly where they are needed; a
-quadrature that misses its tolerance raises NumericsError. It and every
-other typed failure on the data, up to the bootstrap and the studies,
-derive from ``StatisticalError``; ValueError and TypeError mark misuse.
+``scipy.integrate.quad``, imported when a quadrature runs), called
+directly where they are needed; a quadrature that misses its tolerance
+raises NumericsError. It and every other typed failure on the data, up
+to the bootstrap and the studies, derive from ``StatisticalError``;
+ValueError and TypeError mark misuse.
 
 The bivariate normal CDF used by the library is ``binorm_logcdf``, an
 array function (Owen's T identity, with a log-space Gauss-Legendre
@@ -27,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy import optimize as _optimize
 from scipy import special as _special
 
 LOG_TINY = math.log(1e-300)
@@ -52,15 +51,20 @@ class OptimizationError(NumericsError):
 
 def debye1(theta: float) -> float:
     """Debye function of order one, (1/theta) * int_0^theta t/(e^t - 1) dt."""
+    from scipy import integrate
+
     if theta <= 0:
         raise ValueError(f"debye1 requires theta > 0, got {theta}")
 
     def integrand(t):
-        # t/(e^t - 1) -> 1 as t -> 0; expm1 keeps the small-t branch exact
+        # t/(e^t - 1) -> 1 as t -> 0; expm1 keeps the small-t branch exact.
+        # Past t = 700, short of e^t's overflow, t e^-t is it to e^-700
+        if t > 700.0:
+            return t * math.exp(-t)
         return t / math.expm1(t) if t > 0 else 1.0
 
-    value, bound, *warning = _integrate.quad(integrand, 0.0, theta, epsabs=1e-10,
-                                             epsrel=1e-10, limit=200, full_output=1)
+    value, bound, *warning = integrate.quad(integrand, 0.0, theta, epsabs=1e-10,
+                                            epsrel=1e-10, limit=200, full_output=1)
     if warning[1:]:
         raise NumericsError(f"debye1({theta!r}): {warning[1]} (bound {bound!r})")
     return value / theta
@@ -77,6 +81,8 @@ def binorm_cdf(z1: float, z2: float, rho: float) -> float:
     slow for the likelihood, which uses ``binorm_logcdf``. The tests check
     ``binorm_logcdf`` against this function.
     """
+    from scipy import integrate
+
     if not abs(rho) < 1:
         raise ValueError(f"binorm_cdf requires |rho| < 1, got {rho}")
     if math.isinf(z1) and z1 > 0 and math.isinf(z2) and z2 > 0:
@@ -91,8 +97,8 @@ def binorm_cdf(z1: float, z2: float, rho: float) -> float:
         pdf = np.exp(-0.5 * np.square(t)) / math.sqrt(2.0 * math.pi)
         return float(pdf) * float(_special.ndtr((z2 - rho * t) / s))
 
-    value, bound, *warning = _integrate.quad(integrand, -np.inf, z1, epsabs=1e-300,
-                                             epsrel=1e-12, limit=200, full_output=1)
+    value, bound, *warning = integrate.quad(integrand, -np.inf, z1, epsabs=1e-300,
+                                            epsrel=1e-12, limit=200, full_output=1)
     if warning[1:]:
         raise NumericsError(f"binorm_cdf: {warning[1]} (bound {bound!r})")
     return value
@@ -186,18 +192,6 @@ def binorm_logcdf(z1, z2, rho):
         out[tail] = _binorm_logcdf_tail(lo[tail], hi[tail], rho[tail])
     out[edge] = _special.log_ndtr(lo_edge)
     return out.reshape(shape)[()]
-
-
-def find_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Brent-style bracketed root finding; requires a sign change on [lo, hi]."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    return float(_optimize.brentq(f, lo, hi, xtol=tol))
 
 
 _MAX_EXPANSIONS = 60

@@ -274,14 +274,17 @@ def test_cmd_simulate_null_mode_summary(replications, capsys):
 
 
 def test_importing_the_cli_leaves_scipy_stats_out():
-    # only the null summary needs scipy.stats, and it imports it itself:
-    # a process that imports the CLI, such as the benchmark harness, does
-    # not load it
+    # only the null summary needs scipy.stats, only the quadratures and
+    # the tau inversion need scipy.integrate and scipy.optimize, and each
+    # imports its module itself: a process that imports the CLI, such as
+    # the benchmark harness, loads none of them
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, copgof.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import sys, copgof.cli; print([m for m in ('scipy.stats', 'scipy.integrate', "
+            "'scipy.optimize') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "[]\n")
 
 
 # --- error paths ---------------------------------------------------------
@@ -316,6 +319,11 @@ def test_usage_b_too_small(data_csv, capsys):
     ["simulate", "--true-family", "clayton,vine", "--n", "20", "--replications", "1",
      "--b", "10", "--output", "/nonexistent/x.csv"],
     ["simulate", "--true-family", "gaussian,clayton", "--tau", "-0.3", "--n", "20",
+     "--replications", "1", "--b", "10", "--output", "/nonexistent/x.csv"],
+    # past the largest tau of Frank's and Joe's theta bracket
+    ["simulate", "--true-family", "frank", "--tau", "0.995", "--n", "20",
+     "--replications", "1", "--b", "10", "--output", "/nonexistent/x.csv"],
+    ["simulate", "--true-family", "joe", "--tau", "0.999", "--n", "20",
      "--replications", "1", "--b", "10", "--output", "/nonexistent/x.csv"],
 ])
 def test_usage_out_of_range_values(argv, data_csv, capsys):
@@ -449,6 +457,18 @@ def test_unreadable_input_text_is_an_input_error(content, message, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: {message}")
     assert "Traceback" not in err
+
+
+def test_input_with_byte_order_mark(tmp_path, capsys):
+    # a UTF-8 byte-order mark, as some spreadsheets write, is not part of
+    # the header
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + Path(GOLDEN_C20).read_bytes())
+    outputs = []
+    for path in (GOLDEN_C20, str(p)):
+        assert main(["fit", "--input", path, "--family", "clayton"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_statistical_failure_exit_code(tmp_path, capsys):

@@ -581,6 +581,8 @@ def test_unconstrained_transforms_take_arrays():
 @pytest.mark.parametrize("family", list(Family))
 def test_tau_round_trip(family):
     taus = (0.2, 0.5, 0.7) if family is not Family.GAUSSIAN else (-0.4, 0.2, 0.5, 0.7)
+    # just inside the tau that Frank's and Joe's theta bracket reaches
+    taus += {Family.FRANK: (0.994,), Family.JOE: (0.996,)}.get(family, ())
     for tau in taus:
         theta = tau_to_theta(family, tau)
         assert theta_to_tau(family, theta) == pytest.approx(tau, abs=1e-8)
@@ -619,6 +621,20 @@ def test_tau_rejects_out_of_range():
         tau_to_theta(Family.CLAYTON, -0.2)
     with pytest.raises(ValueError):
         tau_to_theta(Family.JOE, 1.0)
+    # past the largest tau of the theta bracket: theta = 700 and 500
+    with pytest.raises(ValueError, match=r"for frank: .* 0\.994299\]"):
+        tau_to_theta(Family.FRANK, 0.995)
+    with pytest.raises(ValueError, match=r"for joe: .* 0\.99601\]"):
+        tau_to_theta(Family.JOE, 0.999)
+
+
+def test_frank_tau_past_exp_overflow():
+    # D1's integrand t / (e^t - 1) overflows past t = 709.78. References
+    # from 40-digit mpmath
+    for theta, expect in ((710.0, 0.99437924962560482624),
+                          (800.0, 0.99501028083791780142),
+                          (5000.0, 0.99920026318945069572)):
+        assert abs(theta_to_tau(Family.FRANK, theta) - expect) <= 1e-9
 
 
 # --- sampling -----------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy.special import log_ndtr, ndtr
 
 from copgof import numerics
 from copgof.numerics import (BracketError, OptimizationError, RngStream, derive_seed,
-                             find_root, maximize_1d)
+                             maximize_1d)
 from oracles import binorm_pdf
 
 
@@ -119,16 +119,6 @@ def test_binorm_pdf_peak():
     val = binorm_pdf(0.0, 0.0, 0.5)
     expect = 1.0 / (2.0 * math.pi * math.sqrt(0.75))
     assert val == pytest.approx(expect, rel=1e-12)
-
-
-def test_find_root_simple():
-    r = find_root(lambda x: x * x - 2.0, 0.0, 2.0)
-    assert r == pytest.approx(math.sqrt(2.0), abs=1e-10)
-
-
-def test_find_root_requires_sign_change():
-    with pytest.raises(BracketError):
-        find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def _alone(f, x0, half, tol):

@@ -50,6 +50,10 @@ def test_scenario_validation():
         Scenario(Family.CLAYTON, 0.5, 5)
     with pytest.raises(ValueError):
         Scenario(Family.JOE, -0.3, 100)
+    with pytest.raises(ValueError):
+        Scenario(Family.FRANK, 0.995, 100)
+    with pytest.raises(ValueError):
+        Scenario(Family.JOE, 0.999, 20)
 
 
 def test_censoring_levels_expected_fractions():
