@@ -2,15 +2,19 @@
 
 The input is converted once to a :class:`~copgof.survival.CensoredSample`.
 Its marginal and censoring Kaplan-Meier curves and the fitted model go
-into one picklable frame. Each replicate regenerates a censored sample
-from that frame as arrays: dependent uniforms come from the fitted
-model, event times from the inverse marginal Kaplan-Meier curves, and
-censoring times from the inverse censoring Kaplan-Meier (one shared
-censoring variable by default). The null copula is refit on every
-replicate and every requested statistic is recomputed from the refit's
-one derivative pass, giving a bootstrap standard deviation per
-statistic. The reported p-value is the two-sided normal tail of the
-observed statistic standardized by that deviation around its null value.
+into one picklable frame. A sample's pseudo-observations, their Kendall
+tau and its curves are computed once per sample object and kept on it,
+so testing several null families on one sample (``select_copula``, the
+simulation study, ``copgof select``) computes them once. Each replicate
+regenerates a censored sample from that frame as arrays: dependent
+uniforms come from the fitted model, event times from the inverse
+marginal Kaplan-Meier curves, and censoring times from the inverse
+censoring Kaplan-Meier (one shared censoring variable by default). The
+null copula is refit on every replicate and every requested statistic
+is recomputed from the refit's one derivative pass, giving a bootstrap
+standard deviation per statistic. The reported p-value is the two-sided
+normal tail of the observed statistic standardized by that deviation
+around its null value.
 
 Replicate b of family f draws from stream index f * 2^20 + b of the
 master seed, so results are independent of worker count and of which
@@ -189,10 +193,15 @@ def _pvalue(observed: float, null_value: float, sigma_b: float) -> tuple[float, 
 
 def _build_frame(sample: CensoredSample, fit: FitResult, kinds,
                  config: BootstrapConfig) -> _Frame:
-    event1 = survival.kaplan_meier(sample.x1, sample.d1)
-    event2 = survival.kaplan_meier(sample.x2, sample.d2)
-    return _Frame(model=fit.model, event1=event1, event2=event2,
-                  censoring=survival.censoring_curves(sample, config.common_censoring),
+    """The replicates' frame. The sample's curves are estimated on its
+    first frame and kept on the sample for the frames of other families."""
+    event1, event2 = survival._once(sample, "event curves", lambda: (
+        survival.kaplan_meier(sample.x1, sample.d1),
+        survival.kaplan_meier(sample.x2, sample.d2)))
+    censoring = survival._once(
+        sample, ("censoring curves", config.common_censoring),
+        lambda: survival.censoring_curves(sample, config.common_censoring))
+    return _Frame(model=fit.model, event1=event1, event2=event2, censoring=censoring,
                   n=len(sample), kinds=tuple(kinds), master_seed=config.seed,
                   family_index=FAMILY_ORDER.index(fit.family))
 
@@ -206,14 +215,17 @@ def bootstrap_reports(pairs, family: Family, config: BootstrapConfig,
     ``inference.statistic_kinds``), a kind named twice counting once; the
     reports are keyed by lower-case kind. The family is fitted to the
     sample's pseudo-observations once, and the observed statistics come
-    from that fit, the first kind in order that fails raising. Replicate
-    fits and the derivative pass of each fit are shared across kinds, so
-    asking for ir, white and logim together costs the same as any one of
-    them.
+    from that fit, the first kind in order that fails raising. The
+    pseudo-observations, their Kendall tau and the Kaplan-Meier curves
+    are kept on a CensoredSample, so the calls for other families on the
+    same sample object reuse them. Replicate fits and the derivative pass
+    of each fit are shared across kinds, so asking for ir, white and
+    logim together costs the same as any one of them.
     """
     sample = survival.as_sample(pairs)
     kinds = inference.statistic_kinds(kinds)
-    obs = survival.pseudo_observations(sample)
+    obs = survival._once(sample, "pseudo-observations",
+                         lambda: survival.pseudo_observations(sample))
     fit = inference.fit_pmle(family, obs)
     observed = {kind: inference.compute_statistic(kind, fit) for kind in kinds}
 

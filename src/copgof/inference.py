@@ -135,8 +135,10 @@ class StatisticValue:
 
 def _tau_start(family: Family, obs: Observations) -> float:
     """Moment start: invert the empirical Kendall tau, folded into the
-    family's admissible tau range."""
-    tau = survival.empirical_kendall_tau(obs.u1, obs.u2)
+    family's admissible tau range. The tau is kept on ``obs``, so the
+    fits of other families to the same sample reuse it."""
+    tau = survival._once(obs, "kendall tau",
+                         lambda: survival.empirical_kendall_tau(obs.u1, obs.u2))
     lo, hi = copulas.family_ops(family).tau_domain
     margin = 0.01
     tau = min(max(tau, lo + margin), hi - margin)

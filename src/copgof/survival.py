@@ -5,16 +5,23 @@ A right-censored bivariate sample is held as one validated
 indicators d1, d2). Public entry points also accept a sequence of
 :class:`CensoredPair` rows and convert it once with :func:`as_sample`;
 from there every stage, including each bootstrap replicate, works on
-the arrays.
+the arrays. A sample and its pseudo-observations are immutable, so what
+is derived from them alone can be kept on them (:func:`_once`): the
+bootstrap keeps a sample's pseudo-observations and curves on the
+sample, and the fit its Kendall tau on the pseudo-observations, so
+every null family tested on one sample object shares them.
 
 Margins are estimated by the Kaplan-Meier product-limit estimator, and
 its generalized inverse :meth:`StepSurvival.inverse` maps uniform levels
-(of any shape) back to times. Pseudo-observations feed the copula
-likelihood as one ``copulas.Observations``: each margin is transformed
-through its own survival estimate and clamped into (0, 1) by 1/(2n) at
-both ends. One row-wise product-limit pass serves :func:`kaplan_meier`
-and the pseudo-observations of a (k, n) block of bootstrap replicates at
-once; each row equals its own one-sample call bit for bit.
+(of any shape) back to times through a table of 2^p equal buckets of
+levels, built once per curve, which answers every level in a bucket
+that holds no jump. Pseudo-observations feed the copula likelihood as
+one ``copulas.Observations``: each margin is transformed through its
+own survival estimate and clamped into (0, 1) by 1/(2n) at both ends.
+One row-wise product-limit pass serves :func:`kaplan_meier` and the
+pseudo-observations of a (k, n) block of bootstrap replicates at once;
+each row equals its own one-sample call bit for bit. Kendall's tau is
+Knight's O(n log n) merge count (:func:`empirical_kendall_tau`).
 """
 
 from __future__ import annotations
@@ -28,6 +35,16 @@ from . import copulas, numerics
 
 class SurvivalError(numerics.StatisticalError):
     pass
+
+
+def _once(owner, key, build):
+    """``build()``, called the first time ``key`` is asked of ``owner`` and
+    kept on it. The owner is immutable, so the value holds as long as the
+    owner lives; a pickled owner is rebuilt from its arrays without it."""
+    memo = owner.__dict__.setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -146,7 +163,13 @@ class StepSurvival:
         """Generalized inverse at each level in the array u: the smallest
         t with S(t) <= u. u >= 1 maps to 0, levels below the final plateau
         to the largest jump time, and with no jumps (no observed events)
-        every u < 1 maps to +inf."""
+        every u < 1 maps to +inf.
+
+        The jump index of a level is the number of values above it. A
+        level in [0, 1) reads it from the curve's bucket table
+        (``_buckets``, built on the first call) when no value lies
+        strictly inside its bucket; any other level binary-searches the
+        values, so every level gets the search's index."""
         u = np.asarray(u, dtype=float)
         if not np.isfinite(u).all():
             raise ValueError("inverse levels must be finite")
@@ -154,9 +177,38 @@ class StepSurvival:
         if jt.size == 0:
             out = np.full(u.shape, np.inf)
         else:
-            idx = np.searchsorted(-self.values, -u, side="left")
-            out = jt[np.minimum(idx, jt.size - 1)]  # below the final plateau: last jump
+            table = _once(self, "buckets", self._buckets)
+            g = table.size - 1
+            levels = u.ravel()
+            # u * g is exact, as g is a power of two; a level outside
+            # [0, 1) reads the table's last entry, a miss
+            inside = (levels >= 0.0) & (levels < 1.0)
+            idx = table[(np.where(inside, levels, 1.0) * g).astype(np.intp)]
+            miss = idx < 0
+            idx[miss] = np.searchsorted(-self.values, -levels[miss], side="left")
+            # below the final plateau: the last jump
+            out = jt[np.minimum(idx, jt.size - 1)].reshape(u.shape)
         return np.where(u >= 1.0, 0.0, out)
+
+    def _buckets(self) -> np.ndarray:
+        """Jump index of each of g = 2^p >= 8m equal buckets [b/g, (b+1)/g)
+        of levels, m the number of jumps: where no value lies strictly
+        inside the bucket, the number of values at or above its end,
+        which is the number above each of its levels, and -1 elsewhere;
+        g + 1 entries, the last -1.
+
+        A value v lies in bucket floor(v g), strictly inside it when v g
+        is not an integer; v g is exact, as g is a power of two, and a
+        value outside [0, 1] counts as the nearer end.
+        """
+        g = 1 << (8 * self.values.size - 1).bit_length()
+        scaled = np.clip(self.values, 0.0, 1.0) * g
+        bucket = np.floor(scaled)
+        counts = np.bincount(bucket.astype(np.intp), minlength=g + 1)
+        table = self.values.size - np.cumsum(counts)
+        table[bucket[bucket != scaled].astype(np.intp)] = -1
+        table[g] = -1
+        return table
 
 
 def _product_limit(times, events):
@@ -259,9 +311,54 @@ def pseudo_observations(data) -> copulas.Observations:
     return copulas.Observations(u1[0], u2[0], s.d1, s.d2)
 
 
+def _tied_pairs(new) -> int:
+    """Pairs within the runs of equal entries of a sorted array, from the
+    flags ``new`` that mark each entry after the first that differs from
+    its predecessor."""
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], new, [True]))))
+    return int((runs * (runs - 1) // 2).sum())
+
+
+def _inversions(a) -> int:
+    """Pairs i < j with a[i] > a[j] in an array of non-negative integers.
+
+    Bottom-up merge levels: at width w the array is sorted within runs of
+    w, and each right run's entries are counted against its left run in
+    one ``searchsorted`` over all runs (each pair of runs offset above
+    the last), then each pair of runs is merged by one stable sort.
+    Padding to a power of two with a value above every entry adds no
+    inversion.
+    """
+    top = int(a.max()) + 1
+    size = 1 << (a.size - 1).bit_length()
+    a = np.concatenate((a, np.full(size - a.size, top)))
+    total = 0
+    w = 1
+    while w < size:
+        rows = size // (2 * w)
+        runs = a.reshape(rows, 2, w)
+        shift = np.arange(0, rows * (top + 1), top + 1)[:, None]
+        not_above = np.searchsorted((runs[:, 0] + shift).ravel(), runs[:, 1] + shift,
+                                    side="right")
+        # row r's right entries each see r * w left entries of earlier
+        # rows not above them, and w - (not_above - r * w) above them
+        total += w * w * rows * (rows + 1) // 2 - int(not_above.sum())
+        a = np.sort(runs.reshape(rows, 2 * w), axis=1, kind="stable").ravel()
+        w *= 2
+    return total
+
+
 def empirical_kendall_tau(x, y) -> float:
-    """Kendall tau-a: exact concordance count over all pairs, ties
-    contributing zero. Blocked so n = 10^4 stays fast and memory-safe."""
+    """Kendall tau-a: the exact concordance count S over all pairs, ties
+    contributing zero, over n(n - 1)/2.
+
+    S is Knight's (1966) O(n log n) merge count: with the pairs sorted by
+    (x, y), S = n0 - n1 - n2 + n3 - 2 * (inversions of the sorted y),
+    where n0 counts all pairs and n1, n2, n3 the pairs tied in x, in y
+    and in both. It is the same integer as the sum of the pairs' sign
+    products. Infinities are ordered values, two equal ones a tie; a NaN
+    raises ValueError naming its row.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
@@ -269,17 +366,19 @@ def empirical_kendall_tau(x, y) -> float:
         raise ValueError("x and y must have equal length")
     if n < 2:
         raise ValueError("need at least two observations")
-    total = 0
-    block = 512
-    for i0 in range(0, n, block):
-        xi = x[i0:i0 + block, None]
-        yi = y[i0:i0 + block, None]
-        # pairs (i, j) with j > i only
-        for j0 in range(i0, n, block):
-            xj = x[j0:j0 + block][None, :]
-            yj = y[j0:j0 + block][None, :]
-            s = np.sign(xi - xj) * np.sign(yi - yj)
-            if j0 == i0:
-                s = np.triu(s, k=1)
-            total += int(s.sum())
+    nan = np.isnan(x) | np.isnan(y)
+    if nan.any():
+        i = int(np.argmax(nan))
+        raise ValueError(f"row {i}: (x, y) = ({x[i]}, {y[i]}) holds a NaN")
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    # ranks of the sorted y in a stable sort: equal values rank in their
+    # order, so only strictly decreasing pairs are inversions
+    by_y = np.argsort(ys, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_y] = np.arange(n)
+    y_sorted = ys[by_y]
+    new_x = xs[1:] != xs[:-1]
+    total = (n * (n - 1) // 2 - _tied_pairs(new_x) - _tied_pairs(y_sorted[1:] != y_sorted[:-1])
+             + _tied_pairs(new_x | (ys[1:] != ys[:-1])) - 2 * _inversions(rank))
     return float(total) / (n * (n - 1) / 2.0)

@@ -1,11 +1,12 @@
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from copgof import bootstrap, copulas, inference, numerics
+from copgof import bootstrap, copulas, inference, numerics, survival
 from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_reports,
                               generate_bootstrap_dataset, select_copula,
                               _build_frame)
@@ -607,6 +608,40 @@ def test_select_prefers_true_family():
                            BootstrapConfig(b=60, seed=5))
     assert result.best.family is Family.CLAYTON
     assert result.best.report.p_value >= result.entries[1].report.p_value
+
+
+def test_select_prepares_each_sample_once(monkeypatch):
+    # four families on one sample: one pseudo-sample, one Kendall tau and
+    # one Kaplan-Meier curve each for the two margins and the common
+    # censoring, and the same reports, bit for bit, as tests of fresh
+    # copies of the sample; a pickled sample comes back without them
+    calls = {}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("pseudo_observations", "empirical_kendall_tau", "kaplan_meier"):
+        counted(survival, name)
+    monkeypatch.setenv("COPULA_GOF_THREADS", "1")
+    sample = CensoredSample(PAIRS.x1, PAIRS.x2, PAIRS.d1, PAIRS.d2)
+    families = [Family.CLAYTON, Family.FRANK, Family.JOE, Family.GUMBEL]
+    cfg = BootstrapConfig(b=6, seed=3)
+    result = select_copula(sample, families, cfg)
+    assert all(e.report is not None for e in result.entries)
+    assert calls == {"pseudo_observations": 1, "empirical_kendall_tau": 1, "kaplan_meier": 3}
+    for entry in result.entries:
+        fresh = CensoredSample(PAIRS.x1, PAIRS.x2, PAIRS.d1, PAIRS.d2)
+        expect, = bootstrap_reports(fresh, entry.family, cfg).values()
+        assert repr(entry.report) == repr(expect)
+    assert calls == {"pseudo_observations": 5, "empirical_kendall_tau": 5, "kaplan_meier": 15}
+    again = pickle.loads(pickle.dumps(sample))
+    bootstrap_reports(again, Family.CLAYTON, cfg)
+    assert calls == {"pseudo_observations": 6, "empirical_kendall_tau": 6, "kaplan_meier": 18}
 
 
 def test_select_dedupes_and_validates():

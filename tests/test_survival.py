@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copgof import copulas, survival
@@ -11,6 +11,7 @@ from copgof.survival import (CensoredPair, CensoredSample, StepSurvival,
                              SurvivalError, as_sample, censoring_curves,
                              empirical_kendall_tau, kaplan_meier,
                              pseudo_observations)
+from oracles import inverse_by_search, kendall_tau
 
 
 def test_km_no_censoring():
@@ -195,6 +196,19 @@ def test_kendall_tau_ties_contribute_zero():
     assert empirical_kendall_tau([1, 1, 2], [1, 2, 3]) == pytest.approx(2.0 / 3.0)
 
 
+def test_kendall_tau_names_the_row_of_a_nan():
+    with pytest.raises(ValueError, match=r"^row 2: \(x, y\) = \(3.0, nan\) holds a NaN"):
+        empirical_kendall_tau([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, math.nan, math.nan])
+    with pytest.raises(ValueError, match=r"^row 0: "):
+        empirical_kendall_tau([math.nan, 2.0], [1.0, 2.0])
+
+
+def test_kendall_tau_orders_infinities():
+    # the two x = inf rows tie; each is discordant with the third
+    assert empirical_kendall_tau([math.inf, math.inf, 1.0], [1.0, 2.0, 3.0]) == -2.0 / 3.0
+    assert empirical_kendall_tau([-math.inf, 0.0, math.inf], [-math.inf, 5.0, math.inf]) == 1.0
+
+
 def test_kendall_tau_matches_scipy():
     from scipy.stats import kendalltau
     rng = np.random.default_rng(4)
@@ -252,3 +266,60 @@ def test_product_limit_rows_equal_per_row_kaplan_meier(n, k, decimals, data):
         assert ok[j]
         obs = pseudo_observations(sample)
         assert u1[j].tobytes() == obs.u1.tobytes() and u2[j].tobytes() == obs.u2.tobytes()
+
+
+# few examples, drawn the same way on every run
+DERANDOMIZED = settings(derandomize=True, max_examples=40, deadline=None)
+_ORDERED = st.one_of(st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf]),
+                     st.floats(min_value=-5.0, max_value=5.0))
+
+
+@DERANDOMIZED
+@given(st.lists(st.tuples(_ORDERED, _ORDERED), min_size=2, max_size=90))
+@example([(1.0, 2.0), (3.0, 0.0)])
+@example([(0.5, -1.0)] * 9)
+@example([(float(i % 4), 2.0) for i in range(13)])
+@example([(math.inf, 1.0), (math.inf, 2.0), (-math.inf, math.inf), (0.0, math.inf),
+          (0.0, -math.inf), (-math.inf, -math.inf)])
+def test_kendall_merge_count_equals_the_pairwise_sum(rows):
+    x, y = np.array(rows).T
+    assert empirical_kendall_tau(x, y) == kendall_tau(x, y)
+
+
+@pytest.mark.parametrize("decimals", [None, 1])
+def test_kendall_merge_count_equals_the_pairwise_sum_past_one_block(decimals):
+    # more rows than the oracle's block of 512, heavily tied when rounded
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=1500)
+    y = 0.3 * x + rng.normal(size=1500)
+    if decimals is not None:
+        x, y = np.round(x, decimals), np.round(y, decimals)
+    assert empirical_kendall_tau(x, y) == kendall_tau(x, y)
+
+
+@DERANDOMIZED
+@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=5.0), st.booleans()),
+                min_size=1, max_size=80),
+       st.sampled_from([None, 0, 1]), st.booleans())
+@example([(1.0, False), (2.0, False)], None, False)
+@example([(1.0, True), (2.0, False)], None, False)
+@example([(1.0, True), (1.0, True), (2.0, True)], None, False)
+def test_bucketed_inverse_equals_the_search(rows, decimals, censor_last):
+    # no events gives no jumps; a censored last time leaves the final
+    # plateau above 0
+    times = np.array([t for t, _ in rows])
+    if decimals is not None:
+        times = np.round(times, decimals)
+    events = np.array([e for _, e in rows], dtype=int)
+    if censor_last:
+        events[np.argmax(times)] = 0
+    curve = kaplan_meier(times, events)
+    v = curve.values
+    levels = np.concatenate(([0.0, -0.0, 1.0, -0.25, 1.25, 1.0 - 2.0 ** -53, 5e-324], v,
+                             np.nextafter(v, -np.inf), np.nextafter(v, np.inf),
+                             np.linspace(0.0, 1.0, 257)))
+    got = curve.inverse(levels)
+    assert got.tobytes() == inverse_by_search(curve, levels).tobytes()
+    # any shape, a 0-d level included
+    assert curve.inverse(levels.reshape(1, -1)).tobytes() == got.tobytes()
+    assert curve.inverse(np.float64(levels[3])).shape == ()
