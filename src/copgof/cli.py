@@ -10,7 +10,9 @@ stderr.
 
 Exit codes: 0 success, 1 input, parse or output failure (an unreadable
 --input, one that is not UTF-8 text, or an unwritable --output), 2
-statistical failure (any ``StatisticalError``), 64 usage error.
+statistical failure (any ``StatisticalError``), 64 usage error (a bad
+argument or COPULA_GOF_THREADS). argparse checks every argument, family
+names included, so a usage error comes before any input is read.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import os
 import sys
 
-from . import bootstrap, copulas, inference, simulation, survival
+from . import _parallel, bootstrap, copulas, inference, simulation, survival
 from .bootstrap import BootstrapConfig
 from .copulas import Family
 from .numerics import StatisticalError
@@ -100,6 +102,8 @@ def _read_rows(path, reader) -> list[CensoredPair]:
     return pairs
 
 
+# argparse types: a UsageError passes argparse's type handling unchanged,
+# where a ValueError would lose its message
 def _parse_family(name: str) -> Family:
     try:
         return Family.parse(name)
@@ -128,51 +132,13 @@ def _parse_families(raw: str) -> list[Family]:
     return _parse_list(raw, _parse_family, "family")
 
 
-# --config keys per subcommand: a tuple of allowed words, or None for a number
-_CENSORING_MODEL = {"censoring_model": ("common", "per-margin")}
-_CONFIG_KEYS = {"test": _CENSORING_MODEL, "select": _CENSORING_MODEL,
-                "fit": {"initial_theta": None}}
-
-
-def _config_help(command: str) -> str:
-    return ", ".join(f"{key}={'|'.join(allowed) if allowed else 'FLOAT'}"
-                     for key, allowed in _CONFIG_KEYS[command].items())
-
-
-def _parse_config(args) -> dict:
-    keys = _CONFIG_KEYS[args.command]
-    out = {}
-    for item in args.config:
-        if "=" not in item:
-            raise UsageError(f"config entries take the form key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in keys:
-            valid = ", ".join(sorted(keys))
-            raise UsageError(
-                f"unknown config key {key!r} for {args.command}; valid keys: {valid}")
-        allowed = keys[key]
-        value = value.strip()
-        if allowed is not None:
-            if value not in allowed:
-                raise UsageError(
-                    f"config key {key} accepts {'|'.join(allowed)}, got {value!r}")
-            out[key] = value
-        else:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                raise UsageError(f"config key {key} needs a number, got {value!r}") from None
-    return out
-
-
-def _bootstrap_config(args, cfgmap) -> BootstrapConfig:
+def _bootstrap_config(args) -> BootstrapConfig:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"alpha must lie in (0, 1), got {args.alpha}")
     try:
         return BootstrapConfig(
             b=args.b, seed=args.seed,
-            common_censoring=cfgmap.get("censoring_model", "common") == "common")
+            common_censoring=args.censoring_model == "common")
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -233,22 +199,20 @@ def _emit_json(obj, path=None) -> None:
 
 
 def cmd_test(args) -> int:
-    config = _bootstrap_config(args, _parse_config(args))
+    config = _bootstrap_config(args)
     sample = read_data_csv(args.input)
-    family = _parse_family(args.family)
     _check_output(args.output)
-    report, = bootstrap.bootstrap_reports(sample, family, config,
+    report, = bootstrap.bootstrap_reports(sample, args.family, config,
                                           kinds=(args.statistic,)).values()
     _emit_json(_report_json(report, args.alpha), args.output)
     return EXIT_OK
 
 
 def cmd_select(args) -> int:
-    config = _bootstrap_config(args, _parse_config(args))
+    config = _bootstrap_config(args)
     sample = read_data_csv(args.input)
-    families = _parse_families(args.families)
     _check_output(args.output)
-    result = bootstrap.select_copula(sample, families, config, kind=args.statistic)
+    result = bootstrap.select_copula(sample, args.families, config, kind=args.statistic)
     ranking = []
     for entry in result.entries:
         if entry.report is not None:
@@ -269,15 +233,13 @@ def cmd_select(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfgmap = _parse_config(args)
-    sample = read_data_csv(args.input)
-    family = _parse_family(args.family)
-    initial_theta = cfgmap.get("initial_theta")
+    family, initial_theta = args.family, args.initial_theta
     if initial_theta is not None:
         try:
             copulas.CopulaModel(family, initial_theta)
         except ValueError as exc:
-            raise UsageError(f"initial_theta: {exc}") from None
+            raise UsageError(f"--initial-theta: {exc}") from None
+    sample = read_data_csv(args.input)
     _check_output(args.output)
     fit = inference.fit_pmle(family, survival.pseudo_observations(sample),
                              initial_theta=initial_theta)
@@ -307,14 +269,13 @@ def cmd_km(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    true_families = _parse_families(args.true_family)
     levels = _parse_list(args.censoring, str.strip, "censoring level")
     tests = args.tests or {"rejection": "ir,white,logim", "null": "ir"}[args.mode]
     kinds = tuple(k.strip() for k in tests.split(",") if k.strip())
     try:
         # the grid in the order of its CSV rows: family outer, level inner
         scenarios = [simulation.Scenario(fam, args.tau, args.n, level)
-                     for fam in true_families for level in levels]
+                     for fam in args.true_family for level in levels]
         cfg = simulation.StudyConfig(replications=args.replications, b=args.b,
                                      alpha=args.alpha, seed=args.seed, kinds=kinds)
     except ValueError as exc:
@@ -324,16 +285,15 @@ def cmd_simulate(args) -> int:
             raise UsageError("--null-families applies to rejection mode only; "
                              "null mode fits the true family")
         # the QQ CSV names none of these, so it holds one of each
-        for noun, given in (("true family", [f.value for f in true_families]),
+        for noun, given in (("true family", [f.value for f in args.true_family]),
                             ("censoring level", levels), ("statistic kind", cfg.kinds)):
             if len(given) > 1:
                 raise UsageError(f"null mode takes one {noun}, got {','.join(given)}")
-    null_families = _parse_families(args.null_families) if args.null_families else None
     _check_output(args.output)
     if args.mode == "rejection":
         rows = [row for scenario in scenarios
                 for row in simulation.run_rejection_study(
-                    scenario, null_families or [scenario.true_family], cfg)]
+                    scenario, args.null_families or [scenario.true_family], cfg)]
         with _output(args.output) as fh:
             simulation.write_rejection_csv(rows, fh)
         return EXIT_OK
@@ -370,11 +330,9 @@ def build_parser() -> _Parser:
                                  "copulas under right censoring.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, command, with_stat=True):
+    def add_common(p, with_stat=True):
         p.add_argument("--input", required=True, help="CSV with header x1,x2,d1,d2")
         p.add_argument("--output", default=None, help="write result here instead of stdout")
-        p.add_argument("--config", action="append", default=[], metavar="KEY=VALUE",
-                       help=f"extra options ({_config_help(command)})")
         if with_stat:
             p.add_argument("--statistic", default="ir",
                            choices=inference.STATISTIC_KINDS)
@@ -382,26 +340,30 @@ def build_parser() -> _Parser:
                            help="bootstrap replicates (default 200)")
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--alpha", type=float, default=0.05)
+            p.add_argument("--censoring-model", choices=("common", "per-margin"),
+                           default="common", help="the bootstrap's censoring times: "
+                           "one per pair (default) or one per margin")
 
     p_test = sub.add_parser("test", help="test one null copula family")
-    add_common(p_test, "test")
-    p_test.add_argument("--family", required=True)
+    add_common(p_test)
+    p_test.add_argument("--family", required=True, type=_parse_family)
     p_test.set_defaults(fn=cmd_test)
 
     p_sel = sub.add_parser("select", help="rank candidate families by p-value")
-    add_common(p_sel, "select")
-    p_sel.add_argument("--families", required=True,
+    add_common(p_sel)
+    p_sel.add_argument("--families", required=True, type=_parse_families,
                        help="comma-separated candidate families")
     p_sel.set_defaults(fn=cmd_select)
 
     p_fit = sub.add_parser("fit", help="pseudo-maximum-likelihood estimate only")
-    add_common(p_fit, "fit", with_stat=False)
-    p_fit.add_argument("--family", required=True)
+    add_common(p_fit, with_stat=False)
+    p_fit.add_argument("--family", required=True, type=_parse_family)
+    p_fit.add_argument("--initial-theta", type=float, metavar="FLOAT",
+                       help="search start in the family's domain (default: from Kendall's tau)")
     p_fit.set_defaults(fn=cmd_fit)
 
     p_km = sub.add_parser("km", help="marginal Kaplan-Meier curve as CSV")
-    p_km.add_argument("--input", required=True)
-    p_km.add_argument("--output", default=None)
+    add_common(p_km, with_stat=False)
     p_km.add_argument("--margin", type=int, choices=(1, 2), default=1)
     p_km.set_defaults(fn=cmd_km)
 
@@ -410,12 +372,11 @@ def build_parser() -> _Parser:
         description="Rejection mode tests every null family on the data of each "
                     "(true family, censoring level) pair, family outer, and writes "
                     "one rejection-rate CSV. Null mode takes one true family, one "
-                    "level and one kind and no null families, writes the "
-                    "statistic's QQ CSV, and prints "
-                    "its mean and sd and a KS uniformity test of its p-values to "
-                    "stderr.")
+                    "level and one kind and no null families, writes the statistic's "
+                    "QQ CSV, and prints its mean and sd and a KS uniformity test of "
+                    "its p-values to stderr.")
     p_sim.add_argument("--mode", choices=("rejection", "null"), default="rejection")
-    p_sim.add_argument("--true-family", required=True,
+    p_sim.add_argument("--true-family", required=True, type=_parse_families,
                        help="comma-separated true families; null mode takes one")
     p_sim.add_argument("--tau", type=float, default=0.5)
     p_sim.add_argument("--n", type=int, default=100)
@@ -423,7 +384,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--censoring", default="none",
                        help=f"comma-separated levels from {levels} (default none); "
                             "null mode takes one")
-    p_sim.add_argument("--null-families", default=None,
+    p_sim.add_argument("--null-families", default=None, type=_parse_families,
                        help="comma-separated null families (default: each true family); "
                             "rejection mode only")
     p_sim.add_argument("--tests", help="comma-separated statistic kinds (default "
@@ -441,6 +402,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        try:
+            _parallel.worker_count()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ from copgof.inference import compute_statistic, fit_pmle
 from copgof.simulation import Scenario, StudyConfig
 from copgof.survival import CensoredPair, kaplan_meier
 from oracles import binorm_pdf
+from samples import censored_sample
 
 ANALYTIC = tuple(Family)
 
@@ -40,20 +41,11 @@ def _theta_range(family):
     }[family]
 
 
-def _known_margin_sample(family, tau, n, seed, censoring_mean=None):
+def _known_margin_obs(family, tau, n, seed, censoring_mean=None):
     """Censored sample on the copula scale with the true (known) margins:
     unit exponentials transformed back through their exact survival."""
-    theta = copulas.tau_to_theta(family, tau)
-    gen = np.random.default_rng(seed)
-    u1, u2 = copulas.sample_pairs(CopulaModel(family, theta), gen, n)
-    t1, t2 = -np.log(u1), -np.log(u2)
-    if censoring_mean is None:
-        c = np.full(n, np.inf)
-    else:
-        c = gen.exponential(censoring_mean, n)
-    x1, x2 = np.minimum(t1, c), np.minimum(t2, c)
-    d1, d2 = (t1 <= c).astype(int), (t2 <= c).astype(int)
-    return np.exp(-x1), np.exp(-x2), d1, d2, theta
+    s = censored_sample(family, tau, n, seed, censoring_mean)
+    return copulas.Observations(np.exp(-s.x1), np.exp(-s.x2), s.d1, s.d2)
 
 
 def test_criterion_01_derivative_correctness():
@@ -156,9 +148,8 @@ def test_criterion_04_information_matrix_equivalence():
     start = time.time()
     n = 20000
     for family in ANALYTIC:
-        u1, u2, d1, d2, theta = _known_margin_sample(family, 0.5, n, seed=91,
-                                                     censoring_mean=1.5)
-        obs = copulas.Observations(u1, u2, d1, d2)
+        theta = copulas.tau_to_theta(family, 0.5)
+        obs = _known_margin_obs(family, 0.5, n, seed=91, censoring_mean=1.5)
         s, v = inference._moments(*copulas.dlog_vec(family, theta, obs)[1:])
         ratio = abs(s - v) / s
         assert ratio <= 0.05, f"{family.value}: |S-V|/S = {ratio:.4f}"
@@ -166,9 +157,7 @@ def test_criterion_04_information_matrix_equivalence():
     # Censoring dilutes this contrast (the doubly censored likelihood
     # piece discriminates weakly), so the breakdown is demonstrated on
     # the uncensored sample where the discrepancy is unambiguous.
-    u1, u2, d1, d2, _ = _known_margin_sample(Family.CLAYTON, 0.7, n, seed=92,
-                                             censoring_mean=None)
-    obs = copulas.Observations(u1, u2, d1, d2)
+    obs = _known_margin_obs(Family.CLAYTON, 0.7, n, seed=92)
     fit = fit_pmle(Family.FRANK, obs)
     s, v = inference._moments(*copulas.dlog_vec(Family.FRANK, fit.theta_hat, obs)[1:])
     ratio = abs(s - v) / s

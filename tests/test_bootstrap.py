@@ -10,24 +10,16 @@ from copgof import bootstrap, copulas, inference, numerics, survival
 from copgof.bootstrap import (B_CAP, BootstrapConfig, bootstrap_reports,
                               generate_bootstrap_dataset, select_copula,
                               _build_frame)
-from copgof.copulas import FAMILY_ORDER, CopulaModel, Family
+from copgof.copulas import FAMILY_ORDER, Family
 from copgof.inference import compute_statistic, fit_pmle
 from copgof.numerics import RngStream, StatisticalError
 from copgof.simulation import Scenario, StudyConfig, generate_scenario_dataset
 from copgof.survival import (CensoredSample, censoring_curves, kaplan_meier,
                              pseudo_observations)
+from samples import censored_sample
 
 
-def _make_pairs(family, tau, n, seed, censoring_mean=1.5):
-    theta = copulas.tau_to_theta(family, tau)
-    gen = np.random.default_rng(seed)
-    u1, u2 = copulas.sample_pairs(CopulaModel(family, theta), gen, n)
-    t1, t2 = -np.log(u1), -np.log(u2)
-    c = gen.exponential(censoring_mean, n) if censoring_mean else np.full(n, np.inf)
-    return CensoredSample(np.minimum(t1, c), np.minimum(t2, c), t1 <= c, t2 <= c)
-
-
-PAIRS = _make_pairs(Family.CLAYTON, 0.5, 150, seed=60)
+PAIRS = censored_sample(Family.CLAYTON, 0.5, 150, seed=60, censoring_mean=1.5)
 
 
 def _row(block, j=0):
@@ -201,7 +193,7 @@ def test_replicate_fit_at_domain_edge_is_a_drop(monkeypatch):
         return u, u.copy()
 
     monkeypatch.setenv("COPULA_GOF_THREADS", "1")
-    sample = _make_pairs(Family.GAUSSIAN, 0.3, 40, seed=4, censoring_mean=None)
+    sample = censored_sample(Family.GAUSSIAN, 0.3, 40, seed=4)
     # the observed fit is made before the wide bracket is set
     fit = fit_pmle(Family.GAUSSIAN, pseudo_observations(sample))
     monkeypatch.setattr(inference, "fit_pmle", lambda family, obs: fit)
@@ -254,7 +246,7 @@ def test_block_fit_rows_equal_their_own_fits(family, halfwidth, monkeypatch):
     # its estimate, log-likelihood, score and hessian bit for bit, or
     # its error
     n = 40
-    samples = [_make_pairs(fam, tau, n, seed=70 + i, censoring_mean=cm)
+    samples = [censored_sample(fam, tau, n, seed=70 + i, censoring_mean=cm)
                for i, (fam, tau, cm) in enumerate([(family, 0.5, 1.5), (Family.CLAYTON, 0.3, 0.8),
                                                    (Family.GUMBEL, 0.7, None),
                                                    (Family.FRANK, 0.2, 2.0)])]
@@ -355,7 +347,7 @@ def test_gaussian_path_never_calls_the_quadrature_oracle(tau, monkeypatch):
 
     monkeypatch.setenv("COPULA_GOF_THREADS", "1")
     monkeypatch.setattr(numerics, "binorm_cdf", forbidden)
-    sample = _make_pairs(Family.GAUSSIAN, tau, 60, seed=8)
+    sample = censored_sample(Family.GAUSSIAN, tau, 60, seed=8, censoring_mean=1.5)
     reps = bootstrap_reports(sample, Family.GAUSSIAN, BootstrapConfig(b=2, seed=3))
     assert reps["ir"].b_used == 2
     assert not (sample.d1 | sample.d2).all()
@@ -388,7 +380,7 @@ def test_bootstrap_deterministic_across_worker_counts():
 
 
 def test_pios_reports_deterministic_across_worker_counts(monkeypatch):
-    sample = _make_pairs(Family.FRANK, 0.5, 60, seed=61)
+    sample = censored_sample(Family.FRANK, 0.5, 60, seed=61, censoring_mean=1.5)
     cfg = BootstrapConfig(b=6, seed=4)
     monkeypatch.setenv("COPULA_GOF_THREADS", "1")
     a = bootstrap_reports(sample, Family.FRANK, cfg, kinds=("pios",))
@@ -476,7 +468,7 @@ def test_block_rows_equal_their_single_stream_calls(common):
         assert [a[j].tobytes() for a in block] == [a[0].tobytes() for a in single]
 
 
-JOE_PAIRS = _make_pairs(Family.JOE, 0.5, 60, seed=62)
+JOE_PAIRS = censored_sample(Family.JOE, 0.5, 60, seed=62, censoring_mean=1.5)
 
 
 def test_joe_reports_independent_of_block_size_and_workers(monkeypatch):
@@ -546,7 +538,7 @@ def test_per_margin_reports_are_deterministic():
 
 
 def test_uncensored_original_stays_uncensored():
-    pairs = _make_pairs(Family.GUMBEL, 0.5, 120, seed=7, censoring_mean=None)
+    pairs = censored_sample(Family.GUMBEL, 0.5, 120, seed=7)
     fit = fit_pmle(Family.GUMBEL, pseudo_observations(pairs))
     frame = _build_frame(pairs, fit, ("ir",), BootstrapConfig(b=10, seed=0))
     data = _row(generate_bootstrap_dataset(frame, [0]))
@@ -566,7 +558,7 @@ def test_uncensored_original_stays_uncensored():
      (3.9058815981623387, 1.342836958559892, 0.25637261204987205, 0.1811376309196182)),
 ])
 def test_joe_and_gumbel_reports_are_pinned(family, seed, expected):
-    pairs = _make_pairs(family, 0.7, 80, seed=seed)
+    pairs = censored_sample(family, 0.7, 80, seed=seed, censoring_mean=1.5)
     report = bootstrap_reports(pairs, family, BootstrapConfig(b=30, seed=7))["ir"]
     got = (report.theta_hat, report.statistic.value, report.sigma_b, report.p_value)
     assert got == expected
@@ -593,7 +585,7 @@ def test_joe_and_gumbel_reports_are_pinned(family, seed, expected):
      (2.0241404841110824, 0.7488230124620054, 0.2903069796688415, 0.3869226196949782)),
 ])
 def test_pios_reports_are_pinned(family, seed, expected):
-    pairs = _make_pairs(family, 0.5, 60, seed=seed)
+    pairs = censored_sample(family, 0.5, 60, seed=seed, censoring_mean=1.5)
     report = bootstrap_reports(pairs, family, BootstrapConfig(b=10, seed=11),
                                kinds=("pios",))["pios"]
     got = (report.theta_hat, report.statistic.value, report.sigma_b, report.p_value)
@@ -603,7 +595,7 @@ def test_pios_reports_are_pinned(family, seed, expected):
 
 def test_select_prefers_true_family():
     # larger uncensored sample so the contrast is sharp
-    pairs = _make_pairs(Family.CLAYTON, 0.6, 400, seed=14, censoring_mean=None)
+    pairs = censored_sample(Family.CLAYTON, 0.6, 400, seed=14)
     result = select_copula(pairs, [Family.CLAYTON, Family.JOE],
                            BootstrapConfig(b=60, seed=5))
     assert result.best.family is Family.CLAYTON

@@ -69,10 +69,13 @@ def test_cmd_test_per_margin_censoring(data_csv, capsys):
     argv = ["test", "--input", data_csv, "--family", "clayton", "--b", "20", "--seed", "3"]
     assert main(argv) == 0
     common = json.loads(capsys.readouterr().out)
-    assert main(argv + ["--config", "censoring_model=per-margin"]) == 0
+    assert main(argv + ["--censoring-model", "per-margin"]) == 0
     per_margin = json.loads(capsys.readouterr().out)
     assert per_margin["theta_hat"] == common["theta_hat"]
     assert per_margin["sigma_b"] != common["sigma_b"]
+    # common is the default
+    assert main(argv + ["--censoring-model", "common"]) == 0
+    assert json.loads(capsys.readouterr().out) == common
 
 
 def test_cmd_select(data_csv, capsys):
@@ -111,9 +114,8 @@ def test_cmd_fit(data_csv, capsys):
     assert result["n"] == 120
 
 
-def test_cmd_fit_config_initial_theta(data_csv, capsys):
-    rc = main(["fit", "--input", data_csv, "--family", "clayton",
-               "--config", "initial_theta=1.5"])
+def test_cmd_fit_initial_theta(data_csv, capsys):
+    rc = main(["fit", "--input", data_csv, "--family", "clayton", "--initial-theta", "1.5"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["converged"] is True
 
@@ -305,12 +307,12 @@ def test_usage_b_too_small(data_csv, capsys):
     ["simulate", "--true-family", "clayton", "--n", "20", "--replications", "1",
      "--b", "10", "--alpha", "0"],
     ["test", "--input", "DATA", "--family", "clayton", "--b", "10", "--seed", "-1"],
-    ["fit", "--input", "DATA", "--family", "clayton", "--config", "initial_theta=-1"],
+    ["fit", "--input", "DATA", "--family", "clayton", "--initial-theta", "-1"],
     # usage errors come before input errors
     ["test", "--input", "/nonexistent/x.csv", "--family", "clayton", "--b", "1"],
     ["select", "--input", "/nonexistent/x.csv", "--families", "clayton,frank", "--b", "1"],
     # these used to end in a traceback
-    ["fit", "--input", "DATA", "--family", "clayton", "--config", "initial_theta=inf"],
+    ["fit", "--input", "DATA", "--family", "clayton", "--initial-theta", "inf"],
     ["simulate", "--mode", "null", "--true-family", "clayton", "--n", "20",
      "--replications", "1", "--b", "10", "--tests", ","],
     # every entry of a list is checked before --output and before any work
@@ -325,49 +327,73 @@ def test_usage_b_too_small(data_csv, capsys):
      "--replications", "1", "--b", "10", "--output", "/nonexistent/x.csv"],
     ["simulate", "--true-family", "joe", "--tau", "0.999", "--n", "20",
      "--replications", "1", "--b", "10", "--output", "/nonexistent/x.csv"],
+    # a family name and --initial-theta are checked before the input is read
+    ["test", "--input", "/nonexistent/x.csv", "--family", "vine"],
+    ["select", "--input", "/nonexistent/x.csv", "--families", "vine"],
+    ["fit", "--input", "/nonexistent/x.csv", "--family", "clayton", "--initial-theta", "-1"],
 ])
 def test_usage_out_of_range_values(argv, data_csv, capsys):
     rc = main([data_csv if a == "DATA" else a for a in argv])
     assert rc == 64
-    assert capsys.readouterr().err.startswith("usage error:")
-
-
-def test_usage_bad_config_key(data_csv, capsys):
-    rc = main(["test", "--input", data_csv, "--family", "clayton",
-               "--b", "20", "--config", "shrinkage=3"])
-    assert rc == 64
-    assert "valid keys" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
 
 
 GOLDEN_C20 = str(Path(__file__).parent / "golden" / "clayton_c20.csv")
 
 
-@pytest.mark.parametrize("argv, valid", [
+@pytest.mark.parametrize("argv, flag", [
+    (["test", "--input", GOLDEN_C20, "--family", "clayton", "--b", "40",
+      "--shrinkage", "3"], "--shrinkage"),
     (["test", "--input", GOLDEN_C20, "--family", "clayton", "--b", "40", "--seed", "11",
-      "--config", "initial_theta=50"], "censoring_model"),
+      "--initial-theta", "50"], "--initial-theta"),
     (["fit", "--input", GOLDEN_C20, "--family", "clayton",
-      "--config", "censoring_model=per-margin"], "initial_theta"),
-])
-def test_usage_config_key_of_another_subcommand(argv, valid, capsys):
-    # a key the subcommand would ignore is a usage error, not silently dropped
+      "--censoring-model", "per-margin"], "--censoring-model"),
+    (["test", "--input", GOLDEN_C20, "--family", "clayton", "--b", "40",
+      "--config", "censoring_model=per-margin"], "--config"),
+], ids=["unknown", "fit-flag-on-test", "test-flag-on-fit", "config"])
+def test_usage_flag_the_subcommand_does_not_take(argv, flag, capsys):
+    # a flag the subcommand would ignore is a usage error, not silently
+    # dropped, and so is --config, which no subcommand takes
     assert main(argv) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage error:")
-    assert f"for {argv[0]}; valid keys: {valid}" in captured.err
+    assert captured.err.startswith(f"usage error: unrecognized arguments: {flag} ")
 
 
 @pytest.mark.parametrize("command, own, other", [
-    ("test", "censoring_model", "initial_theta"),
-    ("select", "censoring_model", "initial_theta"),
-    ("fit", "initial_theta", "censoring_model"),
-])
-def test_config_help_lists_only_own_keys(command, own, other, capsys):
+    ("test", "--censoring-model", "--initial-theta"),
+    ("select", "--censoring-model", "--initial-theta"),
+    ("fit", "--initial-theta", "--censoring-model"),
+], ids=["test", "select", "fit"])
+def test_help_lists_only_own_flags(command, own, other, capsys):
     with pytest.raises(SystemExit):
         main([command, "--help"])
     out = capsys.readouterr().out
     assert own in out
     assert other not in out
+    assert "--config" not in out
+
+
+@pytest.mark.parametrize("value, argv, work", [
+    ("abc", ["test", "--input", GOLDEN_C20, "--family", "clayton", "--b", "4"],
+     (bootstrap, "bootstrap_reports")),
+    ("0", ["simulate", "--true-family", "clayton", "--n", "20", "--replications", "1",
+           "--b", "4"], (simulation, "run_rejection_study")),
+])
+def test_bad_thread_count_is_a_usage_error(value, argv, work, monkeypatch, capsys):
+    # checked once after parsing, before the input is read or any work runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before COPULA_GOF_THREADS was checked")
+
+    monkeypatch.setenv("COPULA_GOF_THREADS", value)
+    monkeypatch.setattr(cli, "read_data_csv", forbidden)
+    monkeypatch.setattr(*work, forbidden)
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: COPULA_GOF_THREADS must be ")
 
 
 def test_usage_missing_subcommand(capsys):

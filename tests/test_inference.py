@@ -4,25 +4,15 @@ import numpy as np
 import pytest
 
 from copgof import copulas, inference, numerics
-from copgof.copulas import CopulaModel, Family
+from copgof.copulas import Family
 from copgof.inference import FitResult, InferenceError, compute_statistic, fit_pmle
 from copgof.simulation import Scenario, generate_scenario_dataset
-from copgof.survival import CensoredPair, CensoredSample, pseudo_observations
+from copgof.survival import CensoredSample, pseudo_observations
+from samples import censored_sample
 
 
 def _simulate(family, tau, n, seed, censoring_mean=None):
-    theta = copulas.tau_to_theta(family, tau)
-    gen = np.random.default_rng(seed)
-    u1, u2 = copulas.sample_pairs(CopulaModel(family, theta), gen, n)
-    t1, t2 = -np.log(u1), -np.log(u2)
-    if censoring_mean is None:
-        c = np.full(n, np.inf)
-    else:
-        c = gen.exponential(censoring_mean, n)
-    pairs = [CensoredPair(float(min(a, cc)), float(min(b, cc)),
-                          int(a <= cc), int(b <= cc))
-             for a, b, cc in zip(t1, t2, c)]
-    return pseudo_observations(pairs)
+    return pseudo_observations(censored_sample(family, tau, n, seed, censoring_mean))
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -4,13 +4,14 @@ callers look it up, so a deletion cannot silently break ``--trace 1``."""
 
 import importlib.util
 import re
+import shlex
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 import copgof
-from copgof import copulas, inference
+from copgof import cli, copulas, inference
 from copgof.copulas import Family
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,3 +59,24 @@ def test_readme_library_example_runs(capsys):
     block = re.search(r"## Library use\n.*?```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[-1] == "Family.CLAYTON"
+
+
+def test_readme_cli_examples_parse():
+    # every copgof command in the README's sh blocks parses as written, so
+    # a flag the CLI drops or renames fails here; nothing is run
+    readme = (ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = re.sub(r">\s*\S+", "", line)
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["copgof"]:
+                commands.append(argv[1:])
+    assert {argv[0] for argv in commands} == {"test", "select", "fit", "km", "simulate"}
+    failures = []
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except cli.UsageError as exc:
+            failures.append(f"copgof {shlex.join(argv)}: {exc}")
+    assert not failures
