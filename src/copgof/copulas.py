@@ -44,19 +44,27 @@ A family class declares its math and nothing else:
 - ``inv_conditional``, the sampler's inverse of u2 -> C(u2 | u1): in
   closed form for Clayton, Frank, the Gaussian and Gumbel (by the Wright
   omega function), and by a safeguarded Newton iteration on the
-  generator for Joe.
+  generator for Joe;
+- for the Gaussian alone, ``terms``, the theta-free terms of a case's
+  entries, which a sample keeps (``Observations.terms``), and ``piece``,
+  which evaluates a case from them.
 
 The base ``_Family`` derives the rest: ``in_domain`` as
 (lo < theta) & (theta < hi), elementwise over an array theta;
 ``tau_to_theta`` as Brent's root of ``theta_to_tau`` on ``theta_bracket``;
-and the u2-partial ``log_c2`` as the u1-partial with (u1, u2) swapped, since
-every family here is exchangeable. The module functions derive the
+the u2-partial ``log_c2`` as the u1-partial with (u1, u2) swapped, since
+every family here is exchangeable; and ``piece`` as the case's log piece
+on its (u1, u2) entries. The module functions derive the
 unconstrained search scale of ``fit_pmle`` from ``domain`` alone.
 
 The Gaussian copula function is C(u1, u2) = Phi2(Phi^-1(u1), Phi^-1(u2); rho).
-Its log comes from ``numerics.binorm_logcdf`` in one array pass over the
-doubly censored rows: Owen's T identity, with a log-space Gauss-Legendre
-branch in the corners where the identity cancels.
+Its log comes from Owen's T identity, with a log-space Gauss-Legendre
+branch in the corners where the identity cancels. A fit evaluates each
+sample at about a dozen rhos, so the sample keeps the normal scores
+z = Phi^-1(u), z1^2 + z2^2, z1 z2 and the identity's rho-free half
+(``numerics.binorm_terms``), and each evaluation runs only the rho half.
+Only subexpressions that the pieces evaluate exactly as written are
+kept, so every value keeps its bits.
 """
 
 from __future__ import annotations
@@ -183,6 +191,16 @@ class _Family:
     @classmethod
     def log_c2(cls, theta, u1, u2, derivs=False):
         return cls.log_c1(theta, u2, u1, derivs)
+
+    # the theta-free terms that a sample keeps for a family's pieces
+    # (``Observations.terms``); a family without them reads (u1, u2)
+    terms = None
+
+    @classmethod
+    def piece(cls, case, theta, terms, derivs=False):
+        """The piece of censoring case ``case`` at theta, from the case's
+        entries as ``Observations.terms`` gives them."""
+        return getattr(cls, _PIECES[case])(theta, *terms, derivs)
 
 
 class _Clayton(_Family):
@@ -535,30 +553,59 @@ class _Joe(_Family):
 
 
 class _Gaussian(_Family):
+    """Each piece on (u1, u2) forms its case's ``terms`` for its one call;
+    the kernels read the terms a sample keeps."""
     domain = (-1.0, 1.0)
     tau_domain = (-1.0, 1.0)
+    # the methods that evaluate each case's piece from its terms
+    _FROM_TERMS = ("_log_pdf", "_log_c1", "_log_c1", "_log_cdf")
 
     @staticmethod
-    def _z(u1, u2):
-        return _special.ndtri(u1), _special.ndtri(u2)
+    def terms(case, u1, u2):
+        """z1, z2 of piece ``case``'s entries (swapped for the u2-partial,
+        which is the u1-partial at (u2, u1)); the density and the copula
+        function add z1^2 + z2^2 and z1 z2, and the copula function
+        ``numerics.binorm_terms``, flattened into the one tuple."""
+        z1, z2 = _special.ndtri(u1), _special.ndtri(u2)
+        if case in (1, 2):
+            return (z1, z2) if case == 1 else (z2, z1)
+        sums = (z1, z2, np.square(z1) + np.square(z2), z1 * z2)
+        return sums + numerics.binorm_terms(z1, z2) if case == 3 else sums
 
     @classmethod
-    def log_cdf(cls, theta, u1, u2, derivs=False):
-        z1, z2 = cls._z(u1, u2)
-        value = numerics.binorm_logcdf(z1, z2, theta)
-        if not derivs:
-            return value
-        s2 = 1.0 - theta * theta
-        log_pdf2 = (-(np.square(z1) + np.square(z2) - 2.0 * theta * z1 * z2) / (2.0 * s2)
-                    - np.log(2.0 * math.pi * np.sqrt(s2)))
-        # Plackett: dC/dtheta = phi2; phi2/Phi2 in log space, where both underflow
-        ratio = np.exp(log_pdf2 - value)
-        lt, _ = cls._phi2_tilde(theta, z1, z2)
-        return value, ratio, ratio * (lt - ratio)
+    def piece(cls, case, theta, terms, derivs=False):
+        return getattr(cls, cls._FROM_TERMS[case])(theta, terms, derivs)
+
+    @classmethod
+    def log_pdf(cls, theta, u1, u2, derivs=False):
+        return cls.piece(0, theta, cls.terms(0, u1, u2), derivs)
 
     @classmethod
     def log_c1(cls, theta, u1, u2, derivs=False):
-        z1, z2 = cls._z(u1, u2)
+        return cls.piece(1, theta, cls.terms(1, u1, u2), derivs)
+
+    @classmethod
+    def log_cdf(cls, theta, u1, u2, derivs=False):
+        return cls.piece(3, theta, cls.terms(3, u1, u2), derivs)
+
+    @classmethod
+    def _log_cdf(cls, theta, terms, derivs):
+        z1, z2, zsq, zz, *owen = terms
+        value = numerics.binorm_logcdf_at(owen, theta)
+        if not derivs:
+            return value
+        s2 = 1.0 - theta * theta
+        # (2 theta) z1 z2, as numpy evaluates it, is not 2 theta (z1 z2)
+        log_pdf2 = (-(zsq - 2.0 * theta * z1 * z2) / (2.0 * s2)
+                    - np.log(2.0 * math.pi * np.sqrt(s2)))
+        # Plackett: dC/dtheta = phi2; phi2/Phi2 in log space, where both underflow
+        ratio = np.exp(log_pdf2 - value)
+        lt, _ = cls._phi2_tilde(theta, zsq, zz)
+        return value, ratio, ratio * (lt - ratio)
+
+    @staticmethod
+    def _log_c1(theta, terms, derivs):
+        z1, z2 = terms
         s2 = 1.0 - theta * theta
         a = (z2 - theta * z1) / np.sqrt(s2)
         value = _special.log_ndtr(a)
@@ -573,20 +620,17 @@ class _Gaussian(_Family):
         return value, d1, r * (a_tt - a * a_t ** 2) - d1 ** 2
 
     @classmethod
-    def log_pdf(cls, theta, u1, u2, derivs=False):
-        z1, z2 = cls._z(u1, u2)
+    def _log_pdf(cls, theta, terms, derivs):
+        z1, z2, zsq, zz = terms
         s2 = 1.0 - theta * theta
-        value = (-0.5 * np.log(s2)
-                 - (np.square(z1) + np.square(z2) - 2.0 * theta * z1 * z2) / (2.0 * s2)
-                 + 0.5 * (np.square(z1) + np.square(z2)))
-        return (value, *cls._phi2_tilde(theta, z1, z2)) if derivs else value
+        value = (-0.5 * np.log(s2) - (zsq - 2.0 * theta * z1 * z2) / (2.0 * s2)
+                 + 0.5 * zsq)
+        return (value, *cls._phi2_tilde(theta, zsq, zz)) if derivs else value
 
-    @classmethod
-    def _phi2_tilde(cls, theta, z1, z2):
+    @staticmethod
+    def _phi2_tilde(theta, zsq, zz):
         s2 = 1.0 - theta * theta
         t2, s2_2 = np.power(theta, 2), np.power(s2, 2)
-        zz = z1 * z2
-        zsq = np.square(z1) + np.square(z2)
         d1 = (theta * s2 - theta * zsq + (1.0 + t2) * zz) / s2_2
         d2 = ((1.0 + t2) / s2_2
               + ((6.0 * theta + 2.0 * np.power(theta, 3)) * zz - (1.0 + 3.0 * t2) * zsq)
@@ -741,9 +785,13 @@ def family_ops(family: Family):
 
 
 def _pointwise(piece: str, m: CopulaModel, u1, u2):
-    out = np.exp(getattr(_OPS[m.family], piece)(
-        m.theta, np.asarray(u1, float), np.asarray(u2, float)))
-    return float(out) if np.isscalar(u1) else out
+    """exp of a family's log ``piece`` at (u1, u2), broadcast together.
+    The piece runs on the flattened 1-D arrays, where its rescue branches
+    can assign by mask, and a scalar pair's one entry comes back as a
+    float."""
+    u1, u2 = np.broadcast_arrays(np.asarray(u1, float), np.asarray(u2, float))
+    out = np.exp(getattr(_OPS[m.family], piece)(m.theta, u1.ravel(), u2.ravel()))
+    return float(out[0]) if u1.ndim == 0 else out.reshape(u1.shape)
 
 
 def cdf(m: CopulaModel, u1, u2):
@@ -801,6 +849,13 @@ class Observations:
     row's own entries. When one case covers every entry, its entry
     holds the whole arrays and ``cols`` is None, so the kernels neither
     gather nor scatter.
+
+    A family's pieces may read terms of the entries that do not depend
+    on theta (the Gaussian's normal scores and the rho-free half of
+    Owen's identity; see ``terms``). The first kernel call that needs
+    them builds them, read-only, and the sample keeps them for every
+    later evaluation. ``take`` slices them with the rows, and a pickled
+    sample is rebuilt without them.
     """
     u1: np.ndarray
     u2: np.ndarray
@@ -879,7 +934,27 @@ class Observations:
         arrays = [_read_only(a[rows]) for a in (self.u1, self.u2, self.d1, self.d2)]
         cases = [(c, *(a if a is None else _read_only(a[rows]) for a in parts))
                  for c, *parts in self.cases]
-        return Observations._assemble(*arrays, cases)
+        taken = Observations._assemble(*arrays, cases)
+        kept = self.__dict__.get("_terms")
+        if kept:
+            taken.__dict__["_terms"] = {
+                family: tuple(tuple(_read_only(a[rows]) for a in terms) for terms in by_case)
+                for family, by_case in kept.items()}
+        return taken
+
+    def terms(self, family: Family):
+        """Each case's theta-free terms for ``family``'s pieces, in the
+        order of ``cases``: its (u1, u2) entries, or for a family that
+        keeps terms (the Gaussian), what its ``terms`` builds from them,
+        built on the first call and kept."""
+        build = _OPS[family].terms
+        if build is None:
+            return [parts[2:] for parts in self.cases]
+        kept = self.__dict__.setdefault("_terms", {})
+        if family not in kept:
+            kept[family] = tuple(tuple(map(_read_only, build(c, u1, u2)))
+                                 for c, _, u1, u2 in self.cases)
+        return kept[family]
 
     def row(self, j: int) -> "Observations":
         """Row j of a block as its own sample, equal to
@@ -953,8 +1028,8 @@ def _by_case(family: Family, theta, obs: Observations, derivs: bool = False):
     k = obs.k if block else len(column)
     with np.errstate(all="ignore"):
         if obs.cases and obs.cases[0][1] is None:    # one case, every entry
-            (case, _, u1, u2), = obs.cases
-            out = getattr(ops, _PIECES[case])(column, u1, u2, derivs)
+            (case, *_), = obs.cases
+            out = ops.piece(case, column, obs.terms(family)[0], derivs)
             shape = (k, obs.n)
             out = tuple(_full(a, shape) for a in out) if derivs else _full(out, shape)
         else:
@@ -962,8 +1037,8 @@ def _by_case(family: Family, theta, obs: Observations, derivs: bool = False):
             # spare column n
             rows = (np.arange(k)[:, None],) if block else ()
             out = np.empty(((3,) if derivs else ()) + (k, obs.n + 1))
-            for case, cols, u1, u2 in obs.cases:
-                out[(..., *rows, cols)] = getattr(ops, _PIECES[case])(column, u1, u2, derivs)
+            for (case, cols, *_), terms in zip(obs.cases, obs.terms(family)):
+                out[(..., *rows, cols)] = ops.piece(case, column, terms, derivs)
             out = out[..., :-1]
     if np.ndim(theta) or block:
         return out

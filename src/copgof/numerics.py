@@ -17,9 +17,13 @@ ValueError and TypeError mark misuse.
 
 The bivariate normal CDF used by the library is ``binorm_logcdf``, an
 array function (Owen's T identity, with a log-space Gauss-Legendre
-branch where that identity cancels). ``binorm_cdf`` integrates the same
-quantity with one adaptive quadrature per point; it is kept only as the
-reference oracle for tests, and no library path calls it.
+branch where that identity cancels). It is the composition of a
+rho-free half, ``binorm_terms``, and a rho half, ``binorm_logcdf_at``:
+the likelihood evaluates one sample at many rho, so the sample keeps
+the first (``copulas.Observations``) and each evaluation runs only the
+second. ``binorm_cdf`` integrates the same quantity with one adaptive
+quadrature per point; it is kept only as the reference oracle for
+tests, and no library path calls it.
 """
 
 from __future__ import annotations
@@ -110,23 +114,6 @@ _TAIL_DROP = 45.0               # the tail window ends where the integrand is do
 _TAIL_SWITCH = math.log(1e-3)   # Owen value below 1e-3 of its terms: use the tail branch
 
 
-def _owen_share(h, k, rho, s):
-    """h's share 0.5 Phi(h) - T(h, (k/h - rho)/s) of Owen's identity.
-
-    At h = 0 the share is 0 (k != 0) or 1/8 + asin(rho)/(4 pi) (k = 0),
-    which keeps the identity exact on the axes, where T's argument is
-    infinite or undefined.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        share = 0.5 * _special.ndtr(h) - _special.owens_t(h, (k / h - rho) / s)
-    on_axis = h == 0.0
-    share = np.where(on_axis, 0.0, share)
-    origin = on_axis & (k == 0.0)
-    if origin.any():
-        share[origin] = 0.125 + np.arcsin(rho[origin]) / (4.0 * math.pi)
-    return share
-
-
 def _binorm_logcdf_tail(lo, hi, rho):
     """log of the integral of phi(t) Phi((hi - rho t)/s) over t < lo, on one
     64-node Gauss-Legendre rule for all entries.
@@ -168,30 +155,76 @@ def binorm_logcdf(z1, z2, rho):
     (``_binorm_logcdf_tail``). Against ``binorm_cdf`` on z in [-4, 4]^2 and
     |rho| <= 0.999 the log differs by at most about 3e-11.
 
+    It is ``binorm_logcdf_at(binorm_terms(z1, z2), rho)`` over the
+    broadcast entries, the rho-free half and the rho half of the identity.
     Each entry equals, bit for bit, its own scalar call.
+    """
+    z1, z2, rho = np.broadcast_arrays(np.asarray(z1, dtype=float),
+                                      np.asarray(z2, dtype=float),
+                                      np.asarray(rho, dtype=float))
+    out = binorm_logcdf_at(binorm_terms(z1.ravel(), z2.ravel()), rho.ravel())
+    return out.reshape(z1.shape)[()]
+
+
+def binorm_terms(z1, z2) -> tuple:
+    """The rho-free half of ``binorm_logcdf`` at z1, z2 (arrays of one
+    shape S), as a tuple of arrays whose leading axes are S, so that
+    slicing each array's rows slices the entries' rows.
+
+    Owen's identity sums two shares, 0.5 Phi(h) - T(h, (k/h - rho)/s), one
+    at (h, k) = (lo, hi) and one at (hi, lo), with lo = min z and hi = max
+    z. Their h, 0.5 Phi(h), k/h and axis masks (h = 0, and the origin
+    h = k = 0) are kept stacked on a last axis of length 2, lo's share
+    first. With them: the straddle term (0.5 where lo < 0 < hi), the
+    tail-branch test's lo < 0 and log 1e-3 + log Phi(hi), and the entries
+    with an infinite z, where the value is log Phi(lo), kept with that
+    value (0 elsewhere).
+    """
+    lo, hi = np.minimum(z1, z2), np.maximum(z1, z2)
+    edge = np.isinf(lo) | np.isinf(hi)      # Phi2 = Phi(lo) there, 0 at lo = -inf
+    edge_value = np.zeros(lo.shape)
+    edge_value[edge] = _special.log_ndtr(lo[edge])
+    lo, hi = np.where(edge, 0.0, lo), np.where(edge, 0.0, hi)
+    h, k = np.stack((lo, hi), axis=-1), np.stack((hi, lo), axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k_over_h = k / h
+    on_axis = h == 0.0
+    return (h, 0.5 * _special.ndtr(h), k_over_h, on_axis, on_axis & (k == 0.0),
+            np.where((lo < 0.0) & (hi > 0.0), 0.5, 0.0),
+            lo < 0.0, _TAIL_SWITCH + _special.log_ndtr(hi), edge, edge_value)
+
+
+def binorm_logcdf_at(terms, rho):
+    """``binorm_logcdf`` from the rho-free half ``binorm_terms`` over S and
+    rho, an array that broadcasts with S (a scalar, a (k, 1) column over
+    S = (m,) or (k, m), or one entry per entry): the result has the
+    broadcast shape, each entry equal, bit for bit, to ``binorm_logcdf``'s.
+    Both Owen shares of every entry run as one ``owens_t`` call.
+
+    At h = 0 a share is 0 (k != 0) or 1/8 + asin(rho)/(4 pi) (k = 0),
+    which keeps the identity exact on the axes, where T's argument is
+    infinite or undefined.
     """
     rho = np.asarray(rho, dtype=float)
     if not (np.abs(rho) < 1).all():
         raise ValueError(f"binorm_logcdf requires |rho| < 1, got {rho}")
-    z1, z2, rho = np.broadcast_arrays(np.asarray(z1, dtype=float),
-                                      np.asarray(z2, dtype=float), rho)
-    shape = z1.shape
-    rho = rho.ravel()
-    lo = np.minimum(z1, z2).ravel()
-    hi = np.maximum(z1, z2).ravel()
-    edge = np.isinf(lo) | np.isinf(hi)      # Phi2 = Phi(lo) there, 0 at lo = -inf
-    lo_edge = lo[edge]
-    lo, hi = np.where(edge, 0.0, lo), np.where(edge, 0.0, hi)
-    s = np.sqrt(1.0 - rho * rho)
-    owen = (_owen_share(lo, hi, rho, s) + _owen_share(hi, lo, rho, s)
-            - np.where((lo < 0.0) & (hi > 0.0), 0.5, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(owen)
-    tail = (lo < 0.0) & ~(out >= _TAIL_SWITCH + _special.log_ndtr(hi))
+    h, half_cdf, k_over_h, on_axis, origin, straddle, below, switch, edge, edge_value = terms
+    pair = rho[..., None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        share = half_cdf - _special.owens_t(h, (k_over_h - pair) / np.sqrt(1.0 - pair * pair))
+        share = np.where(on_axis, 0.0, share)
+        if origin.any():
+            at = np.broadcast_to(origin, share.shape)
+            share[at] = 0.125 + np.arcsin(np.broadcast_to(pair, share.shape)[at]) / (4.0 * math.pi)
+        out = np.log(share[..., 0] + share[..., 1] - straddle)
+    tail = below & ~(out >= switch)
     if tail.any():
-        out[tail] = _binorm_logcdf_tail(lo[tail], hi[tail], rho[tail])
-    out[edge] = _special.log_ndtr(lo_edge)
-    return out.reshape(shape)[()]
+        lo, hi, rho = (np.broadcast_to(a, out.shape)[tail] for a in (h[..., 0], h[..., 1], rho))
+        out[tail] = _binorm_logcdf_tail(lo, hi, rho)
+    if edge.any():
+        at = np.broadcast_to(edge, out.shape)
+        out[at] = np.broadcast_to(edge_value, out.shape)[at]
+    return out
 
 
 _MAX_EXPANSIONS = 60

@@ -7,6 +7,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 import copgof
 from copgof import (BootstrapConfig, CensoredSample, Family, Scenario, StatisticalError,
@@ -107,3 +110,52 @@ def test_degenerate_input_ends_as_the_contract_says(case, tmp_path, capsys):
             out = json.loads(captured.out)
             assert out["statistic"]["value"] == cli._fmt(report.statistic.value)
             assert out["p_value"] == cli._fmt(report.p_value)
+
+
+GAUSSIAN_EDGES = ("heavy ties", "one event on margin 1", f"n = {MIN_N}",
+                  f"n = {MIN_N + 1} with pios", "comonotone", "countermonotone",
+                  "independent")
+
+
+@st.composite
+def _gaussian_edge_samples(draw, n=40):
+    """(case, sample, kinds) for one of GAUSSIAN_EDGES, drawn from a seed."""
+    case = draw(st.sampled_from(GAUSSIAN_EDGES))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    size = {f"n = {MIN_N}": MIN_N, f"n = {MIN_N + 1} with pios": MIN_N + 1}.get(case, n)
+    # Gaussian dependence of rho 0.6 on exponential margins, with an
+    # independent exponential censoring time per margin
+    z = gen.standard_normal((2, size))
+    t = -np.log(special.ndtr(np.array([z[0], 0.6 * z[0] + 0.8 * z[1]])))
+    c = gen.exponential(2.0, (2, size))
+    x, d = np.minimum(t, c), (t <= c).astype(int)
+    if case == "heavy ties":
+        x = np.ceil(x * 5.0 / x.max(axis=1, keepdims=True))     # at most 5 times a margin
+    elif case == "one event on margin 1":
+        d[0] = 0
+        d[0, gen.integers(size)] = 1
+    elif case in ("comonotone", "countermonotone"):
+        x, d = np.array([t[0], t[0]]), np.ones((2, size), dtype=int)
+        if case == "countermonotone":
+            x[1] = -np.log(-np.expm1(-t[0]))
+    elif case == "independent":
+        x[1] = np.minimum(gen.exponential(1.0, size), c[1])
+        d[1] = x[1] < c[1]
+    kinds = ("pios",) if "pios" in case else ("ir", "white", "logim")
+    return case, CensoredSample(x[0], x[1], d[0], d[1]), kinds
+
+
+@given(_gaussian_edge_samples())
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_gaussian_edge_samples_end_in_a_typed_error_or_a_finite_report(drawn):
+    # the Gaussian part of the degenerate-input contract, on samples drawn
+    # around each edge: a typed failure, or finite statistics and p-values
+    case, sample, kinds = drawn
+    try:
+        reports = bootstrap_reports(sample, Family.GAUSSIAN, BootstrapConfig(b=8, seed=3),
+                                    kinds=kinds)
+    except StatisticalError:
+        return
+    for kind, report in reports.items():
+        assert math.isfinite(report.statistic.value), (case, kind)
+        assert 0.0 <= report.p_value <= 1.0, (case, kind)

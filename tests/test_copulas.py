@@ -165,8 +165,12 @@ def test_dlog_vec_evaluates_each_case_piece_once(family, monkeypatch):
     # one pass: each case's piece runs once, asked for its derivatives,
     # and gives the log-likelihood, score and hessian together
     ops = copulas.family_ops(family)
+    # the Gaussian kernel reads its pieces from the terms its sample keeps,
+    # by the methods that _FROM_TERMS names, the u1-partial's for both partials
+    gaussian = family is Family.GAUSSIAN
+    names = sorted(set(ops._FROM_TERMS)) if gaussian else copulas._PIECES
     calls = {}
-    for name in copulas._PIECES:
+    for name in names:
         def counted(*args, _name=name, _piece=getattr(ops, name)):
             calls[_name] = calls.get(_name, 0) + 1
             assert args[-1] is True
@@ -175,11 +179,12 @@ def test_dlog_vec_evaluates_each_case_piece_once(family, monkeypatch):
     u1, u2, d1, d2 = _four_case_sample()
     copulas.dlog_vec(family, THETAS[family], copulas.Observations(u1, u2, d1, d2))
     # log_c2 is log_c1 with its pairs swapped, so log_c1 runs for two cases
-    assert calls == {"log_pdf": 1, "log_c1": 2, "log_c2": 1, "log_cdf": 1}
+    assert calls == ({"_log_pdf": 1, "_log_c1": 2, "_log_cdf": 1} if gaussian else
+                     {"log_pdf": 1, "log_c1": 2, "log_c2": 1, "log_cdf": 1})
     calls.clear()
     copulas.dlog_vec(family, THETAS[family],
                      copulas.Observations(u1, u2, np.ones_like(d1), np.ones_like(d2)))
-    assert calls == {"log_pdf": 1}
+    assert calls == {"_log_pdf" if gaussian else "log_pdf": 1}
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -473,6 +478,11 @@ def test_block_rows_equal_their_one_sample_calls(case):
         for j, a in enumerate(alone):
             assert whole[..., j, :].tobytes() == a.tobytes(), (call, j)
         assert call(column[order], taken).tobytes() == whole[..., order, :].tobytes()
+        # a block taken after that evaluation slices the theta-free terms
+        # the block kept for it, and each row still equals its own call
+        later = call(column[order], block.take(order))
+        assert all(later[..., i, :].tobytes() == alone[j].tobytes()
+                   for i, j in enumerate(order)), call
     # the one pass's log-likelihood is loglik_vec's over the block too
     assert (copulas.dlog_vec(family, column, block)[0].tobytes()
             == loglik_vec(family, column, block).tobytes())
@@ -719,7 +729,7 @@ def test_joe_and_gumbel_samplers_stay_quiet_and_distinct(family, theta):
 # overflows: Joe's (1 - u)^theta and Gumbel's x^theta both underflow, or
 # Gumbel's overflow. References from mpmath at 500 digits, which the
 # cancellation of the direct form's terms needs.
-@pytest.mark.parametrize("family, theta, u1, u2, log_c1", [
+LOG_C1_AT_LARGE_THETA = [
     ("joe", 200.0, 0.99, 0.995, -6.191900201471836e-61),
     ("joe", 200.0, 0.98, 0.999, -6.191900201471836e-261),
     ("joe", 200.0, 0.999, 0.98, -596.15072243724421),
@@ -727,7 +737,10 @@ def test_joe_and_gumbel_samplers_stay_quiet_and_distinct(family, theta):
     ("gumbel", 100.0, 0.9999, 0.9998, -68.626621509273557),
     ("gumbel", 300.0, 1e-06, 1e-05, -1.8356640802633912e-24),
     ("gumbel", 300.0, 1e-05, 1e-06, -56.816730574386482),
-])
+]
+
+
+@pytest.mark.parametrize("family, theta, u1, u2, log_c1", LOG_C1_AT_LARGE_THETA)
 def test_log_c1_finite_at_large_theta(family, theta, u1, u2, log_c1):
     ops = copulas.family_ops(Family(family))
     # next to an ordinary entry, whose bits the recomputation keeps; the
@@ -748,13 +761,16 @@ def test_log_c1_finite_at_large_theta(family, theta, u1, u2, log_c1):
 # (family, theta, u1, u2, log C) where gamma (Joe) or A (Gumbel)
 # underflows, or A overflows, so the direct form gave -0.0 or -inf.
 # References from mpmath at 100 digits.
-@pytest.mark.parametrize("family, theta, u1, u2, log_cdf", [
+LOG_CDF_AT_LARGE_THETA = [
     ("joe", 200.0, 0.99, 0.995, -0.01005033585350145),
     ("joe", 200.0, 0.999, 0.98, -0.020202707317519467),
     ("gumbel", 100.0, 0.9998, 0.9999, -0.0002000200026670447),
     ("gumbel", 100.0, 0.9999, 0.9998, -0.0002000200026670447),
     ("gumbel", 300.0, 1e-06, 1e-05, -13.815510557964274),
-])
+]
+
+
+@pytest.mark.parametrize("family, theta, u1, u2, log_cdf", LOG_CDF_AT_LARGE_THETA)
 def test_log_cdf_at_large_theta(family, theta, u1, u2, log_cdf):
     ops = copulas.family_ops(Family(family))
     a1, a2 = np.array([u1, 0.4]), np.array([u2, 0.6])
@@ -776,13 +792,16 @@ def test_log_cdf_at_large_theta(family, theta, u1, u2, log_cdf):
 # underflows, or A overflows, so the direct form gave +inf or NaN.
 # References from mpmath at 600 digits, which agree with its numerical
 # second derivative of C.
-@pytest.mark.parametrize("family, theta, u1, u2, log_pdf", [
+LOG_PDF_AT_LARGE_THETA = [
     ("joe", 200.0, 0.99, 0.995, -128.03781392071653),
     ("joe", 200.0, 0.999, 0.98, -586.9453946070915),
     ("gumbel", 100.0, 0.9998, 0.9999, -55.51420643565226),
     ("gumbel", 100.0, 0.9999, 0.9998, -55.51420643565226),
     ("gumbel", 300.0, 1e-06, 1e-05, -39.881398337273666),
-])
+]
+
+
+@pytest.mark.parametrize("family, theta, u1, u2, log_pdf", LOG_PDF_AT_LARGE_THETA)
 def test_log_pdf_at_large_theta(family, theta, u1, u2, log_pdf):
     ops = copulas.family_ops(Family(family))
     a1, a2 = np.array([u1, 0.4]), np.array([u2, 0.6])
@@ -797,6 +816,26 @@ def test_log_pdf_at_large_theta(family, theta, u1, u2, log_pdf):
     assert column[0].tobytes() == got.tobytes()
     assert column[1].tobytes() == at_two.tobytes()
     assert with_derivs.tobytes() == got.tobytes()
+
+
+# the large-theta points above, and Joe's and Gumbel's edges u in {0, 1}:
+# each runs a rescue branch that assigns by mask in some piece, which a
+# scalar pair's 0-d arrays could not take (TypeError)
+_POINTWISE_POINTS = list(dict.fromkeys(
+    [row[:4] for row in LOG_C1_AT_LARGE_THETA + LOG_CDF_AT_LARGE_THETA
+     + LOG_PDF_AT_LARGE_THETA]
+    + [(family, theta, u1, u2) for family, theta in (("joe", 2.5), ("gumbel", 2.0))
+       for u1, u2 in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0))]))
+
+
+@pytest.mark.parametrize("family, theta, u1, u2", _POINTWISE_POINTS)
+def test_pointwise_scalar_calls_equal_their_one_element_calls(family, theta, u1, u2):
+    m = CopulaModel(Family(family), theta)
+    for f in (cdf, partial_u1, partial_u2, density):
+        with np.errstate(all="ignore"):
+            scalar, one = f(m, u1, u2), f(m, np.array([u1]), np.array([u2]))
+        assert type(scalar) is float and one.shape == (1,), f.__name__
+        assert np.float64(scalar).tobytes() == one.tobytes(), f.__name__
 
 
 def test_sampler_deterministic():
