@@ -57,6 +57,17 @@ every family here is exchangeable; and ``piece`` as the case's log piece
 on its (u1, u2) entries. The module functions derive the
 unconstrained search scale of ``fit_pmle`` from ``domain`` alone.
 
+Joe's and Gumbel's pieces are each built from one core quantity: Joe's
+gamma = (1 - u1)^theta + (1 - u2)^theta - (1 - u1)^theta (1 - u2)^theta
+and Gumbel's A = (-log u1)^theta + (-log u2)^theta. The family's
+``_core`` forms it with its log and the mask where it leaves the normal
+float range (gamma below the smallest normal float; A below it or
+infinite), which large theta near the corners reaches. Inside the mask
+the core forms log gamma, or log A and A^(1/theta), from theta log(1 - u)
+or theta log(-log u). The density and the copula function read them as
+they are, and the u1-partial, whose direct form cancels there, takes its
+own log-space form on the core's mask.
+
 The Gaussian copula function is C(u1, u2) = Phi2(Phi^-1(u1), Phi^-1(u2); rho).
 Its log comes from Owen's T identity, with a log-space Gauss-Legendre
 branch in the corners where the identity cancels. A fit evaluates each
@@ -379,12 +390,20 @@ class _Joe(_Family):
 
     @staticmethod
     def _core(theta, u1, u2):
+        """1 - u, a = (1 - u)^theta, gamma, log gamma and the mask gamma <
+        _TINY, where both a under- or gradually underflow; there
+        log gamma = log(a1 + a2 (1 - a1)) is formed from theta log(1 - u)."""
         v1 = 1.0 - u1
         v2 = 1.0 - u2
         a1 = _apow(v1, theta)
         a2 = _apow(v2, theta)
         gamma = a1 + a2 - a1 * a2
-        return v1, v2, a1, a2, gamma
+        lg = np.log(gamma)
+        low = gamma < _TINY
+        if low.any():
+            th, b1, b2, c1 = (np.broadcast_to(a, low.shape)[low] for a in (theta, v1, v2, a1))
+            lg[low] = np.logaddexp(th * np.log(b1), th * np.log(b2) + np.log1p(-c1))
+        return v1, v2, a1, a2, gamma, lg, low
 
     @staticmethod
     def _gamma_derivs(l1, l2, a1, a2):
@@ -395,19 +414,9 @@ class _Joe(_Family):
 
     @classmethod
     def log_cdf(cls, theta, u1, u2, derivs=False):
-        v1, v2, a1, a2, gamma = cls._core(theta, u1, u2)
-        lg = np.log(gamma)
+        v1, v2, a1, a2, gamma, lg, _ = cls._core(theta, u1, u2)
         g1 = np.exp(lg / theta)                       # Gamma^{1/theta}
         value = np.log1p(-g1)
-        low = gamma < _TINY
-        if low.any():
-            # gamma under- or gradually underflows where both (1 - u)^theta
-            # do (large theta, near (1, 1)); there
-            # log gamma = log(a1 + a2 (1 - a1)) is formed from theta log(1 - u)
-            th, b1, b2, c1 = (np.broadcast_to(a, value.shape)[low]
-                              for a in (theta, v1, v2, a1))
-            lg_low = np.logaddexp(th * np.log(b1), th * np.log(b2) + np.log1p(-c1))
-            value[low] = np.log1p(-np.exp(lg_low / th))
         if not derivs:
             return value
         g_t, g_tt = cls._gamma_derivs(np.log(v1), np.log(v2), a1, a2)
@@ -429,13 +438,13 @@ class _Joe(_Family):
 
     @classmethod
     def log_c1(cls, theta, u1, u2, derivs=False):
-        v1, v2, a1, a2, gamma = cls._core(theta, u1, u2)
-        lg, l1 = np.log(gamma), np.log(v1)
+        v1, v2, a1, a2, gamma, lg, low = cls._core(theta, u1, u2)
+        l1 = np.log(v1)
         value = (1.0 / theta - 1.0) * lg + np.log1p(-a2) + (theta - 1.0) * l1
-        bad = ~np.isfinite(value)
+        bad = low | ~np.isfinite(value)
         if bad.any():
-            # gamma underflows to 0 where both (1 - u)^theta do (large
-            # theta); there log c1 = log(1 - a2) - (1 - 1/theta) log(1 + rho a2)
+            # where gamma leaves the normal range, the first two terms
+            # cancel; there log c1 = log(1 - a2) - (1 - 1/theta) log(1 + rho a2)
             # with log(rho a2) = log rho + theta log(1 - u2)
             th, b1, b2 = (np.broadcast_to(a, value.shape)[bad] for a in (theta, u1, u2))
             la2 = th * np.log1p(-b2)
@@ -454,22 +463,11 @@ class _Joe(_Family):
 
     @classmethod
     def log_pdf(cls, theta, u1, u2, derivs=False):
-        v1, v2, a1, a2, gamma = cls._core(theta, u1, u2)
-        lg, l1, l2 = np.log(gamma), np.log(v1), np.log(v2)
+        v1, v2, a1, a2, gamma, lg, _ = cls._core(theta, u1, u2)
+        l1, l2 = np.log(v1), np.log(v2)
         o1, o2 = 1.0 - a1, 1.0 - a2
         value = ((1.0 / theta - 2.0) * lg + (theta - 1.0) * (l1 + l2)
                  + np.log(theta * gamma + (theta - 1.0) * o1 * o2))
-        bad = ~np.isfinite(value)
-        if bad.any():
-            # gamma underflows to 0 where both (1 - u)^theta do (large
-            # theta, near (1, 1)); there log gamma = log(a1 + a2 (1 - a1))
-            # is formed from theta log(1 - u), and the last term's
-            # theta gamma + (theta - 1)(1 - a1)(1 - a2) is gamma + theta - 1
-            th, b1, b2, c1 = (np.broadcast_to(a, value.shape)[bad] for a in (theta, v1, v2, a1))
-            m1, m2 = np.log(b1), np.log(b2)
-            lg_bad = np.logaddexp(th * m1, th * m2 + np.log1p(-c1))
-            value[bad] = ((1.0 / th - 2.0) * lg_bad + (th - 1.0) * (m1 + m2)
-                          + np.log(np.exp(lg_bad) + th - 1.0))
         if not derivs:
             return value
         g_t, g_tt = cls._gamma_derivs(l1, l2, a1, a2)
@@ -600,8 +598,7 @@ class _Gaussian(_Family):
                     - np.log(2.0 * math.pi * np.sqrt(s2)))
         # Plackett: dC/dtheta = phi2; phi2/Phi2 in log space, where both underflow
         ratio = np.exp(log_pdf2 - value)
-        lt, _ = cls._phi2_tilde(theta, zsq, zz)
-        return value, ratio, ratio * (lt - ratio)
+        return value, ratio, ratio * (cls._dlog_phi2(theta, zsq, zz) - ratio)
 
     @staticmethod
     def _log_c1(theta, terms, derivs):
@@ -625,17 +622,19 @@ class _Gaussian(_Family):
         s2 = 1.0 - theta * theta
         value = (-0.5 * np.log(s2) - (zsq - 2.0 * theta * z1 * z2) / (2.0 * s2)
                  + 0.5 * zsq)
-        return (value, *cls._phi2_tilde(theta, zsq, zz)) if derivs else value
-
-    @staticmethod
-    def _phi2_tilde(theta, zsq, zz):
-        s2 = 1.0 - theta * theta
-        t2, s2_2 = np.power(theta, 2), np.power(s2, 2)
-        d1 = (theta * s2 - theta * zsq + (1.0 + t2) * zz) / s2_2
-        d2 = ((1.0 + t2) / s2_2
+        if not derivs:
+            return value
+        t2 = np.power(theta, 2)
+        d2 = ((1.0 + t2) / np.power(s2, 2)
               + ((6.0 * theta + 2.0 * np.power(theta, 3)) * zz - (1.0 + 3.0 * t2) * zsq)
               / np.power(s2, 3))
-        return d1, d2
+        return value, cls._dlog_phi2(theta, zsq, zz), d2
+
+    @staticmethod
+    def _dlog_phi2(theta, zsq, zz):
+        """d/dtheta log phi2(z1, z2; theta), from z1^2 + z2^2 and z1 z2."""
+        s2 = 1.0 - theta * theta
+        return (theta * s2 - theta * zsq + (1.0 + np.power(theta, 2)) * zz) / np.power(s2, 2)
 
     @staticmethod
     def theta_to_tau(theta):
@@ -657,13 +656,23 @@ class _Gumbel(_Family):
 
     @staticmethod
     def _core(theta, u1, u2):
+        """x = -log u, p = x^theta, A = p1 + p2, log A, A^(1/theta) and the
+        mask A < _TINY or A = inf; there, with r = log(1 + (x2/x1)^theta),
+        log A = theta log x1 + r and A^(1/theta) = x1 e^(r/theta)."""
         x1 = -np.log(u1)
         x2 = -np.log(u2)
         p1 = _apow(x1, theta)
         p2 = _apow(x2, theta)
         a = p1 + p2
+        la = np.log(a)
         a1 = _apow(a, 1.0 / theta)
-        return x1, x2, p1, p2, a, a1
+        out = (a < _TINY) | (a == math.inf)
+        if out.any():
+            th, b1, b2 = (np.broadcast_to(v, out.shape)[out] for v in (theta, x1, x2))
+            m1 = np.log(b1)
+            r = _log1pexp(th * (np.log(b2) - m1))
+            la[out], a1[out] = th * m1 + r, b1 * np.exp(r / th)
+        return x1, x2, p1, p2, a, la, a1, out
 
     @staticmethod
     def _a_derivs(theta, l1, l2, p1, p2, a, la):
@@ -679,28 +688,22 @@ class _Gumbel(_Family):
 
     @classmethod
     def log_cdf(cls, theta, u1, u2, derivs=False):
-        x1, x2, p1, p2, a, a1 = cls._core(theta, u1, u2)
+        x1, x2, p1, p2, a, la, a1, _ = cls._core(theta, u1, u2)
         value = -a1
-        bad = (a < _TINY) | (a == math.inf)
-        if bad.any():
-            # A under- or overflows at large theta; there
-            # A1 = x1 e^(r/theta), with r = log(1 + (x2/x1)^theta)
-            th, b1, b2 = (np.broadcast_to(v, value.shape)[bad] for v in (theta, x1, x2))
-            value[bad] = -b1 * np.exp(_log1pexp(th * (np.log(b2) - np.log(b1))) / th)
         if not derivs:
             return value
-        _, _, q, q_t = cls._a_derivs(theta, np.log(x1), np.log(x2), p1, p2, a, np.log(a))
+        _, _, q, q_t = cls._a_derivs(theta, np.log(x1), np.log(x2), p1, p2, a, la)
         return value, -a1 * q, -a1 * (q_t + q ** 2)
 
     @classmethod
     def log_c1(cls, theta, u1, u2, derivs=False):
-        x1, x2, p1, p2, a, a1 = cls._core(theta, u1, u2)
-        la, l1 = np.log(a), np.log(x1)
+        x1, x2, p1, p2, a, la, a1, out = cls._core(theta, u1, u2)
+        l1 = np.log(x1)
         value = -a1 + (1.0 / theta - 1.0) * la + (theta - 1.0) * l1 + x1
-        bad = ~np.isfinite(value)
+        bad = out | ~np.isfinite(value)
         if bad.any():
-            # A = x1^theta + x2^theta under- or overflows at large theta;
-            # there, with r = log(A / x1^theta) = log(1 + (x2/x1)^theta),
+            # where A leaves the normal range, the terms in log A and log x1
+            # cancel; there, with r = log(A / x1^theta),
             # log c1 = x1 (1 - e^(r/theta)) + (1/theta - 1) r
             th, b1, b2 = (np.broadcast_to(v, value.shape)[bad] for v in (theta, x1, x2))
             r = _log1pexp(th * (np.log(b2) - np.log(b1)))
@@ -712,21 +715,11 @@ class _Gumbel(_Family):
 
     @classmethod
     def log_pdf(cls, theta, u1, u2, derivs=False):
-        x1, x2, p1, p2, a, a1 = cls._core(theta, u1, u2)
-        la, l1, l2 = np.log(a), np.log(x1), np.log(x2)
+        x1, x2, p1, p2, a, la, a1, _ = cls._core(theta, u1, u2)
+        l1, l2 = np.log(x1), np.log(x2)
         k = a1 + theta - 1.0
         value = (-a1 + (theta - 1.0) * (l1 + l2) + x1 + x2
                  + (1.0 / theta - 2.0) * la + np.log(k))
-        bad = ~np.isfinite(value)
-        if bad.any():
-            # A = x1^theta + x2^theta under- or overflows at large theta;
-            # there log A = theta log x1 + log(1 + (x2/x1)^theta)
-            th, b1, b2 = (np.broadcast_to(v, value.shape)[bad] for v in (theta, x1, x2))
-            m1, m2 = np.log(b1), np.log(b2)
-            la_bad = th * m1 + _log1pexp(th * (m2 - m1))
-            a1_bad = np.exp(la_bad / th)
-            value[bad] = (-a1_bad + (th - 1.0) * (m1 + m2) + b1 + b2
-                          + (1.0 / th - 2.0) * la_bad + np.log(a1_bad + th - 1.0))
         if not derivs:
             return value
         m, m_t, q, q_t = cls._a_derivs(theta, l1, l2, p1, p2, a, la)
@@ -786,9 +779,9 @@ def family_ops(family: Family):
 
 def _pointwise(piece: str, m: CopulaModel, u1, u2):
     """exp of a family's log ``piece`` at (u1, u2), broadcast together.
-    The piece runs on the flattened 1-D arrays, where its rescue branches
-    can assign by mask, and a scalar pair's one entry comes back as a
-    float."""
+    The piece runs on the flattened 1-D arrays, where its core and its
+    log-space branch can assign by mask, and a scalar pair's one entry
+    comes back as a float."""
     u1, u2 = np.broadcast_arrays(np.asarray(u1, float), np.asarray(u2, float))
     out = np.exp(getattr(_OPS[m.family], piece)(m.theta, u1.ravel(), u2.ravel()))
     return float(out[0]) if u1.ndim == 0 else out.reshape(u1.shape)

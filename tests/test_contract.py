@@ -145,14 +145,16 @@ def _gaussian_edge_samples(draw, n=40):
     return case, CensoredSample(x[0], x[1], d[0], d[1]), kinds
 
 
-@given(_gaussian_edge_samples())
+@pytest.mark.parametrize("family", list(Family))
+@given(drawn=_gaussian_edge_samples())
 @settings(max_examples=25, derandomize=True, deadline=None)
-def test_gaussian_edge_samples_end_in_a_typed_error_or_a_finite_report(drawn):
-    # the Gaussian part of the degenerate-input contract, on samples drawn
-    # around each edge: a typed failure, or finite statistics and p-values
+def test_edge_samples_end_in_a_typed_error_or_a_finite_report(family, drawn):
+    # the degenerate-input contract for each family, on samples of Gaussian
+    # dependence drawn around each edge: a typed failure, or finite
+    # statistics and p-values
     case, sample, kinds = drawn
     try:
-        reports = bootstrap_reports(sample, Family.GAUSSIAN, BootstrapConfig(b=8, seed=3),
+        reports = bootstrap_reports(sample, family, BootstrapConfig(b=8, seed=3),
                                     kinds=kinds)
     except StatisticalError:
         return

@@ -818,6 +818,43 @@ def test_log_pdf_at_large_theta(family, theta, u1, u2, log_pdf):
     assert with_derivs.tobytes() == got.tobytes()
 
 
+# (family, theta, u1, u2, log C, log c1, log c) where Joe's gamma is
+# subnormal, not 0, or Gumbel's A underflows to 0: each piece reads its
+# core's log gamma or log A there, not the direct log of a number that has
+# lost its digits. References from the closed forms in mpmath at 400
+# digits, which agree with its numerical derivatives of C.
+LOG_PIECES_BELOW_THE_NORMAL_RANGE = [
+    ("joe", 300.0, 0.9163, 0.92,
+     -0.08741145740264368, -1.282060009980642e-06, -5.337533197173449),
+    ("joe", 200.0, 0.9734, 0.9734,
+     -0.02705505819186342, -0.6896814446571455, 7.537320262701887),
+    ("joe", 200.0, 0.9736, 0.972,
+     -0.028399475637633783, -11.709267213607724, -2.840419367858847),
+    ("gumbel", 150.0, 0.999, 0.9992,
+     -0.0010005003335835344, -2.844963293026488e-15, -21.351291918525057),
+    ("gumbel", 200.0, 0.9962, 0.997,
+     -0.0038072383429540663, -2.694763820049901e-21, -36.254013401199124),
+    ("gumbel", 300.0, 0.9346, 0.9343,
+     -0.06800672500100025, -1.6318995906861038, 6.609225561264776),
+]
+
+
+@pytest.mark.parametrize("family, theta, u1, u2, log_cdf, log_c1, log_pdf",
+                         LOG_PIECES_BELOW_THE_NORMAL_RANGE)
+def test_log_pieces_below_the_normal_range(family, theta, u1, u2, log_cdf, log_c1, log_pdf):
+    ops = copulas.family_ops(Family(family))
+    a1, a2 = np.array([u1, 0.4]), np.array([u2, 0.6])
+    for piece, want in (("log_cdf", log_cdf), ("log_c1", log_c1), ("log_pdf", log_pdf)):
+        f = getattr(ops, piece)
+        with np.errstate(all="ignore"):
+            got = f(theta, a1, a2)
+            one = f(theta, a1[:1], a2[:1])
+            column = f(np.array([[theta], [2.0]]), a1, a2)
+        np.testing.assert_allclose(got[0], want, rtol=1e-12, err_msg=piece)
+        assert got[:1].tobytes() == one.tobytes(), piece
+        assert column[0].tobytes() == got.tobytes(), piece
+
+
 # the large-theta points above, and Joe's and Gumbel's edges u in {0, 1}:
 # each runs a rescue branch that assigns by mask in some piece, which a
 # scalar pair's 0-d arrays could not take (TypeError)
